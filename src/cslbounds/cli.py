@@ -29,6 +29,9 @@ from .kspace import force_psd_by_quadrature
 from .response import ResonantBar
 
 VALIDATE_THRESHOLD = 1e-3
+# Largest --points accepted: the closed forms hold several float arrays of
+# the grid's length at once.
+MAX_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -42,12 +45,14 @@ def _add_common(parser):
 def _add_grid(parser):
     parser.add_argument("--rc-min", type=float, default=1e-9, help="smallest correlation length, m (default 1e-9)")
     parser.add_argument("--rc-max", type=float, default=1e2, help="largest correlation length, m (default 1e2)")
-    parser.add_argument("--points", type=int, default=200, help="number of log-spaced grid points (default 200)")
+    parser.add_argument(
+        "--points", type=int, default=200, help=f"number of log-spaced grid points (default 200, at most {MAX_POINTS})"
+    )
 
 
 def _grid(args) -> np.ndarray:
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ConfigError(f"--points must be between 2 and {MAX_POINTS}, got {args.points}")
     if not (0.0 < args.rc_min < args.rc_max):
         raise ConfigError("--rc-min must be positive and below --rc-max")
     return np.geomspace(args.rc_min, args.rc_max, args.points)
@@ -241,7 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--rc-min", type=float, default=None, help="default 1e-8 m (bars: 1e-3 m)")
     p.add_argument("--rc-max", type=float, default=None, help="default 1 m (bars: 10 m)")
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument(
+        "--points", type=int, default=25, help=f"number of log-spaced grid points (default 25, at most {MAX_POINTS})"
+    )
     p.set_defaults(func=cmd_validate)
 
     return parser

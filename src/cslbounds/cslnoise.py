@@ -11,6 +11,11 @@ resonant bar modeled as two touching half-cylinders.
 All results are two-sided PSDs in N^2/Hz.  The one-sided convention used
 by published noise figures is applied at the comparison boundary, never
 here.
+
+The correlation length r_c may be a float or a 1-d array: every closed
+form and building block then evaluates the whole grid in one pass, with
+boolean masks choosing each element's numerical branch, and a float
+input returns a float from the same kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .constants import HBAR, M_NUCLEON
+from .specfun import FloatOrArray, _from_1d, _ie, _to_1d
 
 # Largest relative mismatch allowed between the declared mass and
 # density * volume when a density is given.
@@ -34,16 +42,26 @@ DEFAULT_BAR_VARIANT = "rederived"
 
 @dataclass(frozen=True)
 class CslParams:
-    """Collapse-parameter point: rate (1/s) and correlation length (m)."""
+    """Collapse-parameter point: rate (1/s) and correlation length (m).
+
+    The correlation length may also be a 1-d array, one parameter point
+    per entry; it is then stored as a read-only copy.
+    """
 
     collapse_rate: float
-    correlation_length: float
+    correlation_length: FloatOrArray
 
     def __post_init__(self):
         if not (math.isfinite(self.collapse_rate) and self.collapse_rate >= 0.0):
             raise ValueError(f"collapse_rate must be finite and >= 0, got {self.collapse_rate!r}")
-        if not (math.isfinite(self.correlation_length) and self.correlation_length > 0.0):
-            raise ValueError(f"correlation_length must be finite and > 0, got {self.correlation_length!r}")
+        rc, scalar = _to_1d(self.correlation_length)
+        bad = ~(np.isfinite(rc) & (rc > 0.0))
+        if bad.any():
+            raise ValueError(f"correlation_length must be finite and > 0, got {float(rc[bad][0])!r}")
+        if not scalar:
+            rc = rc.copy()
+            rc.flags.writeable = False
+            object.__setattr__(self, "correlation_length", rc)
 
 
 def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float):
@@ -159,51 +177,26 @@ def pair_correlation_factor(separation: float, length: float, r_c: float) -> flo
     )
 
 
-# Series window: below this value of (a+L)^2/(4 rc^2) the direct
-# expression for the axial factor loses digits to cancellation and the
-# binomial series is exact to machine precision.
-_AXIAL_SERIES_WINDOW = 0.5
-
-
-def axial_factor(separation: float, length: float, r_c: float) -> float:
+def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
     """Axial suppression factor (1 - e^{-L^2/4rc^2} + pair correlation).
 
     Vanishes identically at zero separation: perfectly correlated kicks
-    cannot drive relative motion.  For r_c >> separation + length the
-    direct expression cancels catastrophically, so a series in the
-    squared exponents takes over (window chosen so both branches agree
-    to ~1e-13 at the switch).
+    cannot drive relative motion.  Evaluated as the identity
+    expm1(-L^2 u) expm1(-a^2 u) + e^{-(a-L)^2 u} expm1(-2aLu)^2 / 2 with
+    u = 1/4rc^2: both terms are nonnegative and every exponent is
+    nonpositive, so nothing cancels.  The exponents are formed from the
+    lengths scaled by 1/2rc, never from u itself, so a vanishing length
+    gives a zero exponent even where u would overflow.
     """
-    if separation < 0.0 or length <= 0.0 or r_c <= 0.0:
+    rc, scalar = _to_1d(r_c)
+    if separation < 0.0 or length <= 0.0 or not np.all(rc > 0.0):
         raise ValueError("axial_factor requires separation >= 0, length > 0, r_c > 0")
-    u = 1.0 / (4.0 * r_c * r_c)
-    if (separation + length) ** 2 * u <= _AXIAL_SERIES_WINDOW:
-        return _axial_series(separation * separation * u, length * length * u)
-    return (
-        -math.expm1(-(length**2) * u)
-        + 0.5 * math.exp(-((separation + length) ** 2) * u)
-        + 0.5 * math.exp(-((separation - length) ** 2) * u)
-        - math.exp(-(separation**2) * u)
-    )
-
-
-def _axial_series(al: float, be: float) -> float:
-    # sum_{m>=2} (-1)^m / m! * sum_{k=1}^{m-1} C(2m,2k) al^{m-k} be^k
-    # with al = a^2 u, be = L^2 u; every inner term is positive, so the
-    # only cancellation is the tame alternation in m.
-    total = 0.0
-    factorial = 2.0
-    for m in range(2, 40):
-        if m > 2:
-            factorial *= m
-        inner = 0.0
-        for k in range(1, m):
-            inner += math.comb(2 * m, 2 * k) * al ** (m - k) * be**k
-        term = inner / factorial
-        total += term if m % 2 == 0 else -term
-        if inner == 0.0 or abs(term) < 1e-18 * abs(total):
-            break
-    return total
+    a = separation * (0.5 / rc)
+    el = length * (0.5 / rc)
+    d = (separation - length) * (0.5 / rc)
+    with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
+        out = np.expm1(-el * el) * np.expm1(-a * a) + 0.5 * np.exp(-d * d) * np.expm1(-2.0 * a * el) ** 2
+    return _from_1d(out, scalar)
 
 
 # Taylor coefficients of 1 - e^-x (I0(x) + I1(x)) = x/2 - x^2/4 + ...
@@ -211,27 +204,37 @@ _RADIAL_SERIES = (0.5, -0.25, 5.0 / 48.0, -7.0 / 192.0, 7.0 / 640.0, -11.0 / 384
 _RADIAL_SERIES_WINDOW = 5e-3
 
 
-def _radial_bracket(x: float) -> float:
+def _radial_bracket(x: FloatOrArray) -> FloatOrArray:
     # 1 - e^-x (I0(x) + I1(x)) at x = R^2 / 2 rc^2; series branch keeps
     # full relative precision when the bracket is ~x/2 << 1.
-    if x < _RADIAL_SERIES_WINDOW:
-        acc = 0.0
+    x, scalar = _to_1d(x)
+    out = np.empty_like(x)
+    small = x < _RADIAL_SERIES_WINDOW
+    xs = x[small]
+    if xs.size:
+        acc = np.zeros_like(xs)
         for c in reversed(_RADIAL_SERIES):
-            acc = acc * x + c
-        return acc * x
-    from .specfun import i0e, i1e
-
-    return 1.0 - (i0e(x) + i1e(x))
+            acc = acc * xs + c
+        out[small] = acc * xs
+    xl = x[~small]
+    if xl.size:
+        ie = _ie(xl)
+        out[~small] = 1.0 - (ie[0] + ie[1])
+    return _from_1d(out, scalar)
 
 
 _CUBE_SERIES_WINDOW = 0.1
 
 
-def _cube_bracket(z: float) -> float:
+def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
     # 1 - e^{-z^2} - sqrt(pi) z erf(z) at z = L / 2 rc; always <= 0.
     # Series: sum_{n>=1} (-1)^n z^{2n} / ((2n-1) n!).
-    if z <= _CUBE_SERIES_WINDOW:
-        q = z * z
+    z, scalar = _to_1d(z)
+    out = np.empty_like(z)
+    small = z <= _CUBE_SERIES_WINDOW
+    zs = z[small]
+    if zs.size:
+        q = zs * zs
         total = -q
         power = -q
         factorial = 1.0
@@ -239,15 +242,21 @@ def _cube_bracket(z: float) -> float:
             power *= -q
             factorial *= n
             total += power / ((2 * n - 1) * factorial)
-        return total
-    return 1.0 - math.exp(-z * z) - math.sqrt(math.pi) * z * math.erf(z)
+        out[small] = total
+    zl = z[~small]
+    if zl.size:
+        erf = np.fromiter(map(math.erf, zl), dtype=float, count=zl.size)
+        out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf
+    return _from_1d(out, scalar)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> float:
+def cylinder_pair_force_psd(
+    params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1
+) -> FloatOrArray:
     """Two-sided CSL force PSD for coaxial cylinder pairs (N^2/Hz).
 
     One differential pair per arm; arm_count = 2 doubles the result for
@@ -257,30 +266,31 @@ def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: f
     if arm_count not in (1, 2):
         raise ValueError(f"arm_count must be 1 or 2, got {arm_count!r}")
     lam = params.collapse_rate
-    rc = params.correlation_length
+    rc, scalar = _to_1d(params.correlation_length)
     m = geometry.mass
     radius, length = geometry.radius, geometry.length
     prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)
-    return (
+    out = (
         arm_count
         * prefactor
         * axial_factor(separation, length, rc)
         * _radial_bracket(radius * radius / (2.0 * rc * rc))
     )
+    return _from_1d(out, scalar)
 
 
-def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> float:
+def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
     """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
     lam = params.collapse_rate
-    rc = params.correlation_length
+    rc, scalar = _to_1d(params.correlation_length)
     m = geometry.mass
     side = geometry.side
     prefactor = 16.0 * HBAR**2 * lam * (m * m) * rc**4 / (side**6 * M_NUCLEON**2)
     bracket = _cube_bracket(side / (2.0 * rc))
-    return prefactor * axial_factor(separation, side, rc) * bracket * bracket
+    return _from_1d(prefactor * axial_factor(separation, side, rc) * bracket * bracket, scalar)
 
 
-def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> float:
+def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
     """Two-sided CSL force PSD driving a bar's fundamental mode (N^2/Hz).
 
     The bar is modeled as two half-cylinders (length/2, mass/2) touching
@@ -300,16 +310,16 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     if variant not in BAR_VARIANTS:
         raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
     lam = params.collapse_rate
-    rc = params.correlation_length
+    rc, scalar = _to_1d(params.correlation_length)
     m = geometry.mass
     radius, length = geometry.radius, geometry.length
     if variant == "printed":
         v = length * length / (16.0 * rc * rc)
-        axial = -0.5 * math.expm1(-4.0 * v) - math.expm1(-v)
+        axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
     else:
         axial = axial_factor(0.5 * length, 0.5 * length, rc)
     prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)
-    return prefactor * axial * _radial_bracket(radius * radius / (2.0 * rc * rc))
+    return _from_1d(prefactor * axial * _radial_bracket(radius * radius / (2.0 * rc * rc)), scalar)
 
 
 def force_noise_psd(
@@ -317,8 +327,11 @@ def force_noise_psd(
     geometry: MassGeometry,
     arrangement: MassArrangement,
     bar_variant: Optional[str] = None,
-) -> float:
-    """Dispatch to the closed form matching the geometry (two-sided, N^2/Hz)."""
+) -> FloatOrArray:
+    """Dispatch to the closed form matching the geometry (two-sided, N^2/Hz).
+
+    Returns a float for a scalar correlation length, else one PSD per entry.
+    """
     if isinstance(geometry, Cylinder):
         return cylinder_pair_force_psd(params, geometry, arrangement.separation, arrangement.arm_count)
     if isinstance(geometry, Cube):

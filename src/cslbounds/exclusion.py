@@ -24,6 +24,7 @@ from .cslnoise import (
     CslParams,
     Cube,
     Cylinder,
+    FloatOrArray,
     HalfCylinderBar,
     MassGeometry,
     force_noise_psd,
@@ -127,9 +128,30 @@ def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
     return noise.csl_fraction * s_ff
 
 
-def model_force_psd(det: DetectorModel, params: CslParams, bar_variant: Optional[str] = None) -> float:
-    """Two-sided model force PSD for the detector's geometry (N^2/Hz)."""
+def model_force_psd(det: DetectorModel, params: CslParams, bar_variant: Optional[str] = None) -> FloatOrArray:
+    """Two-sided model force PSD for the detector's geometry (N^2/Hz).
+
+    One value per entry when params carries an array of correlation lengths.
+    """
     return force_noise_psd(params, det.geometry, det.arrangement, bar_variant)
+
+
+def _lambda_max_grid(
+    det: DetectorModel, noise: MeasuredNoise, grid: np.ndarray, bar_variant: Optional[str]
+) -> np.ndarray:
+    """lambda_max at every r_c of a 1-d array, from one model-PSD evaluation.
+
+    Exact inversion by linearity: the model PSD is evaluated at unit
+    collapse rate, and the measured one-sided figure is compared against
+    twice the two-sided model.
+    """
+    s_model = model_force_psd(det, CslParams(1.0, grid), bar_variant)
+    vanishing = np.flatnonzero(s_model == 0.0)
+    if vanishing.size:
+        raise UnboundedParameterError(
+            f"model force PSD vanishes for {det.name!r} at r_c = {grid[vanishing[0]]:g} m; no finite bound exists"
+        )
+    return measured_force_psd(det, noise) / (2.0 * s_model)
 
 
 def lambda_max(
@@ -140,17 +162,9 @@ def lambda_max(
 ) -> float:
     """Largest collapse rate consistent with attributing all noise to CSL.
 
-    Exact inversion by linearity: the model PSD is evaluated at unit
-    collapse rate, and the measured one-sided figure is compared against
-    twice the two-sided model.
+    The one-point case of exclusion_curve, through the same kernel.
     """
-    unit = CslParams(1.0, r_c)
-    s_model = model_force_psd(det, unit, bar_variant)
-    if s_model == 0.0:
-        raise UnboundedParameterError(
-            f"model force PSD vanishes for {det.name!r} at r_c = {r_c:g} m; no finite bound exists"
-        )
-    return measured_force_psd(det, noise) / (2.0 * s_model)
+    return float(_lambda_max_grid(det, noise, np.array([r_c], dtype=float), bar_variant)[0])
 
 
 def exclusion_curve(
@@ -159,17 +173,16 @@ def exclusion_curve(
     r_c_grid,
     bar_variant: Optional[str] = None,
 ) -> ExclusionCurve:
-    """Pointwise lambda_max over an ascending r_c grid."""
+    """lambda_max over an ascending r_c grid, evaluated in one pass."""
     grid = np.asarray(r_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_c grid must be a nonempty 1-d array")
     variant = None
     if isinstance(det.geometry, HalfCylinderBar):
         variant = bar_variant or DEFAULT_BAR_VARIANT
-    values = np.array([lambda_max(det, noise, float(rc), variant) for rc in grid])
     return ExclusionCurve(
         r_c_grid=grid,
-        lambda_max=values,
+        lambda_max=_lambda_max_grid(det, noise, grid, variant),
         detector_id=det.name,
         noise_name=noise.name,
         provenance=noise.provenance,

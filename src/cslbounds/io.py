@@ -215,13 +215,14 @@ def _parse_noise_entry(node, index: int):
         psd = value * value
     else:
         psd = value
+    csl_fraction = _optional_number(node, "csl_fraction", path)
     try:
         return MeasuredNoise(
             name=_string(node, "name", path),
             quantity=kind,
             psd=psd,
             frequency_hz=_optional_number(node, "frequency_hz", path),
-            csl_fraction=float(node.get("csl_fraction", 1.0)),
+            csl_fraction=1.0 if csl_fraction is None else csl_fraction,
             provenance=_string(node, "provenance", path),
         )
     except ValueError as exc:
@@ -241,8 +242,9 @@ def load_detector_config(path) -> DetectorModel:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     doc = _expect_mapping(doc, "")
     _check_keys(doc, "", ("schema_version", "name", "geometry", "arrangement", "response", "readout", "noise"))
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}")
+    version = doc["schema_version"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: expected the integer {SCHEMA_VERSION}, got {version!r}")
     name = _string(doc, "name", "")
     geometry = _parse_geometry(doc["geometry"])
     arrangement = _parse_arrangement(doc["arrangement"], geometry)

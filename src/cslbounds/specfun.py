@@ -12,12 +12,18 @@ references):
   erf      : relative error <= 1e-12 (delegates to libm)
   j1       : absolute error <= 1e-10 on [0, 1e3], <= 1e-8 on (1e3, 1e6]
   sinc_half: sin(x)/x with exact removable singularity
+
+i0e and i1e take a float or a 1-d array and return the same kind.  The
+contracts hold for array input element by element, and an element's
+value does not depend on the rest of the array: a float gives exactly
+the value it has inside any array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -56,63 +62,101 @@ for _m in range(1, 12):
     _J1_HANKEL.append(_J1_HANKEL[-1] * (4.0 - (2 * _m - 1) ** 2) / (8.0 * _m))
 
 
-def _check_nonneg_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"{name} requires a finite x >= 0, got {x!r}")
-    return x
+# A float for float input, else one value per entry of a 1-d array.
+FloatOrArray = Union[float, np.ndarray]
 
 
-def i0e(x: float) -> float:
+def _to_1d(x: FloatOrArray) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether it was a scalar."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"expected a float or a 1-d array, got shape {arr.shape}")
+    return arr.reshape(-1), arr.ndim == 0
+
+
+def _from_1d(out: np.ndarray, scalar: bool) -> FloatOrArray:
+    """Undo _to_1d: a float for scalar input, else the array itself."""
+    return float(out[0]) if scalar else out
+
+
+def _check_nonneg_finite(x: FloatOrArray, name: str) -> tuple[np.ndarray, bool]:
+    x, scalar = _to_1d(x)
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if bad.any():
+        raise ValueError(f"{name} requires a finite x >= 0, got {float(x[bad][0])!r}")
+    return x, scalar
+
+
+def i0e(x: FloatOrArray) -> FloatOrArray:
     """Exponentially scaled modified Bessel function e^-x I0(x)."""
-    x = _check_nonneg_finite(x, "i0e")
-    if x <= 20.0:
-        # power series of I0; all terms positive, no cancellation
-        term = 1.0
-        total = 1.0
-        q = 0.25 * x * x
-        k = 0
-        while term > 1e-18 * total:
-            k += 1
-            term *= q / (k * k)
-            total += term
-        return math.exp(-x) * total
-    return _ie_asymptotic(x, mu=0.0)
+    x, scalar = _check_nonneg_finite(x, "i0e")
+    return _from_1d(_ie(x)[0], scalar)
 
 
-def i1e(x: float) -> float:
+def i1e(x: FloatOrArray) -> FloatOrArray:
     """Exponentially scaled modified Bessel function e^-x I1(x)."""
-    x = _check_nonneg_finite(x, "i1e")
-    if x == 0.0:
-        return 0.0
-    if x <= 20.0:
-        term = 0.5 * x
-        total = term
-        q = 0.25 * x * x
-        k = 0
-        while term > 1e-18 * total:
-            k += 1
-            term *= q / (k * (k + 1))
-            total += term
-        return math.exp(-x) * total
-    return _ie_asymptotic(x, mu=4.0)
+    x, scalar = _check_nonneg_finite(x, "i1e")
+    return _from_1d(_ie(x)[1], scalar)
 
 
-def _ie_asymptotic(x: float, mu: float) -> float:
-    # e^-x I_nu(x) ~ (2 pi x)^(-1/2) * sum_k t_k,
-    # t_k = t_{k-1} * ((2k-1)^2 - mu) / (8 k x); truncate at smallest term.
-    term = 1.0
-    total = 1.0
-    for k in range(1, 40):
-        nxt = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
-        if abs(nxt) >= abs(term):
+# Per-step factors of the two series below, row 0 for I0 and row 1 for I1.
+# Power series: t_k = t_{k-1} q / (k (k + nu)); at x = 20 it converges by
+# k = 36, so the table's 80 steps are never all used.
+_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 81)], dtype=float)
+# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x), cut at k = 39.
+_ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 40)])
+
+
+def _ie(x: np.ndarray) -> np.ndarray:
+    """e^-x I0(x) and e^-x I1(x), as rows 0 and 1 (x finite and >= 0)."""
+    out = np.empty((2, x.size))
+    small = x <= 20.0
+    if small.any():
+        out[:, small] = _ie_series(x[small])
+    large = ~small
+    if large.any():
+        out[:, large] = _ie_asymptotic(x[large])
+    return out
+
+
+def _changes_sum(term: np.ndarray, total: np.ndarray, j: int) -> bool:
+    # A term below 1e-18 of its sum is under half an ulp of it, so adding
+    # it, or any later (smaller) term, leaves the sum unchanged.
+    (t0, t1), (s0, s1) = term[:, j].tolist(), total[:, j].tolist()
+    return abs(t0) > 1e-18 * abs(s0) or abs(t1) > 1e-18 * abs(s1)
+
+
+def _ie_series(x: np.ndarray) -> np.ndarray:
+    # power series of I0 and I1; all terms positive, no cancellation.  Late
+    # terms grow with x relative to their sum, so the largest x converges
+    # last: once its terms stop changing its sums, every element's have.
+    term = np.vstack([np.ones_like(x), 0.5 * x])
+    total = term.copy()
+    q = 0.25 * x * x
+    last = int(np.argmax(x))
+    for denom in _SERIES_DENOMS:
+        if not _changes_sum(term, total, last):
             break
-        term = nxt
+        term *= q / denom
         total += term
-        if abs(term) < 1e-18 * abs(total):
+    return np.exp(-x) * total
+
+
+def _ie_asymptotic(x: np.ndarray) -> np.ndarray:
+    # e^-x I_nu(x) ~ (2 pi x)^(-1/2) * sum_k t_k.  For x > 20 the terms
+    # keep shrinking through k = 39 (the smallest term lies beyond k = 2x),
+    # so the sum is cut as in _ie_series; here the smallest x converges last.
+    term = np.ones((2, x.size))
+    total = np.ones((2, x.size))
+    w = 0.125 / x
+    last = int(np.argmin(x))
+    for factor in _ASYMPTOTIC_FACTORS:
+        term *= factor * w
+        total += term
+        if not _changes_sum(term, total, last):
             break
     # sqrt factored to avoid overflow of 2*pi*x for x near the float max
-    return total / (_SQRT_2PI * math.sqrt(x))
+    return total / (_SQRT_2PI * np.sqrt(x))
 
 
 def erf(x: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cslbounds import bundled_config_path
-from cslbounds.cli import main
+from cslbounds.cli import MAX_POINTS, main
 
 
 def run(capsys, *argv):
@@ -86,6 +86,39 @@ def test_scan_single_point_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "--points" in err
+
+
+@pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**15])
+def test_scan_points_cap_rejected_before_allocating(tmp_path, capsys, monkeypatch, points):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "geomspace", no_grid)
+    code, _, err = run(
+        capsys, "scan", "--config", "lisa_pathfinder", "--points", str(points), "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 2
+    assert "--points" in err and str(MAX_POINTS) in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field,mutate",
+    [
+        ("schema_version", lambda d: d.update(schema_version=True)),
+        ("schema_version", lambda d: d.update(schema_version=1.0)),
+        ("noise[0].csl_fraction", lambda d: d["noise"][0].update(csl_fraction=True)),
+        ("noise[0].csl_fraction", lambda d: d["noise"][0].update(csl_fraction="0.1")),
+    ],
+)
+def test_mistyped_config_fields_exit_2(tmp_path, capsys, field, mutate):
+    doc = json.loads(bundled_config_path("lisa_pathfinder").read_text())
+    mutate(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1e-7")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_spectrum_bound_end_to_end(tmp_path, capsys):

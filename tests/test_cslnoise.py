@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
@@ -128,8 +128,43 @@ def test_axial_factor_matches_extended_precision_through_branch_switch(a, L):
 
 
 @given(exponents, exponents, exponents)
+@example(2.0, -7.0, 1.5)  # the four-exponential form gave -1.4e-17 here
 def test_axial_factor_nonnegative(ea, el, er):
     assert axial_factor(10.0**ea, 10.0**el, 10.0**er) >= 0.0
+
+
+def test_axial_factor_matches_extended_precision_over_13_decades():
+    # fixed-seed log-uniform sample of (a, L, rc) over [1e-9, 1e4]^3; the
+    # true factor spans ~1e-54 to 1, so the reference needs 250 digits
+    rng = np.random.default_rng(2016)
+    sample = 10.0 ** rng.uniform(-9.0, 4.0, size=(1500, 3))
+    worst = 0.0
+    with mp.workdps(250):
+        for a, L, rc in sample:
+            ref = mp_axial(a, L, rc)
+            worst = max(worst, float(abs(axial_factor(float(a), float(L), float(rc)) - ref) / ref))
+    assert worst <= 1e-14
+
+
+def test_axial_factor_array_matches_scalar_calls():
+    grid = np.geomspace(1e-9, 1e4, 301)
+    values = axial_factor(0.376, 0.046, grid)
+    assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    assert type(axial_factor(0.376, 0.046, 1e-3)) is float
+    assert np.array_equal(values, [axial_factor(0.376, 0.046, float(rc)) for rc in grid])
+
+
+def test_axial_factor_rejects_nonpositive_rc_in_array():
+    with pytest.raises(ValueError):
+        axial_factor(0.376, 0.046, np.array([1e-3, 0.0]))
+
+
+def test_axial_factor_limits_where_u_overflows():
+    # 1/4rc^2 overflows below rc ~ 1e-154; the limits are 1 for a != L,
+    # 3/2 for a = L and 0 at zero separation
+    assert axial_factor(0.376, 0.046, 1e-160) == 1.0
+    assert axial_factor(1.5, 1.5, 1e-160) == 1.5
+    assert axial_factor(0.0, 0.046, 1e-160) == 0.0
 
 
 def test_axial_factor_equals_one_plus_corrections():
@@ -150,6 +185,31 @@ def test_cube_bracket_matches_extended_precision():
     for z in np.geomspace(1e-8, 1e4, 101):
         ref = float(mp_cube_bracket(z))
         assert _cube_bracket(float(z)) == pytest.approx(ref, rel=5e-13), f"z={z}"
+
+
+def straddle(switch):
+    """Log grid across a branch switch, with the switch value itself."""
+    return np.sort(np.append(np.geomspace(switch / 4.0, switch * 4.0, 60), switch))
+
+
+def test_brackets_as_arrays_straddling_branch_switches():
+    # one array per switch (radial series at x = 5e-3, i0e/i1e at x = 20,
+    # cube series at z = 0.1), so both branches run in the same call
+    for xs in (straddle(5e-3), straddle(20.0)):
+        got = _radial_bracket(xs)
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(float(mp_radial_bracket(x)), rel=5e-12), f"x={x}"
+    zs = straddle(0.1)
+    for z, g in zip(zs, _cube_bracket(zs)):
+        assert g == pytest.approx(float(mp_cube_bracket(z)), rel=5e-13), f"z={z}"
+
+
+def test_brackets_array_matches_scalar_calls():
+    xs = np.concatenate([straddle(5e-3), straddle(20.0)])
+    assert np.array_equal(_radial_bracket(xs), [_radial_bracket(float(x)) for x in xs])
+    zs = straddle(0.1)
+    assert np.array_equal(_cube_bracket(zs), [_cube_bracket(float(z)) for z in zs])
+    assert type(_radial_bracket(1.0)) is float and type(_cube_bracket(1.0)) is float
 
 
 def test_cube_bracket_nonpositive():
@@ -245,6 +305,26 @@ def test_force_noise_psd_dispatch(ligo, lisa, auriga):
     )
 
 
+@pytest.mark.parametrize("variant", ["printed", "rederived"])
+def test_closed_forms_accept_rc_arrays(ligo, lisa, auriga, variant):
+    grid = np.geomspace(1e-9, 1e2, 50)
+    for det in (ligo, lisa, auriga):
+        values = force_noise_psd(CslParams(1.0, grid), det.geometry, det.arrangement, variant)
+        assert values.shape == grid.shape
+        single = [force_noise_psd(CslParams(1.0, float(rc)), det.geometry, det.arrangement, variant) for rc in grid]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(values, single), det.name
+
+
+def test_csl_params_array_is_a_read_only_copy():
+    grid = np.geomspace(1e-9, 1e2, 5)
+    params = CslParams(1.0, grid)
+    grid[0] = -1.0
+    assert params.correlation_length[0] == 1e-9
+    with pytest.raises(ValueError):
+        params.correlation_length[0] = 2.0
+
+
 def test_bar_arrangement_forced():
     arr = bar_arrangement(AURIGA_GEOM)
     assert arr.separation == 1.5 and arr.arm_count == 1
@@ -337,3 +417,8 @@ def test_csl_params_validation():
         CslParams(1.0, 0.0)
     with pytest.raises(ValueError):
         CslParams(math.nan, 1e-7)
+    for bad in (0.0, -1e-7, math.nan, math.inf):
+        with pytest.raises(ValueError, match="correlation_length"):
+            CslParams(1.0, np.array([1e-7, bad]))
+    with pytest.raises(ValueError):
+        CslParams(1.0, np.ones((2, 2)))

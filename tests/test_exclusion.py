@@ -29,6 +29,7 @@ from cslbounds import (
     ellis_ratio,
     exclusion_curve,
     lambda_max,
+    load_detector_config,
     measured_force_psd,
     optimal_frequency,
 )
@@ -115,6 +116,9 @@ def test_lambda_max_unbounded_at_zero_separation():
     det = make_interferometer(separation=0.0, noise=[force_entry(1e-27)])
     with pytest.raises(UnboundedParameterError):
         lambda_max(det, det.noise_entry(), 1e-7)
+    # the curve path names the first r_c of the grid where the model vanishes
+    with pytest.raises(UnboundedParameterError, match="r_c = 2e-07 m"):
+        exclusion_curve(det, det.noise_entry(), np.array([2e-7, 1e-6, 1e-3]))
 
 
 # --- exclusion curves ---------------------------------------------------------------
@@ -142,6 +146,27 @@ def test_exclusion_curve_pointwise_independent(lisa):
     single = {float(rc): lambda_max(lisa, entry, float(rc)) for rc in shuffled}
     reassembled = np.array([single[float(rc)] for rc in grid])
     assert np.array_equal(reassembled, curve.lambda_max)
+
+
+@pytest.mark.parametrize(
+    "config,variant", [("ligo", None), ("lisa_pathfinder", None), ("auriga", "printed"), ("auriga", "rederived")]
+)
+def test_exclusion_curve_matches_pointwise_lambda_max(config, variant):
+    # one pass over the grid and one call per point share a single code path
+    det = load_detector_config(config)
+    entry = det.noise_entry()
+    grid = np.geomspace(1e-9, 1e2, 200)
+    curve = exclusion_curve(det, entry, grid, variant)
+    single = np.array([lambda_max(det, entry, float(rc), variant) for rc in grid])
+    assert np.max(np.abs(curve.lambda_max - single) / single) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-7, math.nan, math.inf])
+def test_exclusion_curve_rejects_bad_rc(lisa, bad):
+    with pytest.raises(ValueError, match="correlation_length"):
+        exclusion_curve(lisa, lisa.noise_entry(), np.array([1e-8, 1e-7, bad]))
+    with pytest.raises(ValueError, match="correlation_length"):
+        lambda_max(lisa, lisa.noise_entry(), bad)
 
 
 def test_exclusion_curve_doubles_with_noise(lisa):

@@ -110,6 +110,21 @@ def test_wrong_schema_version_rejected(tmp_path):
         load_detector_config(path)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_schema_version_must_be_an_integer(tmp_path, bad):
+    # True and 1.0 compare equal to 1, so only a type check rejects them
+    path = rewrite(tmp_path, lambda d: d.update(schema_version=bad))
+    with pytest.raises(ConfigError, match="schema_version"):
+        load_detector_config(path)
+
+
+@pytest.mark.parametrize("bad", [True, "0.1"])
+def test_csl_fraction_must_be_a_number(tmp_path, bad):
+    path = rewrite(tmp_path, lambda d: d["noise"][0].update(csl_fraction=bad))
+    with pytest.raises(ConfigError, match=r"noise\[0\]\.csl_fraction: expected a number"):
+        load_detector_config(path)
+
+
 def test_density_mass_inconsistency_rejected(tmp_path):
     path = rewrite(tmp_path, lambda d: d["geometry"].update(density_kg_m3=25000.0))
     with pytest.raises(ConfigError, match="geometry.*inconsistent"):

@@ -138,6 +138,30 @@ def test_scaled_bessel_domain_errors(fn):
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             fn(bad)
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, bad]))
+
+
+def straddle(switch):
+    """Log grid across a branch switch, with the switch value itself."""
+    return np.sort(np.append(np.geomspace(switch / 4.0, switch * 4.0, 60), switch))
+
+
+@pytest.mark.parametrize("order,fn", [(0, i0e), (1, i1e)])
+def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
+    # x = 20 is the series/asymptotic switch; x = 5e-3 the radial bracket's
+    xs = np.concatenate([[0.0], straddle(5e-3), straddle(20.0), [1e300]])
+    got = fn(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, g in zip(xs, got):
+        ref = mp.exp(-x) * mp.besseli(order, mp.mpf(x))
+        if ref == 0:
+            assert g == 0.0
+        else:
+            assert abs(g - float(ref)) / float(ref) <= CONTRACTS[fn.__name__].target, f"x={x}"
+    singles = [fn(float(x)) for x in xs]
+    assert all(type(v) is float for v in singles)
+    assert np.array_equal(got, singles)
 
 
 def test_erf_contract_1000_points():
