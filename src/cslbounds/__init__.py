@@ -10,23 +10,7 @@ comparison.
 """
 
 from ._version import __version__
-from .constants import (
-    AMPLITUDE,
-    C_LIGHT,
-    CONSTANTS,
-    HBAR,
-    M_NUCLEON,
-    M_PLANCK,
-    ONE_SIDED,
-    POWER,
-    TWO_SIDED,
-    PhysicalConstants,
-    SpectralDensity,
-    asd_to_psd,
-    psd_to_asd,
-    to_one_sided,
-    to_two_sided,
-)
+from .constants import C_LIGHT, HBAR, M_NUCLEON, M_PLANCK
 from .cslnoise import (
     BAR_VARIANTS,
     DEFAULT_BAR_VARIANT,
@@ -37,7 +21,6 @@ from .cslnoise import (
     MassArrangement,
     MassGeometry,
     axial_factor,
-    bar_arrangement,
     bar_force_psd,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
@@ -53,6 +36,7 @@ from .detector import (
     ReadoutKind,
     Strain,
     detector_archetype,
+    forced_separation,
 )
 from .errors import (
     ConfigError,
@@ -81,22 +65,38 @@ from .io import (
     read_exclusion_csv,
     write_exclusion_csv,
 )
-from .kspace import QuadratureResult, diffusion_rate, force_psd_by_quadrature
+from .kspace import QuadratureResult, force_psd_by_quadrature
 from .response import (
     FreeMass,
-    Oscillator,
     ResonantBar,
     ResponseModel,
     SpectrumSeries,
     acceleration_psd,
-    displacement_psd,
     displacement_psd_free_mass,
     equivalent_force_asd_free_mass,
     force_psd_from_acceleration,
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
     strain_psd,
+    strain_psd_bar,
 )
 from . import specfun
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "C_LIGHT", "HBAR", "M_NUCLEON", "M_PLANCK",
+    "BAR_VARIANTS", "DEFAULT_BAR_VARIANT", "CslParams", "Cube", "Cylinder", "HalfCylinderBar",
+    "MassArrangement", "MassGeometry", "axial_factor", "bar_force_psd", "cube_pair_force_psd",
+    "cylinder_pair_force_psd", "force_noise_psd", "pair_correlation_factor",
+    "Acceleration", "DetectorModel", "Displacement", "Force", "MeasuredNoise", "ReadoutKind", "Strain",
+    "detector_archetype", "forced_separation",
+    "ConfigError", "ConventionError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
+    "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
+    "exclusion_curve", "lambda_max", "measured_force_psd", "model_force_psd", "optimal_frequency",
+    "BUNDLED_CONFIGS", "bundled_config_path", "load_detector_config", "load_spectrum_csv",
+    "read_exclusion_csv", "write_exclusion_csv",
+    "QuadratureResult", "force_psd_by_quadrature",
+    "FreeMass", "ResonantBar", "ResponseModel", "SpectrumSeries", "acceleration_psd",
+    "displacement_psd_free_mass", "equivalent_force_asd_free_mass", "force_psd_from_acceleration",
+    "force_psd_from_strain_bar", "force_psd_from_strain_free_mass", "strain_psd", "strain_psd_bar",
+    "specfun",
+]

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .cslnoise import BAR_VARIANTS, DEFAULT_BAR_VARIANT, CslParams, HalfCylinderBar
+from .cslnoise import BAR_VARIANTS, DEFAULT_BAR_VARIANT, CslParams
 from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype
 from .errors import ConfigError, CslBoundsError, QuadratureError, UnboundedParameterError
 from .exclusion import (
@@ -26,7 +26,7 @@ from .exclusion import (
 )
 from .io import load_detector_config, load_spectrum_csv, write_exclusion_csv
 from .kspace import force_psd_by_quadrature
-from .response import ResonantBar
+from .response import acceleration_psd, displacement_psd_free_mass, strain_psd, strain_psd_bar
 
 VALIDATE_THRESHOLD = 1e-3
 # Largest --points accepted: the closed forms hold several float arrays of
@@ -63,11 +63,10 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
     archetype = detector_archetype(det)
     mass = det.geometry.mass
     if archetype == ACCELEROMETER:
-        return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(4.0 * s_ff_one_sided / mass**2)}"]
+        return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(acceleration_psd(s_ff_one_sided, mass))}"]
     if archetype == BAR:
-        resp: ResonantBar = det.response
-        factor = mass * resp.omega0**2 * resp.length / math.pi**2
-        return [f"s_hh_one_sided_per_hz = {_fmt(s_ff_one_sided / factor**2)}"]
+        s_hh = strain_psd_bar(s_ff_one_sided, mass, det.response.omega0, det.response.length)
+        return [f"s_hh_one_sided_per_hz = {_fmt(s_hh)}"]
     # free-mass interferometer: strain equivalent depends on frequency
     if frequency_hz is None:
         for entry in det.noise:
@@ -76,9 +75,8 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
                 break
     if frequency_hz is None:
         raise ConfigError("strain equivalent needs --frequency-hz (config has no noise entry with a frequency)")
-    readout = det.readout
     omega = 2.0 * math.pi * frequency_hz
-    s_hh = 4.0 * s_ff_one_sided / (mass**2 * omega**4 * readout.arm_length**2)
+    s_hh = strain_psd(displacement_psd_free_mass(s_ff_one_sided, mass, omega), det.readout.arm_length)
     return [
         f"frequency_hz = {_fmt(frequency_hz)}",
         f"s_hh_one_sided_per_hz = {_fmt(s_hh)}",
@@ -151,7 +149,7 @@ def cmd_ellis(args) -> int:
 
 def cmd_validate(args) -> int:
     det = load_detector_config(args.config)
-    is_bar = isinstance(det.geometry, HalfCylinderBar)
+    is_bar = detector_archetype(det) == BAR
     if args.rc_min is None:
         args.rc_min = 1e-3 if is_bar else 1e-8
     if args.rc_max is None:

@@ -1,17 +1,11 @@
-"""Physical constants and spectral-density conventions.
+"""Physical constants and the spectral-quantity vocabulary.
 
 Everything internal to this package works with two-sided power spectral
-densities in SI units and angular frequency (rad/s).  One-sided spectra,
-amplitude densities and Hz appear only at I/O boundaries, converted
-through the functions below.
+densities in SI units and angular frequency (rad/s).  Published figures
+are one-sided; the single factor 2 between the conventions is applied
+in the bound inversion (exclusion.py) and in the CLI's one-sided
+output, nowhere else.
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass, replace
-
-from .errors import ConventionError
 
 # Fundamental constants (SI).  Fixed at build time, never configurable.
 HBAR = 1.054571817e-34  # reduced Planck constant, J s
@@ -19,75 +13,5 @@ C_LIGHT = 299792458.0  # speed of light, m/s
 M_NUCLEON = 1.66053906660e-27  # nucleon reference mass (one amu), kg
 M_PLANCK = 2.176434e-8  # Planck mass, kg
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = HBAR
-    c: float = C_LIGHT
-    m0: float = M_NUCLEON
-    m_planck: float = M_PLANCK
-
-
-CONSTANTS = PhysicalConstants()
-
-ONE_SIDED = "one_sided"
-TWO_SIDED = "two_sided"
-POWER = "power"
-AMPLITUDE = "amplitude"
+# Native quantities a noise figure or spectrum may be given in.
 QUANTITIES = ("force", "displacement", "strain", "acceleration")
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """A scalar spectral density tagged with its conventions.
-
-    value is nonnegative and finite; sidedness is one_sided/two_sided;
-    density_kind is power (units^2/Hz) or amplitude (units/sqrt(Hz)).
-    """
-
-    value: float
-    sidedness: str
-    quantity: str
-    density_kind: str
-
-    def __post_init__(self):
-        if self.sidedness not in (ONE_SIDED, TWO_SIDED):
-            raise ConventionError(f"unknown sidedness {self.sidedness!r}")
-        if self.quantity not in QUANTITIES:
-            raise ConventionError(f"unknown quantity {self.quantity!r}")
-        if self.density_kind not in (POWER, AMPLITUDE):
-            raise ConventionError(f"unknown density kind {self.density_kind!r}")
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"spectral density must be finite and >= 0, got {self.value!r}")
-
-
-def to_one_sided(density: SpectralDensity) -> SpectralDensity:
-    """Fold a two-sided power density onto positive frequencies (factor 2)."""
-    if density.density_kind != POWER:
-        raise ConventionError("sidedness conversion is defined for power densities; square the amplitude first")
-    if density.sidedness == ONE_SIDED:
-        raise ConventionError("density is already one-sided")
-    return replace(density, value=2.0 * density.value, sidedness=ONE_SIDED)
-
-
-def to_two_sided(density: SpectralDensity) -> SpectralDensity:
-    """Inverse of to_one_sided (factor 1/2)."""
-    if density.density_kind != POWER:
-        raise ConventionError("sidedness conversion is defined for power densities; square the amplitude first")
-    if density.sidedness == TWO_SIDED:
-        raise ConventionError("density is already two-sided")
-    return replace(density, value=0.5 * density.value, sidedness=TWO_SIDED)
-
-
-def asd_to_psd(density: SpectralDensity) -> SpectralDensity:
-    """Square an amplitude density into a power density; sidedness is kept."""
-    if density.density_kind != AMPLITUDE:
-        raise ConventionError("asd_to_psd expects an amplitude density")
-    return replace(density, value=density.value * density.value, density_kind=POWER)
-
-
-def psd_to_asd(density: SpectralDensity) -> SpectralDensity:
-    """Square root of a power density; sidedness is kept."""
-    if density.density_kind != POWER:
-        raise ConventionError("psd_to_asd expects a power density")
-    return replace(density, value=math.sqrt(density.value), density_kind=AMPLITUDE)

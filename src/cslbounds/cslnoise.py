@@ -204,6 +204,13 @@ _RADIAL_SERIES = (0.5, -0.25, 5.0 / 48.0, -7.0 / 192.0, 7.0 / 640.0, -11.0 / 384
 _RADIAL_SERIES_WINDOW = 5e-3
 
 
+def _radial_argument(radius: float, rc: np.ndarray) -> np.ndarray:
+    # x = R^2 / 2 rc^2 of _radial_bracket; below rc ~ 1e-154 m it overflows
+    # to inf, which gives the right limit (a bracket of 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        return radius * radius / (2.0 * rc * rc)
+
+
 def _radial_bracket(x: FloatOrArray) -> FloatOrArray:
     # 1 - e^-x (I0(x) + I1(x)) at x = R^2 / 2 rc^2; series branch keeps
     # full relative precision when the bracket is ~x/2 << 1.
@@ -246,7 +253,8 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
     zl = z[~small]
     if zl.size:
         erf = np.fromiter(map(math.erf, zl), dtype=float, count=zl.size)
-        out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf
+        with np.errstate(over="ignore"):  # z^2 = inf below rc ~ 1e-154 m gives e^{-z^2} = 0
+            out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf
     return _from_1d(out, scalar)
 
 
@@ -274,7 +282,7 @@ def cylinder_pair_force_psd(
         arm_count
         * prefactor
         * axial_factor(separation, length, rc)
-        * _radial_bracket(radius * radius / (2.0 * rc * rc))
+        * _radial_bracket(_radial_argument(radius, rc))
     )
     return _from_1d(out, scalar)
 
@@ -314,12 +322,13 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     m = geometry.mass
     radius, length = geometry.radius, geometry.length
     if variant == "printed":
-        v = length * length / (16.0 * rc * rc)
+        with np.errstate(over="ignore", divide="ignore"):  # v = inf below rc ~ 1e-154 m is the right limit
+            v = length * length / (16.0 * rc * rc)
         axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
     else:
         axial = axial_factor(0.5 * length, 0.5 * length, rc)
     prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)
-    return _from_1d(prefactor * axial * _radial_bracket(radius * radius / (2.0 * rc * rc)), scalar)
+    return _from_1d(prefactor * axial * _radial_bracket(_radial_argument(radius, rc)), scalar)
 
 
 def force_noise_psd(
@@ -343,8 +352,3 @@ def force_noise_psd(
             raise ValueError("a bar is a single-arm system")
         return bar_force_psd(params, geometry, bar_variant or DEFAULT_BAR_VARIANT)
     raise TypeError(f"unsupported geometry {type(geometry).__name__}")
-
-
-def bar_arrangement(geometry: HalfCylinderBar) -> MassArrangement:
-    """The arrangement forced by the two-half-cylinder bar model."""
-    return MassArrangement(separation=0.5 * geometry.length, arm_count=1)

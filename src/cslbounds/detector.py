@@ -1,8 +1,10 @@
 """Detector models: geometry, arrangement, response, readout and noise.
 
-A DetectorModel ties together one of the three supported archetypes:
+A DetectorModel ties together one of the three supported archetypes.
+ARCHETYPES, keyed by geometry type, holds every rule of which response,
+readout, arm count and separation go with which geometry:
 
-  interferometer   cylinder pair(s), free-mass response, strain/force readout
+  interferometer   cylinder pair(s), free-mass response, strain/force/displacement readout
   accelerometer    cube pair, free-mass response, acceleration readout
   bar              half-cylinder bar, resonant-bar response, strain readout
 """
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from .constants import QUANTITIES
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry
 from .errors import ConfigError
 from .response import FreeMass, ResonantBar, ResponseModel
@@ -62,14 +65,14 @@ class MeasuredNoise:
     """
 
     name: str
-    quantity: str  # force | acceleration | strain | displacement
+    quantity: str  # one of constants.QUANTITIES
     psd: float
     frequency_hz: Optional[float] = None
     csl_fraction: float = 1.0
     provenance: str = ""
 
     def __post_init__(self):
-        if self.quantity not in ("force", "acceleration", "strain", "displacement"):
+        if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown noise quantity {self.quantity!r}")
         if not (math.isfinite(self.psd) and self.psd > 0.0):
             raise ValueError(f"noise psd must be finite and > 0, got {self.psd!r}")
@@ -106,37 +109,69 @@ class DetectorModel:
         raise ConfigError(f"detector {self.name!r} has no noise entry {name!r} (known: {known})")
 
 
+@dataclass(frozen=True)
+class Archetype:
+    """The pairing rules for one geometry type."""
+
+    name: str
+    members: str  # plural noun naming the archetype in diagnostics
+    response: type
+    response_kind: str  # the config spelling of the response
+    readouts: Tuple[type, ...]
+    arm_counts: Tuple[int, ...]
+    strain_needs_arm_length: bool = False
+    separation_divisor: Optional[int] = None  # forces separation = length / divisor
+
+
+ARCHETYPES = {
+    Cylinder: Archetype(
+        INTERFEROMETER,
+        "cylinder-pair interferometers",
+        FreeMass,
+        "free_mass",
+        (Strain, Force, Displacement),
+        (1, 2),
+        strain_needs_arm_length=True,
+    ),
+    Cube: Archetype(ACCELEROMETER, "cube-pair accelerometers", FreeMass, "free_mass", (Acceleration,), (1,)),
+    HalfCylinderBar: Archetype(BAR, "bars", ResonantBar, "resonant_bar", (Strain,), (1,), separation_divisor=2),
+}
+
+
+def _archetype_of(geometry: MassGeometry) -> Archetype:
+    try:
+        return ARCHETYPES[type(geometry)]
+    except KeyError:
+        raise ConfigError(f"geometry: unsupported type {type(geometry).__name__}") from None
+
+
+def forced_separation(geometry: MassGeometry) -> Optional[float]:
+    """The separation the geometry's archetype forces (a bar's length/2), else None."""
+    divisor = _archetype_of(geometry).separation_divisor
+    return None if divisor is None else geometry.length / divisor
+
+
 def detector_archetype(det: DetectorModel) -> str:
     """Classify a detector into one of the supported archetypes.
 
-    Raises ConfigError for combinations outside the three supported
-    geometry/response/readout patterns.
+    Raises ConfigError, naming the offending config field, for any
+    pairing the geometry's ARCHETYPES entry does not allow.
     """
-    geom, resp, readout = det.geometry, det.response, det.readout
-    if isinstance(geom, Cylinder):
-        if not isinstance(resp, FreeMass):
-            raise ConfigError("response: cylinder-pair interferometers use the free_mass response")
-        if not isinstance(readout, (Strain, Force, Displacement)):
-            raise ConfigError("readout: cylinder-pair interferometers read out strain, force or displacement")
-        if isinstance(readout, Strain) and readout.arm_length is None:
-            raise ConfigError("readout.arm_length_m: required for a strain readout of an interferometer")
-        return INTERFEROMETER
-    if isinstance(geom, Cube):
-        if not isinstance(resp, FreeMass):
-            raise ConfigError("response: cube-pair accelerometers use the free_mass response")
-        if not isinstance(readout, Acceleration):
-            raise ConfigError("readout: cube-pair accelerometers read out acceleration")
-        if det.arrangement.arm_count != 1:
-            raise ConfigError("arrangement.arm_count: cube pairs support a single arm")
-        return ACCELEROMETER
-    if isinstance(geom, HalfCylinderBar):
-        if not isinstance(resp, ResonantBar):
-            raise ConfigError("response: bars use the resonant_bar response")
-        if not isinstance(readout, Strain):
-            raise ConfigError("readout: bars read out strain")
-        if det.arrangement.arm_count != 1:
-            raise ConfigError("arrangement.arm_count: a bar is a single-arm system")
-        if det.arrangement.separation != 0.5 * geom.length:
-            raise ConfigError("arrangement.separation_m: a bar forces separation = length/2")
-        return BAR
-    raise ConfigError(f"geometry: unsupported type {type(geom).__name__}")
+    rule = _archetype_of(det.geometry)
+    if not isinstance(det.response, rule.response):
+        raise ConfigError(f"response: {rule.members} use the {rule.response_kind} response")
+    if not isinstance(det.readout, rule.readouts):
+        names = " or ".join(kind.__name__.lower() for kind in rule.readouts)
+        raise ConfigError(f"readout: {rule.members} read out {names}")
+    if rule.strain_needs_arm_length and isinstance(det.readout, Strain) and det.readout.arm_length is None:
+        raise ConfigError(f"readout.arm_length_m: required for a strain readout of {rule.members}")
+    if det.arrangement.arm_count not in rule.arm_counts:
+        allowed = " or ".join(str(n) for n in rule.arm_counts)
+        raise ConfigError(f"arrangement.arm_count: {rule.members} take arm_count {allowed}")
+    forced = forced_separation(det.geometry)
+    if forced is not None and det.arrangement.separation != forced:
+        raise ConfigError(
+            f"arrangement.separation_m: {rule.members} force separation = "
+            f"length/{rule.separation_divisor} = {forced:g} m"
+        )
+    return rule.name

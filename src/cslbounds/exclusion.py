@@ -32,8 +32,6 @@ from .cslnoise import (
 from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, Strain, detector_archetype
 from .errors import ConfigError, UnboundedParameterError
 from .response import (
-    Oscillator,
-    ResonantBar,
     SpectrumSeries,
     equivalent_force_asd_free_mass,
     force_psd_from_acceleration,
@@ -91,8 +89,10 @@ class EllisReport:
 def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
     """One-sided force PSD attributable to CSL for a measured noise entry.
 
-    Converts the entry's native quantity through the detector's response
-    chain and applies the entry's calibrated CSL power fraction.
+    Converts the entry's native quantity through the response chain of
+    the detector's archetype and applies the entry's calibrated CSL
+    power fraction.  A quantity the archetype has no conversion for
+    (displacement, or strain on an accelerometer) raises ConfigError.
     """
     archetype = detector_archetype(det)
     mass = det.geometry.mass
@@ -100,31 +100,17 @@ def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
         s_ff = noise.psd
     elif noise.quantity == "acceleration":
         s_ff = force_psd_from_acceleration(noise.psd, mass)
-    elif noise.quantity == "strain":
-        if archetype == BAR:
-            resp: ResonantBar = det.response
-            s_ff = force_psd_from_strain_bar(noise.psd, mass, resp.omega0, resp.length)
-        elif archetype == INTERFEROMETER:
-            if noise.frequency_hz is None:
-                raise ConfigError(f"noise entry {noise.name!r}: a strain figure needs frequency_hz in the free-mass limit")
-            readout = det.readout
-            if not isinstance(readout, Strain) or readout.arm_length is None:
-                raise ConfigError(f"noise entry {noise.name!r}: strain conversion needs readout.arm_length_m")
-            omega = 2.0 * math.pi * noise.frequency_hz
-            s_ff = force_psd_from_strain_free_mass(noise.psd, mass, omega, readout.arm_length)
-        else:
-            raise ConfigError(f"noise entry {noise.name!r}: strain input is not supported for {archetype}")
-    elif noise.quantity == "displacement":
-        if not isinstance(det.response, Oscillator):
-            raise ConfigError(f"noise entry {noise.name!r}: displacement inversion needs an oscillator response")
+    elif noise.quantity == "strain" and archetype == BAR:
+        s_ff = force_psd_from_strain_bar(noise.psd, mass, det.response.omega0, det.response.length)
+    elif noise.quantity == "strain" and archetype == INTERFEROMETER:
         if noise.frequency_hz is None:
-            raise ConfigError(f"noise entry {noise.name!r}: displacement inversion needs frequency_hz")
-        resp = det.response
+            raise ConfigError(f"noise entry {noise.name!r}: a strain figure needs frequency_hz in the free-mass limit")
+        if not isinstance(det.readout, Strain):
+            raise ConfigError(f"noise entry {noise.name!r}: strain conversion needs readout.arm_length_m")
         omega = 2.0 * math.pi * noise.frequency_hz
-        denom = (resp.omega0**2 - omega**2) ** 2 + (omega * resp.omega0 / resp.q_factor) ** 2
-        s_ff = 0.25 * mass * mass * denom * noise.psd
-    else:  # pragma: no cover - rejected at construction
-        raise ConfigError(f"unknown noise quantity {noise.quantity!r}")
+        s_ff = force_psd_from_strain_free_mass(noise.psd, mass, omega, det.readout.arm_length)
+    else:
+        raise ConfigError(f"noise entry {noise.name!r}: {noise.quantity} input is not supported for {archetype}")
     return noise.csl_fraction * s_ff
 
 
@@ -178,7 +164,7 @@ def exclusion_curve(
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_c grid must be a nonempty 1-d array")
     variant = None
-    if isinstance(det.geometry, HalfCylinderBar):
+    if detector_archetype(det) == BAR:
         variant = bar_variant or DEFAULT_BAR_VARIANT
     return ExclusionCurve(
         r_c_grid=grid,

@@ -18,10 +18,10 @@ import numpy as np
 
 from ._version import __version__
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement
-from .detector import Acceleration, DetectorModel, Displacement, Force, MeasuredNoise, Strain
+from .detector import Acceleration, DetectorModel, Displacement, Force, MeasuredNoise, Strain, forced_separation
 from .errors import ConfigError
 from .exclusion import ExclusionCurve
-from .response import FreeMass, Oscillator, ResonantBar, SpectrumSeries
+from .response import FreeMass, ResonantBar, SpectrumSeries
 
 SCHEMA_VERSION = 1
 BUNDLED_CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
@@ -124,16 +124,12 @@ def _parse_arrangement(node, geometry, path="arrangement."):
     arm_count = node.get("arm_count", 1)
     if isinstance(arm_count, bool) or not isinstance(arm_count, int):
         raise ConfigError(f"{path}arm_count: expected an integer, got {arm_count!r}")
-    if isinstance(geometry, HalfCylinderBar):
-        forced = 0.5 * geometry.length
-        separation = _optional_number(node, "separation_m", path)
-        if separation is not None and separation != forced:
-            raise ConfigError(f"{path}separation_m: a bar forces separation = length/2 = {forced:g} m")
-        separation = forced
-    else:
-        if "separation_m" not in node:
-            raise ConfigError(f"{path}separation_m: required field is missing")
-        separation = _number(node, "separation_m", path)
+    # a forced separation (the bar's) is the default; DetectorModel rejects any other value
+    separation = _optional_number(node, "separation_m", path)
+    if separation is None:
+        separation = forced_separation(geometry)
+    if separation is None:
+        raise ConfigError(f"{path}separation_m: required field is missing")
     try:
         return MassArrangement(separation=separation, arm_count=arm_count)
     except ValueError as exc:
@@ -149,12 +145,6 @@ def _parse_response(node, path="response."):
         if kind == "free_mass":
             _check_keys(node, path, ("kind",))
             return FreeMass()
-        if kind == "oscillator":
-            _check_keys(node, path, ("kind", "resonance_hz", "q_factor"))
-            return Oscillator(
-                omega0=2.0 * math.pi * _number(node, "resonance_hz", path),
-                q_factor=_number(node, "q_factor", path),
-            )
         if kind == "resonant_bar":
             _check_keys(node, path, ("kind", "resonance_hz", "bar_length_m"))
             return ResonantBar(

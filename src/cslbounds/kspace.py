@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -288,21 +287,3 @@ def force_psd_by_quadrature(
         )
     return QuadratureResult(value, rel_err, budget.used)
 
-
-def diffusion_rate(
-    params: CslParams,
-    geometry: MassGeometry,
-    arrangement: Optional[MassArrangement] = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_evaluations: int = DEFAULT_BUDGET,
-) -> float:
-    """Relative-coordinate CSL diffusion rate eta = S_FF / hbar^2 (1/m^2 s).
-
-    Same quadrature machinery as force_psd_by_quadrature, x-x component.
-    """
-    if arrangement is None:
-        if not isinstance(geometry, HalfCylinderBar):
-            raise ValueError("arrangement is required except for bars")
-        arrangement = MassArrangement(0.5 * geometry.length, 1)
-    result = force_psd_by_quadrature(params, geometry, arrangement, rel_tol, max_evaluations)
-    return result.value / HBAR**2

@@ -1,9 +1,12 @@
 """Detector response: maps white force PSDs to published observables.
 
-Displacement, strain and acceleration spectra for the supported readout
-chains, plus the tabulated-spectrum transform used to locate the
-optimal bound frequency of a free-mass interferometer.  Scalar
-functions take and return two-sided power densities; SpectrumSeries
+Both directions of each archetype's conversion between a force PSD and
+its native figure: free-mass strain (through displacement) for
+interferometers, acceleration for accelerometer pairs and fundamental-
+mode strain for resonant bars.  Also the tabulated-spectrum transform
+used to locate the optimal bound frequency of a free-mass
+interferometer.  Every conversion is linear, so the scalar functions
+apply to one- and two-sided power densities alike; SpectrumSeries
 carries measured one-sided amplitude densities.
 """
 
@@ -25,20 +28,6 @@ class FreeMass:
 
 
 @dataclass(frozen=True)
-class Oscillator:
-    """Damped harmonic response with finite quality factor."""
-
-    omega0: float
-    q_factor: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
-        if not (math.isfinite(self.q_factor) and self.q_factor > 0.0):
-            raise ValueError(f"q_factor must be finite and > 0, got {self.q_factor!r}")
-
-
-@dataclass(frozen=True)
 class ResonantBar:
     """Fundamental longitudinal mode of a bar of the given length."""
 
@@ -52,23 +41,11 @@ class ResonantBar:
             raise ValueError(f"length must be finite and > 0, got {self.length!r}")
 
 
-ResponseModel = Union[FreeMass, Oscillator, ResonantBar]
-
-
-def displacement_psd(s_ff: float, mass: float, omega: float, response: Oscillator) -> float:
-    """Relative-displacement PSD of an oscillator pair driven by force noise.
-
-    S_xx = (4/m^2) S_FF / ((omega0^2 - omega^2)^2 + (omega omega0 / Q)^2)
-    """
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
-    w0 = response.omega0
-    denom = (w0 * w0 - omega * omega) ** 2 + (omega * w0 / response.q_factor) ** 2
-    return 4.0 * s_ff / (mass * mass * denom)
+ResponseModel = Union[FreeMass, ResonantBar]
 
 
 def displacement_psd_free_mass(s_ff: float, mass: float, omega: float) -> float:
-    """Free-mass limit of displacement_psd: S_xx = 4 S_FF / (m^2 omega^4)."""
+    """Relative displacement of a free-mass pair: S_xx = 4 S_FF / (m^2 omega^4)."""
     if omega <= 0.0:
         raise ValueError(f"omega must be > 0 in the free-mass limit, got {omega!r}")
     return 4.0 * s_ff / (mass * mass * omega**4)
@@ -95,16 +72,27 @@ def force_psd_from_acceleration(s_gg: float, mass: float) -> float:
     return 0.25 * mass * mass * s_gg
 
 
+def _bar_transfer(mass: float, omega0: float, bar_length: float) -> float:
+    # force per unit strain of a bar's fundamental mode, m omega0^2 L / pi^2
+    for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    return mass * omega0 * omega0 * bar_length / math.pi**2
+
+
 def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_length: float) -> float:
     """Equivalent force PSD on a bar's reduced system from its strain PSD.
 
     S_FF = (m omega0^2 L / pi^2)^2 S_hh for the fundamental mode.
     """
-    for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    factor = mass * omega0 * omega0 * bar_length / math.pi**2
+    factor = _bar_transfer(mass, omega0, bar_length)
     return factor * factor * s_hh
+
+
+def strain_psd_bar(s_ff: float, mass: float, omega0: float, bar_length: float) -> float:
+    """Inverse of force_psd_from_strain_bar: S_hh = S_FF / (m omega0^2 L / pi^2)^2."""
+    factor = _bar_transfer(mass, omega0, bar_length)
+    return s_ff / (factor * factor)
 
 
 def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_length: float) -> float:

@@ -1,61 +1,36 @@
-"""Special functions with explicit accuracy contracts.
+"""Special functions with explicit accuracy targets.
 
-Only the handful of functions the noise formulas and the k-space
-quadrature need.  The modified Bessel functions are exponentially
-scaled (e^-x I_n(x)) because the closed forms only ever use that
-combination and the unscaled values overflow long before the physically
-interesting regime is reached.
+Only what the noise formulas and the k-space quadrature need: the
+exponentially scaled modified Bessel functions e^-x I0(x) and e^-x I1(x)
+for the closed forms (the unscaled values overflow long before the
+physically interesting regime is reached), and the J1 and sinc^2 array
+kernels of the quadrature oracle.  The erf of the cube bracket is
+math.erf.
 
-Contracts (checked by the test suite against extended-precision
+Accuracy targets (checked by the test suite against extended-precision
 references):
-  i0e, i1e : relative error <= 1e-12 on [0, 1e8], no overflow anywhere
-  erf      : relative error <= 1e-12 (delegates to libm)
-  j1       : absolute error <= 1e-10 on [0, 1e3], <= 1e-8 on (1e3, 1e6]
-  sinc_half: sin(x)/x with exact removable singularity
+  i0e, i1e    : relative error <= 1e-12 on [0, 1e8], no overflow anywhere
+  _j1_array   : absolute error <= 1e-10 on [0, 1e3], <= 1e-8 on (1e3, 1e6]
+  _sinc2_array: (sin(x)/x)^2, absolute error <= 2e-14, finite at x = 0
 
-i0e and i1e take a float or a 1-d array and return the same kind.  The
-contracts hold for array input element by element, and an element's
-value does not depend on the rest of the array: a float gives exactly
-the value it has inside any array.
+i0e and i1e take a float or a 1-d array and return the same kind, and
+validate their input.  The targets hold for array input element by
+element, and an element's value does not depend on the rest of the
+array: a float gives exactly the value it has inside any array.  The
+two quadrature kernels take arrays and skip domain checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class AccuracyContract:
-    """Target accuracy over a domain, enforced by the test suite."""
-
-    target: float  # relative or absolute error bound, per `kind`
-    kind: str  # "relative" | "absolute"
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        if self.target <= 0.0:
-            raise ValueError("target must be > 0")
-        if self.kind not in ("relative", "absolute"):
-            raise ValueError(f"unknown error kind {self.kind!r}")
-
-
-CONTRACTS = {
-    "i0e": AccuracyContract(1e-12, "relative", (0.0, 1e8)),
-    "i1e": AccuracyContract(1e-12, "relative", (0.0, 1e8)),
-    "erf": AccuracyContract(1e-12, "relative", (-30.0, 30.0)),
-    "j1_low": AccuracyContract(1e-10, "absolute", (0.0, 1e3)),
-    "j1_high": AccuracyContract(1e-8, "absolute", (1e3, 1e6)),
-    "sinc_half": AccuracyContract(1e-15, "absolute", (-1e6, 1e6)),
-}
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _THREE_PI_4 = 2.356194490192344929  # 3*pi/4
 
-# Hankel-expansion coefficients A_m for nu=1 (mu=4), used by j1:
+# Hankel-expansion coefficients A_m for nu=1 (mu=4), used by _j1_array:
 # A_0 = 1, A_m = A_{m-1} * (mu - (2m-1)^2) / (8m)
 _J1_HANKEL = [1.0]
 for _m in range(1, 12):
@@ -159,22 +134,6 @@ def _ie_asymptotic(x: np.ndarray) -> np.ndarray:
     return total / (_SQRT_2PI * np.sqrt(x))
 
 
-def erf(x: float) -> float:
-    """Error function (odd, range (-1, 1))."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erf requires finite x, got {x!r}")
-    return math.erf(x)
-
-
-def j1(x: float) -> float:
-    """Bessel function of the first kind J1 on [0, 1e6]."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0 or x > 1e6:
-        raise ValueError(f"j1 requires 0 <= x <= 1e6, got {x!r}")
-    return float(_j1_array(np.array([x]))[0])
-
-
 def _j1_array(x: np.ndarray) -> np.ndarray:
     """Vectorized J1 without domain checks (internal quadrature kernel)."""
     x = np.asarray(x, dtype=float)
@@ -203,17 +162,6 @@ def _j1_array(x: np.ndarray) -> np.ndarray:
         w = xl - _THREE_PI_4
         out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (sp * np.cos(w) - sq * np.sin(w))
     return out
-
-
-def sinc_half(x: float) -> float:
-    """sin(x)/x with the removable singularity handled by a series branch."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"sinc_half requires finite x, got {x!r}")
-    q = x * x
-    if q < 1e-6:
-        return 1.0 - q / 6.0 + q * q / 120.0
-    return math.sin(x) / x
 
 
 def _sinc2_array(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cslbounds
 from cslbounds import bundled_config_path
 from cslbounds.cli import MAX_POINTS, main
 
@@ -42,6 +47,15 @@ def test_noise_zero_rate(capsys):
     code, out, _ = run(capsys, "noise", "--config", "lisa_pathfinder", "--rc", "1e-7", "--lambda", "0")
     assert code == 0
     assert out.splitlines()[0].endswith("0.00000000e+00")
+
+
+@pytest.mark.parametrize("frequency", ["0", "-5"])
+def test_noise_nonpositive_frequency_exit_2(capsys, frequency):
+    code, out, err = run(
+        capsys, "noise", "--config", "ligo", "--rc", "1e-7", "--lambda", "1", f"--frequency-hz={frequency}"
+    )
+    assert code == 2
+    assert "omega must be > 0" in err
 
 
 def test_noise_bar_variants_differ(capsys):
@@ -219,6 +233,30 @@ def test_unbounded_config_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--config", str(path), "--rc", "1e-7")
     assert code == 3
     assert "no finite bound" in err
+
+
+@pytest.mark.parametrize("config", ["ligo", "auriga", "lisa_pathfinder"])
+def test_tiny_rc_prints_only_the_error_line(config):
+    # below rc ~ 1e-154 the closed forms' scaled lengths overflow; numpy
+    # must not print a RuntimeWarning ahead of the error
+    src = str(Path(cslbounds.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cslbounds.cli", "bound", "--config", config, "--rc", "1e-160"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_oscillator_response_exit_2(tmp_path, capsys):
+    doc = json.loads(bundled_config_path("ligo").read_text())
+    doc["response"] = {"kind": "oscillator", "resonance_hz": 1.0, "q_factor": 1e3}
+    path = tmp_path / "oscillator.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1e-7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: response")
 
 
 def test_unknown_noise_entry_exit_2(capsys):

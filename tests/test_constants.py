@@ -1,122 +1,79 @@
+import json
+
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cslbounds import (
-    AMPLITUDE,
-    CONSTANTS,
-    ONE_SIDED,
-    POWER,
-    TWO_SIDED,
-    ConventionError,
-    SpectralDensity,
-    asd_to_psd,
-    psd_to_asd,
-    to_one_sided,
-    to_two_sided,
+    C_LIGHT,
+    HBAR,
+    M_NUCLEON,
+    M_PLANCK,
+    ConfigError,
+    CslParams,
+    MeasuredNoise,
+    acceleration_psd,
+    bundled_config_path,
+    lambda_max,
+    load_detector_config,
+    load_spectrum_csv,
+    model_force_psd,
 )
 
 
-def two_sided_force(value):
-    return SpectralDensity(value, TWO_SIDED, "force", POWER)
+def write_config(tmp_path, name, mutate):
+    """A bundled config as a dict, mutated and dumped to a temp file."""
+    doc = json.loads(bundled_config_path(name).read_text())
+    mutate(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_constants_fixed_values():
-    assert CONSTANTS.hbar == 1.054571817e-34
-    assert CONSTANTS.c == 299792458.0
-    assert CONSTANTS.m0 == 1.66053906660e-27
-    assert CONSTANTS.m_planck == 2.176434e-8
-    assert all(v > 0 for v in (CONSTANTS.hbar, CONSTANTS.c, CONSTANTS.m0, CONSTANTS.m_planck))
+    assert HBAR == 1.054571817e-34
+    assert C_LIGHT == 299792458.0
+    assert M_NUCLEON == 1.66053906660e-27
+    assert M_PLANCK == 2.176434e-8
+    assert all(v > 0 for v in (HBAR, C_LIGHT, M_NUCLEON, M_PLANCK))
 
 
-def test_constants_immutable():
-    with pytest.raises(AttributeError):
-        CONSTANTS.hbar = 1.0
+def test_to_one_sided_matches_published_acceleration_figure(lisa):
+    # at the bound the internal two-sided model acceleration PSD is half the
+    # published one-sided 2.7e-29 m^2 s^-4 / Hz: converted back it is the figure
+    rc = 1e-7
+    lam = lambda_max(lisa, lisa.noise_entry("published_minimum"), rc)
+    s_two_sided = float(model_force_psd(lisa, CslParams(lam, rc)))
+    assert acceleration_psd(s_two_sided, lisa.geometry.mass) == pytest.approx(1.35e-29, rel=1e-12)
+    assert acceleration_psd(2.0 * s_two_sided, lisa.geometry.mass) == pytest.approx(2.7e-29, rel=1e-12)
 
 
-def test_to_one_sided_factor_two():
-    out = to_one_sided(two_sided_force(1.0))
-    assert out.value == 2.0
-    assert out.sidedness == ONE_SIDED
+def test_asd_to_psd_force_example(ligo):
+    # the config gives the one-sided amplitude 95e-15 N/sqrt(Hz)
+    assert ligo.noise_entry("o1_minimum").psd == pytest.approx(9.025e-27, rel=1e-12)
 
 
-def test_to_one_sided_zero():
-    assert to_one_sided(two_sided_force(0.0)).value == 0.0
+def test_asd_to_psd_strain_example(auriga):
+    # the config gives the one-sided amplitude 1.6e-21 /sqrt(Hz)
+    assert auriga.noise_entry("thermal_calibrated").psd == pytest.approx(2.56e-42, rel=1e-12)
 
 
-def test_to_one_sided_matches_published_acceleration_figure():
-    # an internal two-sided acceleration PSD of 1.35e-29 corresponds to the
-    # published one-sided 2.7e-29 m^2 s^-4 / Hz
-    internal = SpectralDensity(1.35e-29, TWO_SIDED, "acceleration", POWER)
-    assert to_one_sided(internal).value == 2.7e-29
+def test_negative_amplitude_rejected(tmp_path):
+    def mutate(d):
+        d["noise"][0]["asd_force_n_per_sqrt_hz"] = -1.0
+
+    with pytest.raises(ConfigError, match=r"noise\[0\]\.asd_force_n_per_sqrt_hz: amplitude must be >= 0"):
+        load_detector_config(write_config(tmp_path, "ligo", mutate))
 
 
-def test_to_one_sided_rejects_one_sided_input():
-    with pytest.raises(ConventionError):
-        to_one_sided(SpectralDensity(1.0, ONE_SIDED, "force", POWER))
+def test_unknown_tags_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown noise quantity"):
+        MeasuredNoise(name="n", quantity="pressure", psd=1.0)
 
+    def mutate(d):
+        d["noise"][0]["kind"] = "pressure"
 
-def test_to_one_sided_rejects_amplitude():
-    with pytest.raises(ConventionError):
-        to_one_sided(SpectralDensity(1.0, TWO_SIDED, "force", AMPLITUDE))
-
-
-def test_to_two_sided_rejects_two_sided_input():
-    with pytest.raises(ConventionError):
-        to_two_sided(two_sided_force(1.0))
-
-
-def test_asd_to_psd_force_example():
-    asd = SpectralDensity(95e-15, ONE_SIDED, "force", AMPLITUDE)
-    assert asd_to_psd(asd).value == pytest.approx(9.025e-27, rel=1e-12)
-
-
-def test_asd_to_psd_strain_example():
-    asd = SpectralDensity(1.6e-21, ONE_SIDED, "strain", AMPLITUDE)
-    assert asd_to_psd(asd).value == pytest.approx(2.56e-42, rel=1e-12)
-
-
-def test_asd_to_psd_zero():
-    asd = SpectralDensity(0.0, ONE_SIDED, "force", AMPLITUDE)
-    out = asd_to_psd(asd)
-    assert out.value == 0.0 and out.density_kind == POWER
-
-
-def test_negative_amplitude_rejected():
-    with pytest.raises(ValueError):
-        SpectralDensity(-1.0, ONE_SIDED, "force", AMPLITUDE)
-
-
-def test_asd_to_psd_rejects_power_input():
-    with pytest.raises(ConventionError):
-        asd_to_psd(two_sided_force(1.0))
-
-
-def test_unknown_tags_rejected():
-    with pytest.raises(ConventionError):
-        SpectralDensity(1.0, "folded", "force", POWER)
-    with pytest.raises(ConventionError):
-        SpectralDensity(1.0, ONE_SIDED, "pressure", POWER)
-    with pytest.raises(ConventionError):
-        SpectralDensity(1.0, ONE_SIDED, "force", "energy")
-
-
-@given(st.floats(min_value=1e-300, max_value=1e300))
-def test_sidedness_round_trip_exact(value):
-    start = two_sided_force(value)
-    assert to_two_sided(to_one_sided(start)) == start
-
-
-@given(st.floats(min_value=1e-150, max_value=1e150))
-def test_asd_psd_round_trip(value):
-    asd = SpectralDensity(value, ONE_SIDED, "strain", AMPLITUDE)
-    back = psd_to_asd(asd_to_psd(asd))
-    assert back.value == pytest.approx(value, rel=1e-15)
-
-
-@given(st.floats(min_value=0.0, max_value=1e150), st.floats(min_value=0.0, max_value=1e150))
-def test_asd_to_psd_monotone(a, b):
-    lo, hi = sorted((a, b))
-    pa = asd_to_psd(SpectralDensity(lo, ONE_SIDED, "force", AMPLITUDE)).value
-    pb = asd_to_psd(SpectralDensity(hi, ONE_SIDED, "force", AMPLITUDE)).value
-    assert pa <= pb
+    with pytest.raises(ConfigError, match=r"noise\[0\]\.kind: unknown noise kind"):
+        load_detector_config(write_config(tmp_path, "ligo", mutate))
+    spectrum = tmp_path / "spec.csv"
+    spectrum.write_text("# sidedness: folded\nfrequency_hz,asd_strain_per_sqrt_hz\n10.0,1e-22\n")
+    with pytest.raises(ConfigError, match="only one_sided spectra"):
+        load_spectrum_csv(spectrum, "strain")

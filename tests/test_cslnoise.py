@@ -1,6 +1,7 @@
 """Closed-form force-noise PSDs: frozen values, branch oracles, properties."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
+    BAR_VARIANTS,
     HBAR,
     M_NUCLEON,
     CslParams,
@@ -17,11 +19,11 @@ from cslbounds import (
     HalfCylinderBar,
     MassArrangement,
     axial_factor,
-    bar_arrangement,
     bar_force_psd,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
     force_noise_psd,
+    forced_separation,
     pair_correlation_factor,
 )
 from cslbounds.cslnoise import _cube_bracket, _radial_bracket
@@ -58,6 +60,14 @@ def mp_radial_bracket(x):
 def mp_cube_bracket(z):
     z = mp.mpf(z)
     return 1 - mp.exp(-z * z) - mp.sqrt(mp.pi) * z * mp.erf(z)
+
+
+def mp_printed_bar(geometry, rc):
+    """The printed bar closed form at unit collapse rate, from its formula."""
+    rc, L, R, m = (mp.mpf(v) for v in (rc, geometry.length, geometry.radius, geometry.mass))
+    prefactor = 4 * mp.mpf(HBAR) ** 2 * m**2 * rc**2 / (L**2 * R**2 * mp.mpf(M_NUCLEON) ** 2)
+    axial = mp.mpf(3) / 2 - mp.exp(-(L**2) / (4 * rc**2)) / 2 - mp.exp(-(L**2) / (16 * rc**2))
+    return prefactor * axial * mp_radial_bracket(R**2 / (2 * rc**2))
 
 
 # --- pair correlation factor --------------------------------------------------
@@ -287,6 +297,30 @@ def test_bar_large_rc_decay_orders():
         assert ratio_printed == pytest.approx((3.0 * v) / (3.0 * v * v), rel=0.05)
 
 
+def test_printed_bar_matches_extended_precision_over_13_decades():
+    # The radial bracket's direct branch cancels just above its series
+    # switch at x = R^2/2rc^2 = 5e-3 (rc = 3 m for AURIGA): the error
+    # reaches 1.1e-13 for rc in (2.1, 3) m and stays within 5.5e-14 elsewhere.
+    rc_switch = AURIGA_GEOM.radius / math.sqrt(2.0 * 5e-3)
+    grid = np.concatenate([np.geomspace(1e-9, 1e4, 261), np.geomspace(rc_switch / 1.1, rc_switch, 200)])
+    got = bar_force_psd(CslParams(1.0, grid), AURIGA_GEOM, "printed")
+    ref = np.array([float(mp_printed_bar(AURIGA_GEOM, rc)) for rc in grid])
+    assert np.max(np.abs(got - ref) / ref) <= 2e-13
+
+
+@pytest.mark.parametrize("rc", [1e-160, 1e-300])
+def test_closed_forms_silent_where_scaled_lengths_overflow(rc):
+    # R^2/2rc^2, L^2/16rc^2 and (L/2rc)^2 overflow below rc ~ 1e-154;
+    # inf is their right limit, and the PSD underflows to 0 without a warning
+    params = CslParams(1.0, rc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2) == 0.0
+        assert cube_pair_force_psd(params, LISA_GEOM, 0.376) == 0.0
+        for variant in BAR_VARIANTS:
+            assert bar_force_psd(params, AURIGA_GEOM, variant) == 0.0
+
+
 def test_bar_rejects_unknown_variant():
     with pytest.raises(ValueError):
         bar_force_psd(CslParams(1.0, 1.0), AURIGA_GEOM, "guessed")
@@ -326,8 +360,8 @@ def test_csl_params_array_is_a_read_only_copy():
 
 
 def test_bar_arrangement_forced():
-    arr = bar_arrangement(AURIGA_GEOM)
-    assert arr.separation == 1.5 and arr.arm_count == 1
+    assert forced_separation(AURIGA_GEOM) == 1.5
+    assert forced_separation(LIGO_GEOM) is None and forced_separation(LISA_GEOM) is None
 
 
 # --- properties ------------------------------------------------------------------

@@ -85,6 +85,17 @@ def test_measured_force_psd_strain_needs_frequency(ligo):
         measured_force_psd(ligo, entry)
 
 
+def test_measured_force_psd_rejects_unconvertible_quantities(ligo, lisa):
+    displacement = MeasuredNoise(
+        name="disp", quantity="displacement", psd=1e-38, frequency_hz=100.0, provenance="test"
+    )
+    strain = MeasuredNoise(name="strain", quantity="strain", psd=1e-42, frequency_hz=100.0, provenance="test")
+    with pytest.raises(ConfigError, match="displacement input is not supported for interferometer"):
+        measured_force_psd(ligo, displacement)
+    with pytest.raises(ConfigError, match="strain input is not supported for accelerometer"):
+        measured_force_psd(lisa, strain)
+
+
 # --- lambda_max --------------------------------------------------------------------
 
 

@@ -22,8 +22,8 @@ from cslbounds import (
     MassArrangement,
     QuadratureError,
     cube_pair_force_psd,
-    diffusion_rate,
     force_psd_by_quadrature,
+    forced_separation,
 )
 from cslbounds import kspace
 from cslbounds.specfun import _j1_array, _sinc2_array
@@ -141,28 +141,19 @@ def test_bar_dispatch_equals_explicit_half_cylinders(auriga):
     assert bar.value == manual.value
 
 
+def test_diffusion_rate_bar_default_arrangement(auriga):
+    # the bar config leaves separation_m out; the archetype table supplies L/2
+    assert auriga.arrangement == MassArrangement(forced_separation(auriga.geometry), 1)
+    params = CslParams(1.0, 0.3)
+    eta = force_psd_by_quadrature(params, auriga.geometry, auriga.arrangement).value / HBAR**2
+    explicit = force_psd_by_quadrature(params, auriga.geometry, MassArrangement(1.5, 1)).value / HBAR**2
+    assert eta == explicit
+
+
 def test_bar_rejects_wrong_separation():
     bar = HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)
     with pytest.raises(ValueError, match="separation"):
         force_psd_by_quadrature(CslParams(1.0, 0.1), bar, MassArrangement(1.0, 1))
-
-
-def test_diffusion_rate_definitional_relation():
-    params = CslParams(1.0, 1e-4)
-    result = force_psd_by_quadrature(params, LISA_GEOM, LISA_ARR)
-    eta = diffusion_rate(params, LISA_GEOM, LISA_ARR)
-    assert eta == result.value / HBAR**2  # same machinery, exact by definition
-
-
-def test_diffusion_rate_zero_rate():
-    assert diffusion_rate(CslParams(0.0, 1e-4), LISA_GEOM, LISA_ARR) == 0.0
-
-
-def test_diffusion_rate_bar_default_arrangement(auriga):
-    params = CslParams(1.0, 0.3)
-    assert diffusion_rate(params, auriga.geometry) == pytest.approx(
-        force_psd_by_quadrature(params, auriga.geometry, auriga.arrangement).value / HBAR**2, rel=0
-    )
 
 
 def test_budget_exhaustion_raises_with_context():

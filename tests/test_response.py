@@ -10,50 +10,28 @@ from hypothesis import strategies as st
 from cslbounds import (
     ConfigError,
     ConventionError,
-    Oscillator,
     SpectrumSeries,
     acceleration_psd,
-    displacement_psd,
     displacement_psd_free_mass,
     equivalent_force_asd_free_mass,
     force_psd_from_acceleration,
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
     strain_psd,
+    strain_psd_bar,
 )
 
 
-def test_displacement_psd_static_limit():
-    osc = Oscillator(omega0=10.0, q_factor=100.0)
-    s_ff, m = 2.0, 4.0
-    assert displacement_psd(s_ff, m, 0.0, osc) == pytest.approx(4.0 * s_ff / (m * m * osc.omega0**4), rel=1e-15)
-
-
-def test_displacement_psd_resonance_amplification():
-    osc = Oscillator(omega0=10.0, q_factor=1e3)
-    s_ff, m = 2.0, 4.0
-    expected = 4.0 * s_ff * osc.q_factor**2 / (m * m * osc.omega0**4)
-    assert displacement_psd(s_ff, m, osc.omega0, osc) == pytest.approx(expected, rel=1e-12)
-
-
 def test_displacement_psd_free_mass_limit():
-    osc = Oscillator(omega0=1.0, q_factor=1e8)
-    omega = 1e3
-    full = displacement_psd(1.0, 2.0, omega, osc)
-    free = displacement_psd_free_mass(1.0, 2.0, omega)
-    assert full == pytest.approx(free, rel=1e-5)
+    # S_xx = 4 S_FF / (m^2 omega^4): each of the pair takes S_FF at 1/(m omega^2)
+    assert displacement_psd_free_mass(1.0, 2.0, 1e3) == pytest.approx(1e-12, rel=1e-15)
+    assert displacement_psd_free_mass(0.0, 2.0, 1e3) == 0.0
 
 
 def test_displacement_psd_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        displacement_psd(1.0, 1.0, -1.0, Oscillator(1.0, 1.0))
-
-
-def test_oscillator_requires_finite_positive_q():
-    with pytest.raises(ValueError):
-        Oscillator(omega0=1.0, q_factor=math.inf)
-    with pytest.raises(ValueError):
-        Oscillator(omega0=0.0, q_factor=1.0)
+    for omega in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            displacement_psd_free_mass(1.0, 1.0, omega)
 
 
 def test_strain_psd_examples():
@@ -115,10 +93,17 @@ def test_bar_strain_to_force_mass_quadratic():
 
 
 def test_bar_strain_to_force_domain_errors():
-    with pytest.raises(ValueError):
-        force_psd_from_strain_bar(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        force_psd_from_strain_bar(1.0, 1.0, 0.0, 1.0)
+    for convert in (force_psd_from_strain_bar, strain_psd_bar):
+        with pytest.raises(ValueError):
+            convert(1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            convert(1.0, 1.0, 0.0, 1.0)
+
+
+def test_bar_strain_force_round_trip():
+    m, w0, L = 2300.0, 2.0 * math.pi * 931.0, 3.0
+    s_hh = (1.6e-21) ** 2
+    assert strain_psd_bar(force_psd_from_strain_bar(s_hh, m, w0, L), m, w0, L) == pytest.approx(s_hh, rel=1e-15)
 
 
 def test_free_mass_strain_force_round_trip():
