@@ -62,7 +62,6 @@ from .io import (
     bundled_config_path,
     load_detector_config,
     load_spectrum_csv,
-    read_exclusion_csv,
     write_exclusion_csv,
 )
 from .kspace import QuadratureResult, force_psd_by_quadrature
@@ -93,7 +92,7 @@ __all__ = [
     "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
     "exclusion_curve", "lambda_max", "measured_force_psd", "model_force_psd", "optimal_frequency",
     "BUNDLED_CONFIGS", "bundled_config_path", "load_detector_config", "load_spectrum_csv",
-    "read_exclusion_csv", "write_exclusion_csv",
+    "write_exclusion_csv",
     "QuadratureResult", "force_psd_by_quadrature",
     "FreeMass", "ResonantBar", "ResponseModel", "SpectrumSeries", "acceleration_psd",
     "displacement_psd_free_mass", "equivalent_force_asd_free_mass", "force_psd_from_acceleration",

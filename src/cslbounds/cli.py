@@ -15,7 +15,7 @@ import numpy as np
 
 from ._version import __version__
 from .cslnoise import BAR_VARIANTS, DEFAULT_BAR_VARIANT, CslParams
-from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype
+from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype, strain_arm_length
 from .errors import ConfigError, CslBoundsError, QuadratureError, UnboundedParameterError
 from .exclusion import (
     ellis_ratio,
@@ -68,6 +68,7 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
         s_hh = strain_psd_bar(s_ff_one_sided, mass, det.response.omega0, det.response.length)
         return [f"s_hh_one_sided_per_hz = {_fmt(s_hh)}"]
     # free-mass interferometer: strain equivalent depends on frequency
+    arm_length = strain_arm_length(det)
     if frequency_hz is None:
         for entry in det.noise:
             if entry.frequency_hz is not None:
@@ -76,7 +77,7 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
     if frequency_hz is None:
         raise ConfigError("strain equivalent needs --frequency-hz (config has no noise entry with a frequency)")
     omega = 2.0 * math.pi * frequency_hz
-    s_hh = strain_psd(displacement_psd_free_mass(s_ff_one_sided, mass, omega), det.readout.arm_length)
+    s_hh = strain_psd(displacement_psd_free_mass(s_ff_one_sided, mass, omega), arm_length)
     return [
         f"frequency_hz = {_fmt(frequency_hz)}",
         f"s_hh_one_sided_per_hz = {_fmt(s_hh)}",
@@ -88,8 +89,9 @@ def cmd_noise(args) -> int:
     params = CslParams(args.collapse_rate, args.rc)
     s_two_sided = model_force_psd(det, params, args.variant)
     s_one_sided = 2.0 * s_two_sided
+    native = _native_noise_lines(det, s_one_sided, args.frequency_hz)
     print(f"s_ff_one_sided_n2_per_hz = {_fmt(s_one_sided)}")
-    for line in _native_noise_lines(det, s_one_sided, args.frequency_hz):
+    for line in native:
         print(line)
     return 0
 
@@ -147,6 +149,16 @@ def cmd_ellis(args) -> int:
     return 0
 
 
+def _quadrature(det, params: CslParams) -> float:
+    """Oracle force PSD at one r_c; a zero (an underflow at tiny r_c) cannot be compared."""
+    quad = force_psd_by_quadrature(params, det.geometry, det.arrangement).value
+    if quad == 0.0:
+        raise QuadratureError(
+            f"quadrature force PSD is 0 at r_c = {params.correlation_length:g} m; no relative difference exists"
+        )
+    return quad
+
+
 def cmd_validate(args) -> int:
     det = load_detector_config(args.config)
     is_bar = detector_archetype(det) == BAR
@@ -161,7 +173,7 @@ def cmd_validate(args) -> int:
         worst = {v: 0.0 for v in BAR_VARIANTS}
         for rc in grid:
             params = CslParams(unit, float(rc))
-            quad = force_psd_by_quadrature(params, det.geometry, det.arrangement).value
+            quad = _quadrature(det, params)
             diffs = {}
             for variant in BAR_VARIANTS:
                 closed = model_force_psd(det, params, variant)
@@ -186,7 +198,7 @@ def cmd_validate(args) -> int:
     for rc in grid:
         params = CslParams(unit, float(rc))
         closed = model_force_psd(det, params)
-        quad = force_psd_by_quadrature(params, det.geometry, det.arrangement).value
+        quad = _quadrature(det, params)
         diff = abs(closed - quad) / quad
         worst_diff = max(worst_diff, diff)
         print(f"{_fmt(rc)} {_fmt(closed)} {_fmt(quad)} {_fmt(diff)}")

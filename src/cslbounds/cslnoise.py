@@ -39,6 +39,10 @@ BAR_VARIANTS = ("printed", "rederived")
 # mass distribution at large correlation length.
 DEFAULT_BAR_VARIANT = "rederived"
 
+# Smallest correlation length accepted (m), the smallest normal double:
+# below it 1/r_c overflows and the closed forms meet 0 * inf.
+MIN_CORRELATION_LENGTH = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class CslParams:
@@ -55,9 +59,11 @@ class CslParams:
         if not (math.isfinite(self.collapse_rate) and self.collapse_rate >= 0.0):
             raise ValueError(f"collapse_rate must be finite and >= 0, got {self.collapse_rate!r}")
         rc, scalar = _to_1d(self.correlation_length)
-        bad = ~(np.isfinite(rc) & (rc > 0.0))
+        bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
         if bad.any():
-            raise ValueError(f"correlation_length must be finite and > 0, got {float(rc[bad][0])!r}")
+            raise ValueError(
+                f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
+            )
         if not scalar:
             rc = rc.copy()
             rc.flags.writeable = False
@@ -189,12 +195,12 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
     gives a zero exponent even where u would overflow.
     """
     rc, scalar = _to_1d(r_c)
-    if separation < 0.0 or length <= 0.0 or not np.all(rc > 0.0):
-        raise ValueError("axial_factor requires separation >= 0, length > 0, r_c > 0")
-    a = separation * (0.5 / rc)
-    el = length * (0.5 / rc)
-    d = (separation - length) * (0.5 / rc)
+    if separation < 0.0 or length <= 0.0 or not np.all(rc >= MIN_CORRELATION_LENGTH):
+        raise ValueError(f"axial_factor requires separation >= 0, length > 0, r_c >= {MIN_CORRELATION_LENGTH!r}")
     with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
+        a = separation * (0.5 / rc)
+        el = length * (0.5 / rc)
+        d = (separation - length) * (0.5 / rc)
         out = np.expm1(-el * el) * np.expm1(-a * a) + 0.5 * np.exp(-d * d) * np.expm1(-2.0 * a * el) ** 2
     return _from_1d(out, scalar)
 

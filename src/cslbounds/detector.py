@@ -175,3 +175,15 @@ def detector_archetype(det: DetectorModel) -> str:
             f"length/{rule.separation_divisor} = {forced:g} m"
         )
     return rule.name
+
+
+def strain_arm_length(det: DetectorModel) -> float:
+    """Arm length converting an interferometer's displacement to strain.
+
+    Raises ConfigError when the readout is not a strain readout, which
+    the interferometer archetype allows (force, displacement).
+    """
+    if not isinstance(det.readout, Strain):
+        kind = type(det.readout).__name__.lower()
+        raise ConfigError(f"readout.arm_length_m: strain conversion needs a strain readout, not {kind}")
+    return det.readout.arm_length

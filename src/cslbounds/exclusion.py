@@ -29,7 +29,7 @@ from .cslnoise import (
     MassGeometry,
     force_noise_psd,
 )
-from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, Strain, detector_archetype
+from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, detector_archetype, strain_arm_length
 from .errors import ConfigError, UnboundedParameterError
 from .response import (
     SpectrumSeries,
@@ -49,7 +49,6 @@ class ExclusionCurve:
     detector_id: str
     noise_name: str
     provenance: str = ""
-    sff_path: str = "closed_form"
     bar_variant: Optional[str] = None
 
     def __post_init__(self):
@@ -105,10 +104,8 @@ def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
     elif noise.quantity == "strain" and archetype == INTERFEROMETER:
         if noise.frequency_hz is None:
             raise ConfigError(f"noise entry {noise.name!r}: a strain figure needs frequency_hz in the free-mass limit")
-        if not isinstance(det.readout, Strain):
-            raise ConfigError(f"noise entry {noise.name!r}: strain conversion needs readout.arm_length_m")
         omega = 2.0 * math.pi * noise.frequency_hz
-        s_ff = force_psd_from_strain_free_mass(noise.psd, mass, omega, det.readout.arm_length)
+        s_ff = force_psd_from_strain_free_mass(noise.psd, mass, omega, strain_arm_length(det))
     else:
         raise ConfigError(f"noise entry {noise.name!r}: {noise.quantity} input is not supported for {archetype}")
     return noise.csl_fraction * s_ff
@@ -172,7 +169,6 @@ def exclusion_curve(
         detector_id=det.name,
         noise_name=noise.name,
         provenance=noise.provenance,
-        sff_path="closed_form",
         bar_variant=variant,
     )
 
@@ -185,8 +181,7 @@ def optimal_frequency(series: SpectrumSeries, det: DetectorModel) -> tuple[float
     """
     if detector_archetype(det) != INTERFEROMETER:
         raise ConfigError("optimal_frequency needs a free-mass interferometer config")
-    readout = det.readout
-    force_series = equivalent_force_asd_free_mass(series, det.geometry.mass, readout.arm_length)
+    force_series = equivalent_force_asd_free_mass(series, det.geometry.mass, strain_arm_length(det))
     i = int(np.argmin(force_series.asd))  # argmin returns the first minimum
     omega_bar = 2.0 * math.pi * float(force_series.frequency_hz[i])
     return omega_bar, float(force_series.asd[i])

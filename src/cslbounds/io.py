@@ -26,19 +26,13 @@ from .response import FreeMass, ResonantBar, SpectrumSeries
 SCHEMA_VERSION = 1
 BUNDLED_CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
 
-SPECTRUM_COLUMNS = {
-    "strain": "asd_strain_per_sqrt_hz",
-    "force": "asd_force_n_per_sqrt_hz",
-    "acceleration": "asd_acceleration_m_s2_per_sqrt_hz",
-    "displacement": "asd_displacement_m_per_sqrt_hz",
-}
-
 _NOISE_VALUE_KEYS = {
     "force": ("asd_force_n_per_sqrt_hz", "psd_force_n2_per_hz"),
     "acceleration": ("asd_acceleration_m_s2_per_sqrt_hz", "psd_acceleration_m2_s4_per_hz"),
     "strain": ("asd_strain_per_sqrt_hz", "psd_strain_per_hz"),
     "displacement": ("asd_displacement_m_per_sqrt_hz", "psd_displacement_m2_per_hz"),
 }
+SPECTRUM_COLUMNS = {kind: asd_key for kind, (asd_key, _) in _NOISE_VALUE_KEYS.items()}
 
 
 def bundled_config_path(name: str) -> Path:
@@ -84,38 +78,52 @@ def _string(node: dict, key: str, path: str) -> str:
     return value
 
 
-def _parse_geometry(node, path="geometry."):
+# Each tagged section maps every spelling of its tag to (constructor,
+# required keys, optional keys); each key is paired with the constructor
+# argument it fills, and every keyed value is a number.
+_MASS_KEYS = {"radius_m": "radius", "length_m": "length", "mass_kg": "mass"}
+_DENSITY_KEY = {"density_kg_m3": "density"}
+
+GEOMETRIES = {
+    "cylinder": (Cylinder, _MASS_KEYS, _DENSITY_KEY),
+    "cube": (Cube, {"side_m": "side", "mass_kg": "mass"}, _DENSITY_KEY),
+    "half_cylinder_bar": (HalfCylinderBar, _MASS_KEYS, _DENSITY_KEY),
+}
+RESPONSES = {
+    "free_mass": (FreeMass, {}, {}),
+    "resonant_bar": (
+        lambda resonance_hz, length: ResonantBar(omega0=2.0 * math.pi * resonance_hz, length=length),
+        {"resonance_hz": "resonance_hz", "bar_length_m": "length"},
+        {},
+    ),
+}
+READOUTS = {
+    "strain": (Strain, {}, {"arm_length_m": "arm_length"}),
+    "acceleration": (Acceleration, {}, {}),
+    "force": (Force, {}, {}),
+    "displacement": (Displacement, {}, {}),
+}
+
+
+def _parse_kind(node, path: str, tag: str, what: str, table: dict):
+    """Build the object a tagged section (geometry, response, readout) names.
+
+    Every field is read and checked before the constructor runs, so the
+    ValueError caught here is the constructor's own.
+    """
     node = _expect_mapping(node, path[:-1])
-    if "shape" not in node:
-        raise ConfigError(f"{path}shape: required field is missing")
-    shape = _string(node, "shape", path)
+    if tag not in node:
+        raise ConfigError(f"{path}{tag}: required field is missing")
+    spelling = _string(node, tag, path)
+    if spelling not in table:
+        raise ConfigError(f"{path}{tag}: unknown {what} {spelling!r}")
+    build, required, optional = table[spelling]
+    _check_keys(node, path, (tag, *required), tuple(optional))
+    args = {arg: _number(node, key, path) for key, arg in {**required, **optional}.items() if key in node}
     try:
-        if shape == "cylinder":
-            _check_keys(node, path, ("shape", "radius_m", "length_m", "mass_kg"), ("density_kg_m3",))
-            return Cylinder(
-                radius=_number(node, "radius_m", path),
-                length=_number(node, "length_m", path),
-                mass=_number(node, "mass_kg", path),
-                density=_optional_number(node, "density_kg_m3", path),
-            )
-        if shape == "cube":
-            _check_keys(node, path, ("shape", "side_m", "mass_kg"), ("density_kg_m3",))
-            return Cube(
-                side=_number(node, "side_m", path),
-                mass=_number(node, "mass_kg", path),
-                density=_optional_number(node, "density_kg_m3", path),
-            )
-        if shape == "half_cylinder_bar":
-            _check_keys(node, path, ("shape", "radius_m", "length_m", "mass_kg"), ("density_kg_m3",))
-            return HalfCylinderBar(
-                radius=_number(node, "radius_m", path),
-                length=_number(node, "length_m", path),
-                mass=_number(node, "mass_kg", path),
-                density=_optional_number(node, "density_kg_m3", path),
-            )
+        return build(**args)
     except ValueError as exc:
         raise ConfigError(f"{path[:-1]}: {exc}") from None
-    raise ConfigError(f"{path}shape: unknown shape {shape!r}")
 
 
 def _parse_arrangement(node, geometry, path="arrangement."):
@@ -134,49 +142,6 @@ def _parse_arrangement(node, geometry, path="arrangement."):
         return MassArrangement(separation=separation, arm_count=arm_count)
     except ValueError as exc:
         raise ConfigError(f"{path[:-1]}: {exc}") from None
-
-
-def _parse_response(node, path="response."):
-    node = _expect_mapping(node, path[:-1])
-    if "kind" not in node:
-        raise ConfigError(f"{path}kind: required field is missing")
-    kind = _string(node, "kind", path)
-    try:
-        if kind == "free_mass":
-            _check_keys(node, path, ("kind",))
-            return FreeMass()
-        if kind == "resonant_bar":
-            _check_keys(node, path, ("kind", "resonance_hz", "bar_length_m"))
-            return ResonantBar(
-                omega0=2.0 * math.pi * _number(node, "resonance_hz", path),
-                length=_number(node, "bar_length_m", path),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from None
-    raise ConfigError(f"{path}kind: unknown response kind {kind!r}")
-
-
-def _parse_readout(node, path="readout."):
-    node = _expect_mapping(node, path[:-1])
-    if "kind" not in node:
-        raise ConfigError(f"{path}kind: required field is missing")
-    kind = _string(node, "kind", path)
-    try:
-        if kind == "strain":
-            _check_keys(node, path, ("kind",), ("arm_length_m",))
-            return Strain(arm_length=_optional_number(node, "arm_length_m", path))
-        if kind == "acceleration":
-            _check_keys(node, path, ("kind",))
-            return Acceleration()
-        if kind == "force":
-            _check_keys(node, path, ("kind",))
-            return Force()
-        if kind == "displacement":
-            _check_keys(node, path, ("kind",))
-            return Displacement()
-    except ValueError as exc:
-        raise ConfigError(f"{path[:-1]}: {exc}") from None
-    raise ConfigError(f"{path}kind: unknown readout kind {kind!r}")
 
 
 def _parse_noise_entry(node, index: int):
@@ -206,14 +171,17 @@ def _parse_noise_entry(node, index: int):
     else:
         psd = value
     csl_fraction = _optional_number(node, "csl_fraction", path)
+    name = _string(node, "name", path)
+    frequency_hz = _optional_number(node, "frequency_hz", path)
+    provenance = _string(node, "provenance", path)
     try:
         return MeasuredNoise(
-            name=_string(node, "name", path),
+            name=name,
             quantity=kind,
             psd=psd,
-            frequency_hz=_optional_number(node, "frequency_hz", path),
+            frequency_hz=frequency_hz,
             csl_fraction=1.0 if csl_fraction is None else csl_fraction,
-            provenance=_string(node, "provenance", path),
+            provenance=provenance,
         )
     except ValueError as exc:
         raise ConfigError(f"{path[:-1]}: {exc}") from None
@@ -236,10 +204,10 @@ def load_detector_config(path) -> DetectorModel:
     if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected the integer {SCHEMA_VERSION}, got {version!r}")
     name = _string(doc, "name", "")
-    geometry = _parse_geometry(doc["geometry"])
+    geometry = _parse_kind(doc["geometry"], "geometry.", "shape", "shape", GEOMETRIES)
     arrangement = _parse_arrangement(doc["arrangement"], geometry)
-    response = _parse_response(doc["response"])
-    readout = _parse_readout(doc["readout"])
+    response = _parse_kind(doc["response"], "response.", "kind", "response kind", RESPONSES)
+    readout = _parse_kind(doc["readout"], "readout.", "kind", "readout kind", READOUTS)
     if not isinstance(doc["noise"], list):
         raise ConfigError("noise: expected a list of noise entries")
     noise = tuple(_parse_noise_entry(entry, i) for i, entry in enumerate(doc["noise"]))
@@ -318,12 +286,10 @@ def load_spectrum_csv(path, expected_quantity: str) -> SpectrumSeries:
 
 def write_exclusion_csv(curve: ExclusionCurve, path) -> None:
     """Serialize a curve deterministically (shortest round-trip decimals)."""
-    if len(curve) == 0:  # pragma: no cover - unconstructible, kept as a guard
-        raise ValueError("refusing to write an empty curve")
     lines = [
         f"# detector: {curve.detector_id}",
         f"# noise: {curve.noise_name} ({curve.provenance})",
-        f"# sff_path: {curve.sff_path}",
+        "# sff_path: closed_form",
         f"# bar_variant: {curve.bar_variant or 'n/a'}",
         f"# tool: cslbounds {__version__}",
         "r_c_m,lambda_max_per_s",
@@ -332,45 +298,3 @@ def write_exclusion_csv(curve: ExclusionCurve, path) -> None:
         lines.append(f"{float(rc)!r},{float(lam)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_exclusion_csv(path) -> ExclusionCurve:
-    """Inverse of write_exclusion_csv (full double precision preserved)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"curve file not found: {path}")
-    meta = {"detector": "", "noise": "", "sff_path": "closed_form", "bar_variant": "n/a"}
-    rows: list[tuple[float, float]] = []
-    header_seen = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != "r_c_m,lambda_max_per_s":
-                raise ConfigError(f"line {lineno}: unexpected header {line!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: expected two comma-separated values")
-        rows.append((float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ConfigError(f"{path}: no data rows found")
-    noise_name, _, provenance = meta["noise"].partition(" (")
-    variant = meta["bar_variant"]
-    return ExclusionCurve(
-        r_c_grid=np.array([r[0] for r in rows]),
-        lambda_max=np.array([r[1] for r in rows]),
-        detector_id=meta["detector"],
-        noise_name=noise_name,
-        provenance=provenance.rstrip(")"),
-        sff_path=meta["sff_path"],
-        bar_variant=None if variant == "n/a" else variant,
-    )

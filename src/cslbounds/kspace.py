@@ -151,8 +151,9 @@ def _axial_mode_sum(separation, length, rc, budget):
         if b == 0.0:
             continue
         if b >= _K_CUTOFF * rc:
-            # Gaussian-suppressed mode: |M(b)| <= M(0) e^{-(b/2rc)^2} <= M(0) e^-900
-            err += abs(c) * abs(m0) * math.exp(-min(700.0, (b / (2.0 * rc)) ** 2))
+            # Gaussian-suppressed mode: |M(b)| <= M(0) e^{-(b/2rc)^2} <= M(0) e^-900;
+            # e^-900 underflows, so the mode is charged the larger M(0) e^-700
+            err += abs(c) * abs(m0) * math.exp(-700.0)
             continue
         v, e = _cos_gauss_moment(b, rc, tol_abs, budget)
         total += c * v

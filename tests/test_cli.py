@@ -235,18 +235,69 @@ def test_unbounded_config_exit_3(tmp_path, capsys):
     assert "no finite bound" in err
 
 
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so numpy's warnings reach stderr."""
+    src = str(Path(cslbounds.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cslbounds.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 @pytest.mark.parametrize("config", ["ligo", "auriga", "lisa_pathfinder"])
 def test_tiny_rc_prints_only_the_error_line(config):
     # below rc ~ 1e-154 the closed forms' scaled lengths overflow; numpy
     # must not print a RuntimeWarning ahead of the error
-    src = str(Path(cslbounds.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cslbounds.cli", "bound", "--config", config, "--rc", "1e-160"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_process("bound", "--config", config, "--rc", "1e-160")
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--config", "auriga", "--rc", "1e-310"),
+        ("noise", "--config", "lisa_pathfinder", "--rc", "5e-324", "--lambda", "1"),
+        ("validate", "--config", "lisa_pathfinder", "--rc-min", "1e-310", "--rc-max", "1e-300", "--points", "2"),
+    ],
+)
+def test_subnormal_rc_exit_2_naming_the_value(argv):
+    # 1/rc overflows for a subnormal rc; it must be rejected, not printed as nan
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: correlation_length") and f"got {argv[4]}" in proc.stderr
+
+
+@pytest.mark.parametrize("readout", ["force", "displacement"])
+@pytest.mark.parametrize("command", ["noise", "spectrum-bound", "bound"])
+def test_non_strain_interferometer_readout_exit_2(tmp_path, capsys, command, readout):
+    # the archetype accepts these readouts, but converting strain needs an arm length
+    doc = json.loads(bundled_config_path("ligo").read_text())
+    doc["readout"] = {"kind": readout}
+    doc["noise"][0] = {
+        "name": "strain_minimum", "kind": "strain", "asd_strain_per_sqrt_hz": 1e-23, "frequency_hz": 32.5,
+        "provenance": "synthetic",
+    }
+    path = tmp_path / "ligo.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "noise": ["--rc", "1e-7", "--lambda", "1"],
+        "spectrum-bound": ["--asd", str(write_v_spectrum(tmp_path)), "--out", str(tmp_path / "c.csv")],
+        "bound": ["--rc", "1e-7"],
+    }[command]
+    code, out, err = run(capsys, command, "--config", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: readout.arm_length_m: ")
+
+
+@pytest.mark.parametrize("config, rc_min", [("ligo", "1e-100"), ("auriga", "1e-200")])
+def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
+    # the oracle underflows to 0 below rc ~ 1e-86 m (and its dropped axial
+    # modes once overflowed below ~1e-154 m); no relative difference exists
+    code, _, err = run(capsys, "validate", "--config", config, "--rc-min", rc_min, "--rc-max", "1e-90", "--points", "2")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: quadrature force PSD is 0 at r_c = ")
 
 
 def test_oscillator_response_exit_2(tmp_path, capsys):

@@ -26,7 +26,7 @@ from cslbounds import (
     forced_separation,
     pair_correlation_factor,
 )
-from cslbounds.cslnoise import _cube_bracket, _radial_bracket
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket
 
 mp.mp.dps = 60
 
@@ -167,6 +167,8 @@ def test_axial_factor_array_matches_scalar_calls():
 def test_axial_factor_rejects_nonpositive_rc_in_array():
     with pytest.raises(ValueError):
         axial_factor(0.376, 0.046, np.array([1e-3, 0.0]))
+    with pytest.raises(ValueError):
+        axial_factor(1.5, 1.5, np.array([1e-3, 1e-310]))
 
 
 def test_axial_factor_limits_where_u_overflows():
@@ -308,7 +310,7 @@ def test_printed_bar_matches_extended_precision_over_13_decades():
     assert np.max(np.abs(got - ref) / ref) <= 2e-13
 
 
-@pytest.mark.parametrize("rc", [1e-160, 1e-300])
+@pytest.mark.parametrize("rc", [1e-160, 1e-300, MIN_CORRELATION_LENGTH])
 def test_closed_forms_silent_where_scaled_lengths_overflow(rc):
     # R^2/2rc^2, L^2/16rc^2 and (L/2rc)^2 overflow below rc ~ 1e-154;
     # inf is their right limit, and the PSD underflows to 0 without a warning
@@ -451,8 +453,12 @@ def test_csl_params_validation():
         CslParams(1.0, 0.0)
     with pytest.raises(ValueError):
         CslParams(math.nan, 1e-7)
-    for bad in (0.0, -1e-7, math.nan, math.inf):
+    for bad in (0.0, -1e-7, math.nan, math.inf, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="correlation_length"):
             CslParams(1.0, np.array([1e-7, bad]))
+    # subnormal r_c: 1/r_c overflows, so the smallest normal double is the floor
+    with pytest.raises(ValueError, match="got 1e-310"):
+        CslParams(1.0, 1e-310)
+    assert CslParams(1.0, MIN_CORRELATION_LENGTH).correlation_length == np.finfo(float).tiny
     with pytest.raises(ValueError):
         CslParams(1.0, np.ones((2, 2)))

@@ -16,9 +16,9 @@ from cslbounds import (
     bundled_config_path,
     load_detector_config,
     load_spectrum_csv,
-    read_exclusion_csv,
     write_exclusion_csv,
 )
+from cslbounds import io
 
 
 def rewrite(tmp_path, mutate):
@@ -123,6 +123,71 @@ def test_csl_fraction_must_be_a_number(tmp_path, bad):
     path = rewrite(tmp_path, lambda d: d["noise"][0].update(csl_fraction=bad))
     with pytest.raises(ConfigError, match=r"noise\[0\]\.csl_fraction: expected a number"):
         load_detector_config(path)
+
+
+SECTIONS = {
+    "geometry": ("shape", "shape", io.GEOMETRIES),
+    "response": ("kind", "response kind", io.RESPONSES),
+    "readout": ("kind", "readout kind", io.READOUTS),
+}
+TABLE_ROWS = [(section, spelling) for section, (_, _, table) in SECTIONS.items() for spelling in table]
+
+
+def schema_cases(section, spelling):
+    """(section node, exact ConfigError message) pairs for one table row."""
+    tag, what, table = SECTIONS[section]
+    _, required, optional = table[spelling]
+    base = {tag: spelling, **{key: 1.0 for key in required}}
+    path = f"{section}."
+    cases = [({**base, "bogus_m": 1.0}, f"{path}bogus_m: unknown field (strict schema)")]
+    cases += [({k: v for k, v in base.items() if k != key}, f"{path}{key}: required field is missing") for key in base]
+    cases += [({**base, key: "1"}, f"{path}{key}: expected a number, got '1'") for key in (*required, *optional)]
+    cases.append(({**base, tag: 5}, f"{path}{tag}: expected a string, got 5"))
+    cases.append(({**base, tag: spelling + "_x"}, f"{path}{tag}: unknown {what} '{spelling}_x'"))
+    return base, cases
+
+
+@pytest.mark.parametrize("section, spelling", TABLE_ROWS)
+def test_schema_table_rows_give_exact_messages(tmp_path, section, spelling):
+    tag, what, table = SECTIONS[section]
+    base, cases = schema_cases(section, spelling)
+    io._parse_kind(base, f"{section}.", tag, what, table)  # every key reaches a constructor argument
+    for node, message in cases:
+        path = rewrite(tmp_path, lambda d: d.update({section: node}))
+        with pytest.raises(ConfigError) as info:
+            load_detector_config(path)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "section, key, bad, message",
+    [
+        ("geometry", "side_m", None, "geometry.side_m: expected a number, got None"),
+        ("geometry", "side_m", -1.0, "geometry: side must be finite and > 0, got -1.0"),
+        ("noise", "name", 5, "noise[0].name: expected a string, got 5"),
+        ("noise", "provenance", None, "noise[0].provenance: expected a string, got None"),
+        ("noise", "frequency_hz", "10", "noise[0].frequency_hz: expected a number, got '10'"),
+        ("noise", "frequency_hz", -1.0, "noise[0]: frequency_hz must be finite and > 0, got -1.0"),
+    ],
+)
+def test_field_path_is_not_doubled(tmp_path, section, key, bad, message):
+    # a schema error names its field once; a constructor error names its section
+    def mutate(d):
+        node = d["noise"][0] if section == "noise" else d[section]
+        node[key] = bad
+
+    with pytest.raises(ConfigError) as info:
+        load_detector_config(rewrite(tmp_path, mutate))
+    assert str(info.value) == message
+
+
+def test_spectrum_columns_are_the_amplitude_keys():
+    assert io.SPECTRUM_COLUMNS == {
+        "strain": "asd_strain_per_sqrt_hz",
+        "force": "asd_force_n_per_sqrt_hz",
+        "acceleration": "asd_acceleration_m_s2_per_sqrt_hz",
+        "displacement": "asd_displacement_m_per_sqrt_hz",
+    }
 
 
 def test_density_mass_inconsistency_rejected(tmp_path):
@@ -277,16 +342,19 @@ def test_write_curve_deterministic(tmp_path):
 
 
 def test_curve_round_trip_full_precision(tmp_path):
+    # shortest round-trip decimals: float() recovers every written double
     path = tmp_path / "curve.csv"
     curve = sample_curve()
     write_exclusion_csv(curve, path)
-    back = read_exclusion_csv(path)
-    assert np.array_equal(back.r_c_grid, curve.r_c_grid)
-    assert np.array_equal(back.lambda_max, curve.lambda_max)
-    assert back.detector_id == curve.detector_id
-    assert back.noise_name == curve.noise_name
-    assert back.provenance == curve.provenance
-    assert back.bar_variant == curve.bar_variant
+    lines = path.read_text().splitlines()
+    meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+    assert meta["detector"] == curve.detector_id
+    assert meta["noise"] == f"{curve.noise_name} ({curve.provenance})"
+    assert meta["bar_variant"] == curve.bar_variant
+    rows = [[float(x) for x in line.split(",")] for line in lines[lines.index("r_c_m,lambda_max_per_s") + 1 :]]
+    back = np.array(rows)
+    assert np.array_equal(back[:, 0], curve.r_c_grid)
+    assert np.array_equal(back[:, 1], curve.lambda_max)
 
 
 def test_empty_curve_unconstructible():
