@@ -64,7 +64,6 @@ from .io import (
     load_spectrum_csv,
     write_exclusion_csv,
 )
-from .kspace import QuadratureResult, force_psd_by_quadrature
 from .response import (
     FreeMass,
     ResonantBar,
@@ -99,3 +98,13 @@ __all__ = [
     "force_psd_from_strain_bar", "force_psd_from_strain_free_mass", "strain_psd", "strain_psd_bar",
     "specfun",
 ]
+
+
+def __getattr__(name):
+    # The quadrature oracle, with its rule table, loads on first use, so
+    # only `validate` pays for it at start-up (PEP 562).
+    if name in ("QuadratureResult", "force_psd_by_quadrature"):
+        from . import kspace
+
+        return getattr(kspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ from .exclusion import (
     optimal_frequency,
 )
 from .io import load_detector_config, load_spectrum_csv, write_exclusion_csv
-from .kspace import force_psd_by_quadrature
 from .response import acceleration_psd, displacement_psd_free_mass, strain_psd, strain_psd_bar
 
 VALIDATE_THRESHOLD = 1e-3
@@ -151,6 +150,8 @@ def cmd_ellis(args) -> int:
 
 def _quadrature(det, params: CslParams) -> float:
     """Oracle force PSD at one r_c; a zero (an underflow at tiny r_c) cannot be compared."""
+    from .kspace import force_psd_by_quadrature  # only validate needs the oracle
+
     quad = force_psd_by_quadrature(params, det.geometry, det.arrangement).value
     if quad == 0.0:
         raise QuadratureError(

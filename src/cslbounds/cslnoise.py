@@ -76,6 +76,8 @@ def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: f
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    if not (math.isfinite(volume) and volume > 0.0):
+        raise ValueError(f"volume must be finite and > 0, got {volume!r} m^3")
     if density is not None:
         if not (math.isfinite(density) and density > 0.0):
             raise ValueError(f"density must be finite and > 0, got {density!r}")
@@ -101,7 +103,7 @@ class Cylinder:
 
     @property
     def volume(self) -> float:
-        return math.pi * self.radius**2 * self.length
+        return math.pi * self.radius * self.radius * self.length
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class Cube:
 
     @property
     def volume(self) -> float:
-        return self.side**3
+        return self.side * self.side * self.side
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ class HalfCylinderBar:
 
     @property
     def volume(self) -> float:
-        return math.pi * self.radius**2 * self.length
+        return math.pi * self.radius * self.radius * self.length
 
 
 MassGeometry = Union[Cylinder, Cube, HalfCylinderBar]

@@ -13,22 +13,32 @@ geometry makes the integral separate into one-dimensional factors:
   radial  int k_rho [2 J1(k_rho R)/(k_rho R)]^2 e^{-rc^2 k_rho^2} dk_rho
   slab    int sinc^2(k L/2) e^{-rc^2 k^2} dk          (cube, twice)
 
-Each factor is integrated by composite Gauss-Legendre panels that
-double until the nested error estimate converges.  Two measures keep
+Each factor is integrated on equal panels by the 31-point Gauss-Kronrod
+rule, in one pass per panel count.  The embedded 15-point Gauss rule on
+the same nodes gives the error estimate (the rule pair of QUADPACK,
+Piessens et al. 1983; the Kronrod nodes are computed at import by
+Laurie's algorithm, Math. Comp. 66, 1997).  The panel count doubles only
+when that estimate misses its target.  The radial and slab integrals
+stop at 1e-2 of the caller's rel_tol; the axial cosine modes stop at
+1e-13 of the zero mode, because their sum cancels at large rc.  Every
+estimate is at least 100 ulp of the integral of |f|.  Two measures keep
 the oscillatory integrands tractable over the full parameter range:
 
 * The axial trig product is expanded into pure cosine modes
-  (frequencies 0, l, a, a+l, |a-l|).  A mode whose frequency exceeds
-  60 rc is dropped: its value is Gaussian-suppressed below e^-900 of
-  the zero mode, far under any reachable tolerance.  Every retained
-  mode spans at most ~600 oscillation periods, which panel doubling
-  resolves cheaply.
+  (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k so that the
+  limits stay finite at any rc.  A mode whose frequency exceeds 60 rc
+  is dropped: its value is Gaussian-suppressed below e^-900 of the zero
+  mode, far under any reachable tolerance.  Every retained mode spans
+  at most ~600 oscillation periods.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
   resolved literally out to a fixed phase (6000 rad) and the remainder
   is integrated with the oscillation averaged out; the neglected
   ripple is bounded by integration by parts and charged to the
   reported error.
+
+The reported relative error is the sum of the quadrature estimates and
+these tail bounds.
 """
 
 from __future__ import annotations
@@ -43,14 +53,21 @@ from .cslnoise import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangemen
 from .errors import QuadratureError
 from .specfun import _j1_array, _sinc2_array
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-
+# Gauss points n of the (2n+1)-point Gauss-Kronrod pair.
+_GAUSS_POINTS = 15
+# Oscillation phase one first-pass panel spans: about the widest at which
+# the embedded 15-point Gauss rule meets its target in one pass.  The
+# cosine modes' target is the tighter, so their panels span less.
+_MODE_PANEL_PHASE = 4.0 * math.pi
+_PANEL_PHASE = 8.0 * math.pi
 # Gaussian factor e^{-rc^2 k^2} is below 1e-1565 past this many widths.
 _K_CUTOFF = 60.0
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
+# The radial and slab integrals stop at this fraction of the caller's rel_tol.
+_SUB_TOL = 1e-2
 
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_BUDGET = 2**24
@@ -77,57 +94,120 @@ class _Budget:
         return True
 
 
-def _panel_sum(f, lo: float, hi: float, panels: int):
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    x = (centers[:, None] + half * _NODES[None, :]).ravel()
-    w = np.broadcast_to(half * _WEIGHTS[None, :], (panels, 16)).ravel()
-    fx = f(x)
-    return float(np.dot(w, fx)), float(np.dot(np.abs(w), np.abs(fx)))
+def _interpolatory_weights(nodes):
+    """Weights on [-1, 1] that integrate every polynomial of degree below len(nodes) exactly."""
+    m = nodes.size
+    legendre = np.empty((m, m))
+    legendre[0] = 1.0
+    legendre[1] = nodes
+    for k in range(1, m - 1):
+        legendre[k + 1] = ((2 * k + 1) * nodes * legendre[k] - k * legendre[k - 1]) / (k + 1)
+    moments = np.zeros(m)
+    moments[0] = 2.0
+    return np.linalg.solve(legendre, moments)
 
 
-def _adaptive(f, lo, hi, panels0, tol_abs, budget, what):
-    """Panel-doubling quadrature; error estimate is the last refinement step."""
+def _gauss_kronrod(n):
+    """(2n+1)-point Gauss-Kronrod rule on [-1, 1]: nodes, Kronrod weights, Kronrod minus Gauss weights.
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre
+    recurrence to the Jacobi-Kronrod matrix, whose eigenvalues are the
+    Kronrod nodes; the n Gauss nodes are every second node.
+    """
+    i = np.arange(1, 2 * n + 1, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.concatenate(([2.0], i * i / (4.0 * i * i - 1.0)))  # Legendre
+    # only the first ceil(3n/2) + 1 coefficients enter; the rest are computed
+    b[(3 * n + 1) // 2 + 1 :] = 0.0
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u -= (a[k + n + 1] - a[l]) * t[j + 1] + b[k + n + 1] * s[j + 1] - b[l] * s[j + 2]
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    kronrod = _interpolatory_weights(nodes)
+    gauss = np.zeros_like(kronrod)
+    gauss[1::2] = _interpolatory_weights(nodes[1::2])
+    return nodes, kronrod, kronrod - gauss
+
+
+_NODES, _WEIGHTS, _WEIGHTS_DIFF = _gauss_kronrod(_GAUSS_POINTS)
+
+
+def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what):
+    """Composite Gauss-Kronrod quadrature of f over [lo, hi]: (value, error).
+
+    One pass evaluates the Kronrod rule on equal panels.  Its error
+    estimate is the sum over panels of |Kronrod - embedded Gauss|, and
+    never less than 100 ulp of the integral of |f|.  The pass is accepted
+    when that estimate is at most the largest of tol_abs, tol_rel times
+    the integral of |f| and that floor; only otherwise does the panel
+    count double.
+    """
     panels = max(4, int(panels0))
-    if not budget.charge(16 * panels):
-        raise QuadratureError(f"evaluation budget exhausted before {what} could start", None, budget.used)
-    value, _ = _panel_sum(f, lo, hi, panels)
-    last_err = None
+    err = value = None
     while True:
-        panels *= 2
-        if not budget.charge(16 * panels):
-            achieved = None if last_err is None or value == 0.0 else last_err / abs(value)
+        if not budget.charge(panels * _NODES.size):
+            achieved = None if err is None or value == 0.0 else err / abs(value)
             raise QuadratureError(
-                f"evaluation budget exhausted while refining {what}",
+                f"evaluation budget exhausted while integrating {what}",
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )
-        new, magnitude = _panel_sum(f, lo, hi, panels)
-        err = abs(new - value)
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * float(edges[1] - edges[0])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        fx = f((centers[:, None] + half * _NODES[None, :]).ravel()).reshape(panels, _NODES.size)
+        value = half * float(fx.sum(axis=0) @ _WEIGHTS)
+        magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
         floor = 100.0 * np.finfo(float).eps * magnitude
-        value = new
-        last_err = err
-        if err <= max(tol_abs, floor):
-            return value, max(err, floor)
+        err = max(half * float(np.abs(fx @ _WEIGHTS_DIFF).sum()), floor)
+        if err <= max(tol_abs, tol_rel * magnitude, floor):
+            return value, err
+        panels *= 2
 
 
-def _cos_gauss_moment(freq, rc, tol_abs, budget):
-    """int_0^{60/rc} cos(freq k) e^{-rc^2 k^2} dk by panel doubling."""
-    kcap = _K_CUTOFF / rc
-    panels0 = max(8, int(freq * kcap / (4.0 * math.pi)) + 1)
+def _cos_gauss_moment(ratio, tol_abs, budget):
+    """int_0^60 cos(ratio u) e^{-u^2} du.
 
-    def f(k):
-        return np.cos(freq * k) * np.exp(-((rc * k) ** 2))
+    This is rc * int_0^{60/rc} cos(b k) e^{-(rc k)^2} dk at ratio = b/rc;
+    the scaled variable u = rc k keeps the limits finite at any rc.
+    """
+    panels0 = max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
 
-    return _adaptive(f, 0.0, kcap, panels0, tol_abs, budget, f"cosine mode at {freq:g} rad/m")
+    def f(u):
+        return np.cos(ratio * u) * np.exp(-u * u)
+
+    return _adaptive(f, 0.0, _K_CUTOFF, panels0, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
 
 
 def _axial_mode_sum(separation, length, rc, budget):
-    """sum_b c_b M(b) for (1 - cos(length k))(1 - cos(separation k)).
+    """rc * sum_b c_b M(b) for (1 - cos(length k))(1 - cos(separation k)).
 
-    Returns (value, abs_error); exact zero coefficients (separation = 0)
-    yield an exact zero without integrating.
+    M(b) = int_0^{60/rc} cos(b k) e^{-(rc k)^2} dk.  Returns (value,
+    abs_error); exact zero coefficients (separation = 0) yield an exact
+    zero without integrating.
     """
     coef: dict[float, float] = {}
     for b, c in (
@@ -142,7 +222,7 @@ def _axial_mode_sum(separation, length, rc, budget):
     if not live:
         return 0.0, 0.0
     # the zero mode never cancels away when any mode survives
-    m0, e0 = _cos_gauss_moment(0.0, rc, 0.0, budget)
+    m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
     tol_abs = 1e-13 * abs(m0)
     total = live[0.0] * m0
     err = abs(live[0.0]) * e0
@@ -150,29 +230,31 @@ def _axial_mode_sum(separation, length, rc, budget):
         c = live[b]
         if b == 0.0:
             continue
-        if b >= _K_CUTOFF * rc:
+        ratio = b / rc
+        if ratio >= _K_CUTOFF:
             # Gaussian-suppressed mode: |M(b)| <= M(0) e^{-(b/2rc)^2} <= M(0) e^-900;
             # e^-900 underflows, so the mode is charged the larger M(0) e^-700
             err += abs(c) * abs(m0) * math.exp(-700.0)
             continue
-        v, e = _cos_gauss_moment(b, rc, tol_abs, budget)
+        v, e = _cos_gauss_moment(ratio, tol_abs, budget)
         total += c * v
         err += abs(c) * e
     return total, err
 
 
-def _inverse_square_gauss_tail(z_lo, z_hi, s, budget, what):
-    """int_{z_lo}^{z_hi} e^{-(s z)^2} / z^2 dz, integrated in log space."""
+def _inverse_square_gauss_tail(v_lo, s, budget, what):
+    """int_{v_lo/s}^{60/s} e^{-(s z)^2} / z^2 dz, as s int_{v_lo}^{60} e^{-v^2} / v^2 dv in log v."""
+
     def f(t):
-        z = np.exp(t)
-        return np.exp(-((s * z) ** 2)) / z
+        v = np.exp(t)
+        return np.exp(-v * v) / v
 
-    lo, hi = math.log(z_lo), math.log(z_hi)
-    scale = math.exp(-((s * z_lo) ** 2)) / z_lo
-    return _adaptive(f, lo, hi, 32, 1e-12 * scale, budget, what)
+    scale = math.exp(-v_lo * v_lo) / v_lo
+    value, err = _adaptive(f, math.log(v_lo), math.log(_K_CUTOFF), 32, 1e-12 * scale, 0.0, budget, what)
+    return s * value, s * err
 
 
-def _disc_radial_integral(radius, rc, budget):
+def _disc_radial_integral(radius, rc, rel_tol, budget):
     """Phi = int_0^{zcap} J1(z)^2 e^{-(s z)^2} dz / z with s = rc/radius.
 
     The full radial factor is (8 pi / radius^2) * Phi.
@@ -180,16 +262,16 @@ def _disc_radial_integral(radius, rc, budget):
     s = rc / radius
     zcap = _K_CUTOFF / s
     zres = min(zcap, _RESOLVED_PHASE)
-    panels0 = max(8, int(2.0 * zres / math.pi) + 1)
+    panels0 = max(8, int(2.0 * zres / _PANEL_PHASE) + 1)
 
     def f(z):
         j = _j1_array(z)
         return j * j * np.exp(-((s * z) ** 2)) / z
 
-    value, err = _adaptive(f, 0.0, zres, panels0, 0.0, budget, "radial form-factor integral")
+    value, err = _adaptive(f, 0.0, zres, panels0, 0.0, _SUB_TOL * rel_tol, budget, "radial form-factor integral")
     if zcap > zres:
         # averaged tail: J1(z)^2 ~ (1 - sin 2z)/(pi z) + eps(z)
-        tail, terr = _inverse_square_gauss_tail(zres, zcap, s, budget, "radial tail")
+        tail, terr = _inverse_square_gauss_tail(s * zres, s, budget, "radial tail")
         value += tail / math.pi
         err += terr / math.pi
         # dropped sin ripple (by parts) and the asymptotic remainder eps
@@ -198,20 +280,20 @@ def _disc_radial_integral(radius, rc, budget):
     return value, err
 
 
-def _slab_integral(side, rc, budget):
+def _slab_integral(side, rc, rel_tol, budget):
     """T_half = int_0^{kcap} sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2."""
     s = 2.0 * rc / side
-    ucap = _K_CUTOFF / rc * (side / 2.0)
+    ucap = _K_CUTOFF / s
     ures = min(ucap, _RESOLVED_PHASE)
-    panels0 = max(8, int(2.0 * ures / math.pi) + 1)
+    panels0 = max(8, int(2.0 * ures / _PANEL_PHASE) + 1)
 
     def f(u):
         return _sinc2_array(u) * np.exp(-((s * u) ** 2))
 
-    value, err = _adaptive(f, 0.0, ures, panels0, 0.0, budget, "slab form-factor integral")
+    value, err = _adaptive(f, 0.0, ures, panels0, 0.0, _SUB_TOL * rel_tol, budget, "slab form-factor integral")
     if ucap > ures:
         # sinc^2 u = (1 - cos 2u) / 2u^2; the cosine ripple is bounded by parts
-        tail, terr = _inverse_square_gauss_tail(ures, ucap, s, budget, "slab tail")
+        tail, terr = _inverse_square_gauss_tail(s * ures, s, budget, "slab tail")
         value += 0.5 * tail
         err += 0.5 * terr
         err += 0.5 * math.exp(-((s * ures) ** 2)) / ures**2
@@ -235,10 +317,13 @@ def force_psd_by_quadrature(
 
     Independent numerical route used to validate the closed forms; the
     reported relative error includes both quadrature estimates and the
-    certified bounds on every dropped oscillatory contribution.
+    certified bounds on every dropped oscillatory contribution.  The
+    radial and slab integrals are driven to 1e-2 rel_tol, the axial
+    cosine modes to 1e-13 of the zero mode.
 
     Raises QuadratureError if the evaluation budget is exhausted before
-    the internal convergence targets are met.
+    those targets are met, or if the reported relative error exceeds
+    rel_tol.
     """
     lam = params.collapse_rate
     rc = params.correlation_length
@@ -259,7 +344,7 @@ def force_psd_by_quadrature(
             axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
             if axial == 0.0:
                 return QuadratureResult(0.0, 0.0, budget.used)
-            radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
+            radial, radial_err = _disc_radial_integral(geometry.radius, rc, rel_tol, budget)
             perp_full = 2.0 * math.pi * (4.0 / geometry.radius**2) * radial
             rel_err = _rel(axial_err, axial) + _rel(radial_err, radial)
         elif isinstance(geometry, Cube):
@@ -269,7 +354,7 @@ def force_psd_by_quadrature(
             axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
             if axial == 0.0:
                 return QuadratureResult(0.0, 0.0, budget.used)
-            t_half, t_err = _slab_integral(ell, rc, budget)
+            t_half, t_err = _slab_integral(ell, rc, rel_tol, budget)
             perp_full = (2.0 * t_half) ** 2
             rel_err = _rel(axial_err, axial) + 2.0 * _rel(t_err, t_half)
         else:
@@ -277,9 +362,12 @@ def force_psd_by_quadrature(
     except QuadratureError as exc:
         raise QuadratureError(str(exc), achieved_rel_error=exc.achieved_rel_error, evaluations=budget.used) from None
 
+    # S_FF = q^2 B with q = hbar N rc (N nucleons) and B the rest; axial
+    # carries the third power of rc.  q underflows only below rc ~ 1e-300 m,
+    # and q * (q * B) underflows only where S_FF itself does.
+    q = HBAR * (geometry.mass / M_NUCLEON) * rc
     axial_full = 2.0 * (2.0 / ell**2) * axial
-    prefactor = HBAR**2 * lam * rc**3 / (2.0 * math.pi**1.5 * M_NUCLEON**2) * geometry.mass**2
-    value = prefactor * axial_full * perp_full * arrangement.arm_count
+    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
     if not math.isfinite(rel_err) or rel_err > rel_tol:
         raise QuadratureError(
             f"quadrature reached relative error {rel_err:.3e}, above the target {rel_tol:.3e}",

@@ -291,13 +291,56 @@ def test_non_strain_interferometer_readout_exit_2(tmp_path, capsys, command, rea
     assert err.startswith("error: readout.arm_length_m: ")
 
 
-@pytest.mark.parametrize("config, rc_min", [("ligo", "1e-100"), ("auriga", "1e-200")])
+@pytest.mark.parametrize("config, rc_min", [("ligo", "1e-170"), ("auriga", "1e-200")])
 def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
-    # the oracle underflows to 0 below rc ~ 1e-86 m (and its dropped axial
-    # modes once overflowed below ~1e-154 m); no relative difference exists
+    # the force PSD, ~rc^2, itself underflows to 0 below rc ~ 2e-159 m for
+    # ligo; no relative difference exists
     code, _, err = run(capsys, "validate", "--config", config, "--rc-min", rc_min, "--rc-max", "1e-90", "--points", "2")
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("error: quadrature force PSD is 0 at r_c = ")
+
+
+def test_validate_compares_below_the_old_prefactor_underflow(capsys):
+    # hbar^2 rc^3 alone underflows below rc ~ 1e-86 m; the PSD does not
+    code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e-100", "--rc-max", "1e-90", "--points", "2")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("max_rel_diff = ")
+
+
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
+def test_validate_at_the_smallest_rc_never_prints_nan(capsys, config):
+    # 60/rc overflows on [tiny, ~1e-305]; it once gave NaN, a QuadratureError
+    # or "cannot convert float NaN to integer"
+    for rc in [2.3e-308, 6e-307, 3.1e-306, *np.geomspace(2.3e-308, 1e-300, 5)[1:]]:
+        code, out, err = run(capsys, "validate", "--config", config, "--rc-min", repr(float(rc)), "--rc-max", "1e-299", "--points", "2")
+        assert "nan" not in (out + err).lower(), rc
+        assert code == 0 or (code == 3 and len(err.splitlines()) == 1 and err.startswith("error: ")), (rc, err)
+
+
+@pytest.mark.parametrize("config, key", [("ligo", "radius_m"), ("lisa_pathfinder", "side_m"), ("auriga", "radius_m")])
+def test_overflowing_volume_exit_2(tmp_path, capsys, config, key):
+    doc = json.loads(bundled_config_path(config).read_text())
+    doc["geometry"][key] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1e-7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: geometry: volume must be finite")
+
+
+def test_only_validate_imports_the_oracle():
+    src = str(Path(cslbounds.__file__).parents[1])
+    script = (
+        "import sys\n"
+        "from cslbounds.cli import main\n"
+        "assert main(['bound', '--config', 'ligo', '--rc', '1e-7']) == 0\n"
+        "assert 'cslbounds.kspace' not in sys.modules\n"
+        "from cslbounds import force_psd_by_quadrature\n"
+        "assert force_psd_by_quadrature.__module__ == 'cslbounds.kspace'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oscillator_response_exit_2(tmp_path, capsys):

@@ -11,6 +11,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cslbounds import (
     HBAR,
@@ -24,8 +26,10 @@ from cslbounds import (
     cube_pair_force_psd,
     force_psd_by_quadrature,
     forced_separation,
+    load_detector_config,
 )
 from cslbounds import kspace
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH
 from cslbounds.specfun import _j1_array, _sinc2_array
 
 LISA_GEOM = Cube(side=0.046, mass=1.928)
@@ -80,10 +84,12 @@ def test_quadrature_matches_literal_integration_cylinder():
 
 
 def test_cos_gauss_moment_against_analytic_and_mpmath():
-    # ~48 oscillation periods inside the Gaussian window, value well alive
+    # ~48 oscillation periods inside the Gaussian window, value well alive;
+    # the moment is integrated in u = rc k, so it comes back times rc
     rc, freq = 0.02, 0.1
     budget = kspace._Budget(2**24)
-    value, err = kspace._cos_gauss_moment(freq, rc, 0.0, budget)
+    scaled, scaled_err = kspace._cos_gauss_moment(freq / rc, 0.0, budget)
+    value, err = scaled / rc, scaled_err / rc
     analytic = 0.5 * math.sqrt(math.pi) / rc * math.exp(-((freq / (2.0 * rc)) ** 2))
     assert value == pytest.approx(analytic, rel=1e-12, abs=0.0)
     mp.mp.dps = 30
@@ -187,3 +193,59 @@ def test_reported_error_is_honest_for_cancelling_modes():
     closed = cube_pair_force_psd(params, LISA_GEOM, 0.376)
     assert result.value == pytest.approx(closed, rel=1e-5)
     assert abs(result.value - closed) / closed <= max(result.rel_error, 1e-10) * 50
+
+
+def test_gauss_kronrod_rule():
+    # the n Gauss-Legendre nodes plus n + 1 more, exact through degree 3n + 1:
+    # these properties define the Kronrod extension uniquely
+    n = kspace._GAUSS_POINTS
+    nodes, kronrod = kspace._NODES, kspace._WEIGHTS
+    gauss = kronrod - kspace._WEIGHTS_DIFF
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.size == 2 * n + 1 and np.all(np.diff(nodes) > 0.0) and np.all(kronrod > 0.0)
+    assert np.max(np.abs(nodes[1::2] - gauss_nodes)) <= 1e-15
+    assert np.max(np.abs(gauss[1::2] - gauss_weights)) <= 1e-14 and np.all(gauss[::2] == 0.0)
+    for degree in range(3 * n + 2):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert abs(float(np.dot(kronrod, nodes**degree)) - exact) <= 1e-14, degree
+
+
+@pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-7), ("auriga", 1e-3)])
+def test_quadrature_cost_is_one_pass_per_panel_count(config, rc):
+    # one accepted pass per integral costs 16 306 evaluations at each point;
+    # discarding each panel level and doubling cost 185 792 (lisa_pathfinder)
+    # and 430 272 (ligo, auriga)
+    det = load_detector_config(config)
+    result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    assert result.evaluations <= 25_000
+
+
+def radial_reference(s):
+    """int_0^inf J1(z)^2 e^{-(s z)^2} dz / z = (1 - e^{-x} (I0(x) + I1(x))) / 2, x = 1/2s^2."""
+    with mp.workdps(30):
+        x = 1 / (2 * mp.mpf(s) ** 2)
+        return 0.5 * (1 - mp.exp(-x) * (mp.besseli(0, x) + mp.besseli(1, x)))
+
+
+def slab_reference(s):
+    """int_0^inf sinc^2(u) e^{-(s u)^2} du = (pi/2) erf(1/s) - (sqrt(pi)/2) s (1 - e^{-1/s^2})."""
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        return mp.pi / 2 * mp.erf(1 / s) - mp.sqrt(mp.pi) / 2 * s * (1 - mp.exp(-1 / s**2))
+
+
+@given(st.floats(min_value=-12.0, max_value=4.0))
+@example(math.log10(MIN_CORRELATION_LENGTH / 0.3))
+def test_radial_integral_error_is_certified(log_s):
+    s = 10.0**log_s
+    value, err = kspace._disc_radial_integral(1.0, s, kspace.DEFAULT_REL_TOL, kspace._Budget(kspace.DEFAULT_BUDGET))
+    assert abs(value - float(radial_reference(s))) <= err
+
+
+@given(st.floats(min_value=-12.0, max_value=4.0))
+@example(math.log10(MIN_CORRELATION_LENGTH / 0.046))
+def test_slab_integral_error_is_certified(log_ratio):
+    # side = 1 m, rc = 10^log_ratio: the integral is in u = k side/2, at s = 2 rc/side
+    rc = 10.0**log_ratio
+    value, err = kspace._slab_integral(1.0, rc, kspace.DEFAULT_REL_TOL, kspace._Budget(kspace.DEFAULT_BUDGET))
+    assert abs(value - 2.0 * float(slab_reference(2.0 * rc))) <= err

@@ -20,8 +20,8 @@ mp.mp.dps = 50
 
 # Accuracy targets of the specfun module docstring.
 IE_REL_TOL = 1e-12  # i0e, i1e: relative, on [0, 1e8]
-J1_ABS_TOL_LOW = 1e-10  # _j1_array: absolute, on [0, 1e3]
-J1_ABS_TOL_HIGH = 1e-8  # _j1_array: absolute, on (1e3, 1e6]
+J1_ABS_TOL_LOW = 2e-15  # _j1_array: absolute, on [0, 1e3]
+J1_ABS_TOL_HIGH = 1e-13  # _j1_array: absolute, on (1e3, 1e6]
 # _sinc2_array: absolute.  Its series branch (x^2 < 1e-6) is (1 - x^2/6)^2,
 # which leaves out x^4/120 inside the square: up to 1.7e-14 near the switch.
 SINC2_ABS_TOL = 2e-14
@@ -170,7 +170,8 @@ def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
 
 
 def test_j1_contract_low_range():
-    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 1100)])
+    # dense across the branch switches at x = 4 and x = 30
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 1100), np.linspace(3.0, 40.0, 371)])
     ref = np.array([float(mp.besselj(1, mp.mpf(x))) for x in xs])
     assert np.max(np.abs(_j1_array(xs) - ref)) <= J1_ABS_TOL_LOW
 
