@@ -28,13 +28,9 @@ from .cslnoise import (
     pair_correlation_factor,
 )
 from .detector import (
-    Acceleration,
     DetectorModel,
-    Displacement,
-    Force,
     MeasuredNoise,
-    ReadoutKind,
-    Strain,
+    Readout,
     detector_archetype,
     forced_separation,
 )
@@ -52,6 +48,7 @@ from .exclusion import (
     ellis_eta,
     ellis_ratio,
     exclusion_curve,
+    force_per_native,
     lambda_max,
     measured_force_psd,
     model_force_psd,
@@ -69,14 +66,10 @@ from .response import (
     ResonantBar,
     ResponseModel,
     SpectrumSeries,
-    acceleration_psd,
-    displacement_psd_free_mass,
     equivalent_force_asd_free_mass,
     force_psd_from_acceleration,
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
-    strain_psd,
-    strain_psd_bar,
 )
 from . import specfun
 
@@ -85,17 +78,16 @@ __all__ = [
     "BAR_VARIANTS", "DEFAULT_BAR_VARIANT", "CslParams", "Cube", "Cylinder", "HalfCylinderBar",
     "MassArrangement", "MassGeometry", "axial_factor", "bar_force_psd", "cube_pair_force_psd",
     "cylinder_pair_force_psd", "force_noise_psd", "pair_correlation_factor",
-    "Acceleration", "DetectorModel", "Displacement", "Force", "MeasuredNoise", "ReadoutKind", "Strain",
-    "detector_archetype", "forced_separation",
+    "DetectorModel", "MeasuredNoise", "Readout", "detector_archetype", "forced_separation",
     "ConfigError", "ConventionError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
     "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
-    "exclusion_curve", "lambda_max", "measured_force_psd", "model_force_psd", "optimal_frequency",
+    "exclusion_curve", "force_per_native", "lambda_max", "measured_force_psd", "model_force_psd",
+    "optimal_frequency",
     "BUNDLED_CONFIGS", "bundled_config_path", "load_detector_config", "load_spectrum_csv",
     "write_exclusion_csv",
     "QuadratureResult", "force_psd_by_quadrature",
-    "FreeMass", "ResonantBar", "ResponseModel", "SpectrumSeries", "acceleration_psd",
-    "displacement_psd_free_mass", "equivalent_force_asd_free_mass", "force_psd_from_acceleration",
-    "force_psd_from_strain_bar", "force_psd_from_strain_free_mass", "strain_psd", "strain_psd_bar",
+    "FreeMass", "ResonantBar", "ResponseModel", "SpectrumSeries", "equivalent_force_asd_free_mass",
+    "force_psd_from_acceleration", "force_psd_from_strain_bar", "force_psd_from_strain_free_mass",
     "specfun",
 ]
 

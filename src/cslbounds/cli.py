@@ -15,17 +15,17 @@ import numpy as np
 
 from ._version import __version__
 from .cslnoise import BAR_VARIANTS, DEFAULT_BAR_VARIANT, CslParams
-from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype, strain_arm_length
+from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype
 from .errors import ConfigError, CslBoundsError, QuadratureError, UnboundedParameterError
 from .exclusion import (
     ellis_ratio,
     exclusion_curve,
+    force_per_native,
     lambda_max,
     model_force_psd,
     optimal_frequency,
 )
 from .io import load_detector_config, load_spectrum_csv, write_exclusion_csv
-from .response import acceleration_psd, displacement_psd_free_mass, strain_psd, strain_psd_bar
 
 VALIDATE_THRESHOLD = 1e-3
 # Largest --points accepted: the closed forms hold several float arrays of
@@ -58,29 +58,23 @@ def _grid(args) -> np.ndarray:
 
 
 def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
-    """Detector-native equivalent of a one-sided force PSD."""
+    """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native)."""
     archetype = detector_archetype(det)
-    mass = det.geometry.mass
     if archetype == ACCELEROMETER:
-        return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(acceleration_psd(s_ff_one_sided, mass))}"]
-    if archetype == BAR:
-        s_hh = strain_psd_bar(s_ff_one_sided, mass, det.response.omega0, det.response.length)
-        return [f"s_hh_one_sided_per_hz = {_fmt(s_hh)}"]
-    # free-mass interferometer: strain equivalent depends on frequency
-    arm_length = strain_arm_length(det)
-    if frequency_hz is None:
-        for entry in det.noise:
-            if entry.frequency_hz is not None:
-                frequency_hz = entry.frequency_hz
-                break
-    if frequency_hz is None:
-        raise ConfigError("strain equivalent needs --frequency-hz (config has no noise entry with a frequency)")
-    omega = 2.0 * math.pi * frequency_hz
-    s_hh = strain_psd(displacement_psd_free_mass(s_ff_one_sided, mass, omega), arm_length)
-    return [
-        f"frequency_hz = {_fmt(frequency_hz)}",
-        f"s_hh_one_sided_per_hz = {_fmt(s_hh)}",
-    ]
+        s_gg = s_ff_one_sided / force_per_native(det, "acceleration")
+        return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(s_gg)}"]
+    lines = []
+    source = "readout"
+    if archetype == INTERFEROMETER:  # the free-mass strain transfer depends on frequency
+        source = "--frequency-hz"
+        if frequency_hz is None:
+            entry = next((e for e in det.noise if e.frequency_hz is not None), None)
+            if entry is None:
+                raise ConfigError("strain equivalent needs --frequency-hz (config has no noise entry with a frequency)")
+            frequency_hz, source = entry.frequency_hz, f"noise entry {entry.name!r}"
+        lines.append(f"frequency_hz = {_fmt(frequency_hz)}")
+    s_hh = s_ff_one_sided / force_per_native(det, "strain", frequency_hz, source)
+    return lines + [f"s_hh_one_sided_per_hz = {_fmt(s_hh)}"]
 
 
 def cmd_noise(args) -> int:

@@ -7,13 +7,17 @@ readout, arm count and separation go with which geometry:
   interferometer   cylinder pair(s), free-mass response, strain/force/displacement readout
   accelerometer    cube pair, free-mass response, acceleration readout
   bar              half-cylinder bar, resonant-bar response, strain readout
+
+A Readout names its kind by the same words as a noise figure's quantity
+(constants.QUANTITIES); exclusion.force_per_native holds the one
+conversion from each archetype's native figure to a force PSD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .constants import QUANTITIES
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry
@@ -22,32 +26,26 @@ from .response import FreeMass, ResonantBar, ResponseModel
 
 
 @dataclass(frozen=True)
-class Strain:
-    """Strain readout; arm_length converts displacement to strain."""
+class Readout:
+    """What a detector reads out: one of constants.QUANTITIES.
 
+    Only a strain readout takes an arm_length, which converts an
+    interferometer's displacement to strain.
+    """
+
+    kind: str
     arm_length: Optional[float] = None
 
     def __post_init__(self):
-        if self.arm_length is not None and not (math.isfinite(self.arm_length) and self.arm_length > 0.0):
+        if self.kind not in QUANTITIES:
+            raise ValueError(f"unknown readout kind {self.kind!r}")
+        if self.arm_length is None:
+            return
+        if self.kind != "strain":
+            raise ValueError(f"arm_length applies only to a strain readout, not {self.kind}")
+        if not (math.isfinite(self.arm_length) and self.arm_length > 0.0):
             raise ValueError(f"arm_length must be finite and > 0, got {self.arm_length!r}")
 
-
-@dataclass(frozen=True)
-class Acceleration:
-    pass
-
-
-@dataclass(frozen=True)
-class Force:
-    pass
-
-
-@dataclass(frozen=True)
-class Displacement:
-    pass
-
-
-ReadoutKind = Union[Strain, Acceleration, Force, Displacement]
 
 INTERFEROMETER = "interferometer"
 ACCELEROMETER = "accelerometer"
@@ -90,7 +88,7 @@ class DetectorModel:
     geometry: MassGeometry
     arrangement: MassArrangement
     response: ResponseModel
-    readout: ReadoutKind
+    readout: Readout
     noise: Tuple[MeasuredNoise, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -117,7 +115,7 @@ class Archetype:
     members: str  # plural noun naming the archetype in diagnostics
     response: type
     response_kind: str  # the config spelling of the response
-    readouts: Tuple[type, ...]
+    readouts: Tuple[str, ...]  # the accepted Readout kinds
     arm_counts: Tuple[int, ...]
     strain_needs_arm_length: bool = False
     separation_divisor: Optional[int] = None  # forces separation = length / divisor
@@ -129,12 +127,12 @@ ARCHETYPES = {
         "cylinder-pair interferometers",
         FreeMass,
         "free_mass",
-        (Strain, Force, Displacement),
+        ("strain", "force", "displacement"),
         (1, 2),
         strain_needs_arm_length=True,
     ),
-    Cube: Archetype(ACCELEROMETER, "cube-pair accelerometers", FreeMass, "free_mass", (Acceleration,), (1,)),
-    HalfCylinderBar: Archetype(BAR, "bars", ResonantBar, "resonant_bar", (Strain,), (1,), separation_divisor=2),
+    Cube: Archetype(ACCELEROMETER, "cube-pair accelerometers", FreeMass, "free_mass", ("acceleration",), (1,)),
+    HalfCylinderBar: Archetype(BAR, "bars", ResonantBar, "resonant_bar", ("strain",), (1,), separation_divisor=2),
 }
 
 
@@ -160,10 +158,9 @@ def detector_archetype(det: DetectorModel) -> str:
     rule = _archetype_of(det.geometry)
     if not isinstance(det.response, rule.response):
         raise ConfigError(f"response: {rule.members} use the {rule.response_kind} response")
-    if not isinstance(det.readout, rule.readouts):
-        names = " or ".join(kind.__name__.lower() for kind in rule.readouts)
-        raise ConfigError(f"readout: {rule.members} read out {names}")
-    if rule.strain_needs_arm_length and isinstance(det.readout, Strain) and det.readout.arm_length is None:
+    if det.readout.kind not in rule.readouts:
+        raise ConfigError(f"readout: {rule.members} read out {' or '.join(rule.readouts)}")
+    if rule.strain_needs_arm_length and det.readout.kind == "strain" and det.readout.arm_length is None:
         raise ConfigError(f"readout.arm_length_m: required for a strain readout of {rule.members}")
     if det.arrangement.arm_count not in rule.arm_counts:
         allowed = " or ".join(str(n) for n in rule.arm_counts)
@@ -183,7 +180,6 @@ def strain_arm_length(det: DetectorModel) -> float:
     Raises ConfigError when the readout is not a strain readout, which
     the interferometer archetype allows (force, displacement).
     """
-    if not isinstance(det.readout, Strain):
-        kind = type(det.readout).__name__.lower()
-        raise ConfigError(f"readout.arm_length_m: strain conversion needs a strain readout, not {kind}")
+    if det.readout.kind != "strain":
+        raise ConfigError(f"readout.arm_length_m: strain conversion needs a strain readout, not {det.readout.kind}")
     return det.readout.arm_length

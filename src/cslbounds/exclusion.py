@@ -85,30 +85,56 @@ class EllisReport:
     ratio: float
 
 
-def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
-    """One-sided force PSD attributable to CSL for a measured noise entry.
+def force_per_native(
+    det: DetectorModel, quantity: str, frequency_hz: Optional[float] = None, source: str = "readout"
+) -> float:
+    """The transfer T = S_FF / S_native of one native quantity on this detector.
 
-    Converts the entry's native quantity through the response chain of
-    the detector's archetype and applies the entry's calibrated CSL
-    power fraction.  A quantity the archetype has no conversion for
-    (displacement, or strain on an accelerometer) raises ConfigError.
+    The one place that decides, by quantity and archetype, how a native
+    figure converts to a force PSD: T is the forward conversion of a
+    unit PSD, so S_FF = T S_native and S_native = S_FF / T.  Force and
+    acceleration convert on any archetype, strain on a bar or (at
+    frequency_hz, in the free-mass limit) on an interferometer.  Raises
+    ConfigError, prefixed by source, for a quantity the archetype cannot
+    convert and for a transfer that is not finite and > 0.
     """
     archetype = detector_archetype(det)
     mass = det.geometry.mass
-    if noise.quantity == "force":
-        s_ff = noise.psd
-    elif noise.quantity == "acceleration":
-        s_ff = force_psd_from_acceleration(noise.psd, mass)
-    elif noise.quantity == "strain" and archetype == BAR:
-        s_ff = force_psd_from_strain_bar(noise.psd, mass, det.response.omega0, det.response.length)
-    elif noise.quantity == "strain" and archetype == INTERFEROMETER:
-        if noise.frequency_hz is None:
-            raise ConfigError(f"noise entry {noise.name!r}: a strain figure needs frequency_hz in the free-mass limit")
-        omega = 2.0 * math.pi * noise.frequency_hz
-        s_ff = force_psd_from_strain_free_mass(noise.psd, mass, omega, strain_arm_length(det))
+    if quantity == "force":
+        transfer = 1.0
+    elif quantity == "acceleration":
+        transfer = force_psd_from_acceleration(1.0, mass)
+    elif quantity == "strain" and archetype == BAR:
+        transfer = force_psd_from_strain_bar(1.0, mass, det.response.omega0, det.response.length)
+    elif quantity == "strain" and archetype == INTERFEROMETER:
+        if frequency_hz is None:
+            raise ConfigError(f"{source}: a strain figure needs frequency_hz in the free-mass limit")
+        omega = 2.0 * math.pi * frequency_hz
+        if not (math.isfinite(omega) and omega > 0.0):
+            raise ConfigError(f"{source}: angular frequency 2 pi f must be finite and > 0, got f = {frequency_hz!r} Hz")
+        transfer = force_psd_from_strain_free_mass(1.0, mass, omega, strain_arm_length(det))
     else:
-        raise ConfigError(f"noise entry {noise.name!r}: {noise.quantity} input is not supported for {archetype}")
-    return noise.csl_fraction * s_ff
+        raise ConfigError(f"{source}: {quantity} input is not supported for {archetype}")
+    if not (math.isfinite(transfer) and transfer > 0.0):
+        raise ConfigError(f"{source}: {quantity}-to-force transfer must be finite and > 0, got {transfer!r}")
+    return transfer
+
+
+def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
+    """One-sided force PSD attributable to CSL for a measured noise entry.
+
+    Converts the entry's native quantity through force_per_native and
+    applies the entry's calibrated CSL power fraction.  A quantity the
+    archetype has no conversion for (displacement, or strain on an
+    accelerometer), or a force PSD that is not finite and > 0, raises
+    ConfigError naming the entry.
+    """
+    source = f"noise entry {noise.name!r}"
+    transfer = force_per_native(det, noise.quantity, noise.frequency_hz, source)
+    s_ff = noise.csl_fraction * (transfer * noise.psd)
+    if not (math.isfinite(s_ff) and s_ff > 0.0):
+        raise ConfigError(f"{source}: force PSD must be finite and > 0, got {s_ff!r}")
+    return s_ff
 
 
 def model_force_psd(det: DetectorModel, params: CslParams, bar_variant: Optional[str] = None) -> FloatOrArray:
@@ -126,15 +152,18 @@ def _lambda_max_grid(
 
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
-    twice the two-sided model.
+    twice the two-sided model.  UnboundedParameterError names the first
+    r_c where the model PSD vanishes or lambda_max overflows.
     """
     s_model = model_force_psd(det, CslParams(1.0, grid), bar_variant)
-    vanishing = np.flatnonzero(s_model == 0.0)
-    if vanishing.size:
-        raise UnboundedParameterError(
-            f"model force PSD vanishes for {det.name!r} at r_c = {grid[vanishing[0]]:g} m; no finite bound exists"
-        )
-    return measured_force_psd(det, noise) / (2.0 * s_model)
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = measured_force_psd(det, noise) / (2.0 * s_model)
+    unbounded = np.flatnonzero(~np.isfinite(lam))
+    if unbounded.size:
+        i = unbounded[0]
+        cause = "model force PSD vanishes" if s_model[i] == 0.0 else "lambda_max overflows"
+        raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
+    return lam
 
 
 def lambda_max(
@@ -203,6 +232,8 @@ def ellis_ratio(det: DetectorModel, noise: MeasuredNoise) -> EllisReport:
     """
     eta_model = ellis_eta(det.geometry.mass)
     eta_exp = measured_force_psd(det, noise) / HBAR**2
+    if not math.isfinite(eta_exp):
+        raise UnboundedParameterError(f"eta_exp overflows for {det.name!r}; no finite comparison exists")
     return EllisReport(eta_ellis=eta_model, eta_exp=eta_exp, ratio=eta_model / eta_exp)
 
 

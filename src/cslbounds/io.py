@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -17,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
+from .constants import QUANTITIES
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement
-from .detector import Acceleration, DetectorModel, Displacement, Force, MeasuredNoise, Strain, forced_separation
+from .detector import DetectorModel, MeasuredNoise, Readout, forced_separation
 from .errors import ConfigError
 from .exclusion import ExclusionCurve
 from .response import FreeMass, ResonantBar, SpectrumSeries
@@ -98,10 +100,8 @@ RESPONSES = {
     ),
 }
 READOUTS = {
-    "strain": (Strain, {}, {"arm_length_m": "arm_length"}),
-    "acceleration": (Acceleration, {}, {}),
-    "force": (Force, {}, {}),
-    "displacement": (Displacement, {}, {}),
+    kind: (partial(Readout, kind), {}, {"arm_length_m": "arm_length"} if kind == "strain" else {})
+    for kind in QUANTITIES
 }
 
 

@@ -1,13 +1,15 @@
-"""Detector response: maps white force PSDs to published observables.
+"""Detector response: maps published observables to equivalent force PSDs.
 
-Both directions of each archetype's conversion between a force PSD and
-its native figure: free-mass strain (through displacement) for
-interferometers, acceleration for accelerometer pairs and fundamental-
-mode strain for resonant bars.  Also the tabulated-spectrum transform
-used to locate the optimal bound frequency of a free-mass
-interferometer.  Every conversion is linear, so the scalar functions
-apply to one- and two-sided power densities alike; SpectrumSeries
-carries measured one-sided amplitude densities.
+Each archetype's conversion from its native figure to a force PSD:
+free-mass strain (through displacement) for interferometers,
+acceleration for accelerometer pairs and fundamental-mode strain for
+resonant bars.  Also the tabulated-spectrum transform used to locate
+the optimal bound frequency of a free-mass interferometer.  Every
+conversion is linear, so the scalar functions apply to one- and
+two-sided power densities alike, and exclusion.force_per_native
+evaluates them at a unit PSD to get the transfer S_FF / S_native that
+either direction uses.  SpectrumSeries carries measured one-sided
+amplitude densities.
 """
 
 from __future__ import annotations
@@ -44,40 +46,11 @@ class ResonantBar:
 ResponseModel = Union[FreeMass, ResonantBar]
 
 
-def displacement_psd_free_mass(s_ff: float, mass: float, omega: float) -> float:
-    """Relative displacement of a free-mass pair: S_xx = 4 S_FF / (m^2 omega^4)."""
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0 in the free-mass limit, got {omega!r}")
-    return 4.0 * s_ff / (mass * mass * omega**4)
-
-
-def strain_psd(s_xx: float, arm_length: float) -> float:
-    """Equivalent strain of a differential displacement: S_hh = S_xx / a^2."""
-    if not (math.isfinite(arm_length) and arm_length > 0.0):
-        raise ValueError(f"arm_length must be finite and > 0, got {arm_length!r}")
-    return s_xx / (arm_length * arm_length)
-
-
-def acceleration_psd(s_ff: float, mass: float) -> float:
-    """Relative acceleration of a free-falling pair: S_gg = (4/m^2) S_FF."""
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
-    return 4.0 * s_ff / (mass * mass)
-
-
 def force_psd_from_acceleration(s_gg: float, mass: float) -> float:
-    """Inverse of acceleration_psd: S_FF = (m^2/4) S_gg."""
+    """Force PSD of a free-falling pair from its relative acceleration: S_FF = (m^2/4) S_gg."""
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be finite and > 0, got {mass!r}")
     return 0.25 * mass * mass * s_gg
-
-
-def _bar_transfer(mass: float, omega0: float, bar_length: float) -> float:
-    # force per unit strain of a bar's fundamental mode, m omega0^2 L / pi^2
-    for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    return mass * omega0 * omega0 * bar_length / math.pi**2
 
 
 def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_length: float) -> float:
@@ -85,18 +58,19 @@ def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_lengt
 
     S_FF = (m omega0^2 L / pi^2)^2 S_hh for the fundamental mode.
     """
-    factor = _bar_transfer(mass, omega0, bar_length)
+    for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    factor = mass * omega0 * omega0 * bar_length / math.pi**2
     return factor * factor * s_hh
 
 
-def strain_psd_bar(s_ff: float, mass: float, omega0: float, bar_length: float) -> float:
-    """Inverse of force_psd_from_strain_bar: S_hh = S_FF / (m omega0^2 L / pi^2)^2."""
-    factor = _bar_transfer(mass, omega0, bar_length)
-    return s_ff / (factor * factor)
-
-
 def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_length: float) -> float:
-    """Inverse of the free-mass force -> strain chain: S_FF = (m omega^2 a / 2)^2 S_hh."""
+    """Force PSD of a free-mass pair from its strain: S_FF = (m omega^2 a / 2)^2 S_hh.
+
+    Each mass of the pair responds as 1/(m omega^2), so the relative
+    displacement is S_xx = 4 S_FF / (m^2 omega^4), and S_hh = S_xx / a^2.
+    """
     for name, v in (("mass", mass), ("omega", omega), ("arm_length", arm_length)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")

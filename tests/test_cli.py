@@ -1,6 +1,7 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cslbounds
-from cslbounds import bundled_config_path
+from cslbounds import bundled_config_path, cli, lambda_max, load_detector_config
 from cslbounds.cli import MAX_POINTS, main
 
 
@@ -32,15 +33,28 @@ def write_v_spectrum(tmp_path):
     return path
 
 
-def test_noise_closes_the_lisa_loop(capsys):
-    code, out, err = run(
-        capsys, "noise", "--config", "lisa_pathfinder", "--rc", "1e-7", "--lambda", "3e-8"
-    )
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
+def test_noise_closes_the_loop(capsys, monkeypatch, config):
+    # at lambda = lambda_max(r_c), noise prints the first entry's measured figure
+    # back: its native PSD times csl_fraction, or, for ligo's force entry, the
+    # force PSD and its strain 4 S / (m^2 omega^4 a^2)
+    monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))  # every digit
+    det = load_detector_config(config)
+    entry = det.noise_entry()
+    rate = lambda_max(det, entry, 1e-7)
+    code, out, err = run(capsys, "noise", "--config", config, "--rc", "1e-7", "--lambda", repr(rate))
     assert code == 0 and err == ""
-    lines = out.splitlines()
-    assert lines[0].startswith("s_ff_one_sided_n2_per_hz = ")
-    sgg = float(lines[1].split(" = ")[1])
-    assert sgg == pytest.approx(2.7e-29, rel=0.01)
+    values = {key: float(value) for key, value in (line.split(" = ") for line in out.splitlines())}
+    if config == "ligo":
+        m, a = det.geometry.mass, det.readout.arm_length
+        omega = 2.0 * math.pi * values["frequency_hz"]
+        s_ff = values["s_ff_one_sided_n2_per_hz"]
+        assert values["frequency_hz"] == entry.frequency_hz
+        assert s_ff == pytest.approx(entry.psd, rel=1e-12)
+        assert values["s_hh_one_sided_per_hz"] == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-12)
+    else:
+        key = "s_gg_one_sided_m2_s4_per_hz" if config == "lisa_pathfinder" else "s_hh_one_sided_per_hz"
+        assert values[key] == pytest.approx(entry.psd * entry.csl_fraction, rel=1e-12)
 
 
 def test_noise_zero_rate(capsys):
@@ -49,13 +63,19 @@ def test_noise_zero_rate(capsys):
     assert out.splitlines()[0].endswith("0.00000000e+00")
 
 
-@pytest.mark.parametrize("frequency", ["0", "-5"])
+@pytest.mark.parametrize("frequency", ["0", "-5", "nan", "inf", "1e308", "1e-300", "1e200"])
 def test_noise_nonpositive_frequency_exit_2(capsys, frequency):
+    # a frequency with no finite angular frequency > 0, or whose transfer
+    # (m omega^2 a / 2)^2 underflows or overflows, names --frequency-hz
     code, out, err = run(
         capsys, "noise", "--config", "ligo", "--rc", "1e-7", "--lambda", "1", f"--frequency-hz={frequency}"
     )
-    assert code == 2
-    assert "omega must be > 0" in err
+    message = {
+        "1e-300": "strain-to-force transfer must be finite and > 0, got 0.0",
+        "1e200": "strain-to-force transfer must be finite and > 0, got inf",
+    }.get(frequency, f"angular frequency 2 pi f must be finite and > 0, got f = {float(frequency)!r} Hz")
+    assert code == 2 and out == ""
+    assert err == f"error: --frequency-hz: {message}\n"
 
 
 def test_noise_bar_variants_differ(capsys):
@@ -289,6 +309,74 @@ def test_non_strain_interferometer_readout_exit_2(tmp_path, capsys, command, rea
     code, out, err = run(capsys, command, "--config", str(path), *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: readout.arm_length_m: ")
+
+
+def write_config(tmp_path, config, mutate):
+    doc = json.loads(bundled_config_path(config).read_text())
+    mutate(doc)
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def command_args(command, tmp_path):
+    return {"bound": ["--rc", "1e-7"], "ellis": [], "scan": ["--out", str(tmp_path / "c.csv")]}[command]
+
+
+@pytest.mark.parametrize("frequency, transfer", [(1e-300, "0.0"), (1e200, "inf")])
+@pytest.mark.parametrize("command", ["bound", "ellis", "scan"])
+def test_strain_entry_without_a_finite_transfer_exit_2(tmp_path, capsys, command, frequency, transfer):
+    # (m omega^2 a / 2)^2 underflows to 0 or overflows; it once gave a bound of 0 or inf
+    def mutate(doc):
+        doc["noise"][0] = {
+            "name": "strain_minimum", "kind": "strain", "asd_strain_per_sqrt_hz": 1e-23, "frequency_hz": frequency,
+            "provenance": "synthetic",
+        }
+
+    path = write_config(tmp_path, "ligo", mutate)
+    code, out, err = run(capsys, command, "--config", str(path), *command_args(command, tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: noise entry 'strain_minimum': strain-to-force transfer must be finite and > 0, got {transfer}\n"
+
+
+@pytest.mark.parametrize(
+    "config, key, value, csl_fraction, got",
+    [
+        ("lisa_pathfinder", "psd_acceleration_m2_s4_per_hz", 5e-324, 0.1, "0.0"),
+        ("auriga", "asd_strain_per_sqrt_hz", 1e150, 1.0, "inf"),
+    ],
+    ids=["underflow", "overflow"],
+)
+@pytest.mark.parametrize("command", ["bound", "ellis"])
+def test_measured_force_psd_out_of_range_exit_2(tmp_path, capsys, command, config, key, value, csl_fraction, got):
+    def mutate(doc):
+        entry = doc["noise"][0]
+        for old in [k for k in entry if k.startswith(("asd_", "psd_"))]:
+            del entry[old]
+        entry.update({key: value, "csl_fraction": csl_fraction})
+
+    path = write_config(tmp_path, config, mutate)
+    name = json.loads(path.read_text())["noise"][0]["name"]
+    code, out, err = run(capsys, command, "--config", str(path), *command_args(command, tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: noise entry {name!r}: force PSD must be finite and > 0, got {got}\n"
+
+
+OVERFLOW_MESSAGES = {
+    "bound": "lambda_max overflows for 'lisa_pathfinder' at r_c = 1e-07 m; no finite bound exists",
+    "scan": "lambda_max overflows for 'lisa_pathfinder' at r_c = 1e-09 m; no finite bound exists",
+    "ellis": "eta_exp overflows for 'lisa_pathfinder'; no finite comparison exists",
+}
+
+
+@pytest.mark.parametrize("command", list(OVERFLOW_MESSAGES))
+def test_overflowing_inversion_exit_3(tmp_path, command):
+    # a finite force PSD of ~1e308 N^2/Hz over a model PSD below 1 overflows
+    path = write_config(tmp_path, "lisa_pathfinder", lambda d: d["noise"][0].update(psd_acceleration_m2_s4_per_hz=1e308))
+    proc = run_process(command, "--config", str(path), *command_args(command, tmp_path))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: {OVERFLOW_MESSAGES[command]}\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("config, rc_min", [("ligo", "1e-170"), ("auriga", "1e-200")])

@@ -10,8 +10,8 @@ from cslbounds import (
     ConfigError,
     CslParams,
     MeasuredNoise,
-    acceleration_psd,
     bundled_config_path,
+    force_per_native,
     lambda_max,
     load_detector_config,
     load_spectrum_csv,
@@ -42,8 +42,9 @@ def test_to_one_sided_matches_published_acceleration_figure(lisa):
     rc = 1e-7
     lam = lambda_max(lisa, lisa.noise_entry("published_minimum"), rc)
     s_two_sided = float(model_force_psd(lisa, CslParams(lam, rc)))
-    assert acceleration_psd(s_two_sided, lisa.geometry.mass) == pytest.approx(1.35e-29, rel=1e-12)
-    assert acceleration_psd(2.0 * s_two_sided, lisa.geometry.mass) == pytest.approx(2.7e-29, rel=1e-12)
+    transfer = force_per_native(lisa, "acceleration")
+    assert s_two_sided / transfer == pytest.approx(1.35e-29, rel=1e-12)
+    assert 2.0 * s_two_sided / transfer == pytest.approx(2.7e-29, rel=1e-12)
 
 
 def test_asd_to_psd_force_example(ligo):

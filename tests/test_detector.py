@@ -6,18 +6,15 @@ import math
 import pytest
 
 from cslbounds import (
-    Acceleration,
     ConfigError,
     Cube,
     Cylinder,
     DetectorModel,
-    Displacement,
-    Force,
     FreeMass,
     HalfCylinderBar,
     MassArrangement,
+    Readout,
     ResonantBar,
-    Strain,
     detector_archetype,
 )
 
@@ -29,11 +26,11 @@ GEOMETRIES = {
 SEPARATIONS = {"cylinder": 4000.0, "cube": 0.376, "bar": 1.5}  # the bar's is its forced length/2
 RESPONSES = {"free_mass": FreeMass(), "resonant_bar": ResonantBar(omega0=2.0 * math.pi * 931.0, length=3.0)}
 READOUTS = {
-    "strain_with_arm": Strain(arm_length=4000.0),
-    "strain_without_arm": Strain(),
-    "acceleration": Acceleration(),
-    "force": Force(),
-    "displacement": Displacement(),
+    "strain_with_arm": Readout("strain", arm_length=4000.0),
+    "strain_without_arm": Readout("strain"),
+    "acceleration": Readout("acceleration"),
+    "force": Readout("force"),
+    "displacement": Readout("displacement"),
 }
 ARM_COUNTS = (1, 2)
 
@@ -70,3 +67,22 @@ def test_archetype_accept_reject_matrix(combo):
         with pytest.raises(ConfigError, match=r"^(response|readout|arrangement)"):
             build()
 
+
+
+@pytest.mark.parametrize(
+    "kind, arm_length, message",
+    [
+        ("entropy", None, "unknown readout kind 'entropy'"),
+        ("Strain", None, "unknown readout kind 'Strain'"),
+        ("acceleration", 4000.0, "arm_length applies only to a strain readout, not acceleration"),
+        ("force", 4000.0, "arm_length applies only to a strain readout, not force"),
+        ("displacement", 4000.0, "arm_length applies only to a strain readout, not displacement"),
+        ("strain", math.inf, "arm_length must be finite and > 0, got inf"),
+        ("strain", math.nan, "arm_length must be finite and > 0, got nan"),
+        ("strain", 0.0, "arm_length must be finite and > 0, got 0.0"),
+    ],
+)
+def test_readout_rejects_bad_kind_and_arm_length(kind, arm_length, message):
+    with pytest.raises(ValueError) as info:
+        Readout(kind, arm_length)
+    assert str(info.value) == message

@@ -21,13 +21,14 @@ from cslbounds import (
     FreeMass,
     MassArrangement,
     MeasuredNoise,
+    Readout,
     SpectrumSeries,
-    Strain,
     UnboundedParameterError,
     characteristic_dimension,
     ellis_eta,
     ellis_ratio,
     exclusion_curve,
+    force_per_native,
     lambda_max,
     load_detector_config,
     measured_force_psd,
@@ -46,7 +47,7 @@ def make_interferometer(mass=40.0, separation=4000.0, noise=()):
         geometry=Cylinder(radius=0.17, length=0.2, mass=mass),
         arrangement=MassArrangement(separation=separation, arm_count=2),
         response=FreeMass(),
-        readout=Strain(arm_length=separation if separation > 0 else 4000.0),
+        readout=Readout("strain", arm_length=separation if separation > 0 else 4000.0),
         noise=tuple(noise),
     )
 
@@ -77,6 +78,14 @@ def test_measured_force_psd_strain_interferometer(ligo):
     )
     s_ff = measured_force_psd(ligo, entry)
     assert math.sqrt(s_ff) == pytest.approx(95e-15, rel=0.01)
+
+
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
+def test_measured_force_psd_is_the_transfer_times_the_figure(config):
+    det = load_detector_config(config)
+    for entry in det.noise:
+        transfer = force_per_native(det, entry.quantity, entry.frequency_hz)
+        assert measured_force_psd(det, entry) == entry.csl_fraction * (transfer * entry.psd)
 
 
 def test_measured_force_psd_strain_needs_frequency(ligo):

@@ -10,46 +10,68 @@ from hypothesis import strategies as st
 from cslbounds import (
     ConfigError,
     ConventionError,
+    Cube,
+    Cylinder,
+    DetectorModel,
+    FreeMass,
+    MassArrangement,
+    Readout,
     SpectrumSeries,
-    acceleration_psd,
-    displacement_psd_free_mass,
     equivalent_force_asd_free_mass,
+    force_per_native,
     force_psd_from_acceleration,
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
-    strain_psd,
-    strain_psd_bar,
 )
 
 
+def free_mass_pair(mass=40.0, arm_length=4000.0):
+    return DetectorModel(
+        name="pair",
+        geometry=Cylinder(radius=0.17, length=0.2, mass=mass),
+        arrangement=MassArrangement(separation=4000.0, arm_count=2),
+        response=FreeMass(),
+        readout=Readout("strain", arm_length=arm_length),
+    )
+
+
 def test_displacement_psd_free_mass_limit():
-    # S_xx = 4 S_FF / (m^2 omega^4): each of the pair takes S_FF at 1/(m omega^2)
-    assert displacement_psd_free_mass(1.0, 2.0, 1e3) == pytest.approx(1e-12, rel=1e-15)
-    assert displacement_psd_free_mass(0.0, 2.0, 1e3) == 0.0
+    # S_xx = 4 S_FF / (m^2 omega^4): each of the pair takes S_FF at 1/(m omega^2);
+    # over a 1 m arm the strain is the displacement
+    transfer = force_per_native(free_mass_pair(mass=2.0, arm_length=1.0), "strain", 1e3 / (2.0 * math.pi))
+    assert 1.0 / transfer == pytest.approx(1e-12, rel=1e-14)
 
 
 def test_displacement_psd_rejects_negative_frequency():
-    for omega in (-1.0, 0.0):
-        with pytest.raises(ValueError):
-            displacement_psd_free_mass(1.0, 1.0, omega)
+    for frequency in (-1.0, 0.0):
+        with pytest.raises(ConfigError, match="angular frequency 2 pi f must be finite and > 0"):
+            force_per_native(free_mass_pair(), "strain", frequency)
 
 
 def test_strain_psd_examples():
-    assert strain_psd(16.0, 4.0) == 1.0
-    assert strain_psd(0.0, 4000.0) == 0.0
-    # displacement noise of 1.6e-39 m^2/Hz over a 4 km arm is 1e-46 /Hz strain
-    assert strain_psd(1.6e-39, 4000.0) == pytest.approx(1e-46, rel=1e-12)
+    # S_hh = S_xx / a^2, so the transfer grows as the arm length squared
+    unit, four, km4 = (force_per_native(free_mass_pair(arm_length=a), "strain", 32.5) for a in (1.0, 4.0, 4000.0))
+    assert four == 16.0 * unit
+    assert 1.0 / km4 == pytest.approx(1.0 / (unit * 4000.0**2), rel=1e-14)
 
 
 def test_strain_psd_rejects_nonpositive_arm():
-    with pytest.raises(ValueError):
-        strain_psd(1.0, 0.0)
+    for arm_length in (0.0, -4000.0):
+        with pytest.raises(ValueError, match="arm_length must be finite and > 0"):
+            Readout("strain", arm_length)
 
 
 def test_acceleration_psd_examples():
-    m = 6.0
-    assert acceleration_psd(m * m / 4.0, m) == 1.0
-    assert acceleration_psd(0.0, m) == 0.0
+    # S_gg = 4 S_FF / m^2: a unit acceleration PSD on a 6 kg pair is 9 N^2/Hz
+    det = DetectorModel(
+        name="pair",
+        geometry=Cube(side=0.046, mass=6.0),
+        arrangement=MassArrangement(separation=0.376),
+        response=FreeMass(),
+        readout=Readout("acceleration"),
+    )
+    assert force_per_native(det, "acceleration") == 9.0
+    assert force_per_native(det, "force") == 1.0
 
 
 def test_acceleration_inversion_published_figure():
@@ -58,17 +80,16 @@ def test_acceleration_inversion_published_figure():
     assert s_ff == pytest.approx(2.509e-29, rel=1e-3)
 
 
-def test_acceleration_round_trip_identity():
-    m = 1.928
+def test_acceleration_round_trip_identity(lisa):
     s_ff = 3.3e-30
-    assert force_psd_from_acceleration(acceleration_psd(s_ff, m), m) == pytest.approx(s_ff, rel=1e-15)
+    s_gg = s_ff / force_per_native(lisa, "acceleration")
+    assert force_psd_from_acceleration(s_gg, lisa.geometry.mass) == pytest.approx(s_ff, rel=1e-15)
 
 
 def test_acceleration_psd_rejects_nonpositive_mass():
-    with pytest.raises(ValueError):
-        acceleration_psd(1.0, 0.0)
-    with pytest.raises(ValueError):
-        force_psd_from_acceleration(1.0, -2.0)
+    for mass in (0.0, -2.0):
+        with pytest.raises(ValueError):
+            force_psd_from_acceleration(1.0, mass)
 
 
 def test_bar_strain_to_force_transfer():
@@ -93,26 +114,26 @@ def test_bar_strain_to_force_mass_quadratic():
 
 
 def test_bar_strain_to_force_domain_errors():
-    for convert in (force_psd_from_strain_bar, strain_psd_bar):
-        with pytest.raises(ValueError):
-            convert(1.0, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            convert(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        force_psd_from_strain_bar(1.0, -1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        force_psd_from_strain_bar(1.0, 1.0, 0.0, 1.0)
 
 
-def test_bar_strain_force_round_trip():
-    m, w0, L = 2300.0, 2.0 * math.pi * 931.0, 3.0
+def test_bar_strain_force_round_trip(auriga):
     s_hh = (1.6e-21) ** 2
-    assert strain_psd_bar(force_psd_from_strain_bar(s_hh, m, w0, L), m, w0, L) == pytest.approx(s_hh, rel=1e-15)
+    bar = auriga.response
+    s_ff = force_psd_from_strain_bar(s_hh, auriga.geometry.mass, bar.omega0, bar.length)
+    assert s_ff / force_per_native(auriga, "strain") == pytest.approx(s_hh, rel=1e-15)
 
 
-def test_free_mass_strain_force_round_trip():
-    # force -> displacement -> strain -> force recovers the input
+def test_free_mass_strain_force_round_trip(ligo):
+    # force -> strain -> force recovers the input; the strain is 4 S_FF / (m^2 omega^4 a^2)
     m, omega, a = 40.0, 2.0 * math.pi * 32.5, 4000.0
     s_ff = 9.025e-27
-    s_hh = strain_psd(displacement_psd_free_mass(s_ff, m, omega), a)
-    back = force_psd_from_strain_free_mass(s_hh, m, omega, a)
-    assert back == pytest.approx(s_ff, rel=1e-12)
+    s_hh = s_ff / force_per_native(ligo, "strain", 32.5)
+    assert s_hh == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-14)
+    assert force_psd_from_strain_free_mass(s_hh, m, omega, a) == pytest.approx(s_ff, rel=1e-12)
 
 
 # --- spectrum series -------------------------------------------------------------

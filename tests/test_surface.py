@@ -22,3 +22,14 @@ def test_acceptance_suite_imports_only_exported_names():
     }
     assert imported, "the acceptance suite imports nothing from cslbounds"
     assert sorted(imported - set(cslbounds.__all__)) == []
+
+
+def test_one_readout_type_and_no_inverse_conversions():
+    # the readout markers and the force -> native inverses folded into
+    # Readout and exclusion.force_per_native
+    gone = [
+        "Acceleration", "Displacement", "Force", "ReadoutKind", "Strain",
+        "acceleration_psd", "displacement_psd_free_mass", "strain_psd", "strain_psd_bar",
+    ]
+    assert {"Readout", "force_per_native"} <= set(cslbounds.__all__)
+    assert [name for name in gone if name in cslbounds.__all__ or hasattr(cslbounds, name)] == []
