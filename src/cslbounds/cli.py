@@ -57,6 +57,17 @@ def _grid(args) -> np.ndarray:
     return np.geomspace(args.rc_min, args.rc_max, args.points)
 
 
+def _load_config(args):
+    """The --config detector; a --variant or --frequency-hz its archetype has no use for is an input error."""
+    det = load_detector_config(args.config)
+    archetype = detector_archetype(det)
+    if getattr(args, "variant", None) is not None and archetype != BAR:
+        raise ConfigError(f"--variant: only bar configs have axial-factor variants, not {det.name!r} ({archetype})")
+    if getattr(args, "frequency_hz", None) is not None and archetype != INTERFEROMETER:
+        raise ConfigError(f"--frequency-hz: only interferometer configs take a frequency, not {det.name!r} ({archetype})")
+    return det
+
+
 def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
     """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native)."""
     archetype = detector_archetype(det)
@@ -78,7 +89,7 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
 
 
 def cmd_noise(args) -> int:
-    det = load_detector_config(args.config)
+    det = _load_config(args)
     params = CslParams(args.collapse_rate, args.rc)
     s_two_sided = model_force_psd(det, params, args.variant)
     s_one_sided = 2.0 * s_two_sided
@@ -90,7 +101,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    det = load_detector_config(args.config)
+    det = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     value = lambda_max(det, entry, args.rc, args.variant)
     print(f"lambda_max_per_s = {_fmt(value)}")
@@ -107,7 +118,7 @@ def _scan_and_report(det, entry, grid, variant, out_path) -> None:
 
 
 def cmd_scan(args) -> int:
-    det = load_detector_config(args.config)
+    det = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     _scan_and_report(det, entry, _grid(args), args.variant, args.out)
     return 0
@@ -142,19 +153,9 @@ def cmd_ellis(args) -> int:
     return 0
 
 
-def _quadrature(det, params: CslParams) -> float:
-    """Oracle force PSD at one r_c; a zero (an underflow at tiny r_c) cannot be compared."""
+def cmd_validate(args) -> int:
     from .kspace import force_psd_by_quadrature  # only validate needs the oracle
 
-    quad = force_psd_by_quadrature(params, det.geometry, det.arrangement).value
-    if quad == 0.0:
-        raise QuadratureError(
-            f"quadrature force PSD is 0 at r_c = {params.correlation_length:g} m; no relative difference exists"
-        )
-    return quad
-
-
-def cmd_validate(args) -> int:
     det = load_detector_config(args.config)
     is_bar = detector_archetype(det) == BAR
     if args.rc_min is None:
@@ -162,46 +163,39 @@ def cmd_validate(args) -> int:
     if args.rc_max is None:
         args.rc_max = 10.0 if is_bar else 1.0
     grid = _grid(args)
-    unit = 1.0
+    # the bar's two axial factors are arbitrated; any other closed form is checked alone
+    variants = BAR_VARIANTS if is_bar else (None,)
     if is_bar:
         print("r_c_m quadrature_n2_per_hz printed_rel_diff rederived_rel_diff")
-        worst = {v: 0.0 for v in BAR_VARIANTS}
-        for rc in grid:
-            params = CslParams(unit, float(rc))
-            quad = _quadrature(det, params)
-            diffs = {}
-            for variant in BAR_VARIANTS:
-                closed = model_force_psd(det, params, variant)
-                diffs[variant] = abs(closed - quad) / quad
-                worst[variant] = max(worst[variant], diffs[variant])
-            print(f"{_fmt(rc)} {_fmt(quad)} {_fmt(diffs['printed'])} {_fmt(diffs['rederived'])}")
-        endorsed = [v for v in BAR_VARIANTS if worst[v] <= VALIDATE_THRESHOLD]
-        if len(endorsed) != 1:
-            print("endorsed_variant = none")
-            print(
-                f"error: expected exactly one variant within {VALIDATE_THRESHOLD:g}, got {endorsed!r}",
-                file=sys.stderr,
-            )
-            return 3
-        other = next(v for v in BAR_VARIANTS if v != endorsed[0])
-        print(f"endorsed_variant = {endorsed[0]}")
-        print(f"endorsed_max_rel_diff = {_fmt(worst[endorsed[0]])}")
+    else:
+        print("r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff")
+    closed = [model_force_psd(det, CslParams(1.0, grid), v).tolist() for v in variants]
+    worst = dict.fromkeys(variants, 0.0)
+    for i, rc in enumerate(grid.tolist()):
+        quad = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement).value
+        if quad == 0.0:  # the PSD itself underflows at tiny r_c
+            raise QuadratureError(f"quadrature force PSD is 0 at r_c = {rc:g} m; no relative difference exists")
+        diffs = [abs(c[i] - quad) / quad for c in closed]
+        for v, diff in zip(variants, diffs):
+            worst[v] = max(worst[v], diff)
+        shown = [quad] if is_bar else [closed[0][i], quad]
+        print(" ".join(_fmt(x) for x in [rc, *shown, *diffs]))
+    within = [v for v in variants if worst[v] <= VALIDATE_THRESHOLD]
+    if not is_bar:
+        print(f"max_rel_diff = {_fmt(worst[None])}")
+        message = f"closed form deviates from quadrature by {worst[None]:.3e}"
+    elif len(within) == 1:
+        (other,) = set(variants) - set(within)
+        print(f"endorsed_variant = {within[0]}")
+        print(f"endorsed_max_rel_diff = {_fmt(worst[within[0]])}")
         print(f"{other}_max_rel_diff = {_fmt(worst[other])}")
+    else:
+        print("endorsed_variant = none")
+        message = f"expected exactly one variant within {VALIDATE_THRESHOLD:g}, got {within!r}"
+    if len(within) == 1:
         return 0
-    print("r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff")
-    worst_diff = 0.0
-    for rc in grid:
-        params = CslParams(unit, float(rc))
-        closed = model_force_psd(det, params)
-        quad = _quadrature(det, params)
-        diff = abs(closed - quad) / quad
-        worst_diff = max(worst_diff, diff)
-        print(f"{_fmt(rc)} {_fmt(closed)} {_fmt(quad)} {_fmt(diff)}")
-    print(f"max_rel_diff = {_fmt(worst_diff)}")
-    if worst_diff > VALIDATE_THRESHOLD:
-        print(f"error: closed form deviates from quadrature by {worst_diff:.3e}", file=sys.stderr)
-        return 3
-    return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,8 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--rc", type=float, required=True, help="correlation length, m")
     p.add_argument("--lambda", dest="collapse_rate", type=float, required=True, help="collapse rate, 1/s")
-    p.add_argument("--variant", choices=BAR_VARIANTS, default=None, help=f"bar axial factor (default {DEFAULT_BAR_VARIANT})")
-    p.add_argument("--frequency-hz", type=float, default=None, help="frequency for the strain equivalent (free-mass configs)")
+    p.add_argument(
+        "--variant", choices=BAR_VARIANTS, default=None, help=f"bar axial factor, bar configs only (default {DEFAULT_BAR_VARIANT})"
+    )
+    p.add_argument("--frequency-hz", type=float, default=None, help="frequency for the strain equivalent (interferometer configs only)")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("bound", help="lambda_max at one correlation length")

@@ -330,9 +330,10 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     m = geometry.mass
     radius, length = geometry.radius, geometry.length
     if variant == "printed":
-        with np.errstate(over="ignore", divide="ignore"):  # v = inf below rc ~ 1e-154 m is the right limit
+        # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
+        with np.errstate(over="ignore", divide="ignore"):
             v = length * length / (16.0 * rc * rc)
-        axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
+            axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
     else:
         axial = axial_factor(0.5 * length, 0.5 * length, rc)
     prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)

@@ -19,10 +19,11 @@ the same nodes gives the error estimate (the rule pair of QUADPACK,
 Piessens et al. 1983; the Kronrod nodes are computed at import by
 Laurie's algorithm, Math. Comp. 66, 1997).  The panel count doubles only
 when that estimate misses its target.  The radial and slab integrals
-stop at 1e-2 of the caller's rel_tol; the axial cosine modes stop at
-1e-13 of the zero mode, because their sum cancels at large rc.  Every
-estimate is at least 100 ulp of the integral of |f|.  Two measures keep
-the oscillatory integrands tractable over the full parameter range:
+stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine modes
+stop at 1e-13 of the zero mode, because their sum cancels at large rc.
+Every estimate is at least 100 ulp of the integral of |f|.  Two
+measures keep the oscillatory integrands tractable over the full
+parameter range:
 
 * The axial trig product is expanded into pure cosine modes
   (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k so that the
@@ -38,7 +39,8 @@ the oscillatory integrands tractable over the full parameter range:
   reported error.
 
 The reported relative error is the sum of the quadrature estimates and
-these tail bounds.
+these tail bounds.  It must stay within REL_TOL, and one result may
+spend at most BUDGET integrand evaluations; both are fixed constants.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ _K_CUTOFF = 60.0
 _RESOLVED_PHASE = 6000.0
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
-# The radial and slab integrals stop at this fraction of the caller's rel_tol.
+# The radial and slab integrals stop at this fraction of REL_TOL.
 _SUB_TOL = 1e-2
 
-DEFAULT_REL_TOL = 1e-6
-DEFAULT_BUDGET = 2**24
+# Relative-error target of every oracle result, and the integrand
+# evaluations one result may spend: fixed, read at call time.
+REL_TOL = 1e-6
+BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -254,49 +258,49 @@ def _inverse_square_gauss_tail(v_lo, s, budget, what):
     return s * value, s * err
 
 
-def _disc_radial_integral(radius, rc, rel_tol, budget):
-    """Phi = int_0^{zcap} J1(z)^2 e^{-(s z)^2} dz / z with s = rc/radius.
+def _resolved_with_tail(f, s, divisor, remainder, budget, what):
+    """(value, error) of int_0^{60/s} f, where f(z) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
 
-    The full radial factor is (8 pi / radius^2) * Phi.
+    f is resolved out to _RESOLVED_PHASE; past it only the averaged 1/z^2
+    tail is integrated.  The dropped ripple is bounded by parts, and
+    remainder / z^2 bounds the error of the asymptotic form itself.
     """
-    s = rc / radius
     zcap = _K_CUTOFF / s
     zres = min(zcap, _RESOLVED_PHASE)
     panels0 = max(8, int(2.0 * zres / _PANEL_PHASE) + 1)
+    value, err = _adaptive(f, 0.0, zres, panels0, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    if zcap > zres:
+        tail, terr = _inverse_square_gauss_tail(s * zres, s, budget, f"{what} tail")
+        value += tail / divisor
+        err += terr / divisor
+        err += math.exp(-((s * zres) ** 2)) / (divisor * zres**2)
+        err += remainder / zres**2
+    return value, err
+
+
+def _disc_radial_integral(radius, rc, budget):
+    """Phi = int_0^{zcap} J1(z)^2 e^{-(s z)^2} dz / z with s = rc/radius.
+
+    The full radial factor is (8 pi / radius^2) * Phi.  The tail uses
+    J1(z)^2 = (1 - sin 2z)/(pi z) + eps(z), |eps(z)| <= _J1SQ_TAIL_C / z^2.
+    """
+    s = rc / radius
 
     def f(z):
         j = _j1_array(z)
         return j * j * np.exp(-((s * z) ** 2)) / z
 
-    value, err = _adaptive(f, 0.0, zres, panels0, 0.0, _SUB_TOL * rel_tol, budget, "radial form-factor integral")
-    if zcap > zres:
-        # averaged tail: J1(z)^2 ~ (1 - sin 2z)/(pi z) + eps(z)
-        tail, terr = _inverse_square_gauss_tail(s * zres, s, budget, "radial tail")
-        value += tail / math.pi
-        err += terr / math.pi
-        # dropped sin ripple (by parts) and the asymptotic remainder eps
-        err += math.exp(-((s * zres) ** 2)) / (math.pi * zres**2)
-        err += 0.5 * _J1SQ_TAIL_C / zres**2
-    return value, err
+    return _resolved_with_tail(f, s, math.pi, 0.5 * _J1SQ_TAIL_C, budget, "radial")
 
 
-def _slab_integral(side, rc, rel_tol, budget):
-    """T_half = int_0^{kcap} sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2."""
+def _slab_integral(side, rc, budget):
+    """T_half = int_0^{kcap} sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2; sinc^2 u = (1 - cos 2u) / 2u^2."""
     s = 2.0 * rc / side
-    ucap = _K_CUTOFF / s
-    ures = min(ucap, _RESOLVED_PHASE)
-    panels0 = max(8, int(2.0 * ures / _PANEL_PHASE) + 1)
 
     def f(u):
         return _sinc2_array(u) * np.exp(-((s * u) ** 2))
 
-    value, err = _adaptive(f, 0.0, ures, panels0, 0.0, _SUB_TOL * rel_tol, budget, "slab form-factor integral")
-    if ucap > ures:
-        # sinc^2 u = (1 - cos 2u) / 2u^2; the cosine ripple is bounded by parts
-        tail, terr = _inverse_square_gauss_tail(s * ures, s, budget, "slab tail")
-        value += 0.5 * tail
-        err += 0.5 * terr
-        err += 0.5 * math.exp(-((s * ures) ** 2)) / ures**2
+    value, err = _resolved_with_tail(f, s, 2.0, 0.0, budget, "slab")
     return (2.0 / side) * value, (2.0 / side) * err
 
 
@@ -307,72 +311,68 @@ def _rel(err, value):
 
 
 def force_psd_by_quadrature(
-    params: CslParams,
-    geometry: MassGeometry,
-    arrangement: MassArrangement,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_evaluations: int = DEFAULT_BUDGET,
+    params: CslParams, geometry: MassGeometry, arrangement: MassArrangement
 ) -> QuadratureResult:
     """Two-sided CSL force PSD by direct k-space quadrature (N^2/Hz).
 
     Independent numerical route used to validate the closed forms; the
     reported relative error includes both quadrature estimates and the
     certified bounds on every dropped oscillatory contribution.  The
-    radial and slab integrals are driven to 1e-2 rel_tol, the axial
+    radial and slab integrals are driven to 1e-2 of REL_TOL, the axial
     cosine modes to 1e-13 of the zero mode.
 
-    Raises QuadratureError if the evaluation budget is exhausted before
+    Raises QuadratureError if BUDGET integrand evaluations run out before
     those targets are met, or if the reported relative error exceeds
-    rel_tol.
+    REL_TOL.
     """
     lam = params.collapse_rate
     rc = params.correlation_length
     if lam == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-
+    separation, arm_count = arrangement.separation, arrangement.arm_count
     if isinstance(geometry, HalfCylinderBar):
-        # two touching half-cylinders of half mass and half length
-        half = Cylinder(geometry.radius, 0.5 * geometry.length, 0.5 * geometry.mass)
-        if arrangement.separation != 0.5 * geometry.length:
+        if separation != 0.5 * geometry.length:
             raise ValueError("a bar forces separation = length/2")
-        return force_psd_by_quadrature(params, half, MassArrangement(0.5 * geometry.length, 1), rel_tol, max_evaluations)
+        if arm_count != 1:
+            raise ValueError("a bar is a single-arm system")
+        # two touching half-cylinders of half mass and half length
+        geometry = Cylinder(geometry.radius, 0.5 * geometry.length, 0.5 * geometry.mass)
+    if isinstance(geometry, Cylinder):
+        ell = geometry.length
+    elif isinstance(geometry, Cube):
+        if arm_count != 1:
+            raise ValueError("cube pairs support a single arm")
+        ell = geometry.side
+    else:
+        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
 
-    budget = _Budget(max_evaluations)
+    budget = _Budget(BUDGET)
     try:
+        axial, axial_err = _axial_mode_sum(separation, ell, rc, budget)
+        if axial == 0.0:
+            return QuadratureResult(0.0, 0.0, budget.used)
         if isinstance(geometry, Cylinder):
-            ell = geometry.length
-            axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
-            if axial == 0.0:
-                return QuadratureResult(0.0, 0.0, budget.used)
-            radial, radial_err = _disc_radial_integral(geometry.radius, rc, rel_tol, budget)
+            radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
             perp_full = 2.0 * math.pi * (4.0 / geometry.radius**2) * radial
-            rel_err = _rel(axial_err, axial) + _rel(radial_err, radial)
-        elif isinstance(geometry, Cube):
-            if arrangement.arm_count != 1:
-                raise ValueError("cube pairs support a single arm")
-            ell = geometry.side
-            axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
-            if axial == 0.0:
-                return QuadratureResult(0.0, 0.0, budget.used)
-            t_half, t_err = _slab_integral(ell, rc, rel_tol, budget)
-            perp_full = (2.0 * t_half) ** 2
-            rel_err = _rel(axial_err, axial) + 2.0 * _rel(t_err, t_half)
+            perp_rel_err = _rel(radial_err, radial)
         else:
-            raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+            t_half, t_err = _slab_integral(ell, rc, budget)
+            perp_full = (2.0 * t_half) ** 2
+            perp_rel_err = 2.0 * _rel(t_err, t_half)
     except QuadratureError as exc:
         raise QuadratureError(str(exc), achieved_rel_error=exc.achieved_rel_error, evaluations=budget.used) from None
+    rel_err = _rel(axial_err, axial) + perp_rel_err
 
     # S_FF = q^2 B with q = hbar N rc (N nucleons) and B the rest; axial
     # carries the third power of rc.  q underflows only below rc ~ 1e-300 m,
     # and q * (q * B) underflows only where S_FF itself does.
     q = HBAR * (geometry.mass / M_NUCLEON) * rc
     axial_full = 2.0 * (2.0 / ell**2) * axial
-    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
-    if not math.isfinite(rel_err) or rel_err > rel_tol:
+    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arm_count))
+    if not math.isfinite(rel_err) or rel_err > REL_TOL:
         raise QuadratureError(
-            f"quadrature reached relative error {rel_err:.3e}, above the target {rel_tol:.3e}",
+            f"quadrature reached relative error {rel_err:.3e}, above the target {REL_TOL:.3e}",
             achieved_rel_error=rel_err,
             evaluations=budget.used,
         )
     return QuadratureResult(value, rel_err, budget.used)
-

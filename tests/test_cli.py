@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
+import itertools
 import json
 import math
 import os
@@ -76,6 +77,34 @@ def test_noise_nonpositive_frequency_exit_2(capsys, frequency):
     }.get(frequency, f"angular frequency 2 pi f must be finite and > 0, got f = {float(frequency)!r} Hz")
     assert code == 2 and out == ""
     assert err == f"error: --frequency-hz: {message}\n"
+
+
+@pytest.mark.parametrize("frequency", ["10", "nan", "-5"])
+@pytest.mark.parametrize("config", ["auriga", "lisa_pathfinder"])
+def test_noise_frequency_on_a_non_interferometer_exit_2(capsys, config, frequency):
+    # only the free-mass strain transfer depends on frequency
+    code, out, err = run(capsys, "noise", "--config", config, "--rc", "1e-7", "--lambda", "1", f"--frequency-hz={frequency}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --frequency-hz: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("noise", "--rc", "1e-7", "--lambda", "1"),
+        ("bound", "--rc", "1e-7"),
+        ("scan", "--points", "2", "--out", "never.csv"),
+    ],
+    ids=["noise", "bound", "scan"],
+)
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder"])
+def test_variant_on_a_non_bar_exit_2(tmp_path, monkeypatch, capsys, config, argv):
+    # only the bar has two axial factors to choose between
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv[0], "--config", config, *argv[1:], "--variant", "printed")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --variant: ")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_noise_bar_variants_differ(capsys):
@@ -229,6 +258,25 @@ def test_validate_auriga_endorses_rederived(capsys):
     assert "endorsed_variant = rederived" in out
 
 
+def test_validate_deviation_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", 1e-12)
+    code, out, err = run(capsys, "validate", "--config", "ligo", "--points", "3")
+    assert code == 3 and out.splitlines()[-1].startswith("max_rel_diff = ")
+    worst = out.splitlines()[-1].removeprefix("max_rel_diff = ")
+    assert float(worst) > 1e-12
+    assert err == f"error: closed form deviates from quadrature by {float(worst):.3e}\n"
+
+
+@pytest.mark.parametrize("threshold, within", [(1e-12, []), (1e3, ["printed", "rederived"])])
+def test_validate_auriga_endorses_none_unless_exactly_one_variant_is_within(capsys, monkeypatch, threshold, within):
+    # the default grid's printed variant deviates by about 177 at 10 m
+    monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", threshold)
+    code, out, err = run(capsys, "validate", "--config", "auriga", "--points", "3")
+    assert code == 3
+    assert out.splitlines()[-1] == "endorsed_variant = none"
+    assert err == f"error: expected exactly one variant within {threshold:g}, got {within!r}\n"
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "bound", "--config", str(tmp_path / "no.json"), "--rc", "1e-7")
     assert code == 2
@@ -268,9 +316,11 @@ def run_process(*argv):
 def test_tiny_rc_prints_only_the_error_line(config):
     # below rc ~ 1e-154 the closed forms' scaled lengths overflow; numpy
     # must not print a RuntimeWarning ahead of the error
-    proc = run_process("bound", "--config", config, "--rc", "1e-160")
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    variants = [["--variant", v] for v in cslbounds.BAR_VARIANTS] if config == "auriga" else [[]]
+    for rc, variant in itertools.product(["7e-155", "1e-160"], variants):
+        proc = run_process("bound", "--config", config, "--rc", rc, *variant)
+        assert proc.returncode == 3 and proc.stdout == "", (rc, variant)
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), (rc, variant, proc.stderr)
 
 
 @pytest.mark.parametrize(

@@ -310,10 +310,11 @@ def test_printed_bar_matches_extended_precision_over_13_decades():
     assert np.max(np.abs(got - ref) / ref) <= 2e-13
 
 
-@pytest.mark.parametrize("rc", [1e-160, 1e-300, MIN_CORRELATION_LENGTH])
+@pytest.mark.parametrize("rc", [7e-155, 1e-160, 1e-300, MIN_CORRELATION_LENGTH])
 def test_closed_forms_silent_where_scaled_lengths_overflow(rc):
-    # R^2/2rc^2, L^2/16rc^2 and (L/2rc)^2 overflow below rc ~ 1e-154;
-    # inf is their right limit, and the PSD underflows to 0 without a warning
+    # R^2/2rc^2, L^2/16rc^2 and (L/2rc)^2 overflow below rc ~ 1e-154, and
+    # the printed bar's 4 L^2/16rc^2 below 1.09e-154; inf is their right
+    # limit, and the PSD underflows to 0 without a warning
     params = CslParams(1.0, rc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -321,6 +322,17 @@ def test_closed_forms_silent_where_scaled_lengths_overflow(rc):
         assert cube_pair_force_psd(params, LISA_GEOM, 0.376) == 0.0
         for variant in BAR_VARIANTS:
             assert bar_force_psd(params, AURIGA_GEOM, variant) == 0.0
+
+
+def test_closed_forms_silent_over_the_whole_accepted_domain():
+    # every overflow on the way to an underflowing PSD is a right limit
+    params = CslParams(1.0, np.geomspace(MIN_CORRELATION_LENGTH, 1e4, 20_000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2)
+        cube_pair_force_psd(params, LISA_GEOM, 0.376)
+        for variant in BAR_VARIANTS:
+            bar_force_psd(params, AURIGA_GEOM, variant)
 
 
 def test_bar_rejects_unknown_variant():

@@ -24,6 +24,7 @@ from cslbounds import (
     MassArrangement,
     QuadratureError,
     cube_pair_force_psd,
+    force_noise_psd,
     force_psd_by_quadrature,
     forced_separation,
     load_detector_config,
@@ -162,11 +163,23 @@ def test_bar_rejects_wrong_separation():
         force_psd_by_quadrature(CslParams(1.0, 0.1), bar, MassArrangement(1.0, 1))
 
 
-def test_budget_exhaustion_raises_with_context():
+def test_budget_exhaustion_raises_with_context(monkeypatch):
+    monkeypatch.setattr(kspace, "BUDGET", 2000)
     with pytest.raises(QuadratureError) as excinfo:
-        force_psd_by_quadrature(CslParams(1.0, 1e-7), LISA_GEOM, LISA_ARR, max_evaluations=2000)
+        force_psd_by_quadrature(CslParams(1.0, 1e-7), LISA_GEOM, LISA_ARR)
     assert excinfo.value.evaluations is not None
     assert excinfo.value.evaluations <= 2000
+
+
+@pytest.mark.parametrize("geometry", [LISA_GEOM, HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)])
+def test_single_arm_geometries_reject_two_arms(geometry):
+    # the same error as the closed forms' dispatch, never a silent single arm
+    arrangement = MassArrangement(forced_separation(geometry) or 0.376, 2)
+    with pytest.raises(ValueError, match="single") as oracle:
+        force_psd_by_quadrature(CslParams(1.0, 0.1), geometry, arrangement)
+    with pytest.raises(ValueError) as closed:
+        force_noise_psd(CslParams(1.0, 0.1), geometry, arrangement)
+    assert str(oracle.value) == str(closed.value)
 
 
 def test_arm_count_scales_linearly():
@@ -238,7 +251,7 @@ def slab_reference(s):
 @example(math.log10(MIN_CORRELATION_LENGTH / 0.3))
 def test_radial_integral_error_is_certified(log_s):
     s = 10.0**log_s
-    value, err = kspace._disc_radial_integral(1.0, s, kspace.DEFAULT_REL_TOL, kspace._Budget(kspace.DEFAULT_BUDGET))
+    value, err = kspace._disc_radial_integral(1.0, s, kspace._Budget(kspace.BUDGET))
     assert abs(value - float(radial_reference(s))) <= err
 
 
@@ -247,5 +260,5 @@ def test_radial_integral_error_is_certified(log_s):
 def test_slab_integral_error_is_certified(log_ratio):
     # side = 1 m, rc = 10^log_ratio: the integral is in u = k side/2, at s = 2 rc/side
     rc = 10.0**log_ratio
-    value, err = kspace._slab_integral(1.0, rc, kspace.DEFAULT_REL_TOL, kspace._Budget(kspace.DEFAULT_BUDGET))
+    value, err = kspace._slab_integral(1.0, rc, kspace._Budget(kspace.BUDGET))
     assert abs(value - 2.0 * float(slab_reference(2.0 * rc))) <= err
