@@ -6,7 +6,10 @@ length.  For a pair of identical masses read out differentially, the
 relative-coordinate force PSD is a closed-form function of the geometry;
 this module implements those closed forms for coaxial cylinder pairs
 (interferometer arms), cube pairs (drag-free accelerometers) and a
-resonant bar modeled as two touching half-cylinders.
+resonant bar modeled as two touching half-cylinders, evaluated as that
+cylinder pair.  Each is q^2 lam B with q = hbar N r_c for N nucleons,
+formed in one place as q * (q * (lam * B)), the cube's r_c^2 inside B:
+no partial product underflows before the PSD itself does.
 
 All results are two-sided PSDs in N^2/Hz.  The one-sided convention used
 by published noise figures is applied at the comparison boundary, never
@@ -212,13 +215,6 @@ _RADIAL_SERIES = (0.5, -0.25, 5.0 / 48.0, -7.0 / 192.0, 7.0 / 640.0, -11.0 / 384
 _RADIAL_SERIES_WINDOW = 5e-3
 
 
-def _radial_argument(radius: float, rc: np.ndarray) -> np.ndarray:
-    # x = R^2 / 2 rc^2 of _radial_bracket; below rc ~ 1e-154 m it overflows
-    # to inf, which gives the right limit (a bracket of 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        return radius * radius / (2.0 * rc * rc)
-
-
 def _radial_bracket(x: FloatOrArray) -> FloatOrArray:
     # 1 - e^-x (I0(x) + I1(x)) at x = R^2 / 2 rc^2; series branch keeps
     # full relative precision when the bracket is ~x/2 << 1.
@@ -270,6 +266,20 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
 # closed forms
 
 
+def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    q = HBAR * (mass / M_NUCLEON) * rc
+    return q * (q * (lam * rest))
+
+
+def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial: np.ndarray, arm_count: int) -> np.ndarray:
+    radius, length = geometry.radius, geometry.length
+    # x = R^2/2rc^2 overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
+    with np.errstate(over="ignore", divide="ignore"):
+        x = radius * radius / (2.0 * rc * rc)
+    rest = 4.0 * arm_count / (length**2 * radius**2) * axial * _radial_bracket(x)
+    return _pair_psd(lam, geometry.mass, rc, rest)
+
+
 def cylinder_pair_force_psd(
     params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1
 ) -> FloatOrArray:
@@ -281,29 +291,22 @@ def cylinder_pair_force_psd(
     """
     if arm_count not in (1, 2):
         raise ValueError(f"arm_count must be 1 or 2, got {arm_count!r}")
-    lam = params.collapse_rate
     rc, scalar = _to_1d(params.correlation_length)
-    m = geometry.mass
-    radius, length = geometry.radius, geometry.length
-    prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)
-    out = (
-        arm_count
-        * prefactor
-        * axial_factor(separation, length, rc)
-        * _radial_bracket(_radial_argument(radius, rc))
-    )
-    return _from_1d(out, scalar)
+    axial = axial_factor(separation, geometry.length, rc)
+    return _from_1d(_cylinder_psd(params.collapse_rate, geometry, rc, axial, arm_count), scalar)
 
 
 def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
     """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
-    lam = params.collapse_rate
     rc, scalar = _to_1d(params.correlation_length)
-    m = geometry.mass
     side = geometry.side
-    prefactor = 16.0 * HBAR**2 * lam * (m * m) * rc**4 / (side**6 * M_NUCLEON**2)
-    bracket = _cube_bracket(side / (2.0 * rc))
-    return _from_1d(prefactor * axial_factor(separation, side, rc) * bracket * bracket, scalar)
+    # t -> -sqrt(pi) side/2 as rc -> 0, so it never underflows; past z = 1e300
+    # (where sqrt(pi) z may overflow) it is that limit to 1e-300
+    with np.errstate(over="ignore"):
+        z = side / (2.0 * rc)
+    t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
+    rest = 16.0 / side**6 * axial_factor(separation, side, rc) * t * t
+    return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
 
 
 def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
@@ -325,19 +328,15 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     """
     if variant not in BAR_VARIANTS:
         raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
-    lam = params.collapse_rate
+    halves = Cylinder(geometry.radius, 0.5 * geometry.length, 0.5 * geometry.mass)
+    if variant == "rederived":
+        return cylinder_pair_force_psd(params, halves, halves.length)
     rc, scalar = _to_1d(params.correlation_length)
-    m = geometry.mass
-    radius, length = geometry.radius, geometry.length
-    if variant == "printed":
-        # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
-        with np.errstate(over="ignore", divide="ignore"):
-            v = length * length / (16.0 * rc * rc)
-            axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
-    else:
-        axial = axial_factor(0.5 * length, 0.5 * length, rc)
-    prefactor = 4.0 * HBAR**2 * lam * (m * m) * rc * rc / (length**2 * radius**2 * M_NUCLEON**2)
-    return _from_1d(prefactor * axial * _radial_bracket(_radial_argument(radius, rc)), scalar)
+    # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
+    with np.errstate(over="ignore", divide="ignore"):
+        v = geometry.length * geometry.length / (16.0 * rc * rc)
+        axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
+    return _from_1d(_cylinder_psd(params.collapse_rate, halves, rc, axial, 1), scalar)
 
 
 def force_noise_psd(
@@ -357,6 +356,8 @@ def force_noise_psd(
             raise ValueError("cube pairs support a single arm")
         return cube_pair_force_psd(params, geometry, arrangement.separation)
     if isinstance(geometry, HalfCylinderBar):
+        if arrangement.separation != 0.5 * geometry.length:
+            raise ValueError("a bar forces separation = length/2")
         if arrangement.arm_count != 1:
             raise ValueError("a bar is a single-arm system")
         return bar_force_psd(params, geometry, bar_variant or DEFAULT_BAR_VARIANT)

@@ -347,20 +347,17 @@ def force_psd_by_quadrature(
         raise TypeError(f"unsupported geometry {type(geometry).__name__}")
 
     budget = _Budget(BUDGET)
-    try:
-        axial, axial_err = _axial_mode_sum(separation, ell, rc, budget)
-        if axial == 0.0:
-            return QuadratureResult(0.0, 0.0, budget.used)
-        if isinstance(geometry, Cylinder):
-            radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
-            perp_full = 2.0 * math.pi * (4.0 / geometry.radius**2) * radial
-            perp_rel_err = _rel(radial_err, radial)
-        else:
-            t_half, t_err = _slab_integral(ell, rc, budget)
-            perp_full = (2.0 * t_half) ** 2
-            perp_rel_err = 2.0 * _rel(t_err, t_half)
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), achieved_rel_error=exc.achieved_rel_error, evaluations=budget.used) from None
+    axial, axial_err = _axial_mode_sum(separation, ell, rc, budget)
+    if axial == 0.0:
+        return QuadratureResult(0.0, 0.0, budget.used)
+    if isinstance(geometry, Cylinder):
+        radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
+        perp_full = 2.0 * math.pi * (4.0 / geometry.radius**2) * radial
+        perp_rel_err = _rel(radial_err, radial)
+    else:
+        t_half, t_err = _slab_integral(ell, rc, budget)
+        perp_full = (2.0 * t_half) ** 2
+        perp_rel_err = 2.0 * _rel(t_err, t_half)
     rel_err = _rel(axial_err, axial) + perp_rel_err
 
     # S_FF = q^2 B with q = hbar N rc (N nucleons) and B the rest; axial

@@ -120,6 +120,10 @@ def test_bound_lisa(capsys):
     assert code == 0
     value = float(out.split(" = ")[1])
     assert value == pytest.approx(3e-8, rel=0.2)
+    # far below the test-mass scale lambda_max ~ 1/rc^2, with nothing underflowing on the way
+    code, out, err = run(capsys, "bound", "--config", "lisa_pathfinder", "--rc", "1e-70")
+    assert code == 0, err
+    assert float(out.split(" = ")[1]) == pytest.approx(value * 1e126, rel=1e-5)
 
 
 def test_scan_deterministic(tmp_path, capsys):
@@ -315,10 +319,15 @@ def run_process(*argv):
 @pytest.mark.parametrize("config", ["ligo", "auriga", "lisa_pathfinder"])
 def test_tiny_rc_prints_only_the_error_line(config):
     # below rc ~ 1e-154 the closed forms' scaled lengths overflow; numpy
-    # must not print a RuntimeWarning ahead of the error
+    # must not print a RuntimeWarning, neither with the bound at 7e-155 m,
+    # where the model PSD is a subnormal, nor ahead of the error at 1e-160 m
     variants = [["--variant", v] for v in cslbounds.BAR_VARIANTS] if config == "auriga" else [[]]
     for rc, variant in itertools.product(["7e-155", "1e-160"], variants):
         proc = run_process("bound", "--config", config, "--rc", rc, *variant)
+        if rc == "7e-155":
+            assert proc.returncode == 0 and proc.stderr == "", (rc, variant, proc.stderr)
+            assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("lambda_max_per_s = "), (rc, variant)
+            continue
         assert proc.returncode == 3 and proc.stdout == "", (rc, variant)
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), (rc, variant, proc.stderr)
 
@@ -334,7 +343,7 @@ def test_tiny_rc_prints_only_the_error_line(config):
 def test_subnormal_rc_exit_2_naming_the_value(argv):
     # 1/rc overflows for a subnormal rc; it must be rejected, not printed as nan
     proc = run_process(*argv)
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: correlation_length") and f"got {argv[4]}" in proc.stderr
 
@@ -439,10 +448,14 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):
-    # hbar^2 rc^3 alone underflows below rc ~ 1e-86 m; the PSD does not
-    code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e-100", "--rc-max", "1e-90", "--points", "2")
-    assert code == 0, err
-    assert out.splitlines()[-1].startswith("max_rel_diff = ")
+    # hbar^2 rc^3 alone underflows below rc ~ 1e-86 m, hbar^2 m^2 rc^4 below
+    # 1e-65 m; the PSD does not, in the oracle or the closed forms
+    ranges = [("1e-140", "1e-130"), ("1e-100", "1e-90")]
+    for config, (rc_min, rc_max) in itertools.product(["ligo", "lisa_pathfinder"], ranges):
+        argv = ["validate", "--config", config, "--rc-min", rc_min, "--rc-max", rc_max, "--points", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out.splitlines()[-1].startswith("max_rel_diff = "), argv
 
 
 @pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])

@@ -62,12 +62,31 @@ def mp_cube_bracket(z):
     return 1 - mp.exp(-z * z) - mp.sqrt(mp.pi) * z * mp.erf(z)
 
 
-def mp_printed_bar(geometry, rc):
-    """The printed bar closed form at unit collapse rate, from its formula."""
-    rc, L, R, m = (mp.mpf(v) for v in (rc, geometry.length, geometry.radius, geometry.mass))
-    prefactor = 4 * mp.mpf(HBAR) ** 2 * m**2 * rc**2 / (L**2 * R**2 * mp.mpf(M_NUCLEON) ** 2)
-    axial = mp.mpf(3) / 2 - mp.exp(-(L**2) / (4 * rc**2)) / 2 - mp.exp(-(L**2) / (16 * rc**2))
-    return prefactor * axial * mp_radial_bracket(R**2 / (2 * rc**2))
+def mp_q2(mass, rc):
+    """(hbar N rc)^2 for a body of N nucleons, in mpmath so that no reference underflows."""
+    return (mp.mpf(HBAR) * mp.mpf(mass) / mp.mpf(M_NUCLEON) * mp.mpf(rc)) ** 2
+
+
+def mp_cylinder_pair(geometry, separation, arm_count, rc):
+    """The cylinder-pair closed form at unit collapse rate, from its formula."""
+    rc, L, R = (mp.mpf(v) for v in (rc, geometry.length, geometry.radius))
+    bracket = mp_radial_bracket(R**2 / (2 * rc**2))
+    return arm_count * 4 * mp_q2(geometry.mass, rc) / (L**2 * R**2) * mp_axial(separation, L, rc) * bracket
+
+
+def mp_cube_pair(geometry, separation, rc):
+    """The cube-pair closed form at unit collapse rate, from its formula."""
+    rc, side = mp.mpf(rc), mp.mpf(geometry.side)
+    bracket = mp_cube_bracket(side / (2 * rc))
+    return 16 * mp_q2(geometry.mass, rc) * rc**2 / side**6 * mp_axial(separation, side, rc) * bracket**2
+
+
+def mp_bar(geometry, variant, rc):
+    """Either bar closed form at unit collapse rate, from its whole-bar formula."""
+    rc, L, R = (mp.mpf(v) for v in (rc, geometry.length, geometry.radius))
+    e4, e16 = mp.exp(-(L**2) / (4 * rc**2)), mp.exp(-(L**2) / (16 * rc**2))
+    axial = mp.mpf(3) / 2 - e4 / 2 - e16 if variant == "printed" else mp.mpf(3) / 2 + e4 / 2 - 2 * e16
+    return 4 * mp_q2(geometry.mass, rc) / (L**2 * R**2) * axial * mp_radial_bracket(R**2 / (2 * rc**2))
 
 
 # --- pair correlation factor --------------------------------------------------
@@ -240,13 +259,19 @@ def test_zero_collapse_rate_gives_zero_everywhere():
     assert bar_force_psd(params, AURIGA_GEOM, "rederived") == 0.0
 
 
+# hbar^2 m^2 rc^4 (cube) and hbar^2 m^2 rc^2 (cylinders) underflow below
+# about 1e-65 and 1e-130 m; the PSD only becomes subnormal below 7e-151 m
+TINY_RCS = [1e-64, 1e-70, 1e-100, 1e-140, 1e-150]
+
+
 def test_cylinder_pair_small_rc_asymptote():
     # rc << R, L, a: both brackets -> 1 and the two-arm PSD approaches
     # 8 hbar^2 m^2 rc^2 / (L^2 R^2 m0^2)
-    rc = 1e-7
-    expected = 8.0 * HBAR**2 * LIGO_GEOM.mass**2 * rc**2 / (LIGO_GEOM.length**2 * LIGO_GEOM.radius**2 * M_NUCLEON**2)
-    got = cylinder_pair_force_psd(CslParams(1.0, rc), LIGO_GEOM, 4000.0, 2)
-    assert got == pytest.approx(expected, rel=1e-5)
+    m, L, R = (mp.mpf(v) for v in (LIGO_GEOM.mass, LIGO_GEOM.length, LIGO_GEOM.radius))
+    for rc in [1e-7, *TINY_RCS]:
+        expected = float(8 * mp.mpf(HBAR) ** 2 * m**2 * mp.mpf(rc) ** 2 / (L**2 * R**2 * mp.mpf(M_NUCLEON) ** 2))
+        got = cylinder_pair_force_psd(CslParams(1.0, rc), LIGO_GEOM, 4000.0, 2)
+        assert got == pytest.approx(expected, rel=1e-5, abs=0.0), f"rc={rc}"
 
 
 def test_cylinder_pair_zero_separation():
@@ -254,11 +279,16 @@ def test_cylinder_pair_zero_separation():
 
 
 def test_cube_pair_small_rc_asymptote():
-    # rc <= L/100: PSD within 1% of 4 pi hbar^2 m^2 rc^2 / (L^4 m0^2)
-    for rc in np.geomspace(1e-8, LISA_GEOM.side / 100.0, 12):
-        expected = 4.0 * math.pi * HBAR**2 * LISA_GEOM.mass**2 * rc**2 / (LISA_GEOM.side**4 * M_NUCLEON**2)
-        got = cube_pair_force_psd(CslParams(1.0, float(rc)), LISA_GEOM, 0.376)
-        assert got == pytest.approx(expected, rel=0.01), f"rc={rc}"
+    # rc <= L/100: e^{-L^2/4rc^2}, erfc(L/2rc) and the pair correlation
+    # vanish, leaving 4 pi hbar^2 m^2 rc^2 (1 - 2 rc/(sqrt(pi) L))^2 / (L^4 m0^2);
+    # the correction is 2.2% at rc = L/100
+    m, side = mp.mpf(LISA_GEOM.mass), mp.mpf(LISA_GEOM.side)
+    for rc in [*np.geomspace(1e-8, LISA_GEOM.side / 100.0, 12).tolist(), *TINY_RCS]:
+        r = mp.mpf(rc)
+        leading = 4 * mp.pi * mp.mpf(HBAR) ** 2 * m**2 * r**2 / (side**4 * mp.mpf(M_NUCLEON) ** 2)
+        expected = float(leading * (1 - 2 * r / (mp.sqrt(mp.pi) * side)) ** 2)
+        got = cube_pair_force_psd(CslParams(1.0, rc), LISA_GEOM, 0.376)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), f"rc={rc}"
 
 
 def test_cube_pair_spot_value_at_standard_length():
@@ -276,10 +306,11 @@ def test_cube_pair_huge_rc_suppressed():
 
 
 def test_bar_variants_agree_for_small_rc():
-    params = CslParams(1.0, 1e-3)
-    printed = bar_force_psd(params, AURIGA_GEOM, "printed")
-    rederived = bar_force_psd(params, AURIGA_GEOM, "rederived")
-    assert printed == pytest.approx(rederived, rel=1e-12)
+    for rc in [1e-3, 1e-9, *TINY_RCS]:
+        params = CslParams(1.0, rc)
+        printed = bar_force_psd(params, AURIGA_GEOM, "printed")
+        rederived = bar_force_psd(params, AURIGA_GEOM, "rederived")
+        assert printed > 0.0 and printed == pytest.approx(rederived, rel=1e-12, abs=0.0), f"rc={rc}"
 
 
 def test_bar_variants_differ_for_large_rc():
@@ -302,11 +333,14 @@ def test_bar_large_rc_decay_orders():
 def test_printed_bar_matches_extended_precision_over_13_decades():
     # The radial bracket's direct branch cancels just above its series
     # switch at x = R^2/2rc^2 = 5e-3 (rc = 3 m for AURIGA): the error
-    # reaches 1.1e-13 for rc in (2.1, 3) m and stays within 5.5e-14 elsewhere.
+    # reaches 1.1e-13 for rc in (2.1, 3) m and stays within 5.5e-14 elsewhere,
+    # down to 1e-150 m where the PSD is still a normal double.
     rc_switch = AURIGA_GEOM.radius / math.sqrt(2.0 * 5e-3)
-    grid = np.concatenate([np.geomspace(1e-9, 1e4, 261), np.geomspace(rc_switch / 1.1, rc_switch, 200)])
+    grid = np.concatenate(
+        [np.geomspace(1e-150, 1e-9, 60), np.geomspace(1e-9, 1e4, 261), np.geomspace(rc_switch / 1.1, rc_switch, 200)]
+    )
     got = bar_force_psd(CslParams(1.0, grid), AURIGA_GEOM, "printed")
-    ref = np.array([float(mp_printed_bar(AURIGA_GEOM, rc)) for rc in grid])
+    ref = np.array([float(mp_bar(AURIGA_GEOM, "printed", rc)) for rc in grid])
     assert np.max(np.abs(got - ref) / ref) <= 2e-13
 
 
@@ -314,23 +348,37 @@ def test_printed_bar_matches_extended_precision_over_13_decades():
 def test_closed_forms_silent_where_scaled_lengths_overflow(rc):
     # R^2/2rc^2, L^2/16rc^2 and (L/2rc)^2 overflow below rc ~ 1e-154, and
     # the printed bar's 4 L^2/16rc^2 below 1.09e-154; inf is their right
-    # limit, and the PSD underflows to 0 without a warning
+    # limit.  At 7e-155 m the PSD is a subnormal, below it 0, and neither
+    # comes with a warning.
     params = CslParams(1.0, rc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2) == 0.0
-        assert cube_pair_force_psd(params, LISA_GEOM, 0.376) == 0.0
-        for variant in BAR_VARIANTS:
-            assert bar_force_psd(params, AURIGA_GEOM, variant) == 0.0
+        got = [
+            cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2),
+            cube_pair_force_psd(params, LISA_GEOM, 0.376),
+            *(bar_force_psd(params, AURIGA_GEOM, variant) for variant in BAR_VARIANTS),
+        ]
+    refs = [
+        mp_cylinder_pair(LIGO_GEOM, 4000.0, 2, rc),
+        mp_cube_pair(LISA_GEOM, 0.376, rc),
+        *(mp_bar(AURIGA_GEOM, variant, rc) for variant in BAR_VARIANTS),
+    ]
+    for value, ref in zip(got, refs):
+        if rc == 7e-155:  # a subnormal keeps about 8 significant digits
+            assert value > 0.0 and value == pytest.approx(float(ref), rel=1e-6, abs=0.0)
+        else:
+            assert value == 0.0
 
 
 def test_closed_forms_silent_over_the_whole_accepted_domain():
-    # every overflow on the way to an underflowing PSD is a right limit
+    # every overflow on the way to an underflowing PSD is a right limit,
+    # also a 10 m cube's side/2rc, which overflows near the smallest rc
     params = CslParams(1.0, np.geomspace(MIN_CORRELATION_LENGTH, 1e4, 20_000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2)
         cube_pair_force_psd(params, LISA_GEOM, 0.376)
+        assert np.all(np.isfinite(cube_pair_force_psd(params, Cube(side=10.0, mass=1000.0), 100.0)))
         for variant in BAR_VARIANTS:
             bar_force_psd(params, AURIGA_GEOM, variant)
 

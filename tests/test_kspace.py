@@ -173,13 +173,17 @@ def test_budget_exhaustion_raises_with_context(monkeypatch):
 
 @pytest.mark.parametrize("geometry", [LISA_GEOM, HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)])
 def test_single_arm_geometries_reject_two_arms(geometry):
-    # the same error as the closed forms' dispatch, never a silent single arm
-    arrangement = MassArrangement(forced_separation(geometry) or 0.376, 2)
-    with pytest.raises(ValueError, match="single") as oracle:
-        force_psd_by_quadrature(CslParams(1.0, 0.1), geometry, arrangement)
-    with pytest.raises(ValueError) as closed:
-        force_noise_psd(CslParams(1.0, 0.1), geometry, arrangement)
-    assert str(oracle.value) == str(closed.value)
+    # the same error as the closed forms' dispatch, never a silent single
+    # arm, nor a bar whose halves sit anywhere but length/2 apart
+    cases = [(MassArrangement(forced_separation(geometry) or 0.376, 2), "single")]
+    if isinstance(geometry, HalfCylinderBar):
+        cases.append((MassArrangement(5.0, 1), "separation"))
+    for arrangement, match in cases:
+        with pytest.raises(ValueError, match=match) as oracle:
+            force_psd_by_quadrature(CslParams(1.0, 0.1), geometry, arrangement)
+        with pytest.raises(ValueError) as closed:
+            force_noise_psd(CslParams(1.0, 0.1), geometry, arrangement)
+        assert str(oracle.value) == str(closed.value)
 
 
 def test_arm_count_scales_linearly():
