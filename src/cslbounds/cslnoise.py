@@ -266,6 +266,15 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
 # closed forms
 
 
+def _direct_order(*dims: float) -> bool:
+    # Between 1e-50 and 1e50 m a closed form may divide by the product of
+    # its length powers (L^2 R^2, side^6), a normal double there; outside,
+    # that product may overflow or vanish, so each length is divided out
+    # of the factor it scales instead.  The two orders round differently,
+    # and the golden files are written in the first.
+    return all(1e-50 < d < 1e50 for d in dims)
+
+
 def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
     q = HBAR * (mass / M_NUCLEON) * rc
     return q * (q * (lam * rest))
@@ -276,7 +285,11 @@ def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial: np.ndar
     # x = R^2/2rc^2 overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
     with np.errstate(over="ignore", divide="ignore"):
         x = radius * radius / (2.0 * rc * rc)
-    rest = 4.0 * arm_count / (length**2 * radius**2) * axial * _radial_bracket(x)
+    bracket = _radial_bracket(x)
+    if _direct_order(length, radius):
+        rest = 4.0 * arm_count / (length**2 * radius**2) * axial * bracket
+    else:
+        rest = 4.0 * arm_count * (axial / length / length) * (bracket / radius / radius)
     return _pair_psd(lam, geometry.mass, rc, rest)
 
 
@@ -305,7 +318,12 @@ def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) ->
     with np.errstate(over="ignore"):
         z = side / (2.0 * rc)
     t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
-    rest = 16.0 / side**6 * axial_factor(separation, side, rc) * t * t
+    axial = axial_factor(separation, side, rc)
+    if _direct_order(side):
+        rest = 16.0 / side**6 * axial * t * t
+    else:
+        u = t / side / side / side
+        rest = 16.0 * axial * u * u
     return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
 
 

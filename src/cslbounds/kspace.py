@@ -38,6 +38,14 @@ parameter range:
   ripple is bounded by integration by parts and charged to the
   reported error.
 
+Each radial and slab integrand is a shape free of rc (J1(z)^2, sinc^2 u)
+times the Gaussian e^{-(s z)^2}.  While s <= 1/100 the resolved range is
+the fixed [0, 6000], so the nodes and the shape values on them are
+tabulated once per process and panel count, on first use, and shared by
+every rc (and, for J1^2, by every radius).  A shorter range moves with
+rc and is evaluated afresh.  The tables change no result, and the
+reported evaluation count still counts every node.
+
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
 spend at most BUDGET integrand evaluations; both are fixed constants.
@@ -45,6 +53,7 @@ spend at most BUDGET integrand evaluations; both are fixed constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,7 +168,24 @@ def _gauss_kronrod(n):
 _NODES, _WEIGHTS, _WEIGHTS_DIFF = _gauss_kronrod(_GAUSS_POINTS)
 
 
-def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what):
+def _panel_nodes(lo, hi, panels):
+    """Half-width of `panels` equal panels on [lo, hi] and their Kronrod nodes, panel by panel."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * float(edges[1] - edges[0])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return half, (centers[:, None] + half * _NODES[None, :]).ravel()
+
+
+@functools.lru_cache(maxsize=4)
+def _resolved_table(shape, hi, panels):
+    """_panel_nodes(0, hi, panels) and shape at those nodes, read-only; filled on first use."""
+    half, x = _panel_nodes(0.0, hi, panels)
+    values = shape(x)
+    x.flags.writeable = values.flags.writeable = False
+    return half, x, values
+
+
+def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what, shape=None):
     """Composite Gauss-Kronrod quadrature of f over [lo, hi]: (value, error).
 
     One pass evaluates the Kronrod rule on equal panels.  Its error
@@ -168,6 +194,11 @@ def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what):
     when that estimate is at most the largest of tol_abs, tol_rel times
     the integral of |f| and that floor; only otherwise does the panel
     count double.
+
+    With a shape, the integrand is f(x, shape(x)).  On the fixed range
+    [0, _RESOLVED_PHASE] the nodes and shape values come from
+    _resolved_table, shared by every call; the budget still counts each
+    node as one evaluation.
     """
     panels = max(4, int(panels0))
     err = value = None
@@ -179,10 +210,16 @@ def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what):
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * float(edges[1] - edges[0])
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        fx = f((centers[:, None] + half * _NODES[None, :]).ravel()).reshape(panels, _NODES.size)
+        if shape is None:
+            half, x = _panel_nodes(lo, hi, panels)
+            fx = f(x)
+        elif lo == 0.0 and hi == _RESOLVED_PHASE:
+            half, x, values = _resolved_table(shape, hi, panels)
+            fx = f(x, values)
+        else:
+            half, x = _panel_nodes(lo, hi, panels)
+            fx = f(x, shape(x))
+        fx = fx.reshape(panels, _NODES.size)
         value = half * float(fx.sum(axis=0) @ _WEIGHTS)
         magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
         floor = 100.0 * np.finfo(float).eps * magnitude
@@ -258,17 +295,20 @@ def _inverse_square_gauss_tail(v_lo, s, budget, what):
     return s * value, s * err
 
 
-def _resolved_with_tail(f, s, divisor, remainder, budget, what):
-    """(value, error) of int_0^{60/s} f, where f(z) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
+def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
+    """(value, error) of int_0^{60/s} f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
 
-    f is resolved out to _RESOLVED_PHASE; past it only the averaged 1/z^2
-    tail is integrated.  The dropped ripple is bounded by parts, and
-    remainder / z^2 bounds the error of the asymptotic form itself.
+    The integrand is resolved out to _RESOLVED_PHASE; past it only the
+    averaged 1/z^2 tail is integrated.  The dropped ripple is bounded by
+    parts, and remainder / z^2 bounds the error of the asymptotic form
+    itself.
     """
     zcap = _K_CUTOFF / s
     zres = min(zcap, _RESOLVED_PHASE)
     panels0 = max(8, int(2.0 * zres / _PANEL_PHASE) + 1)
-    value, err = _adaptive(f, 0.0, zres, panels0, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    value, err = _adaptive(
+        f, 0.0, zres, panels0, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral", shape
+    )
     if zcap > zres:
         tail, terr = _inverse_square_gauss_tail(s * zres, s, budget, f"{what} tail")
         value += tail / divisor
@@ -276,6 +316,11 @@ def _resolved_with_tail(f, s, divisor, remainder, budget, what):
         err += math.exp(-((s * zres) ** 2)) / (divisor * zres**2)
         err += remainder / zres**2
     return value, err
+
+
+def _j1_squared(z):
+    j = _j1_array(z)
+    return j * j
 
 
 def _disc_radial_integral(radius, rc, budget):
@@ -286,21 +331,20 @@ def _disc_radial_integral(radius, rc, budget):
     """
     s = rc / radius
 
-    def f(z):
-        j = _j1_array(z)
-        return j * j * np.exp(-((s * z) ** 2)) / z
+    def f(z, jj):
+        return jj * np.exp(-((s * z) ** 2)) / z
 
-    return _resolved_with_tail(f, s, math.pi, 0.5 * _J1SQ_TAIL_C, budget, "radial")
+    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, budget, "radial")
 
 
 def _slab_integral(side, rc, budget):
     """T_half = int_0^{kcap} sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2; sinc^2 u = (1 - cos 2u) / 2u^2."""
     s = 2.0 * rc / side
 
-    def f(u):
-        return _sinc2_array(u) * np.exp(-((s * u) ** 2))
+    def f(u, sinc2):
+        return sinc2 * np.exp(-((s * u) ** 2))
 
-    value, err = _resolved_with_tail(f, s, 2.0, 0.0, budget, "slab")
+    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, budget, "slab")
     return (2.0 / side) * value, (2.0 / side) * err
 
 

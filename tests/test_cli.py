@@ -479,6 +479,25 @@ def test_overflowing_volume_exit_2(tmp_path, capsys, config, key):
     assert err.startswith("error: geometry: volume must be finite")
 
 
+@pytest.mark.parametrize(
+    "config, dims",
+    [("lisa_pathfinder", {"side_m": 1e60}), ("lisa_pathfinder", {"side_m": 1e-60}), ("ligo", {"radius_m": 1e-90, "length_m": 1e-90})],
+)
+def test_extreme_body_sizes_give_a_finite_bound(tmp_path, capsys, config, dims):
+    # the schema accepts these bodies; their side^6 or L^2 R^2 once ended
+    # `bound` in an OverflowError or ZeroDivisionError traceback
+    doc = json.loads(bundled_config_path(config).read_text())
+    doc["geometry"].update(dims)
+    doc["geometry"].pop("density_kg_m3", None)
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1")
+    assert code == 0 and err == ""
+    assert out.startswith("lambda_max_per_s = ") and len(out.splitlines()) == 1
+    value = float(out.split("=")[1])
+    assert math.isfinite(value) and value > 0.0
+
+
 def test_only_validate_imports_the_oracle():
     src = str(Path(cslbounds.__file__).parents[1])
     script = (

@@ -383,6 +383,24 @@ def test_closed_forms_silent_over_the_whole_accepted_domain():
             bar_force_psd(params, AURIGA_GEOM, variant)
 
 
+@pytest.mark.parametrize(
+    "geometry, separation, arm_count",
+    [(Cube(side=1e60, mass=1.928), 0.376, 1), (Cube(side=1e-60, mass=1.928), 0.376, 1), (Cylinder(1e-90, 1e-90, 40.0), 4000.0, 2)],
+)
+def test_closed_forms_right_at_extreme_body_sizes(geometry, separation, arm_count):
+    # side^6 overflows or vanishes here, and so does L^2 R^2: dividing by
+    # either once raised OverflowError or ZeroDivisionError
+    rc = np.geomspace(1e-9, 1e3, 13)
+    got = force_noise_psd(CslParams(1.0, rc), geometry, MassArrangement(separation, arm_count))
+    with mp.workdps(300):
+        if isinstance(geometry, Cube):
+            ref = np.array([float(mp_cube_pair(geometry, separation, r)) for r in rc])
+        else:
+            ref = np.array([float(mp_cylinder_pair(geometry, separation, arm_count, r)) for r in rc])
+    assert np.all(ref > 0.0) and np.all(np.isfinite(ref))
+    assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
 def test_bar_rejects_unknown_variant():
     with pytest.raises(ValueError):
         bar_force_psd(CslParams(1.0, 1.0), AURIGA_GEOM, "guessed")

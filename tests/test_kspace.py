@@ -7,6 +7,10 @@ decomposition and tail handling against the raw definition.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +33,7 @@ from cslbounds import (
     forced_separation,
     load_detector_config,
 )
+import cslbounds
 from cslbounds import kspace
 from cslbounds.cslnoise import MIN_CORRELATION_LENGTH
 from cslbounds.specfun import _j1_array, _sinc2_array
@@ -70,7 +75,7 @@ def test_quadrature_matches_literal_integration_cube():
     ax = literal_axial(0.376, 0.046, rc)
     slab = literal_slab(0.046, rc)
     literal = assemble(1.0, rc, 1.928, ax, (2.0 * slab) ** 2, 1, 0.046)
-    assert result.value == pytest.approx(literal, rel=1e-6)
+    assert result.value == pytest.approx(literal, rel=1e-6, abs=0.0)
 
 
 def test_quadrature_matches_literal_integration_cylinder():
@@ -81,7 +86,7 @@ def test_quadrature_matches_literal_integration_cylinder():
     ax = literal_axial(1.5, 1.5, rc)
     rad = literal_radial(0.3, rc)
     literal = assemble(1.0, rc, 1150.0, ax, rad, 1, 1.5)
-    assert result.value == pytest.approx(literal, rel=1e-6)
+    assert result.value == pytest.approx(literal, rel=1e-6, abs=0.0)
 
 
 def test_cos_gauss_moment_against_analytic_and_mpmath():
@@ -109,7 +114,7 @@ def test_radial_tail_matches_full_resolution(monkeypatch):
     with_tail = force_psd_by_quadrature(params, geom, arr)
     monkeypatch.setattr(kspace, "_RESOLVED_PHASE", 15000.0)
     brute = force_psd_by_quadrature(params, geom, arr)
-    assert with_tail.value == pytest.approx(brute.value, rel=1e-7)
+    assert with_tail.value == pytest.approx(brute.value, rel=1e-7, abs=0.0)
 
 
 def test_slab_tail_matches_full_resolution(monkeypatch):
@@ -119,14 +124,14 @@ def test_slab_tail_matches_full_resolution(monkeypatch):
     with_tail = force_psd_by_quadrature(params, geom, arr)
     monkeypatch.setattr(kspace, "_RESOLVED_PHASE", 15000.0)
     brute = force_psd_by_quadrature(params, geom, arr)
-    assert with_tail.value == pytest.approx(brute.value, rel=1e-7)
+    assert with_tail.value == pytest.approx(brute.value, rel=1e-7, abs=0.0)
 
 
 def test_cube_agrees_with_closed_form_at_standard_length():
     params = CslParams(1.0, 1e-7)
     quad = force_psd_by_quadrature(params, LISA_GEOM, LISA_ARR)
     closed = cube_pair_force_psd(params, LISA_GEOM, 0.376)
-    assert quad.value == pytest.approx(closed, rel=1e-4)
+    assert quad.value == pytest.approx(closed, rel=1e-4, abs=0.0)
     assert quad.rel_error <= 1e-6
 
 
@@ -191,7 +196,7 @@ def test_arm_count_scales_linearly():
     geom = Cylinder(radius=0.17, length=0.2, mass=40.0)
     one = force_psd_by_quadrature(params, geom, MassArrangement(4000.0, 1))
     two = force_psd_by_quadrature(params, geom, MassArrangement(4000.0, 2))
-    assert two.value == pytest.approx(2.0 * one.value, rel=1e-12)
+    assert two.value == pytest.approx(2.0 * one.value, rel=1e-12, abs=0.0)
 
 
 def test_close_pair_suppression_by_quadrature():
@@ -208,7 +213,7 @@ def test_reported_error_is_honest_for_cancelling_modes():
     params = CslParams(1.0, 1.0)
     result = force_psd_by_quadrature(params, LISA_GEOM, LISA_ARR)
     closed = cube_pair_force_psd(params, LISA_GEOM, 0.376)
-    assert result.value == pytest.approx(closed, rel=1e-5)
+    assert result.value == pytest.approx(closed, rel=1e-5, abs=0.0)
     assert abs(result.value - closed) / closed <= max(result.rel_error, 1e-10) * 50
 
 
@@ -266,3 +271,88 @@ def test_slab_integral_error_is_certified(log_ratio):
     rc = 10.0**log_ratio
     value, err = kspace._slab_integral(1.0, rc, kspace._Budget(kspace.BUDGET))
     assert abs(value - 2.0 * float(slab_reference(2.0 * rc))) <= err
+
+
+def fixed_range_sweep(configs, before_each=lambda: None):
+    # r_c from 1e-12 m to R/100 (side/200 for the cube): s <= 1/100, so every
+    # point resolves the same range [0, _RESOLVED_PHASE]
+    results = []
+    for name in configs:
+        det = load_detector_config(name)
+        geom = det.geometry
+        top = geom.side / 200.0 if isinstance(geom, Cube) else geom.radius / 100.0
+        for rc in np.geomspace(1e-12, top, 15):
+            before_each()
+            results.append(force_psd_by_quadrature(CslParams(1.0, float(rc)), geom, det.arrangement))
+    return results
+
+
+@pytest.mark.parametrize("configs, kernel", [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array")])
+def test_fixed_range_shape_is_tabulated_once(monkeypatch, configs, kernel):
+    # J1(z)^2 in z = kR does not depend on R, so ligo and auriga share one table
+    grids = []
+    inner = getattr(kspace, kernel)
+
+    def counting(x):
+        grids.append((x.size, float(x.max())))
+        return inner(x)
+
+    kspace._resolved_table.cache_clear()
+    monkeypatch.setattr(kspace, kernel, counting)
+    shared = fixed_range_sweep(configs)
+    assert len(grids) == 1
+    assert grids[0][1] > 0.99 * kspace._RESOLVED_PHASE
+    fresh = fixed_range_sweep(configs, before_each=kspace._resolved_table.cache_clear)
+    assert len(grids) == 1 + len(fresh)
+    # same values, errors and costs, bit for bit
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-4, 1e-2, 0.05])
+def test_tables_change_no_bit_of_the_radial_and_slab_integrals(s):
+    # the reference evaluates the whole integrand afresh at every node
+    def radial(z):
+        j = _j1_array(z)
+        return j * j * np.exp(-((s * z) ** 2)) / z
+
+    def slab(u):
+        return _sinc2_array(u) * np.exp(-((s * u) ** 2))
+
+    def budget():
+        return kspace._Budget(kspace.BUDGET)
+
+    for _ in range(2):  # cold, then warm
+        assert kspace._disc_radial_integral(1.0, s, budget()) == kspace._resolved_with_tail(
+            radial, None, s, math.pi, 0.5 * kspace._J1SQ_TAIL_C, budget(), "radial"
+        )
+        # side = 2 m: the slab's s is rc, and its 2/side scale is 1
+        assert kspace._slab_integral(2.0, s, budget()) == kspace._resolved_with_tail(slab, None, s, 2.0, 0.0, budget(), "slab")
+
+
+def test_table_cache_is_bounded_and_holds_only_the_fixed_range(ligo):
+    kspace._resolved_table.cache_clear()
+    # r_c > R/100: the resolved range 60 R/r_c moves with r_c and is never cached
+    for rc in np.geomspace(0.01, 1.0, 5):
+        force_psd_by_quadrature(CslParams(1.0, float(rc)), ligo.geometry, ligo.arrangement)
+    assert kspace._resolved_table.cache_info().currsize == 0
+    for rc in np.geomspace(1e-12, 1e3, 200):
+        for name in ("ligo", "lisa_pathfinder", "auriga"):
+            det = load_detector_config(name)
+            try:
+                force_psd_by_quadrature(CslParams(1.0, float(rc)), det.geometry, det.arrangement)
+            except QuadratureError:
+                pass  # large r_c: the cancelling axial modes miss REL_TOL
+    info = kspace._resolved_table.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_import_tabulates_nothing():
+    src = str(Path(cslbounds.__file__).parents[1])
+    script = (
+        "from cslbounds import kspace\n"
+        "assert kspace._resolved_table.cache_info().currsize == 0\n"
+        "assert kspace._resolved_table.cache_info().misses == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

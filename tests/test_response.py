@@ -39,7 +39,7 @@ def test_displacement_psd_free_mass_limit():
     # S_xx = 4 S_FF / (m^2 omega^4): each of the pair takes S_FF at 1/(m omega^2);
     # over a 1 m arm the strain is the displacement
     transfer = force_per_native(free_mass_pair(mass=2.0, arm_length=1.0), "strain", 1e3 / (2.0 * math.pi))
-    assert 1.0 / transfer == pytest.approx(1e-12, rel=1e-14)
+    assert 1.0 / transfer == pytest.approx(1e-12, rel=1e-14, abs=0.0)
 
 
 def test_displacement_psd_rejects_negative_frequency():
@@ -52,7 +52,7 @@ def test_strain_psd_examples():
     # S_hh = S_xx / a^2, so the transfer grows as the arm length squared
     unit, four, km4 = (force_per_native(free_mass_pair(arm_length=a), "strain", 32.5) for a in (1.0, 4.0, 4000.0))
     assert four == 16.0 * unit
-    assert 1.0 / km4 == pytest.approx(1.0 / (unit * 4000.0**2), rel=1e-14)
+    assert 1.0 / km4 == pytest.approx(1.0 / (unit * 4000.0**2), rel=1e-14, abs=0.0)
 
 
 def test_strain_psd_rejects_nonpositive_arm():
@@ -77,13 +77,13 @@ def test_acceleration_psd_examples():
 def test_acceleration_inversion_published_figure():
     # S_gg = 2.7e-29 m^2 s^-4/Hz at m = 1.928 kg -> ~2.51e-29 N^2/Hz
     s_ff = force_psd_from_acceleration(2.7e-29, 1.928)
-    assert s_ff == pytest.approx(2.509e-29, rel=1e-3)
+    assert s_ff == pytest.approx(2.509e-29, rel=1e-3, abs=0.0)
 
 
 def test_acceleration_round_trip_identity(lisa):
     s_ff = 3.3e-30
     s_gg = s_ff / force_per_native(lisa, "acceleration")
-    assert force_psd_from_acceleration(s_gg, lisa.geometry.mass) == pytest.approx(s_ff, rel=1e-15)
+    assert force_psd_from_acceleration(s_gg, lisa.geometry.mass) == pytest.approx(s_ff, rel=1e-15, abs=0.0)
 
 
 def test_acceleration_psd_rejects_nonpositive_mass():
@@ -99,9 +99,9 @@ def test_bar_strain_to_force_transfer():
     w0 = 2.0 * math.pi * f0
     expected = (m * w0 * w0 * L / math.pi**2) ** 2 * s_hh
     got = force_psd_from_strain_bar(s_hh, m, w0, L)
-    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
     # raw transfer (no calibration margin): ~38 pN/sqrt(Hz)
-    assert math.sqrt(got) == pytest.approx(3.83e-11, rel=1e-2)
+    assert math.sqrt(got) == pytest.approx(3.83e-11, rel=1e-2, abs=0.0)
 
 
 def test_bar_strain_to_force_zero():
@@ -110,7 +110,7 @@ def test_bar_strain_to_force_zero():
 
 def test_bar_strain_to_force_mass_quadratic():
     base = force_psd_from_strain_bar(1e-42, 1000.0, 100.0, 3.0)
-    assert force_psd_from_strain_bar(1e-42, 2000.0, 100.0, 3.0) == pytest.approx(4.0 * base, rel=1e-15)
+    assert force_psd_from_strain_bar(1e-42, 2000.0, 100.0, 3.0) == pytest.approx(4.0 * base, rel=1e-15, abs=0.0)
 
 
 def test_bar_strain_to_force_domain_errors():
@@ -124,7 +124,7 @@ def test_bar_strain_force_round_trip(auriga):
     s_hh = (1.6e-21) ** 2
     bar = auriga.response
     s_ff = force_psd_from_strain_bar(s_hh, auriga.geometry.mass, bar.omega0, bar.length)
-    assert s_ff / force_per_native(auriga, "strain") == pytest.approx(s_hh, rel=1e-15)
+    assert s_ff / force_per_native(auriga, "strain") == pytest.approx(s_hh, rel=1e-15, abs=0.0)
 
 
 def test_free_mass_strain_force_round_trip(ligo):
@@ -132,8 +132,8 @@ def test_free_mass_strain_force_round_trip(ligo):
     m, omega, a = 40.0, 2.0 * math.pi * 32.5, 4000.0
     s_ff = 9.025e-27
     s_hh = s_ff / force_per_native(ligo, "strain", 32.5)
-    assert s_hh == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-14)
-    assert force_psd_from_strain_free_mass(s_hh, m, omega, a) == pytest.approx(s_ff, rel=1e-12)
+    assert s_hh == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-14, abs=0.0)
+    assert force_psd_from_strain_free_mass(s_hh, m, omega, a) == pytest.approx(s_ff, rel=1e-12, abs=0.0)
 
 
 # --- spectrum series -------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_equivalent_force_flat_strain_rises_as_frequency_squared():
     force = equivalent_force_asd_free_mass(series, 40.0, 4000.0)
     assert force.quantity == "force"
     assert np.all(np.diff(force.asd) > 0.0)
-    assert force.asd[1] == pytest.approx(4.0 * force.asd[0], rel=1e-12)
+    assert force.asd[1] == pytest.approx(4.0 * force.asd[0], rel=1e-12, abs=0.0)
 
 
 def test_equivalent_force_inverse_square_strain_is_flat():
@@ -191,8 +191,8 @@ def test_equivalent_force_spot_value():
     series = strain_series([32.5], [2.85e-23])
     force = equivalent_force_asd_free_mass(series, 40.0, 4000.0)
     hand = 0.5 * 40.0 * (2.0 * math.pi * 32.5) ** 2 * 4000.0 * 2.85e-23
-    assert force.asd[0] == pytest.approx(hand, rel=1e-14)
-    assert force.asd[0] == pytest.approx(95e-15, rel=0.01)
+    assert force.asd[0] == pytest.approx(hand, rel=1e-14, abs=0.0)
+    assert force.asd[0] == pytest.approx(95e-15, rel=0.01, abs=0.0)
 
 
 def test_equivalent_force_requires_strain():
