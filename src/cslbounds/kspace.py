@@ -36,15 +36,12 @@ parameter range:
   resolved literally out to a fixed phase (6000 rad) and the remainder
   is integrated with the oscillation averaged out; the neglected
   ripple is bounded by integration by parts and charged to the
-  reported error.
-
-Each radial and slab integrand is a shape free of rc (J1(z)^2, sinc^2 u)
-times the Gaussian e^{-(s z)^2}.  While s <= 1/100 the resolved range is
-the fixed [0, 6000], so the nodes and the shape values on them are
-tabulated once per process and panel count, on first use, and shared by
-every rc (and, for J1^2, by every radius).  A shorter range moves with
-rc and is evaluated afresh.  The tables change no result, and the
-reported evaluation count still counts every node.
+  reported error.  Each is an rc-free shape (J1(z)^2, sinc^2 u) times
+  e^{-(s z)^2}, on panels of the dyadic widths (6000/478) / 2^k: the
+  first pass takes the coarsest that lays at least 8 over [0, min(60/s,
+  6000)], rounded up to whole panels, and each doubling the next.  So
+  every pass is a prefix of one table per (shape, k) of nodes and shape
+  values, shared by every rc; the evaluation count still counts each node.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -53,9 +50,9 @@ spend at most BUDGET integrand evaluations; both are fixed constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +72,7 @@ _PANEL_PHASE = 8.0 * math.pi
 _K_CUTOFF = 60.0
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
+_LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
 # The radial and slab integrals stop at this fraction of REL_TOL.
@@ -84,6 +82,8 @@ _SUB_TOL = 1e-2
 # evaluations one result may spend: fixed, read at call time.
 REL_TOL = 1e-6
 BUDGET = 2**24
+# (shape, panel width) -> read-only Kronrod nodes from 0 and the shape on them, filled by _shape_nodes
+_TABLES = {}
 
 
 @dataclass(frozen=True)
@@ -176,31 +176,35 @@ def _panel_nodes(lo, hi, panels):
     return half, (centers[:, None] + half * _NODES[None, :]).ravel()
 
 
-@functools.lru_cache(maxsize=4)
-def _resolved_table(shape, hi, panels):
-    """_panel_nodes(0, hi, panels) and shape at those nodes, read-only; filled on first use."""
-    half, x = _panel_nodes(0.0, hi, panels)
-    values = shape(x)
-    x.flags.writeable = values.flags.writeable = False
-    return half, x, values
+def _shape_nodes(shape, level, first, panels):
+    """Half-width, Kronrod nodes and shape of `panels` = first 2^j panels of level + j: a prefix of its table."""
+    level += (panels // first).bit_length() - 1
+    width = math.ldexp(_RESOLVED_PHASE / _LEVEL0_PANELS, -level)
+    x, values = _TABLES.get((shape, width), (_NODES[:0], _NODES[:0]))
+    have = x.size // _NODES.size
+    if have < panels:  # grow to twice the size or more, but never past the whole level
+        # edges i w, not a slice of the whole level; level 0 repeats linspace(0, _RESOLVED_PHASE, 479) bit for bit
+        edges = np.arange(have, min(max(panels, 2 * have), _LEVEL0_PANELS << level) + 1) * width
+        new = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + 0.5 * width * _NODES[None, :]).ravel()
+        x, values = np.concatenate((x, new)), np.concatenate((values, shape(new)))
+        x.flags.writeable = values.flags.writeable = False
+        _TABLES[shape, width] = x, values
+    return 0.5 * width, x[: panels * _NODES.size], values[: panels * _NODES.size]
 
 
-def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what, shape=None):
-    """Composite Gauss-Kronrod quadrature of f over [lo, hi]: (value, error).
+def _adaptive(f, nodes, panels, tol_abs, tol_rel, budget, what):
+    """Composite Gauss-Kronrod quadrature of f on equal panels: (value, error).
 
-    One pass evaluates the Kronrod rule on equal panels.  Its error
+    nodes(n) gives the half-width of n equal panels, then the arguments
+    of f at their Kronrod nodes, panel by panel; for a shape, a table
+    prefix whose level (panel width) moves down one at each doubling.
+    Each node costs one evaluation of the budget, tabulated or not.  One
+    pass evaluates the Kronrod rule on `panels` panels.  Its error
     estimate is the sum over panels of |Kronrod - embedded Gauss|, and
     never less than 100 ulp of the integral of |f|.  The pass is accepted
     when that estimate is at most the largest of tol_abs, tol_rel times
-    the integral of |f| and that floor; only otherwise does the panel
-    count double.
-
-    With a shape, the integrand is f(x, shape(x)).  On the fixed range
-    [0, _RESOLVED_PHASE] the nodes and shape values come from
-    _resolved_table, shared by every call; the budget still counts each
-    node as one evaluation.
+    the integral of |f| and that floor; only otherwise does it double.
     """
-    panels = max(4, int(panels0))
     err = value = None
     while True:
         if not budget.charge(panels * _NODES.size):
@@ -210,16 +214,8 @@ def _adaptive(f, lo, hi, panels0, tol_abs, tol_rel, budget, what, shape=None):
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )
-        if shape is None:
-            half, x = _panel_nodes(lo, hi, panels)
-            fx = f(x)
-        elif lo == 0.0 and hi == _RESOLVED_PHASE:
-            half, x, values = _resolved_table(shape, hi, panels)
-            fx = f(x, values)
-        else:
-            half, x = _panel_nodes(lo, hi, panels)
-            fx = f(x, shape(x))
-        fx = fx.reshape(panels, _NODES.size)
+        half, *args = nodes(panels)
+        fx = f(*args).reshape(panels, _NODES.size)
         value = half * float(fx.sum(axis=0) @ _WEIGHTS)
         magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
         floor = 100.0 * np.finfo(float).eps * magnitude
@@ -240,7 +236,7 @@ def _cos_gauss_moment(ratio, tol_abs, budget):
     def f(u):
         return np.cos(ratio * u) * np.exp(-u * u)
 
-    return _adaptive(f, 0.0, _K_CUTOFF, panels0, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
+    return _adaptive(f, partial(_panel_nodes, 0.0, _K_CUTOFF), panels0, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
 
 
 def _axial_mode_sum(separation, length, rc, budget):
@@ -291,30 +287,34 @@ def _inverse_square_gauss_tail(v_lo, s, budget, what):
         return np.exp(-v * v) / v
 
     scale = math.exp(-v_lo * v_lo) / v_lo
-    value, err = _adaptive(f, math.log(v_lo), math.log(_K_CUTOFF), 32, 1e-12 * scale, 0.0, budget, what)
+    value, err = _adaptive(f, partial(_panel_nodes, math.log(v_lo), math.log(_K_CUTOFF)), 32, 1e-12 * scale, 0.0, budget, what)
     return s * value, s * err
 
 
 def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
     """(value, error) of int_0^{60/s} f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
 
-    The integrand is resolved out to _RESOLVED_PHASE; past it only the
-    averaged 1/z^2 tail is integrated.  The dropped ripple is bounded by
-    parts, and remainder / z^2 bounds the error of the asymptotic form
-    itself.
+    The integrand is resolved on whole panels out to hi >= min(60/s,
+    _RESOLVED_PHASE); past hi only the averaged 1/z^2 tail is integrated.
+    The dropped ripple is bounded by parts, and remainder / z^2 bounds
+    the error of the asymptotic form itself.
     """
     zcap = _K_CUTOFF / s
-    zres = min(zcap, _RESOLVED_PHASE)
-    panels0 = max(8, int(2.0 * zres / _PANEL_PHASE) + 1)
-    value, err = _adaptive(
-        f, 0.0, zres, panels0, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral", shape
-    )
-    if zcap > zres:
-        tail, terr = _inverse_square_gauss_tail(s * zres, s, budget, f"{what} tail")
+    if zcap == 0.0:  # s = inf: the range is empty
+        return 0.0, 0.0
+    # the coarsest level with at least 8 panels, 2^level > 7 w_0 / zres, from logarithms: 1 / zres may overflow
+    zres, w0 = min(zcap, _RESOLVED_PHASE), _RESOLVED_PHASE / _LEVEL0_PANELS
+    level = max(0, math.floor(math.log2(7.0 * w0) - math.log2(zres)) + 1)
+    panels = min(max(8, math.ceil(zres / math.ldexp(w0, -level))), _LEVEL0_PANELS << level)
+    hi = panels * math.ldexp(w0, -level)
+    nodes = partial(_shape_nodes, shape, level, panels)
+    value, err = _adaptive(f, nodes, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    if zcap > hi:
+        tail, terr = _inverse_square_gauss_tail(s * hi, s, budget, f"{what} tail")
         value += tail / divisor
         err += terr / divisor
-        err += math.exp(-((s * zres) ** 2)) / (divisor * zres**2)
-        err += remainder / zres**2
+        err += math.exp(-((s * hi) ** 2)) / (divisor * hi**2)
+        err += remainder / hi**2
     return value, err
 
 

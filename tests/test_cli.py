@@ -51,11 +51,11 @@ def test_noise_closes_the_loop(capsys, monkeypatch, config):
         omega = 2.0 * math.pi * values["frequency_hz"]
         s_ff = values["s_ff_one_sided_n2_per_hz"]
         assert values["frequency_hz"] == entry.frequency_hz
-        assert s_ff == pytest.approx(entry.psd, rel=1e-12)
-        assert values["s_hh_one_sided_per_hz"] == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-12)
+        assert s_ff == pytest.approx(entry.psd, rel=1e-12, abs=0.0)
+        assert values["s_hh_one_sided_per_hz"] == pytest.approx(4.0 * s_ff / (m * m * omega**4 * a * a), rel=1e-12, abs=0.0)
     else:
         key = "s_gg_one_sided_m2_s4_per_hz" if config == "lisa_pathfinder" else "s_hh_one_sided_per_hz"
-        assert values[key] == pytest.approx(entry.psd * entry.csl_fraction, rel=1e-12)
+        assert values[key] == pytest.approx(entry.psd * entry.csl_fraction, rel=1e-12, abs=0.0)
 
 
 def test_noise_zero_rate(capsys):
@@ -201,7 +201,7 @@ def test_spectrum_bound_end_to_end(tmp_path, capsys):
     freq = float(lines[0].split(" = ")[1])
     force = float(lines[1].split(" = ")[1])
     assert freq == pytest.approx(32.5, rel=1e-9)
-    assert force == pytest.approx(95e-15, rel=0.01)
+    assert force == pytest.approx(95e-15, rel=0.01, abs=0.0)
     assert out_csv.exists()
 
 
@@ -445,6 +445,15 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
     code, _, err = run(capsys, "validate", "--config", config, "--rc-min", rc_min, "--rc-max", "1e-90", "--points", "2")
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("error: quadrature force PSD is 0 at r_c = ")
+
+
+def test_validate_at_the_largest_rc_exit_3(capsys):
+    # at 1e308 m, s = r_c/R overflows to inf and the resolved range 60/s is
+    # empty; 1e307 m, the first point, already gives a zero PSD
+    code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e307", "--rc-max", "1e308", "--points", "2")
+    assert code == 3
+    assert out == "r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff\n"
+    assert err == "error: quadrature force PSD is 0 at r_c = 1e+307 m; no relative difference exists\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):

@@ -43,18 +43,18 @@ def test_to_one_sided_matches_published_acceleration_figure(lisa):
     lam = lambda_max(lisa, lisa.noise_entry("published_minimum"), rc)
     s_two_sided = float(model_force_psd(lisa, CslParams(lam, rc)))
     transfer = force_per_native(lisa, "acceleration")
-    assert s_two_sided / transfer == pytest.approx(1.35e-29, rel=1e-12)
-    assert 2.0 * s_two_sided / transfer == pytest.approx(2.7e-29, rel=1e-12)
+    assert s_two_sided / transfer == pytest.approx(1.35e-29, rel=1e-12, abs=0.0)
+    assert 2.0 * s_two_sided / transfer == pytest.approx(2.7e-29, rel=1e-12, abs=0.0)
 
 
 def test_asd_to_psd_force_example(ligo):
     # the config gives the one-sided amplitude 95e-15 N/sqrt(Hz)
-    assert ligo.noise_entry("o1_minimum").psd == pytest.approx(9.025e-27, rel=1e-12)
+    assert ligo.noise_entry("o1_minimum").psd == pytest.approx(9.025e-27, rel=1e-12, abs=0.0)
 
 
 def test_asd_to_psd_strain_example(auriga):
     # the config gives the one-sided amplitude 1.6e-21 /sqrt(Hz)
-    assert auriga.noise_entry("thermal_calibrated").psd == pytest.approx(2.56e-42, rel=1e-12)
+    assert auriga.noise_entry("thermal_calibrated").psd == pytest.approx(2.56e-42, rel=1e-12, abs=0.0)
 
 
 def test_negative_amplitude_rejected(tmp_path):

@@ -153,7 +153,7 @@ def test_axial_factor_matches_extended_precision_through_branch_switch(a, L):
     for rc in np.geomspace(switch_rc / 300.0, switch_rc * 300.0, 61):
         ref = float(mp_axial(a, L, rc))
         got = axial_factor(a, L, float(rc))
-        assert got == pytest.approx(ref, rel=2e-11), f"rc={rc}"
+        assert got == pytest.approx(ref, rel=2e-11, abs=0.0), f"rc={rc}"
 
 
 @given(exponents, exponents, exponents)
@@ -294,7 +294,7 @@ def test_cube_pair_small_rc_asymptote():
 def test_cube_pair_spot_value_at_standard_length():
     # frozen from the small-rc asymptote at rc = 1e-7 (agrees to ~5e-12)
     got = cube_pair_force_psd(CslParams(1.0, 1e-7), LISA_GEOM, 0.376)
-    assert got == pytest.approx(4.2081e-22, rel=1e-4)
+    assert got == pytest.approx(4.2081e-22, rel=1e-4, abs=0.0)
 
 
 def test_cube_pair_huge_rc_suppressed():

@@ -58,14 +58,14 @@ def make_interferometer(mass=40.0, separation=4000.0, noise=()):
 def test_measured_force_psd_acceleration_chain(lisa):
     entry = lisa.noise_entry("published_minimum")
     expected = (1.928**2 / 4.0) * 2.7e-29
-    assert measured_force_psd(lisa, entry) == pytest.approx(expected, rel=1e-14)
+    assert measured_force_psd(lisa, entry) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_measured_force_psd_bar_applies_csl_fraction(auriga):
     entry = auriga.noise_entry()
     s_ff = measured_force_psd(auriga, entry)
     # 10% of the measured power: 38.3 pN/sqrt(Hz) -> 12.1 pN/sqrt(Hz)
-    assert math.sqrt(s_ff) == pytest.approx(12.1e-12, rel=0.01)
+    assert math.sqrt(s_ff) == pytest.approx(12.1e-12, rel=0.01, abs=0.0)
 
 
 def test_measured_force_psd_strain_interferometer(ligo):
@@ -77,7 +77,7 @@ def test_measured_force_psd_strain_interferometer(ligo):
         provenance="test",
     )
     s_ff = measured_force_psd(ligo, entry)
-    assert math.sqrt(s_ff) == pytest.approx(95e-15, rel=0.01)
+    assert math.sqrt(s_ff) == pytest.approx(95e-15, rel=0.01, abs=0.0)
 
 
 @pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
@@ -262,7 +262,7 @@ def test_optimal_frequency_v_spectrum_finds_kink(ligo):
     series = SpectrumSeries(freqs, 2.85e-23 * shape, "strain")
     omega_bar, s_f = optimal_frequency(series, ligo)
     assert omega_bar == pytest.approx(2.0 * math.pi * kink, rel=1e-12)
-    assert s_f == pytest.approx(95e-15, rel=0.01)
+    assert s_f == pytest.approx(95e-15, rel=0.01, abs=0.0)
 
 
 def test_optimal_frequency_scale_invariant_argmin(ligo):

@@ -10,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -256,103 +258,220 @@ def slab_reference(s):
         return mp.pi / 2 * mp.erf(1 / s) - mp.sqrt(mp.pi) / 2 * s * (1 - mp.exp(-1 / s**2))
 
 
-@given(st.floats(min_value=-12.0, max_value=4.0))
-@example(math.log10(MIN_CORRELATION_LENGTH / 0.3))
-def test_radial_integral_error_is_certified(log_s):
-    s = 10.0**log_s
+W1 = math.ldexp(kspace._RESOLVED_PHASE / kspace._LEVEL0_PANELS, -1)  # panel width of level 1
+
+
+def s_at(zres):
+    """An s whose resolved range 60/s is zres exactly, if a neighbour of 60/zres gives it."""
+    s = kspace._K_CUTOFF / zres
+    return next((float(c) for c in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0)) if kspace._K_CUTOFF / c == zres), s)
+
+
+def s_past(zres, edges):
+    """The largest s whose range 60/s, past zres, is rounded up to `edges` panels of level 1."""
+    s = s_at(zres)
+    while math.ceil(kspace._K_CUTOFF / s / W1) < edges:
+        s = float(np.nextafter(s, 0.0))
+    return s
+
+
+# Edges of the first pass: the range 6000 of s = 1/100 (tabulated below it,
+# rounded up to 478 level-0 panels just above it); a range of exactly 8
+# level-1 panels; a range just past 8 panels, rounded up by almost a whole
+# panel to 9; and one just past 7, whose round-up to 8 is the largest share.
+BOUNDARY_S = [
+    float(np.nextafter(0.01, 0.0)),
+    float(np.nextafter(0.01, 1.0)),
+    s_at(8 * W1),
+    s_past(8 * W1, 9),
+    s_past(7 * W1, 8),
+]
+
+
+def test_boundary_s_lie_on_their_edges():
+    below, above, exact, past8, past7 = (kspace._K_CUTOFF / s for s in BOUNDARY_S)
+    assert below > kspace._RESOLVED_PHASE > above
+    assert exact == 8 * W1
+    assert math.ceil(past8 / W1) == 9 and past8 - 8 * W1 < 1e-12 * W1
+    assert math.ceil(past7 / W1) == 8 and past7 - 7 * W1 < 1e-12 * W1
+
+
+def with_examples(values):
+    """Hypothesis's @example for each of the values."""
+
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+@given(st.floats(min_value=-12.0, max_value=4.0).map(lambda e: 10.0**e))
+@example(10.0 ** math.log10(MIN_CORRELATION_LENGTH / 0.3))
+@with_examples(BOUNDARY_S)
+def test_radial_integral_error_is_certified(s):
     value, err = kspace._disc_radial_integral(1.0, s, kspace._Budget(kspace.BUDGET))
     assert abs(value - float(radial_reference(s))) <= err
 
 
-@given(st.floats(min_value=-12.0, max_value=4.0))
-@example(math.log10(MIN_CORRELATION_LENGTH / 0.046))
-def test_slab_integral_error_is_certified(log_ratio):
-    # side = 1 m, rc = 10^log_ratio: the integral is in u = k side/2, at s = 2 rc/side
-    rc = 10.0**log_ratio
+@given(st.floats(min_value=-12.0, max_value=4.0).map(lambda e: 10.0**e))
+@example(10.0 ** math.log10(MIN_CORRELATION_LENGTH / 0.046))
+@with_examples([0.5 * s for s in BOUNDARY_S])
+def test_slab_integral_error_is_certified(rc):
+    # side = 1 m: the integral is in u = k side/2, at s = 2 rc/side
     value, err = kspace._slab_integral(1.0, rc, kspace._Budget(kspace.BUDGET))
     assert abs(value - 2.0 * float(slab_reference(2.0 * rc))) <= err
 
 
-def fixed_range_sweep(configs, before_each=lambda: None):
-    # r_c from 1e-12 m to R/100 (side/200 for the cube): s <= 1/100, so every
-    # point resolves the same range [0, _RESOLVED_PHASE]
+def sweep(points, before_each=lambda: None):
+    """The oracle at each (config, r_c), in order."""
     results = []
-    for name in configs:
+    for name, rcs in points:
         det = load_detector_config(name)
-        geom = det.geometry
-        top = geom.side / 200.0 if isinstance(geom, Cube) else geom.radius / 100.0
-        for rc in np.geomspace(1e-12, top, 15):
+        for rc in rcs:
             before_each()
-            results.append(force_psd_by_quadrature(CslParams(1.0, float(rc)), geom, det.arrangement))
+            results.append(force_psd_by_quadrature(CslParams(1.0, float(rc)), det.geometry, det.arrangement))
     return results
 
 
-@pytest.mark.parametrize("configs, kernel", [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array")])
-def test_fixed_range_shape_is_tabulated_once(monkeypatch, configs, kernel):
-    # J1(z)^2 in z = kR does not depend on R, so ligo and auriga share one table
-    grids = []
+class CountingTables(dict):
+    """kspace._TABLES that counts each fill or growth of a table."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def count_kernel_calls(monkeypatch, kernel):
+    """Route kspace's kernel through a recorder; returns the list of argument sizes."""
+    sizes = []
     inner = getattr(kspace, kernel)
 
     def counting(x):
-        grids.append((x.size, float(x.max())))
+        sizes.append(x.size)
         return inner(x)
 
-    kspace._resolved_table.cache_clear()
     monkeypatch.setattr(kspace, kernel, counting)
-    shared = fixed_range_sweep(configs)
-    assert len(grids) == 1
-    assert grids[0][1] > 0.99 * kspace._RESOLVED_PHASE
-    fresh = fixed_range_sweep(configs, before_each=kspace._resolved_table.cache_clear)
-    assert len(grids) == 1 + len(fresh)
+    return sizes
+
+
+@pytest.mark.parametrize("configs, kernel", [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array")])
+def test_shape_is_tabulated_once_per_table_fill(monkeypatch, configs, kernel):
+    # r_c falling from 10 R (5 sides for the cube) to 1e-12 m, across R/100
+    # (side/200), after 40 r_c falling from R/2 to R/100 (side/4 to side/200)
+    # whose ranges lengthen from 120 to 6000 on level 0.  J1(z)^2 in z = kR
+    # does not depend on R, so ligo and auriga share tables.
+    points = []
+    for name in configs:
+        geom = load_detector_config(name).geometry
+        r = 0.5 * geom.side if isinstance(geom, Cube) else geom.radius
+        points.append((name, np.concatenate([np.geomspace(r / 2, r / 100, 40), np.geomspace(10 * r, 1e-12, 25)])))
+    tables = CountingTables()
+    monkeypatch.setattr(kspace, "_TABLES", tables)
+    sizes = count_kernel_calls(monkeypatch, kernel)
+    shared = sweep(points)
+    # one call per fill or growth, each evaluating only the new nodes
+    assert len(sizes) == tables.writes
+    assert sum(sizes) == sum(x.size for x, _ in tables.values())
+    # a table at least doubles when it grows, so from 8 panels to n it is written at most 1 + log2(n / 8) times
+    assert len(sizes) <= sum(1 + math.log2(x.size / (8 * kspace._NODES.size)) for x, _ in tables.values())
+    fresh = sweep(points, before_each=tables.clear)
+    assert len(sizes) == tables.writes
     # same values, errors and costs, bit for bit
     assert shared == fresh
 
 
 @pytest.mark.parametrize("s", [1e-9, 1e-4, 1e-2, 0.05])
-def test_tables_change_no_bit_of_the_radial_and_slab_integrals(s):
-    # the reference evaluates the whole integrand afresh at every node
-    def radial(z):
-        j = _j1_array(z)
-        return j * j * np.exp(-((s * z) ** 2)) / z
+def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
+    tabulated = kspace._shape_nodes
+    whole_range = []
 
-    def slab(u):
-        return _sinc2_array(u) * np.exp(-((s * u) ** 2))
+    def afresh(shape, level, first, panels):
+        # the table's nodes, with the shape evaluated on all of them at once
+        half, x, _ = tabulated(shape, level, first, panels)
+        if level == 0 and first == kspace._LEVEL0_PANELS:
+            # s <= 1/100: the nodes of equal panels on linspace(0, 6000, panels + 1)
+            linspace_half, linspace_x = kspace._panel_nodes(0.0, kspace._RESOLVED_PHASE, panels)
+            whole_range.append(half == linspace_half and np.array_equal(x, linspace_x))
+        x = np.array(x)
+        return half, x, shape(x)
 
-    def budget():
-        return kspace._Budget(kspace.BUDGET)
-
-    for _ in range(2):  # cold, then warm
-        assert kspace._disc_radial_integral(1.0, s, budget()) == kspace._resolved_with_tail(
-            radial, None, s, math.pi, 0.5 * kspace._J1SQ_TAIL_C, budget(), "radial"
-        )
+    def integrals():
         # side = 2 m: the slab's s is rc, and its 2/side scale is 1
-        assert kspace._slab_integral(2.0, s, budget()) == kspace._resolved_with_tail(slab, None, s, 2.0, 0.0, budget(), "slab")
+        return (
+            kspace._disc_radial_integral(1.0, s, kspace._Budget(kspace.BUDGET)),
+            kspace._slab_integral(2.0, s, kspace._Budget(kspace.BUDGET)),
+        )
+
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    cold = integrals()
+    warm = integrals()
+    with monkeypatch.context() as m:
+        m.setattr(kspace, "_shape_nodes", afresh)
+        reference = integrals()
+    assert cold == warm == reference
+    assert len(whole_range) == (2 if s <= 0.01 else 0) and all(whole_range)
 
 
-def test_table_cache_is_bounded_and_holds_only_the_fixed_range(ligo):
-    kspace._resolved_table.cache_clear()
-    # r_c > R/100: the resolved range 60 R/r_c moves with r_c and is never cached
-    for rc in np.geomspace(0.01, 1.0, 5):
-        force_psd_by_quadrature(CslParams(1.0, float(rc)), ligo.geometry, ligo.arrangement)
-    assert kspace._resolved_table.cache_info().currsize == 0
-    for rc in np.geomspace(1e-12, 1e3, 200):
+def test_table_cache_is_bounded(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(kspace, "_TABLES", tables)
+    for rc in np.geomspace(1e-12, 1e4, 200):
         for name in ("ligo", "lisa_pathfinder", "auriga"):
             det = load_detector_config(name)
             try:
                 force_psd_by_quadrature(CslParams(1.0, float(rc)), det.geometry, det.arrangement)
             except QuadratureError:
                 pass  # large r_c: the cancelling axial modes miss REL_TOL
-    info = kspace._resolved_table.cache_info()
-    assert 0 < info.currsize <= info.maxsize
+    # levels 0 to about 20 of two shapes, every node inside [0, _RESOLVED_PHASE]
+    assert 0 < len(tables) <= 42
+    assert sum(x.nbytes + v.nbytes for x, v in tables.values()) <= 1_000_000
+    assert all(x.max() < kspace._RESOLVED_PHASE and not x.flags.writeable and not v.flags.writeable for x, v in tables.values())
+
+
+ORACLE_POINTS = [
+    # the oracle benchmark job: 9 r_c per config over the validate default ranges
+    ("ligo", np.geomspace(1e-8, 1.0, 9)),
+    ("lisa_pathfinder", np.geomspace(1e-8, 1.0, 9)),
+    ("auriga", np.geomspace(1e-3, 10.0, 9)),
+]
+
+
+def test_second_oracle_sweep_evaluates_no_shape(monkeypatch):
+    # the recorders go in first: the slab's table is keyed by the sinc^2 kernel itself
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    j1 = count_kernel_calls(monkeypatch, "_j1_array")
+    sinc2 = count_kernel_calls(monkeypatch, "_sinc2_array")
+    first = sweep(ORACLE_POINTS)
+    j1.clear()
+    sinc2.clear()
+    assert sweep(ORACLE_POINTS) == first
+    assert j1 == [] and sinc2 == []
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1e2, 1e100, 1e200, 1e300, 1.7e308, math.inf])
+def test_extreme_s_terminates(monkeypatch, s):
+    # at s = inf the range 60/s is empty; above ~1e154 the integrands underflow
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for integral in (kspace._disc_radial_integral, kspace._slab_integral):
+            value, err = integral(1.0, s, kspace._Budget(kspace.BUDGET))
+            assert math.isfinite(value) and math.isfinite(err) and 0.0 <= err, (integral, value, err)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 10.0 and peak < 64e6
 
 
 def test_import_tabulates_nothing():
     src = str(Path(cslbounds.__file__).parents[1])
-    script = (
-        "from cslbounds import kspace\n"
-        "assert kspace._resolved_table.cache_info().currsize == 0\n"
-        "assert kspace._resolved_table.cache_info().misses == 0\n"
-    )
+    script = "from cslbounds import kspace\nassert kspace._TABLES == {}\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
