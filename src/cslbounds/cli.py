@@ -91,8 +91,12 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
 def cmd_noise(args) -> int:
     det = _load_config(args)
     params = CslParams(args.collapse_rate, args.rc)
-    s_two_sided = model_force_psd(det, params, args.variant)
-    s_one_sided = 2.0 * s_two_sided
+    s_one_sided = 2.0 * model_force_psd(det, params, args.variant)
+    if not math.isfinite(s_one_sided):
+        raise UnboundedParameterError(
+            f"model force PSD overflows for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s;"
+            " no finite value exists"
+        )
     native = _native_noise_lines(det, s_one_sided, args.frequency_hz)
     print(f"s_ff_one_sided_n2_per_hz = {_fmt(s_one_sided)}")
     for line in native:

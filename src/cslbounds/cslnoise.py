@@ -277,7 +277,8 @@ def _direct_order(*dims: float) -> bool:
 
 def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
     q = HBAR * (mass / M_NUCLEON) * rc
-    return q * (q * (lam * rest))
+    with np.errstate(over="ignore"):  # an overflow to inf is the caller's to report
+        return q * (q * (lam * rest))
 
 
 def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial: np.ndarray, arm_count: int) -> np.ndarray:

@@ -13,16 +13,16 @@ geometry makes the integral separate into one-dimensional factors:
   radial  int k_rho [2 J1(k_rho R)/(k_rho R)]^2 e^{-rc^2 k_rho^2} dk_rho
   slab    int sinc^2(k L/2) e^{-rc^2 k^2} dk          (cube, twice)
 
-Each factor is integrated on equal panels by the 31-point Gauss-Kronrod
-rule, in one pass per panel count.  The embedded 15-point Gauss rule on
-the same nodes gives the error estimate (the rule pair of QUADPACK,
-Piessens et al. 1983; the Kronrod nodes are computed at import by
-Laurie's algorithm, Math. Comp. 66, 1997).  The panel count doubles only
-when that estimate misses its target.  The radial and slab integrals
-stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine modes
-stop at 1e-13 of the zero mode, because their sum cancels at large rc.
-Every estimate is at least 100 ulp of the integral of |f|.  Two
-measures keep the oscillatory integrands tractable over the full
+Each factor is integrated on equal panels from 0 by the 31-point
+Gauss-Kronrod rule, in one pass per panel count.  The embedded 15-point
+Gauss rule on the same nodes gives the error estimate (the rule pair of
+QUADPACK, Piessens et al. 1983; the Kronrod nodes are computed at import
+by Laurie's algorithm, Math. Comp. 66, 1997).  The panel count doubles
+only when that estimate misses its target.  The radial and slab
+integrals stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine
+modes stop at 1e-13 of the zero mode, because their sum cancels at
+large rc.  Every estimate is at least 100 ulp of the integral of |f|.
+Two measures keep the oscillatory integrands tractable over the full
 parameter range:
 
 * The axial trig product is expanded into pure cosine modes
@@ -33,15 +33,22 @@ parameter range:
   at most ~600 oscillation periods.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
-  resolved literally out to a fixed phase (6000 rad) and the remainder
-  is integrated with the oscillation averaged out; the neglected
-  ripple is bounded by integration by parts and charged to the
-  reported error.  Each is an rc-free shape (J1(z)^2, sinc^2 u) times
-  e^{-(s z)^2}, on panels of the dyadic widths (6000/478) / 2^k: the
-  first pass takes the coarsest that lays at least 8 over [0, min(60/s,
-  6000)], rounded up to whole panels, and each doubling the next.  So
-  every pass is a prefix of one table per (shape, k) of nodes and shape
-  values, shared by every rc; the evaluation count still counts each node.
+  resolved literally out to a fixed phase (6000 rad); the remainder,
+  with the oscillation averaged out, is e^{-(s z)^2} / z^2, whose
+  integral has a closed form in erfc.  The neglected ripple is bounded
+  by integration by parts and charged to the reported error.
+
+Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
+J1(z)^2 for the radial and sinc^2 u for the slab integral) times a
+factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  Its panels have
+one of the dyadic widths (6000/478) / 2^k: the first pass takes the
+coarsest that lays enough of them over the range (at least 8 over
+[0, min(60/s, 6000)]; for a mode at least 16 over [0, 60], more the
+faster it oscillates), rounded up to whole panels, and each doubling
+the next.  So every pass is a prefix of one table per (shape, k) of
+nodes and shape values, filled on first use and shared by every rc.
+The evaluation count counts each quadrature node, tabulated or not;
+the closed-form tail costs none.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -52,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -166,20 +172,24 @@ def _gauss_kronrod(n):
 
 
 _NODES, _WEIGHTS, _WEIGHTS_DIFF = _gauss_kronrod(_GAUSS_POINTS)
+_EPS = float(np.finfo(float).eps)
 
 
-def _panel_nodes(lo, hi, panels):
-    """Half-width of `panels` equal panels on [lo, hi] and their Kronrod nodes, panel by panel."""
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * float(edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return half, (centers[:, None] + half * _NODES[None, :]).ravel()
+def _width(level):
+    """Panel width w_0 / 2^level; level 0 lays _LEVEL0_PANELS panels on [0, _RESOLVED_PHASE]."""
+    return math.ldexp(_RESOLVED_PHASE / _LEVEL0_PANELS, -level)
 
 
-def _shape_nodes(shape, level, first, panels):
-    """Half-width, Kronrod nodes and shape of `panels` = first 2^j panels of level + j: a prefix of its table."""
-    level += (panels // first).bit_length() - 1
-    width = math.ldexp(_RESOLVED_PHASE / _LEVEL0_PANELS, -level)
+def _first_pass(span, least):
+    """(level, panels): the coarsest dyadic width laying at least `least` panels on [0, span], rounded up to whole panels."""
+    # ceil(span / w_k) >= least  <=>  2^k > (least - 1) w_0 / span, from logarithms: 1 / span may overflow
+    level = max(0, math.floor(math.log2((least - 1) * _width(0)) - math.log2(span)) + 1)
+    return level, min(max(least, math.ceil(span / _width(level))), _LEVEL0_PANELS << level)
+
+
+def _shape_nodes(shape, level, panels):
+    """Half-width, Kronrod nodes and shape of the first `panels` panels of width w_0 / 2^level: a prefix of its table."""
+    width = _width(level)
     x, values = _TABLES.get((shape, width), (_NODES[:0], _NODES[:0]))
     have = x.size // _NODES.size
     if have < panels:  # grow to twice the size or more, but never past the whole level
@@ -192,18 +202,17 @@ def _shape_nodes(shape, level, first, panels):
     return 0.5 * width, x[: panels * _NODES.size], values[: panels * _NODES.size]
 
 
-def _adaptive(f, nodes, panels, tol_abs, tol_rel, budget, what):
-    """Composite Gauss-Kronrod quadrature of f on equal panels: (value, error).
+def _adaptive(f, shape, level, panels, tol_abs, tol_rel, budget, what):
+    """Composite Gauss-Kronrod quadrature of f(x, shape(x)) on equal panels from 0: (value, error).
 
-    nodes(n) gives the half-width of n equal panels, then the arguments
-    of f at their Kronrod nodes, panel by panel; for a shape, a table
-    prefix whose level (panel width) moves down one at each doubling.
-    Each node costs one evaluation of the budget, tabulated or not.  One
-    pass evaluates the Kronrod rule on `panels` panels.  Its error
-    estimate is the sum over panels of |Kronrod - embedded Gauss|, and
-    never less than 100 ulp of the integral of |f|.  The pass is accepted
-    when that estimate is at most the largest of tol_abs, tol_rel times
-    the integral of |f| and that floor; only otherwise does it double.
+    One pass evaluates the Kronrod rule on the first `panels` panels of
+    width w_0 / 2^level, a prefix of the shape's table; each doubling
+    moves down one level.  Each node costs one evaluation of the budget,
+    tabulated or not.  The error estimate of a pass is the sum over
+    panels of |Kronrod - embedded Gauss|, and never less than 100 ulp of
+    the integral of |f|.  The pass is accepted when that estimate is at
+    most the largest of tol_abs, tol_rel times the integral of |f| and
+    that floor; only otherwise does it double.
     """
     err = value = None
     while True:
@@ -214,29 +223,34 @@ def _adaptive(f, nodes, panels, tol_abs, tol_rel, budget, what):
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )
-        half, *args = nodes(panels)
-        fx = f(*args).reshape(panels, _NODES.size)
+        half, x, values = _shape_nodes(shape, level, panels)
+        fx = f(x, values).reshape(panels, _NODES.size)
         value = half * float(fx.sum(axis=0) @ _WEIGHTS)
         magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
-        floor = 100.0 * np.finfo(float).eps * magnitude
+        floor = 100.0 * _EPS * magnitude
         err = max(half * float(np.abs(fx @ _WEIGHTS_DIFF).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
             return value, err
+        level += 1
         panels *= 2
 
 
+def _gauss(u):
+    return np.exp(-u * u)
+
+
 def _cos_gauss_moment(ratio, tol_abs, budget):
-    """int_0^60 cos(ratio u) e^{-u^2} du.
+    """int_0^hi cos(ratio u) e^{-u^2} du over whole panels, hi >= 60, past which e^{-u^2} is below 1e-1565.
 
     This is rc * int_0^{60/rc} cos(b k) e^{-(rc k)^2} dk at ratio = b/rc;
     the scaled variable u = rc k keeps the limits finite at any rc.
     """
-    panels0 = max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
+    level, panels = _first_pass(_K_CUTOFF, max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1))
 
-    def f(u):
-        return np.cos(ratio * u) * np.exp(-u * u)
+    def f(u, gauss):
+        return np.cos(ratio * u) * gauss
 
-    return _adaptive(f, partial(_panel_nodes, 0.0, _K_CUTOFF), panels0, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
+    return _adaptive(f, _gauss, level, panels, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
 
 
 def _axial_mode_sum(separation, length, rc, budget):
@@ -279,42 +293,27 @@ def _axial_mode_sum(separation, length, rc, budget):
     return total, err
 
 
-def _inverse_square_gauss_tail(v_lo, s, budget, what):
-    """int_{v_lo/s}^{60/s} e^{-(s z)^2} / z^2 dz, as s int_{v_lo}^{60} e^{-v^2} / v^2 dv in log v."""
-
-    def f(t):
-        v = np.exp(t)
-        return np.exp(-v * v) / v
-
-    scale = math.exp(-v_lo * v_lo) / v_lo
-    value, err = _adaptive(f, partial(_panel_nodes, math.log(v_lo), math.log(_K_CUTOFF)), 32, 1e-12 * scale, 0.0, budget, what)
-    return s * value, s * err
-
-
 def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
     """(value, error) of int_0^{60/s} f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
 
     The integrand is resolved on whole panels out to hi >= min(60/s,
-    _RESOLVED_PHASE); past hi only the averaged 1/z^2 tail is integrated.
-    The dropped ripple is bounded by parts, and remainder / z^2 bounds
-    the error of the asymptotic form itself.
+    _RESOLVED_PHASE); past hi the averaged 1/z^2 tail is added in closed
+    form.  The dropped ripple is bounded by parts, and remainder / z^2
+    bounds the error of the asymptotic form itself.
     """
     zcap = _K_CUTOFF / s
     if zcap == 0.0:  # s = inf: the range is empty
         return 0.0, 0.0
-    # the coarsest level with at least 8 panels, 2^level > 7 w_0 / zres, from logarithms: 1 / zres may overflow
-    zres, w0 = min(zcap, _RESOLVED_PHASE), _RESOLVED_PHASE / _LEVEL0_PANELS
-    level = max(0, math.floor(math.log2(7.0 * w0) - math.log2(zres)) + 1)
-    panels = min(max(8, math.ceil(zres / math.ldexp(w0, -level))), _LEVEL0_PANELS << level)
-    hi = panels * math.ldexp(w0, -level)
-    nodes = partial(_shape_nodes, shape, level, panels)
-    value, err = _adaptive(f, nodes, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    level, panels = _first_pass(min(zcap, _RESOLVED_PHASE), 8)
+    hi = panels * _width(level)
+    value, err = _adaptive(f, shape, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
     if zcap > hi:
-        tail, terr = _inverse_square_gauss_tail(s * hi, s, budget, f"{what} tail")
-        value += tail / divisor
-        err += terr / divisor
-        err += math.exp(-((s * hi) ** 2)) / (divisor * hi**2)
-        err += remainder / hi**2
+        # int_hi^inf e^{-(s z)^2} / z^2 dz = e^{-v^2} / hi - s sqrt(pi) erfc(v) at v = s hi; the terms
+        # cancel, and v^2 is rounded inside the exponential: good to (v^2 + 4) ulp of e^{-v^2} / hi
+        v = s * hi
+        gauss = math.exp(-v * v)
+        value += (gauss / hi - s * math.sqrt(math.pi) * math.erfc(v)) / divisor
+        err += ((v * v + 4.0) * _EPS * gauss / hi + gauss / hi**2) / divisor + remainder / hi**2
     return value, err
 
 

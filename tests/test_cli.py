@@ -332,6 +332,15 @@ def test_tiny_rc_prints_only_the_error_line(config):
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), (rc, variant, proc.stderr)
 
 
+@pytest.mark.parametrize("config, rc", [("ligo", "1e-7"), ("auriga", "1e-3"), ("lisa_pathfinder", "1e-7")])
+def test_overflowing_force_psd_exit_3(config, rc):
+    # q^2 lambda B passes the largest double: one error line, no numpy
+    # RuntimeWarning and no printed inf
+    proc = run_process("noise", "--config", config, "--rc", rc, "--lambda", "1e308")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: model force PSD overflows for {config!r} at r_c = {float(rc):g} m and lambda = 1e+308 /s; no finite value exists\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -209,13 +209,13 @@ def test_axial_factor_equals_one_plus_corrections():
 def test_radial_bracket_matches_extended_precision():
     for x in np.geomspace(1e-8, 1e12, 101):
         ref = float(mp_radial_bracket(x))
-        assert _radial_bracket(float(x)) == pytest.approx(ref, rel=5e-12), f"x={x}"
+        assert _radial_bracket(float(x)) == pytest.approx(ref, rel=5e-12, abs=0.0), f"x={x}"
 
 
 def test_cube_bracket_matches_extended_precision():
     for z in np.geomspace(1e-8, 1e4, 101):
         ref = float(mp_cube_bracket(z))
-        assert _cube_bracket(float(z)) == pytest.approx(ref, rel=5e-13), f"z={z}"
+        assert _cube_bracket(float(z)) == pytest.approx(ref, rel=5e-13, abs=0.0), f"z={z}"
 
 
 def straddle(switch):
@@ -229,10 +229,10 @@ def test_brackets_as_arrays_straddling_branch_switches():
     for xs in (straddle(5e-3), straddle(20.0)):
         got = _radial_bracket(xs)
         for x, g in zip(xs, got):
-            assert g == pytest.approx(float(mp_radial_bracket(x)), rel=5e-12), f"x={x}"
+            assert g == pytest.approx(float(mp_radial_bracket(x)), rel=5e-12, abs=0.0), f"x={x}"
     zs = straddle(0.1)
     for z, g in zip(zs, _cube_bracket(zs)):
-        assert g == pytest.approx(float(mp_cube_bracket(z)), rel=5e-13), f"z={z}"
+        assert g == pytest.approx(float(mp_cube_bracket(z)), rel=5e-13, abs=0.0), f"z={z}"
 
 
 def test_brackets_array_matches_scalar_calls():

@@ -6,12 +6,14 @@ parameter points where that is tractable, certifying the oracle's mode
 decomposition and tail handling against the raw definition.
 """
 
+import ast
 import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import mpmath as mp
@@ -104,6 +106,42 @@ def test_cos_gauss_moment_against_analytic_and_mpmath():
     ref = mp.quad(lambda k: mp.cos(freq * k) * mp.exp(-((rc * k) ** 2)), [0, 200, 3000])
     assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0)
     assert err < 1e-8 * abs(value)
+
+
+MODE_TOL = 1e-13 * 0.5 * math.sqrt(math.pi)  # the axial target: 1e-13 of the zero mode
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=60.0, exclude_max=True),
+        st.floats(min_value=-12.0, max_value=math.log10(60.0), exclude_max=True).map(lambda e: 10.0**e).filter(lambda r: r < 60.0),
+    )
+)
+@example(0.0)
+@example(float(np.nextafter(60.0, 0.0)))
+def test_cos_gauss_moment_error_is_certified(ratio):
+    # int_0^inf cos(ratio u) e^{-u^2} du = (sqrt(pi)/2) e^{-ratio^2/4}
+    value, err = kspace._cos_gauss_moment(ratio, MODE_TOL, kspace._Budget(kspace.BUDGET))
+    assert abs(value - 0.5 * math.sqrt(math.pi) * math.exp(-0.25 * ratio * ratio)) <= err
+
+
+def test_oracle_imports_only_types_from_the_closed_forms():
+    # the oracle stays independent of cslnoise: it may share its types, never
+    # a function, and from specfun only the J1 and sinc^2 kernels
+    imported = {}  # module as written ("." for the package itself) -> names
+    for node in ast.walk(ast.parse(Path(kspace.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, []).append(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            imported.setdefault("." * node.level + (node.module or ""), []).extend(a.name for a in node.names)
+    assert [m for m in imported if "cslnoise" in m] == [".cslnoise"]
+    assert [m for m in imported if "specfun" in m] == [".specfun"]
+    assert not {"cslnoise", "specfun"} & set(imported.get(".", []))
+    for name in imported[".cslnoise"]:  # a class or a union of classes
+        obj = getattr(cslbounds.cslnoise, name)
+        assert all(isinstance(t, type) for t in typing.get_args(obj) or [obj]), name
+    assert sorted(imported[".specfun"]) == ["_j1_array", "_sinc2_array"]
 
 
 def test_radial_tail_matches_full_resolution(monkeypatch):
@@ -236,9 +274,9 @@ def test_gauss_kronrod_rule():
 
 @pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-7), ("auriga", 1e-3)])
 def test_quadrature_cost_is_one_pass_per_panel_count(config, rc):
-    # one accepted pass per integral costs 16 306 evaluations at each point;
-    # discarding each panel level and doubling cost 185 792 (lisa_pathfinder)
-    # and 430 272 (ligo, auriga)
+    # one accepted pass per integral costs 15 438 evaluations at each point:
+    # 31 nodes on each of 478 radial or slab panels and 20 zero-mode panels;
+    # discarding each panel level and doubling cost over ten times that
     det = load_detector_config(config)
     result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
     assert result.evaluations <= 25_000
@@ -336,13 +374,19 @@ def sweep(points, before_each=lambda: None):
 
 
 class CountingTables(dict):
-    """kspace._TABLES that counts each fill or growth of a table."""
+    """kspace._TABLES that counts each fill or growth of a table, per shape."""
 
-    writes = 0
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
 
     def __setitem__(self, key, value):
-        self.writes += 1
+        self.writes[key[0]] = self.writes.get(key[0], 0) + 1
         super().__setitem__(key, value)
+
+    def of(self, shape):
+        """The tables of one shape."""
+        return [table for (key, _), table in self.items() if key is shape]
 
 
 def count_kernel_calls(monkeypatch, kernel):
@@ -358,12 +402,16 @@ def count_kernel_calls(monkeypatch, kernel):
     return sizes
 
 
-@pytest.mark.parametrize("configs, kernel", [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array")])
+@pytest.mark.parametrize(
+    "configs, kernel",
+    [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array"), (("ligo", "lisa_pathfinder", "auriga"), "_gauss")],
+)
 def test_shape_is_tabulated_once_per_table_fill(monkeypatch, configs, kernel):
     # r_c falling from 10 R (5 sides for the cube) to 1e-12 m, across R/100
     # (side/200), after 40 r_c falling from R/2 to R/100 (side/4 to side/200)
     # whose ranges lengthen from 120 to 6000 on level 0.  J1(z)^2 in z = kR
-    # does not depend on R, so ligo and auriga share tables.
+    # does not depend on R, so ligo and auriga share tables, and every
+    # config's cosine modes share those of e^{-u^2}.
     points = []
     for name in configs:
         geom = load_detector_config(name).geometry
@@ -372,32 +420,50 @@ def test_shape_is_tabulated_once_per_table_fill(monkeypatch, configs, kernel):
     tables = CountingTables()
     monkeypatch.setattr(kspace, "_TABLES", tables)
     sizes = count_kernel_calls(monkeypatch, kernel)
+    # the table key: J1's squares, or the kernel itself, looked up after the recorder went in
+    key = kspace._j1_squared if kernel == "_j1_array" else getattr(kspace, kernel)
     shared = sweep(points)
     # one call per fill or growth, each evaluating only the new nodes
-    assert len(sizes) == tables.writes
-    assert sum(sizes) == sum(x.size for x, _ in tables.values())
+    assert len(sizes) == tables.writes[key]
+    assert sum(sizes) == sum(x.size for x, _ in tables.of(key))
     # a table at least doubles when it grows, so from 8 panels to n it is written at most 1 + log2(n / 8) times
-    assert len(sizes) <= sum(1 + math.log2(x.size / (8 * kspace._NODES.size)) for x, _ in tables.values())
+    assert len(sizes) <= sum(1 + math.log2(x.size / (8 * kspace._NODES.size)) for x, _ in tables.of(key))
     fresh = sweep(points, before_each=tables.clear)
-    assert len(sizes) == tables.writes
+    assert len(sizes) == tables.writes[key]
     # same values, errors and costs, bit for bit
     assert shared == fresh
 
 
-@pytest.mark.parametrize("s", [1e-9, 1e-4, 1e-2, 0.05])
-def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
-    tabulated = kspace._shape_nodes
-    whole_range = []
+def linspace_nodes(lo, hi, panels):
+    """Half-width of `panels` equal panels on linspace(lo, hi, panels + 1) and their Kronrod nodes, panel by panel."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * float(edges[1] - edges[0])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return half, (centers[:, None] + half * kspace._NODES[None, :]).ravel()
 
-    def afresh(shape, level, first, panels):
-        # the table's nodes, with the shape evaluated on all of them at once
-        half, x, _ = tabulated(shape, level, first, panels)
-        if level == 0 and first == kspace._LEVEL0_PANELS:
-            # s <= 1/100: the nodes of equal panels on linspace(0, 6000, panels + 1)
-            linspace_half, linspace_x = kspace._panel_nodes(0.0, kspace._RESOLVED_PHASE, panels)
+
+def shape_afresh(monkeypatch, whole_range):
+    """Route kspace's table reads to the same nodes with the shape evaluated on them at once.
+
+    Appends to whole_range, for each first pass over the whole level 0,
+    whether its nodes are those of linspace(0, 6000, 479).
+    """
+    tabulated = kspace._shape_nodes
+
+    def afresh(shape, level, panels):
+        half, x, _ = tabulated(shape, level, panels)
+        if level == 0 and panels == kspace._LEVEL0_PANELS:
+            linspace_half, linspace_x = linspace_nodes(0.0, kspace._RESOLVED_PHASE, panels)
             whole_range.append(half == linspace_half and np.array_equal(x, linspace_x))
         x = np.array(x)
         return half, x, shape(x)
+
+    monkeypatch.setattr(kspace, "_shape_nodes", afresh)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-4, 1e-2, 0.05])
+def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
+    whole_range = []
 
     def integrals():
         # side = 2 m: the slab's s is rc, and its 2/side scale is 1
@@ -410,10 +476,33 @@ def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
     cold = integrals()
     warm = integrals()
     with monkeypatch.context() as m:
-        m.setattr(kspace, "_shape_nodes", afresh)
+        shape_afresh(m, whole_range)
         reference = integrals()
     assert cold == warm == reference
+    # s <= 1/100: the first pass spans the whole of level 0
     assert len(whole_range) == (2 if s <= 0.01 else 0) and all(whole_range)
+
+
+def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
+    # the zero mode, slow and fast modes at the axial target, and one driven past it through doublings
+    cases = [(0.0, 0.0), (0.5, MODE_TOL), (7.0, MODE_TOL), (59.9, MODE_TOL), (3.0, 1e-17)]
+
+    def moments():
+        results = []
+        for ratio, tol in cases:
+            budget = kspace._Budget(kspace.BUDGET)
+            results.append((kspace._cos_gauss_moment(ratio, tol, budget), budget.used))
+        return results
+
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    cold = moments()
+    warm = moments()
+    with monkeypatch.context() as m:
+        shape_afresh(m, [])
+        reference = moments()
+    assert cold == warm == reference
+    # the last case doubled: it cost more than the zero mode's single pass on the same first level
+    assert cold[-1][1] > cold[0][1]
 
 
 def test_table_cache_is_bounded(monkeypatch):
@@ -426,9 +515,13 @@ def test_table_cache_is_bounded(monkeypatch):
                 force_psd_by_quadrature(CslParams(1.0, float(rc)), det.geometry, det.arrangement)
             except QuadratureError:
                 pass  # large r_c: the cancelling axial modes miss REL_TOL
-    # levels 0 to about 20 of two shapes, every node inside [0, _RESOLVED_PHASE]
-    assert 0 < len(tables) <= 42
-    assert sum(x.nbytes + v.nbytes for x, v in tables.values()) <= 1_000_000
+    # levels 0 to about 20 of each of the three shapes, every node inside [0, _RESOLVED_PHASE]
+    shapes = [shape for shape, _ in tables]
+    assert set(shapes) == {kspace._j1_squared, kspace._sinc2_array, kspace._gauss}
+    assert all(shapes.count(shape) <= 21 for shape in shapes)
+    # J1^2 and sinc^2 within 1 MB; e^{-u^2}, 0 past u = 60, on at most twice the whole panels over [0, 60] a level
+    assert sum(x.nbytes + v.nbytes for (shape, _), (x, v) in tables.items() if shape is not kspace._gauss) <= 1_000_000
+    assert all(x.max() < 2.0 * (kspace._K_CUTOFF + width) for (shape, width), (x, _) in tables.items() if shape is kspace._gauss)
     assert all(x.max() < kspace._RESOLVED_PHASE and not x.flags.writeable and not v.flags.writeable for x, v in tables.values())
 
 
@@ -441,15 +534,33 @@ ORACLE_POINTS = [
 
 
 def test_second_oracle_sweep_evaluates_no_shape(monkeypatch):
-    # the recorders go in first: the slab's table is keyed by the sinc^2 kernel itself
+    # the recorders go in first: the slab's and the modes' tables are keyed by the kernel itself
     monkeypatch.setattr(kspace, "_TABLES", {})
-    j1 = count_kernel_calls(monkeypatch, "_j1_array")
-    sinc2 = count_kernel_calls(monkeypatch, "_sinc2_array")
+    calls = [count_kernel_calls(monkeypatch, kernel) for kernel in ("_j1_array", "_sinc2_array", "_gauss")]
     first = sweep(ORACLE_POINTS)
-    j1.clear()
-    sinc2.clear()
+    assert all(calls)
+    for sizes in calls:
+        sizes.clear()
     assert sweep(ORACLE_POINTS) == first
-    assert j1 == [] and sinc2 == []
+    assert calls == [[], [], []]
+
+
+@pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-3), ("auriga", 5e-3), ("auriga", 1e-5)])
+def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
+    # every pass of every integral reads its nodes through _shape_nodes; the
+    # closed-form tail past 6000 rad of phase (ligo, auriga at 1e-5 m) costs none
+    tabulated = kspace._shape_nodes
+    nodes = []
+
+    def counting(shape, level, panels):
+        half, x, values = tabulated(shape, level, panels)
+        nodes.append(x.size)
+        return half, x, values
+
+    monkeypatch.setattr(kspace, "_shape_nodes", counting)
+    det = load_detector_config(config)
+    result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    assert result.evaluations == sum(nodes) > 0
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1e2, 1e100, 1e200, 1e300, 1.7e308, math.inf])
