@@ -26,11 +26,11 @@ Two measures keep the oscillatory integrands tractable over the full
 parameter range:
 
 * The axial trig product is expanded into pure cosine modes
-  (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k so that the
-  limits stay finite at any rc.  A mode whose frequency exceeds 60 rc
-  is dropped: its value is Gaussian-suppressed below e^-900 of the zero
-  mode, far under any reachable tolerance.  Every retained mode spans
-  at most ~600 oscillation periods.
+  (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k over
+  [0, 30], past which e^{-u^2} < e^-900, so that the limits stay finite
+  at any rc.  A mode whose frequency exceeds 60 rc is dropped: its value
+  is Gaussian-suppressed below e^-900 of the zero mode, far under any
+  reachable tolerance.  Every retained mode spans under 300 periods.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
   resolved literally out to a fixed phase (6000 rad); the remainder,
@@ -41,14 +41,13 @@ parameter range:
 Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
 J1(z)^2 for the radial and sinc^2 u for the slab integral) times a
 factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  Its panels have
-one of the dyadic widths (6000/478) / 2^k: the first pass takes the
-coarsest that lays enough of them over the range (at least 8 over
-[0, min(60/s, 6000)]; for a mode at least 16 over [0, 60], more the
-faster it oscillates), rounded up to whole panels, and each doubling
-the next.  So every pass is a prefix of one table per (shape, k) of
-nodes and shape values, filled on first use and shared by every rc.
-The evaluation count counts each quadrature node, tabulated or not;
-the closed-form tail costs none.
+a dyadic width w / 2^k, w = 6000/478 (radial, slab) or 30/9 (modes).
+The first pass takes the coarsest that lays enough panels over the
+range (at least 8 over [0, min(60/s, 6000)]; for a mode at least 16
+over [0, 60], more the faster it oscillates), rounded up to whole
+panels, and each doubling the next.  So every pass is a prefix of one
+table per (shape, width) of nodes and shape values, filled on first use
+and shared by every rc.  Only quadrature nodes count as evaluations.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -79,6 +78,8 @@ _K_CUTOFF = 60.0
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 _LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
+# Level-0 width and panels of the cosine modes on [0, 30]: 18 over [0, 60], so level 4's 288 serve the fastest
+_MODE_GRID = (30.0 / 9, 9)
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
 # The radial and slab integrals stop at this fraction of REL_TOL.
@@ -175,26 +176,22 @@ _NODES, _WEIGHTS, _WEIGHTS_DIFF = _gauss_kronrod(_GAUSS_POINTS)
 _EPS = float(np.finfo(float).eps)
 
 
-def _width(level):
-    """Panel width w_0 / 2^level; level 0 lays _LEVEL0_PANELS panels on [0, _RESOLVED_PHASE]."""
-    return math.ldexp(_RESOLVED_PHASE / _LEVEL0_PANELS, -level)
+def _level(span, least, width):
+    """The coarsest level whose panels, of width / 2^level, lay at least `least` on [0, span], rounded up to whole panels."""
+    # ceil(span / w_k) >= least  <=>  2^k > (least - 1) w_0 / span, from logarithms: 1 / span may overflow;
+    # a rounded logarithm can fall one level short where the two sides tie
+    level = max(0, math.floor(math.log2((least - 1) * width) - math.log2(span)) + 1)
+    return level + (math.ceil(span / math.ldexp(width, -level)) < least)
 
 
-def _first_pass(span, least):
-    """(level, panels): the coarsest dyadic width laying at least `least` panels on [0, span], rounded up to whole panels."""
-    # ceil(span / w_k) >= least  <=>  2^k > (least - 1) w_0 / span, from logarithms: 1 / span may overflow
-    level = max(0, math.floor(math.log2((least - 1) * _width(0)) - math.log2(span)) + 1)
-    return level, min(max(least, math.ceil(span / _width(level))), _LEVEL0_PANELS << level)
-
-
-def _shape_nodes(shape, level, panels):
-    """Half-width, Kronrod nodes and shape of the first `panels` panels of width w_0 / 2^level: a prefix of its table."""
-    width = _width(level)
+def _shape_nodes(shape, grid, level, panels):
+    """Half-width, Kronrod nodes and shape of the first `panels` of grid (w, n)'s level k: n 2^k panels of width w / 2^k."""
+    width = math.ldexp(grid[0], -level)
     x, values = _TABLES.get((shape, width), (_NODES[:0], _NODES[:0]))
     have = x.size // _NODES.size
     if have < panels:  # grow to twice the size or more, but never past the whole level
-        # edges i w, not a slice of the whole level; level 0 repeats linspace(0, _RESOLVED_PHASE, 479) bit for bit
-        edges = np.arange(have, min(max(panels, 2 * have), _LEVEL0_PANELS << level) + 1) * width
+        # edges i w, not a slice of the whole level; level 0 repeats linspace(0, 6000, 479) or (0, 30, 10) bit for bit
+        edges = np.arange(have, min(max(panels, 2 * have), grid[1] << level) + 1) * width
         new = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + 0.5 * width * _NODES[None, :]).ravel()
         x, values = np.concatenate((x, new)), np.concatenate((values, shape(new)))
         x.flags.writeable = values.flags.writeable = False
@@ -202,12 +199,12 @@ def _shape_nodes(shape, level, panels):
     return 0.5 * width, x[: panels * _NODES.size], values[: panels * _NODES.size]
 
 
-def _adaptive(f, shape, level, panels, tol_abs, tol_rel, budget, what):
+def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
     """Composite Gauss-Kronrod quadrature of f(x, shape(x)) on equal panels from 0: (value, error).
 
     One pass evaluates the Kronrod rule on the first `panels` panels of
-    width w_0 / 2^level, a prefix of the shape's table; each doubling
-    moves down one level.  Each node costs one evaluation of the budget,
+    the grid's level, a prefix of the shape's table; each doubling moves
+    down one level.  Each node costs one evaluation of the budget,
     tabulated or not.  The error estimate of a pass is the sum over
     panels of |Kronrod - embedded Gauss|, and never less than 100 ulp of
     the integral of |f|.  The pass is accepted when that estimate is at
@@ -223,7 +220,7 @@ def _adaptive(f, shape, level, panels, tol_abs, tol_rel, budget, what):
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )
-        half, x, values = _shape_nodes(shape, level, panels)
+        half, x, values = _shape_nodes(shape, grid, level, panels)
         fx = f(x, values).reshape(panels, _NODES.size)
         value = half * float(fx.sum(axis=0) @ _WEIGHTS)
         magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
@@ -240,23 +237,24 @@ def _gauss(u):
 
 
 def _cos_gauss_moment(ratio, tol_abs, budget):
-    """int_0^hi cos(ratio u) e^{-u^2} du over whole panels, hi >= 60, past which e^{-u^2} is below 1e-1565.
+    """int_0^30 cos(ratio u) e^{-u^2} du on whole panels, as dense as at least max(16, ratio 60 / 4 pi) over [0, 60].
 
-    This is rc * int_0^{60/rc} cos(b k) e^{-(rc k)^2} dk at ratio = b/rc;
+    This is rc * int_0^{30/rc} cos(b k) e^{-(rc k)^2} dk at ratio = b/rc;
     the scaled variable u = rc k keeps the limits finite at any rc.
     """
-    level, panels = _first_pass(_K_CUTOFF, max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1))
+    level = _level(_K_CUTOFF, max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1), _MODE_GRID[0])
 
     def f(u, gauss):
         return np.cos(ratio * u) * gauss
 
-    return _adaptive(f, _gauss, level, panels, tol_abs, 0.0, budget, f"cosine mode at {ratio:g} rad per r_c")
+    what = f"cosine mode at {ratio:g} rad per r_c"
+    return _adaptive(f, _gauss, _MODE_GRID, level, _MODE_GRID[1] << level, tol_abs, 0.0, budget, what)
 
 
 def _axial_mode_sum(separation, length, rc, budget):
     """rc * sum_b c_b M(b) for (1 - cos(length k))(1 - cos(separation k)).
 
-    M(b) = int_0^{60/rc} cos(b k) e^{-(rc k)^2} dk.  Returns (value,
+    M(b) = int_0^{30/rc} cos(b k) e^{-(rc k)^2} dk.  Returns (value,
     abs_error); exact zero coefficients (separation = 0) yield an exact
     zero without integrating.
     """
@@ -277,8 +275,7 @@ def _axial_mode_sum(separation, length, rc, budget):
     tol_abs = 1e-13 * abs(m0)
     total = live[0.0] * m0
     err = abs(live[0.0]) * e0
-    for b in sorted(live):
-        c = live[b]
+    for b, c in sorted(live.items()):
         if b == 0.0:
             continue
         ratio = b / rc
@@ -304,9 +301,12 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
     zcap = _K_CUTOFF / s
     if zcap == 0.0:  # s = inf: the range is empty
         return 0.0, 0.0
-    level, panels = _first_pass(min(zcap, _RESOLVED_PHASE), 8)
-    hi = panels * _width(level)
-    value, err = _adaptive(f, shape, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    span, grid = min(zcap, _RESOLVED_PHASE), (_RESOLVED_PHASE / _LEVEL0_PANELS, _LEVEL0_PANELS)
+    level = _level(span, 8, grid[0])
+    width = math.ldexp(grid[0], -level)
+    panels = min(math.ceil(span / width), _LEVEL0_PANELS << level)
+    hi = panels * width
+    value, err = _adaptive(f, shape, grid, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
     if zcap > hi:
         # int_hi^inf e^{-(s z)^2} / z^2 dz = e^{-v^2} / hi - s sqrt(pi) erfc(v) at v = s hi; the terms
         # cancel, and v^2 is rounded inside the exponential: good to (v^2 + 4) ulp of e^{-v^2} / hi
@@ -318,8 +318,7 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
 
 
 def _j1_squared(z):
-    j = _j1_array(z)
-    return j * j
+    return _j1_array(z) ** 2
 
 
 def _disc_radial_integral(radius, rc, budget):

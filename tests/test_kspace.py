@@ -152,6 +152,8 @@ def test_radial_tail_matches_full_resolution(monkeypatch):
     arr = MassArrangement(separation=1.0, arm_count=1)
     params = CslParams(1.0, 0.005)
     with_tail = force_psd_by_quadrature(params, geom, arr)
+    # a table cache of their own: the raised phase keys tables by widths nothing else uses
+    monkeypatch.setattr(kspace, "_TABLES", {})
     monkeypatch.setattr(kspace, "_RESOLVED_PHASE", 15000.0)
     brute = force_psd_by_quadrature(params, geom, arr)
     assert with_tail.value == pytest.approx(brute.value, rel=1e-7, abs=0.0)
@@ -162,6 +164,8 @@ def test_slab_tail_matches_full_resolution(monkeypatch):
     arr = MassArrangement(separation=1.0, arm_count=1)
     params = CslParams(1.0, 0.005)
     with_tail = force_psd_by_quadrature(params, geom, arr)
+    # a table cache of their own: the raised phase keys tables by widths nothing else uses
+    monkeypatch.setattr(kspace, "_TABLES", {})
     monkeypatch.setattr(kspace, "_RESOLVED_PHASE", 15000.0)
     brute = force_psd_by_quadrature(params, geom, arr)
     assert with_tail.value == pytest.approx(brute.value, rel=1e-7, abs=0.0)
@@ -274,8 +278,8 @@ def test_gauss_kronrod_rule():
 
 @pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-7), ("auriga", 1e-3)])
 def test_quadrature_cost_is_one_pass_per_panel_count(config, rc):
-    # one accepted pass per integral costs 15 438 evaluations at each point:
-    # 31 nodes on each of 478 radial or slab panels and 20 zero-mode panels;
+    # one accepted pass per integral costs 15 097 evaluations at each point:
+    # 31 nodes on each of 478 radial or slab panels and 9 zero-mode panels;
     # discarding each panel level and doubling cost over ten times that
     det = load_detector_config(config)
     result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
@@ -332,6 +336,26 @@ def test_boundary_s_lie_on_their_edges():
     assert exact == 8 * W1
     assert math.ceil(past8 / W1) == 9 and past8 - 8 * W1 < 1e-12 * W1
     assert math.ceil(past7 / W1) == 8 and past7 - 7 * W1 < 1e-12 * W1
+
+
+@given(st.floats(min_value=-300.0, max_value=math.log10(6000.0)).map(lambda e: 10.0**e), st.integers(min_value=2, max_value=1000))
+@example(7 * W1, 8)
+@example(8 * W1, 8)
+@example(kspace._RESOLVED_PHASE, 8)
+def test_first_level_is_the_coarsest_with_enough_panels(span, least):
+    # at 7 W1 the rule's two sides tie: 7 panels of level 1 fall short, 14 of level 2 do not
+    w0 = kspace._RESOLVED_PHASE / kspace._LEVEL0_PANELS
+    level = kspace._level(span, least, w0)
+    assert math.ceil(span / math.ldexp(w0, -level)) >= least
+    assert level == 0 or math.ceil(span / math.ldexp(w0, 1 - level)) < least
+
+
+def test_mode_first_level_is_the_coarsest_with_enough_panels():
+    # a mode's level k lays 18 2^k panels over [0, 60]; ties at least = 19, 37, 73 and 145
+    for least in range(16, 288):  # the zero mode's 16 to the fastest retained mode's 287
+        level = kspace._level(kspace._K_CUTOFF, least, kspace._MODE_GRID[0])
+        assert 18 << level >= least and (level == 0 or 18 << (level - 1) < least), least
+    assert level == 4
 
 
 def with_examples(values):
@@ -445,15 +469,17 @@ def linspace_nodes(lo, hi, panels):
 def shape_afresh(monkeypatch, whole_range):
     """Route kspace's table reads to the same nodes with the shape evaluated on them at once.
 
-    Appends to whole_range, for each first pass over the whole level 0,
-    whether its nodes are those of linspace(0, 6000, 479).
+    Appends to whole_range, for each pass over the whole level 0, whether
+    its nodes are those of linspace(0, 6000, 479) (radial and slab) or
+    linspace(0, 30, 10) (cosine modes).
     """
     tabulated = kspace._shape_nodes
 
-    def afresh(shape, level, panels):
-        half, x, _ = tabulated(shape, level, panels)
-        if level == 0 and panels == kspace._LEVEL0_PANELS:
-            linspace_half, linspace_x = linspace_nodes(0.0, kspace._RESOLVED_PHASE, panels)
+    def afresh(shape, grid, level, panels):
+        half, x, _ = tabulated(shape, grid, level, panels)
+        if level == 0 and panels == grid[1]:
+            reach = 30.0 if grid == kspace._MODE_GRID else kspace._RESOLVED_PHASE
+            linspace_half, linspace_x = linspace_nodes(0.0, reach, panels)
             whole_range.append(half == linspace_half and np.array_equal(x, linspace_x))
         x = np.array(x)
         return half, x, shape(x)
@@ -494,13 +520,16 @@ def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
             results.append((kspace._cos_gauss_moment(ratio, tol, budget), budget.used))
         return results
 
+    whole_range = []
     monkeypatch.setattr(kspace, "_TABLES", {})
     cold = moments()
     warm = moments()
     with monkeypatch.context() as m:
-        shape_afresh(m, [])
+        shape_afresh(m, whole_range)
         reference = moments()
     assert cold == warm == reference
+    # the zero mode, the slow mode and the first pass of the doubled one lie on the whole level 0
+    assert whole_range == [True, True, True]
     # the last case doubled: it cost more than the zero mode's single pass on the same first level
     assert cold[-1][1] > cold[0][1]
 
@@ -516,12 +545,12 @@ def test_table_cache_is_bounded(monkeypatch):
             except QuadratureError:
                 pass  # large r_c: the cancelling axial modes miss REL_TOL
     # levels 0 to about 20 of each of the three shapes, every node inside [0, _RESOLVED_PHASE]
+    # and, for e^{-u^2}, inside [0, 30]; all of them together within 1 MB
     shapes = [shape for shape, _ in tables]
     assert set(shapes) == {kspace._j1_squared, kspace._sinc2_array, kspace._gauss}
     assert all(shapes.count(shape) <= 21 for shape in shapes)
-    # J1^2 and sinc^2 within 1 MB; e^{-u^2}, 0 past u = 60, on at most twice the whole panels over [0, 60] a level
-    assert sum(x.nbytes + v.nbytes for (shape, _), (x, v) in tables.items() if shape is not kspace._gauss) <= 1_000_000
-    assert all(x.max() < 2.0 * (kspace._K_CUTOFF + width) for (shape, width), (x, _) in tables.items() if shape is kspace._gauss)
+    assert sum(x.nbytes + v.nbytes for x, v in tables.values()) <= 1_000_000
+    assert all(x.max() < 30.0 for (shape, _), (x, _) in tables.items() if shape is kspace._gauss)
     assert all(x.max() < kspace._RESOLVED_PHASE and not x.flags.writeable and not v.flags.writeable for x, v in tables.values())
 
 
@@ -552,8 +581,8 @@ def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
     tabulated = kspace._shape_nodes
     nodes = []
 
-    def counting(shape, level, panels):
-        half, x, values = tabulated(shape, level, panels)
+    def counting(shape, grid, level, panels):
+        half, x, values = tabulated(shape, grid, level, panels)
         nodes.append(x.size)
         return half, x, values
 
