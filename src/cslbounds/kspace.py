@@ -78,7 +78,7 @@ _K_CUTOFF = 60.0
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 _LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
-# Level-0 width and panels of the cosine modes on [0, 30]: 18 over [0, 60], so level 4's 288 serve the fastest
+# Level-0 width and panels of the cosine modes on [0, 30]: 18 over [0, 60]; level 4 lays 288, the fastest mode needs 287
 _MODE_GRID = (30.0 / 9, 9)
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
