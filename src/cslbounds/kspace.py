@@ -22,15 +22,14 @@ only when that estimate misses its target.  The radial and slab
 integrals stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine
 modes stop at 1e-13 of the zero mode, because their sum cancels at
 large rc.  Every estimate is at least 100 ulp of the integral of |f|.
-Two measures keep the oscillatory integrands tractable over the full
-parameter range:
+Each integral stops at U = 7 Gaussian widths (rc k = U, e^-49 ~ 5e-22)
+and is charged a bound on the rest.  Two measures keep the oscillatory
+integrands tractable over the full parameter range:
 
 * The axial trig product is expanded into pure cosine modes
   (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k over
-  [0, 30], past which e^{-u^2} < e^-900, so that the limits stay finite
-  at any rc.  A mode whose frequency exceeds 60 rc is dropped: its value
-  is Gaussian-suppressed below e^-900 of the zero mode, far under any
-  reachable tolerance.  Every retained mode spans under 300 periods.
+  [0, U], so that the limits stay finite at any rc.  A mode at 2U/rc
+  or faster is dropped and charged e^{-U^2} of the zero mode, its bound.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
   resolved literally out to a fixed phase (6000 rad); the remainder,
@@ -41,13 +40,13 @@ parameter range:
 Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
 J1(z)^2 for the radial and sinc^2 u for the slab integral) times a
 factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  Its panels have
-a dyadic width w / 2^k, w = 6000/478 (radial, slab) or 30/9 (modes).
+a dyadic width w / 2^k, w = 6000/478 (radial, slab) or U/4 (modes).
 The first pass takes the coarsest that lays enough panels over the
-range (at least 8 over [0, min(60/s, 6000)]; for a mode at least 16
-over [0, 60], more the faster it oscillates), rounded up to whole
-panels, and each doubling the next.  So every pass is a prefix of one
-table per (shape, width) of nodes and shape values, filled on first use
-and shared by every rc.  Only quadrature nodes count as evaluations.
+range (at least 8 over [0, min(U/s, 6000)]; for a mode at least 4 over
+[0, U], more the faster it oscillates), rounded up to whole panels, and
+each doubling the next.  So every pass is a prefix of one table per
+(shape, width) of nodes and shape values, filled on first use and
+shared by every rc.  Only quadrature nodes count as evaluations.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -73,13 +72,13 @@ _GAUSS_POINTS = 15
 # cosine modes' target is the tighter, so their panels span less.
 _MODE_PANEL_PHASE = 4.0 * math.pi
 _PANEL_PHASE = 8.0 * math.pi
-# Gaussian factor e^{-rc^2 k^2} is below 1e-1565 past this many widths.
-_K_CUTOFF = 60.0
+# Window U of every integral in Gaussian widths rc k; what lies past it is bounded and charged.
+_K_CUTOFF = 7.0
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 _LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
-# Level-0 width and panels of the cosine modes on [0, 30]: 18 over [0, 60]; level 4 lays 288, the fastest mode needs 287
-_MODE_GRID = (30.0 / 9, 9)
+# Level-0 width and panels of the cosine modes on [0, U]; level 1 lays 8, all the fastest retained mode needs
+_MODE_GRID = (_K_CUTOFF / 4, 4)
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
 # The radial and slab integrals stop at this fraction of REL_TOL.
@@ -190,7 +189,7 @@ def _shape_nodes(shape, grid, level, panels):
     x, values = _TABLES.get((shape, width), (_NODES[:0], _NODES[:0]))
     have = x.size // _NODES.size
     if have < panels:  # grow to twice the size or more, but never past the whole level
-        # edges i w, not a slice of the whole level; level 0 repeats linspace(0, 6000, 479) or (0, 30, 10) bit for bit
+        # edges i w, not a slice of the whole level; level 0 repeats linspace(0, 6000, 479) or (0, U, 5) bit for bit
         edges = np.arange(have, min(max(panels, 2 * have), grid[1] << level) + 1) * width
         new = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + 0.5 * width * _NODES[None, :]).ravel()
         x, values = np.concatenate((x, new)), np.concatenate((values, shape(new)))
@@ -237,24 +236,25 @@ def _gauss(u):
 
 
 def _cos_gauss_moment(ratio, tol_abs, budget):
-    """int_0^30 cos(ratio u) e^{-u^2} du on whole panels, as dense as at least max(16, ratio 60 / 4 pi) over [0, 60].
+    """int_0^inf cos(ratio u) e^{-u^2} du: over [0, U] on at least max(4, ratio U / 4 pi) whole panels.
 
-    This is rc * int_0^{30/rc} cos(b k) e^{-(rc k)^2} dk at ratio = b/rc;
-    the scaled variable u = rc k keeps the limits finite at any rc.
+    This is rc * int_0^inf cos(b k) e^{-(rc k)^2} dk at ratio = b/rc; the
+    part past U = _K_CUTOFF, at most e^{-U^2} / 2U, is charged.
     """
-    level = _level(_K_CUTOFF, max(16, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1), _MODE_GRID[0])
+    level = _level(_K_CUTOFF, max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1), _MODE_GRID[0])
 
     def f(u, gauss):
         return np.cos(ratio * u) * gauss
 
     what = f"cosine mode at {ratio:g} rad per r_c"
-    return _adaptive(f, _gauss, _MODE_GRID, level, _MODE_GRID[1] << level, tol_abs, 0.0, budget, what)
+    value, err = _adaptive(f, _gauss, _MODE_GRID, level, _MODE_GRID[1] << level, tol_abs, 0.0, budget, what)
+    return value, err + math.exp(-_K_CUTOFF**2) / (2.0 * _K_CUTOFF)
 
 
 def _axial_mode_sum(separation, length, rc, budget):
     """rc * sum_b c_b M(b) for (1 - cos(length k))(1 - cos(separation k)).
 
-    M(b) = int_0^{30/rc} cos(b k) e^{-(rc k)^2} dk.  Returns (value,
+    M(b) = int_0^inf cos(b k) e^{-(rc k)^2} dk.  Returns (value,
     abs_error); exact zero coefficients (separation = 0) yield an exact
     zero without integrating.
     """
@@ -275,14 +275,10 @@ def _axial_mode_sum(separation, length, rc, budget):
     tol_abs = 1e-13 * abs(m0)
     total = live[0.0] * m0
     err = abs(live[0.0]) * e0
-    for b, c in sorted(live.items()):
-        if b == 0.0:
-            continue
+    for b, c in sorted(live.items())[1:]:  # past the zero mode
         ratio = b / rc
-        if ratio >= _K_CUTOFF:
-            # Gaussian-suppressed mode: |M(b)| <= M(0) e^{-(b/2rc)^2} <= M(0) e^-900;
-            # e^-900 underflows, so the mode is charged the larger M(0) e^-700
-            err += abs(c) * abs(m0) * math.exp(-700.0)
+        if ratio >= 2.0 * _K_CUTOFF:  # Gaussian-suppressed mode: |M(b)| = M(0) e^{-(b/2rc)^2} <= M(0) e^{-U^2}
+            err += abs(c) * abs(m0) * math.exp(-_K_CUTOFF**2)
             continue
         v, e = _cos_gauss_moment(ratio, tol_abs, budget)
         total += c * v
@@ -290,13 +286,15 @@ def _axial_mode_sum(separation, length, rc, budget):
     return total, err
 
 
-def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
-    """(value, error) of int_0^{60/s} f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
+def _resolved_with_tail(f, shape, s, divisor, remainder, majorant, budget, what):
+    """(value, error) of int_0^inf f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
 
-    The integrand is resolved on whole panels out to hi >= min(60/s,
-    _RESOLVED_PHASE); past hi the averaged 1/z^2 tail is added in closed
-    form.  The dropped ripple is bounded by parts, and remainder / z^2
-    bounds the error of the asymptotic form itself.
+    The integrand is resolved on whole panels out to hi >= min(U/s,
+    _RESOLVED_PHASE), U = _K_CUTOFF.  Past hi < U/s the averaged 1/z^2 tail
+    is added in closed form; the dropped ripple is bounded by parts, and
+    remainder / z^2 bounds the error of the asymptotic form itself.  Past
+    hi >= U/s, f <= majorant(z) e^{-(s z)^2} with majorant(z) / z
+    nonincreasing, and majorant(hi) e^{-v^2} / 2 s v at v = s hi is charged.
     """
     zcap = _K_CUTOFF / s
     if zcap == 0.0:  # s = inf: the range is empty
@@ -307,13 +305,15 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, budget, what):
     panels = min(math.ceil(span / width), _LEVEL0_PANELS << level)
     hi = panels * width
     value, err = _adaptive(f, shape, grid, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    v = s * hi
+    gauss = math.exp(-v * v)
     if zcap > hi:
-        # int_hi^inf e^{-(s z)^2} / z^2 dz = e^{-v^2} / hi - s sqrt(pi) erfc(v) at v = s hi; the terms
-        # cancel, and v^2 is rounded inside the exponential: good to (v^2 + 4) ulp of e^{-v^2} / hi
-        v = s * hi
-        gauss = math.exp(-v * v)
+        # int_hi^inf e^{-(s z)^2} / z^2 dz = e^{-v^2} / hi - s sqrt(pi) erfc(v); the terms cancel,
+        # and v^2 is rounded inside the exponential: good to (v^2 + 4) ulp of e^{-v^2} / hi
         value += (gauss / hi - s * math.sqrt(math.pi) * math.erfc(v)) / divisor
         err += ((v * v + 4.0) * _EPS * gauss / hi + gauss / hi**2) / divisor + remainder / hi**2
+    else:
+        err += majorant(hi) * gauss / (2.0 * v) / s
     return value, err
 
 
@@ -322,27 +322,27 @@ def _j1_squared(z):
 
 
 def _disc_radial_integral(radius, rc, budget):
-    """Phi = int_0^{zcap} J1(z)^2 e^{-(s z)^2} dz / z with s = rc/radius.
+    """Phi = int_0^inf J1(z)^2 e^{-(s z)^2} dz / z with s = rc/radius.
 
-    The full radial factor is (8 pi / radius^2) * Phi.  The tail uses
-    J1(z)^2 = (1 - sin 2z)/(pi z) + eps(z), |eps(z)| <= _J1SQ_TAIL_C / z^2.
+    The full radial factor is (8 pi / radius^2) * Phi.  The tail uses J1(z)^2 <= z^2/4 past the window,
+    else J1(z)^2 = (1 - sin 2z)/(pi z) + eps(z), |eps(z)| <= _J1SQ_TAIL_C / z^2.
     """
     s = rc / radius
 
     def f(z, jj):
         return jj * np.exp(-((s * z) ** 2)) / z
 
-    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, budget, "radial")
+    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, "radial")
 
 
 def _slab_integral(side, rc, budget):
-    """T_half = int_0^{kcap} sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2; sinc^2 u = (1 - cos 2u) / 2u^2."""
+    """T_half = int_0^inf sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2; sinc^2 u = (1 - cos 2u) / 2u^2 <= 1."""
     s = 2.0 * rc / side
 
     def f(u, sinc2):
         return sinc2 * np.exp(-((s * u) ** 2))
 
-    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, budget, "slab")
+    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, lambda u: 1.0, budget, "slab")
     return (2.0 / side) * value, (2.0 / side) * err
 
 

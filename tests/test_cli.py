@@ -457,7 +457,7 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
 
 
 def test_validate_at_the_largest_rc_exit_3(capsys):
-    # at 1e308 m, s = r_c/R overflows to inf and the resolved range 60/s is
+    # at 1e308 m, s = r_c/R overflows to inf and the resolved range U/s is
     # empty; 1e307 m, the first point, already gives a zero PSD
     code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e307", "--rc-max", "1e308", "--points", "2")
     assert code == 3

@@ -125,6 +125,29 @@ def test_cos_gauss_moment_error_is_certified(ratio):
     assert abs(value - 0.5 * math.sqrt(math.pi) * math.exp(-0.25 * ratio * ratio)) <= err
 
 
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def axial_reference(separation, length, rc):
+    """sum_b c_b (sqrt(pi)/2) e^{-(b/rc)^2/4} at 40 digits, the value of the axial mode sum."""
+    with mp.workdps(40):
+        a, l, r = mp.mpf(separation), mp.mpf(length), mp.mpf(rc)
+        modes = [(0, 1), (l, -1), (a, -1), (a + l, 0.5), (abs(a - l), 0.5)]
+        return mp.sqrt(mp.pi) / 2 * mp.fsum(c * mp.exp(-((b / r) ** 2) / 4) for b, c in modes)
+
+
+EDGE = 2.0 * kspace._K_CUTOFF  # rad per r_c from which a mode is dropped
+
+
+@given(log_uniform(1e-3, 1e4), log_uniform(1e-3, 10.0), log_uniform(1e-8, 1e4))
+@example(EDGE, 1e-3, 1.0)  # the separation mode at the edge, dropped
+@example(float(np.nextafter(EDGE, 0.0)), 1e-3, 1.0)  # one ulp below it, integrated
+def test_axial_mode_sum_error_is_certified(separation, length, rc):
+    value, err = kspace._axial_mode_sum(separation, length, rc, kspace._Budget(kspace.BUDGET))
+    assert abs(value - float(axial_reference(separation, length, rc))) <= err
+
+
 def test_oracle_imports_only_types_from_the_closed_forms():
     # the oracle stays independent of cslnoise: it may share its types, never
     # a function, and from specfun only the J1 and sinc^2 kernels
@@ -276,14 +299,21 @@ def test_gauss_kronrod_rule():
         assert abs(float(np.dot(kronrod, nodes**degree)) - exact) <= 1e-14, degree
 
 
-@pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-7), ("auriga", 1e-3)])
+# One accepted pass per integral: 31 nodes on each radial or slab panel and on each retained mode's panels.
+ONE_PASS = {
+    ("ligo", 1e-7): 31 * (478 + 4),  # the whole 6000 of phase; the zero mode alone
+    ("lisa_pathfinder", 1e-7): 31 * (478 + 4),
+    ("auriga", 1e-3): 31 * (168 + 4),  # U/s = 2100 rounded up to 168 level-0 panels
+    ("lisa_pathfinder", 1e-2): 31 * (11 + 4 + 4),  # U/s = 16.1 on 11 level-3 panels; the zero and the length mode
+}
+
+
+@pytest.mark.parametrize("config, rc", list(ONE_PASS))
 def test_quadrature_cost_is_one_pass_per_panel_count(config, rc):
-    # one accepted pass per integral costs 15 097 evaluations at each point:
-    # 31 nodes on each of 478 radial or slab panels and 9 zero-mode panels;
-    # discarding each panel level and doubling cost over ten times that
+    # a doubling of even the cheapest integral, the zero mode's 4 panels, would add 8 x 31 = 248 evaluations
     det = load_detector_config(config)
     result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
-    assert result.evaluations <= 25_000
+    assert result.evaluations <= ONE_PASS[config, rc] + 4 * 31
 
 
 def radial_reference(s):
@@ -304,26 +334,34 @@ W1 = math.ldexp(kspace._RESOLVED_PHASE / kspace._LEVEL0_PANELS, -1)  # panel wid
 
 
 def s_at(zres):
-    """An s whose resolved range 60/s is zres exactly, if a neighbour of 60/zres gives it."""
+    """The smallest s whose resolved range U/s is at most zres: zres exactly where some s gives it."""
     s = kspace._K_CUTOFF / zres
-    return next((float(c) for c in (s, np.nextafter(s, 0.0), np.nextafter(s, 1.0)) if kspace._K_CUTOFF / c == zres), s)
+    while kspace._K_CUTOFF / s > zres:
+        s = float(np.nextafter(s, math.inf))
+    while kspace._K_CUTOFF / np.nextafter(s, 0.0) <= zres:
+        s = float(np.nextafter(s, 0.0))
+    return s
 
 
 def s_past(zres, edges):
-    """The largest s whose range 60/s, past zres, is rounded up to `edges` panels of level 1."""
+    """The largest s whose range U/s, past zres, is rounded up to `edges` panels of level 1."""
     s = s_at(zres)
     while math.ceil(kspace._K_CUTOFF / s / W1) < edges:
         s = float(np.nextafter(s, 0.0))
     return s
 
 
-# Edges of the first pass: the range 6000 of s = 1/100 (tabulated below it,
-# rounded up to 478 level-0 panels just above it); a range of exactly 8
-# level-1 panels; a range just past 8 panels, rounded up by almost a whole
-# panel to 9; and one just past 7, whose round-up to 8 is the largest share.
+# s = U/6000, the smallest whose resolved range is at most the whole 6000; the 1/z^2 tail is closed-form below it
+S_FULL = s_at(kspace._RESOLVED_PHASE)
+# Edges of the first pass: the range 6000 of s = U/6000 (the whole level 0
+# and the closed-form tail just below it, 478 level-0 panels and the window
+# charge at it); a range of 8 level-1 panels, the longest not past them (no
+# s gives exactly 8 for U = 7); a range just past 8 panels, rounded up by
+# almost a whole panel to 9; and one just past 7, whose round-up to 8 is the
+# largest share.
 BOUNDARY_S = [
-    float(np.nextafter(0.01, 0.0)),
-    float(np.nextafter(0.01, 1.0)),
+    float(np.nextafter(S_FULL, 0.0)),
+    S_FULL,
     s_at(8 * W1),
     s_past(8 * W1, 9),
     s_past(7 * W1, 8),
@@ -332,8 +370,8 @@ BOUNDARY_S = [
 
 def test_boundary_s_lie_on_their_edges():
     below, above, exact, past8, past7 = (kspace._K_CUTOFF / s for s in BOUNDARY_S)
-    assert below > kspace._RESOLVED_PHASE > above
-    assert exact == 8 * W1
+    assert below > kspace._RESOLVED_PHASE >= above
+    assert exact <= 8 * W1 < kspace._K_CUTOFF / np.nextafter(BOUNDARY_S[2], 0.0) and 8 * W1 - exact < 1e-12 * W1
     assert math.ceil(past8 / W1) == 9 and past8 - 8 * W1 < 1e-12 * W1
     assert math.ceil(past7 / W1) == 8 and past7 - 7 * W1 < 1e-12 * W1
 
@@ -351,11 +389,14 @@ def test_first_level_is_the_coarsest_with_enough_panels(span, least):
 
 
 def test_mode_first_level_is_the_coarsest_with_enough_panels():
-    # a mode's level k lays 18 2^k panels over [0, 60]; ties at least = 19, 37, 73 and 145
-    for least in range(16, 288):  # the zero mode's 16 to the fastest retained mode's 287
+    # a mode's level k lays 4 2^k panels over [0, U]; ties at least = 5, 9, 17 and 33
+    for least in range(4, 35):  # the zero mode's 4 to the 34 of a mode at 60 rad per r_c
         level = kspace._level(kspace._K_CUTOFF, least, kspace._MODE_GRID[0])
-        assert 18 << level >= least and (level == 0 or 18 << (level - 1) < least), least
+        assert 4 << level >= least and (level == 0 or 4 << (level - 1) < least), least
     assert level == 4
+    # a retained mode, below 2U rad per r_c, needs at most 8 panels: level 1
+    fastest = int(2.0 * kspace._K_CUTOFF * kspace._K_CUTOFF / kspace._MODE_PANEL_PHASE) + 1
+    assert fastest == 8 and kspace._level(kspace._K_CUTOFF, fastest, kspace._MODE_GRID[0]) == 1
 
 
 def with_examples(values):
@@ -426,21 +467,26 @@ def count_kernel_calls(monkeypatch, kernel):
     return sizes
 
 
+def body_scale(geometry):
+    """The length r of s = r_c / r: the radius, or half the cube's side."""
+    return 0.5 * geometry.side if isinstance(geometry, Cube) else geometry.radius
+
+
 @pytest.mark.parametrize(
     "configs, kernel",
     [(("ligo", "auriga"), "_j1_array"), (("lisa_pathfinder",), "_sinc2_array"), (("ligo", "lisa_pathfinder", "auriga"), "_gauss")],
 )
 def test_shape_is_tabulated_once_per_table_fill(monkeypatch, configs, kernel):
-    # r_c falling from 10 R (5 sides for the cube) to 1e-12 m, across R/100
-    # (side/200), after 40 r_c falling from R/2 to R/100 (side/4 to side/200)
-    # whose ranges lengthen from 120 to 6000 on level 0.  J1(z)^2 in z = kR
-    # does not depend on R, so ligo and auriga share tables, and every
-    # config's cosine modes share those of e^{-u^2}.
+    # r_c falling from 10 R (5 sides for the cube) to 1e-12 m, across R U/6000
+    # (side U/12000), after 40 r_c falling from R U/120 to R U/6000 whose
+    # ranges lengthen from 120 to 6000 on level 0.  J1(z)^2 in z = kR does
+    # not depend on R, so ligo and auriga share tables, and every config's
+    # cosine modes share those of e^{-u^2}.
     points = []
     for name in configs:
-        geom = load_detector_config(name).geometry
-        r = 0.5 * geom.side if isinstance(geom, Cube) else geom.radius
-        points.append((name, np.concatenate([np.geomspace(r / 2, r / 100, 40), np.geomspace(10 * r, 1e-12, 25)])))
+        r = body_scale(load_detector_config(name).geometry)
+        edges = r * kspace._K_CUTOFF / 120, r * S_FULL
+        points.append((name, np.concatenate([np.geomspace(*edges, 40), np.geomspace(10 * r, 1e-12, 25)])))
     tables = CountingTables()
     monkeypatch.setattr(kspace, "_TABLES", tables)
     sizes = count_kernel_calls(monkeypatch, kernel)
@@ -450,8 +496,10 @@ def test_shape_is_tabulated_once_per_table_fill(monkeypatch, configs, kernel):
     # one call per fill or growth, each evaluating only the new nodes
     assert len(sizes) == tables.writes[key]
     assert sum(sizes) == sum(x.size for x, _ in tables.of(key))
-    # a table at least doubles when it grows, so from 8 panels to n it is written at most 1 + log2(n / 8) times
-    assert len(sizes) <= sum(1 + math.log2(x.size / (8 * kspace._NODES.size)) for x, _ in tables.of(key))
+    # a table at least doubles when it grows, so from its first pass's least panels (8; a mode's level 0
+    # lays 4) to n it is written at most 1 + log2(n / least) times
+    least = kspace._MODE_GRID[1] if kernel == "_gauss" else 8
+    assert len(sizes) <= sum(1 + math.log2(x.size / (least * kspace._NODES.size)) for x, _ in tables.of(key))
     fresh = sweep(points, before_each=tables.clear)
     assert len(sizes) == tables.writes[key]
     # same values, errors and costs, bit for bit
@@ -471,14 +519,14 @@ def shape_afresh(monkeypatch, whole_range):
 
     Appends to whole_range, for each pass over the whole level 0, whether
     its nodes are those of linspace(0, 6000, 479) (radial and slab) or
-    linspace(0, 30, 10) (cosine modes).
+    linspace(0, U, 5) (cosine modes).
     """
     tabulated = kspace._shape_nodes
 
     def afresh(shape, grid, level, panels):
         half, x, _ = tabulated(shape, grid, level, panels)
         if level == 0 and panels == grid[1]:
-            reach = 30.0 if grid == kspace._MODE_GRID else kspace._RESOLVED_PHASE
+            reach = kspace._K_CUTOFF if grid == kspace._MODE_GRID else kspace._RESOLVED_PHASE
             linspace_half, linspace_x = linspace_nodes(0.0, reach, panels)
             whole_range.append(half == linspace_half and np.array_equal(x, linspace_x))
         x = np.array(x)
@@ -505,19 +553,24 @@ def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
         shape_afresh(m, whole_range)
         reference = integrals()
     assert cold == warm == reference
-    # s <= 1/100: the first pass spans the whole of level 0
-    assert len(whole_range) == (2 if s <= 0.01 else 0) and all(whole_range)
+    # s <= U/6000: the first pass spans the whole of level 0
+    assert len(whole_range) == (2 if s <= S_FULL else 0) and all(whole_range)
 
 
 def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
-    # the zero mode, slow and fast modes at the axial target, and one driven past it through doublings
-    cases = [(0.0, 0.0), (0.5, MODE_TOL), (7.0, MODE_TOL), (59.9, MODE_TOL), (3.0, 1e-17)]
+    # the zero mode, a slow mode, the fastest retained mode and one at 60 rad per r_c, at the axial target
+    cases = [(0.0, 0.0), (0.5, MODE_TOL), (13.9, MODE_TOL), (59.9, MODE_TOL)]
 
     def moments():
         results = []
         for ratio, tol in cases:
             budget = kspace._Budget(kspace.BUDGET)
             results.append((kspace._cos_gauss_moment(ratio, tol, budget), budget.used))
+        # every mode meets the target on its first level; one at 30 rad per r_c started on level 0 doubles
+        budget = kspace._Budget(kspace.BUDGET)
+        grid = kspace._MODE_GRID
+        doubled = kspace._adaptive(lambda u, g: np.cos(30.0 * u) * g, kspace._gauss, grid, 0, grid[1], MODE_TOL, 0.0, budget, "mode")
+        results.append((doubled, budget.used))
         return results
 
     whole_range = []
@@ -537,20 +590,24 @@ def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
 def test_table_cache_is_bounded(monkeypatch):
     tables = {}
     monkeypatch.setattr(kspace, "_TABLES", tables)
+    configs = [load_detector_config(name) for name in ("ligo", "lisa_pathfinder", "auriga")]
     for rc in np.geomspace(1e-12, 1e4, 200):
-        for name in ("ligo", "lisa_pathfinder", "auriga"):
-            det = load_detector_config(name)
+        for det in configs:
             try:
                 force_psd_by_quadrature(CslParams(1.0, float(rc)), det.geometry, det.arrangement)
             except QuadratureError:
                 pass  # large r_c: the cancelling axial modes miss REL_TOL
-    # levels 0 to about 20 of each of the three shapes, every node inside [0, _RESOLVED_PHASE]
-    # and, for e^{-u^2}, inside [0, 30]; all of them together within 1 MB
+    # J1^2 and sinc^2: levels 0 up to the first level of the shortest range U/s, at r_c = 1e4 m on the
+    # smallest body (24 levels: the cube's sinc^2); e^{-u^2}: levels 0 and 1, the fastest retained mode's
+    w0 = kspace._RESOLVED_PHASE / kspace._LEVEL0_PANELS
+    levels = 1 + max(kspace._level(kspace._K_CUTOFF * body_scale(det.geometry) / 1e4, 8, w0) for det in configs)
     shapes = [shape for shape, _ in tables]
     assert set(shapes) == {kspace._j1_squared, kspace._sinc2_array, kspace._gauss}
-    assert all(shapes.count(shape) <= 21 for shape in shapes)
+    assert levels == 24 and all(shapes.count(shape) <= levels for shape in shapes)
+    assert shapes.count(kspace._gauss) <= 2
+    # every node inside [0, _RESOLVED_PHASE] and, for e^{-u^2}, inside [0, U]; all of them together within 1 MB
     assert sum(x.nbytes + v.nbytes for x, v in tables.values()) <= 1_000_000
-    assert all(x.max() < 30.0 for (shape, _), (x, _) in tables.items() if shape is kspace._gauss)
+    assert all(x.max() < kspace._K_CUTOFF for (shape, _), (x, _) in tables.items() if shape is kspace._gauss)
     assert all(x.max() < kspace._RESOLVED_PHASE and not x.flags.writeable and not v.flags.writeable for x, v in tables.values())
 
 
@@ -594,7 +651,7 @@ def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1e2, 1e100, 1e200, 1e300, 1.7e308, math.inf])
 def test_extreme_s_terminates(monkeypatch, s):
-    # at s = inf the range 60/s is empty; above ~1e154 the integrands underflow
+    # at s = inf the range U/s is empty; above ~1e154 the integrands underflow
     monkeypatch.setattr(kspace, "_TABLES", {})
     tracemalloc.start()
     try:
