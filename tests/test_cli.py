@@ -499,11 +499,17 @@ def test_overflowing_volume_exit_2(tmp_path, capsys, config, key):
 
 @pytest.mark.parametrize(
     "config, dims",
-    [("lisa_pathfinder", {"side_m": 1e60}), ("lisa_pathfinder", {"side_m": 1e-60}), ("ligo", {"radius_m": 1e-90, "length_m": 1e-90})],
+    [
+        ("lisa_pathfinder", {"side_m": 1e60}),
+        ("lisa_pathfinder", {"side_m": 1e-60}),
+        ("ligo", {"radius_m": 1e-90, "length_m": 1e-90}),
+        ("auriga", {"radius_m": 1e-90, "length_m": 1e-90}),
+    ],
 )
 def test_extreme_body_sizes_give_a_finite_bound(tmp_path, capsys, config, dims):
     # the schema accepts these bodies; their side^6 or L^2 R^2 once ended
-    # `bound` in an OverflowError or ZeroDivisionError traceback
+    # `bound` in an OverflowError or ZeroDivisionError traceback, and the
+    # tiny bar's axial factor, which underflows, once made it exit 3
     doc = json.loads(bundled_config_path(config).read_text())
     doc["geometry"].update(dims)
     doc["geometry"].pop("density_kg_m3", None)

@@ -1,6 +1,7 @@
 """Closed-form force-noise PSDs: frozen values, branch oracles, properties."""
 
 import math
+import pathlib
 import warnings
 
 import mpmath as mp
@@ -24,6 +25,8 @@ from cslbounds import (
     cylinder_pair_force_psd,
     force_noise_psd,
     forced_separation,
+    load_detector_config,
+    measured_force_psd,
     pair_correlation_factor,
 )
 from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket
@@ -35,6 +38,11 @@ LISA_GEOM = Cube(side=0.046, mass=1.928)
 AURIGA_GEOM = HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)
 
 exponents = st.floats(min_value=-8.0, max_value=2.0)
+
+
+def log_uniform(lo, hi):
+    """Floats 10^e for e uniform in [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
 
 
 # --- extended-precision oracles ----------------------------------------------
@@ -87,6 +95,16 @@ def mp_bar(geometry, variant, rc):
     e4, e16 = mp.exp(-(L**2) / (4 * rc**2)), mp.exp(-(L**2) / (16 * rc**2))
     axial = mp.mpf(3) / 2 - e4 / 2 - e16 if variant == "printed" else mp.mpf(3) / 2 + e4 / 2 - 2 * e16
     return 4 * mp_q2(geometry.mass, rc) / (L**2 * R**2) * axial * mp_radial_bracket(R**2 / (2 * rc**2))
+
+
+def mp_closed_form(det, rc, variant="rederived"):
+    """A detector's closed form at unit collapse rate, from its formula."""
+    geometry, arrangement = det.geometry, det.arrangement
+    if isinstance(geometry, Cube):
+        return mp_cube_pair(geometry, arrangement.separation, rc)
+    if isinstance(geometry, HalfCylinderBar):
+        return mp_bar(geometry, variant, rc)
+    return mp_cylinder_pair(geometry, arrangement.separation, arrangement.arm_count, rc)
 
 
 # --- pair correlation factor --------------------------------------------------
@@ -209,13 +227,13 @@ def test_axial_factor_equals_one_plus_corrections():
 def test_radial_bracket_matches_extended_precision():
     for x in np.geomspace(1e-8, 1e12, 101):
         ref = float(mp_radial_bracket(x))
-        assert _radial_bracket(float(x)) == pytest.approx(ref, rel=5e-12, abs=0.0), f"x={x}"
+        assert _radial_bracket(float(x)) == pytest.approx(ref, rel=2e-15, abs=0.0), f"x={x}"
 
 
 def test_cube_bracket_matches_extended_precision():
     for z in np.geomspace(1e-8, 1e4, 101):
         ref = float(mp_cube_bracket(z))
-        assert _cube_bracket(float(z)) == pytest.approx(ref, rel=5e-13, abs=0.0), f"z={z}"
+        assert _cube_bracket(float(z)) == pytest.approx(ref, rel=2e-15, abs=0.0), f"z={z}"
 
 
 def straddle(switch):
@@ -224,21 +242,46 @@ def straddle(switch):
 
 
 def test_brackets_as_arrays_straddling_branch_switches():
-    # one array per switch (radial series at x = 5e-3, i0e/i1e at x = 20,
-    # cube series at z = 0.1), so both branches run in the same call
-    for xs in (straddle(5e-3), straddle(20.0)):
+    # one array per switch (radial series at x = 1, i0e/i1e at x = 20,
+    # cube series at z = 1), so both branches run in the same call
+    for xs in (straddle(1.0), straddle(20.0)):
         got = _radial_bracket(xs)
         for x, g in zip(xs, got):
-            assert g == pytest.approx(float(mp_radial_bracket(x)), rel=5e-12, abs=0.0), f"x={x}"
-    zs = straddle(0.1)
+            assert g == pytest.approx(float(mp_radial_bracket(x)), rel=2e-15, abs=0.0), f"x={x}"
+    zs = straddle(1.0)
     for z, g in zip(zs, _cube_bracket(zs)):
-        assert g == pytest.approx(float(mp_cube_bracket(z)), rel=5e-13, abs=0.0), f"z={z}"
+        assert g == pytest.approx(float(mp_cube_bracket(z)), rel=2e-15, abs=0.0), f"z={z}"
+
+
+def mp_bracket_at(bracket, t, digits_per_decade):
+    """An mpmath bracket at t, with digits added for the cancellation below t = 1."""
+    with mp.workdps(60 + math.ceil(digits_per_decade * max(0.0, -math.log10(t)))):
+        return float(bracket(t))
+
+
+@given(log_uniform(-300.0, 6.0))
+@example(1.0)
+@example(math.nextafter(1.0, 0.0))
+@example(5e-3)
+@example(20.0)
+def test_radial_bracket_accuracy_contract(x):
+    # 1 - e^-x (I0 + I1) ~ x/2 keeps about -log10(x) fewer digits than its terms
+    assert _radial_bracket(x) == pytest.approx(mp_bracket_at(mp_radial_bracket, x, 1), rel=2e-15, abs=0.0)
+
+
+@given(log_uniform(-150.0, 6.0))
+@example(1.0)
+@example(math.nextafter(1.0, 0.0))
+@example(0.1)
+def test_cube_bracket_accuracy_contract(z):
+    # 1 - e^{-z^2} - sqrt(pi) z erf(z) ~ -z^2 keeps about -2 log10(z) fewer digits than its terms
+    assert _cube_bracket(z) == pytest.approx(mp_bracket_at(mp_cube_bracket, z, 2), rel=2e-15, abs=0.0)
 
 
 def test_brackets_array_matches_scalar_calls():
-    xs = np.concatenate([straddle(5e-3), straddle(20.0)])
+    xs = np.concatenate([straddle(1.0), straddle(20.0)])
     assert np.array_equal(_radial_bracket(xs), [_radial_bracket(float(x)) for x in xs])
-    zs = straddle(0.1)
+    zs = straddle(1.0)
     assert np.array_equal(_cube_bracket(zs), [_cube_bracket(float(z)) for z in zs])
     assert type(_radial_bracket(1.0)) is float and type(_cube_bracket(1.0)) is float
 
@@ -331,17 +374,54 @@ def test_bar_large_rc_decay_orders():
 
 
 def test_printed_bar_matches_extended_precision_over_13_decades():
-    # The radial bracket's direct branch cancels just above its series
-    # switch at x = R^2/2rc^2 = 5e-3 (rc = 3 m for AURIGA): the error
-    # reaches 1.1e-13 for rc in (2.1, 3) m and stays within 5.5e-14 elsewhere,
-    # down to 1e-150 m where the PSD is still a normal double.
-    rc_switch = AURIGA_GEOM.radius / math.sqrt(2.0 * 5e-3)
+    # The radial bracket switches from its Taylor series to 1 - (i0e + i1e)
+    # at x = R^2/2rc^2 = 1 (rc = R/sqrt(2) = 0.21 m for AURIGA), where
+    # neither branch cancels; the dense block straddles that switch, and
+    # the grid reaches 1e-150 m, where the PSD is still a normal double.
+    rc_switch = AURIGA_GEOM.radius / math.sqrt(2.0)
     grid = np.concatenate(
-        [np.geomspace(1e-150, 1e-9, 60), np.geomspace(1e-9, 1e4, 261), np.geomspace(rc_switch / 1.1, rc_switch, 200)]
+        [np.geomspace(1e-150, 1e-9, 60), np.geomspace(1e-9, 1e4, 261), np.geomspace(rc_switch / 1.1, rc_switch * 1.1, 200)]
     )
     got = bar_force_psd(CslParams(1.0, grid), AURIGA_GEOM, "printed")
     ref = np.array([float(mp_bar(AURIGA_GEOM, "printed", rc)) for rc in grid])
-    assert np.max(np.abs(got - ref) / ref) <= 2e-13
+    assert np.max(np.abs(got - ref) / ref) <= 4e-15
+
+
+DETECTORS = {name: load_detector_config(name) for name in ("ligo", "lisa_pathfinder", "auriga")}
+
+
+@pytest.mark.parametrize("name, variant", [("ligo", None), ("lisa_pathfinder", None), *(("auriga", v) for v in BAR_VARIANTS)])
+@given(rc=log_uniform(-140.0, 4.0))
+# where x = R^2/2rc^2 or z = side/2rc meets the series window (x = 1, z = 1)
+# and where the narrower windows were (x = 5e-3, z = 0.1): LIGO, LISA, AURIGA
+@example(rc=0.17 / math.sqrt(2.0))
+@example(rc=1.7)
+@example(rc=0.023)
+@example(rc=0.23)
+@example(rc=0.3 / math.sqrt(2.0))
+@example(rc=3.0)
+def test_closed_form_accuracy_contract(name, variant, rc):
+    # below 1e-140 m the PSD nears the subnormal range (about 7e-151 m)
+    det = DETECTORS[name]
+    got = force_noise_psd(CslParams(1.0, rc), det.geometry, det.arrangement, variant)
+    assert got == pytest.approx(float(mp_closed_form(det, rc, variant or "rederived")), rel=4e-15, abs=0.0)
+
+
+def read_golden(name):
+    """(r_c, lambda_max) rows of a golden scan file."""
+    lines = (pathlib.Path(__file__).parent / "golden" / f"{name}_scan.csv").read_text().splitlines()
+    return [tuple(map(float, line.split(","))) for line in lines if line[:1].isdigit()]
+
+
+@pytest.mark.parametrize("name", DETECTORS)
+def test_golden_files_match_extended_precision(name):
+    # every golden lambda_max against S_meas / (2 S_model) with the model in mpmath
+    det = DETECTORS[name]
+    s_meas = mp.mpf(measured_force_psd(det, det.noise_entry()))
+    rows = read_golden(name)
+    assert len(rows) == 200
+    worst = max(abs(lam - s_meas / (2 * mp_closed_form(det, rc))) / lam for rc, lam in rows)
+    assert worst <= 4e-15
 
 
 @pytest.mark.parametrize("rc", [7e-155, 1e-160, 1e-300, MIN_CORRELATION_LENGTH])
@@ -399,6 +479,26 @@ def test_closed_forms_right_at_extreme_body_sizes(geometry, separation, arm_coun
             ref = np.array([float(mp_cylinder_pair(geometry, separation, arm_count, r)) for r in rc])
     assert np.all(ref > 0.0) and np.all(np.isfinite(ref))
     assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
+def test_closed_forms_right_where_the_axial_factor_underflows():
+    # lengths and separations of ~1e-90 m at rc = 1 m: each term of the
+    # axial factor multiplies two factors ~1e-181, so the factor itself
+    # underflows to 0, while the PSDs are ~1e-190; the references cancel
+    # to ~1e-362, hence 400 digits
+    params, tiny = CslParams(1.0, 1.0), 1e-90
+    bar = HalfCylinderBar(radius=tiny, length=tiny, mass=2300.0)
+    cylinder = Cylinder(radius=tiny, length=tiny, mass=40.0)
+    cube = Cube(side=tiny, mass=1.928)
+    got = [
+        bar_force_psd(params, bar, "rederived"),
+        cylinder_pair_force_psd(params, cylinder, 2.0 * tiny),
+        cube_pair_force_psd(params, cube, 1.5 * tiny),
+    ]
+    with mp.workdps(400):
+        refs = [mp_bar(bar, "rederived", 1.0), mp_cylinder_pair(cylinder, 2.0 * tiny, 1, 1.0), mp_cube_pair(cube, 1.5 * tiny, 1.0)]
+    for value, ref in zip(got, refs):
+        assert value == pytest.approx(float(ref), rel=4e-15, abs=0.0)
 
 
 def test_bar_rejects_unknown_variant():

@@ -154,8 +154,8 @@ def straddle(switch):
 
 @pytest.mark.parametrize("order,fn", [(0, i0e), (1, i1e)])
 def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
-    # x = 20 is the series/asymptotic switch; x = 5e-3 the radial bracket's
-    xs = np.concatenate([[0.0], straddle(5e-3), straddle(20.0), [1e300]])
+    # x = 20 is the series/asymptotic switch; x = 1 the radial bracket's
+    xs = np.concatenate([[0.0], straddle(1.0), straddle(20.0), [1e300]])
     got = fn(xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     for x, g in zip(xs, got):
