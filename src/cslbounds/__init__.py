@@ -25,6 +25,7 @@ from .cslnoise import (
     cube_pair_force_psd,
     cylinder_pair_force_psd,
     force_noise_psd,
+    forced_separation,
     pair_correlation_factor,
 )
 from .detector import (
@@ -32,7 +33,6 @@ from .detector import (
     MeasuredNoise,
     Readout,
     detector_archetype,
-    forced_separation,
 )
 from .errors import (
     ConfigError,
@@ -77,8 +77,8 @@ __all__ = [
     "C_LIGHT", "HBAR", "M_NUCLEON", "M_PLANCK",
     "BAR_VARIANTS", "DEFAULT_BAR_VARIANT", "CslParams", "Cube", "Cylinder", "HalfCylinderBar",
     "MassArrangement", "MassGeometry", "axial_factor", "bar_force_psd", "cube_pair_force_psd",
-    "cylinder_pair_force_psd", "force_noise_psd", "pair_correlation_factor",
-    "DetectorModel", "MeasuredNoise", "Readout", "detector_archetype", "forced_separation",
+    "cylinder_pair_force_psd", "force_noise_psd", "forced_separation", "pair_correlation_factor",
+    "DetectorModel", "MeasuredNoise", "Readout", "detector_archetype",
     "ConfigError", "ConventionError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
     "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
     "exclusion_curve", "force_per_native", "lambda_max", "measured_force_psd", "model_force_psd",

@@ -11,6 +11,10 @@ cylinder pair.  Each is q^2 lam B with q = hbar N r_c for N nucleons,
 formed in one place as q * (q * (lam * B)), the cube's r_c^2 inside B:
 no partial product underflows before the PSD itself does.
 
+The pairing rules live here once, in MassArrangement.check, which the
+closed forms, the k-space oracle and detector_archetype all call: only a
+cylinder pair may have two arms, and a bar's halves sit length/2 apart.
+
 Accuracy, checked against mpmath by the test suite: the radial and cube
 brackets hold a relative error of 2e-15 for x in [1e-300, 1e6] and z in
 [1e-150, 1e6], and the closed forms of the bundled detectors hold 4e-15
@@ -134,8 +138,8 @@ class Cube:
 class HalfCylinderBar:
     """Resonant bar: one cylinder modeled as two touching half-cylinders.
 
-    radius and length describe the full bar; the halves used by the
-    noise model have length/2, mass/2 and center separation length/2.
+    radius and length describe the full bar; halves() is the half-cylinder
+    the noise model uses, and its length is the halves' center separation.
     """
 
     radius: float
@@ -150,8 +154,17 @@ class HalfCylinderBar:
     def volume(self) -> float:
         return math.pi * self.radius * self.radius * self.length
 
+    def halves(self) -> Cylinder:
+        """Either half of the bar: a cylinder of length/2 and mass/2."""
+        return Cylinder(self.radius, 0.5 * self.length, 0.5 * self.mass)
+
 
 MassGeometry = Union[Cylinder, Cube, HalfCylinderBar]
+
+
+def forced_separation(geometry: MassGeometry) -> Optional[float]:
+    """The separation the geometry forces (a bar's halves sit length/2 apart), else None."""
+    return geometry.halves().length if isinstance(geometry, HalfCylinderBar) else None
 
 
 @dataclass(frozen=True)
@@ -166,6 +179,14 @@ class MassArrangement:
             raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
         if self.arm_count not in (1, 2):
             raise ValueError(f"arm_count must be 1 or 2, got {self.arm_count!r}")
+
+    def check(self, geometry: MassGeometry) -> None:
+        """Raise ValueError, naming the config field, unless the geometry takes this arrangement."""
+        kind, forced = type(geometry).__name__, forced_separation(geometry)
+        if self.arm_count != 1 and not isinstance(geometry, Cylinder):
+            raise ValueError(f"arm_count: {kind} is a single-arm system, got {self.arm_count}")
+        if forced is not None and self.separation != forced:
+            raise ValueError(f"separation_m: {kind} forces separation = length/2 = {forced:g} m, got {self.separation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +232,7 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
     # axial_factor / scale^2, each factor of its two products divided by
     # scale before they meet: axial / L^2 stays normal where axial underflows
-    if separation < 0.0 or length <= 0.0 or not np.all(rc >= MIN_CORRELATION_LENGTH):
+    if not (separation >= 0.0 and length > 0.0 and np.all(rc >= MIN_CORRELATION_LENGTH)):  # NaN fails too
         raise ValueError(f"axial_factor requires separation >= 0, length > 0, r_c >= {MIN_CORRELATION_LENGTH!r}")
     with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
         a = separation * (0.5 / rc)
@@ -340,7 +361,7 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     """
     if variant not in BAR_VARIANTS:
         raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
-    halves = Cylinder(geometry.radius, 0.5 * geometry.length, 0.5 * geometry.mass)
+    halves = geometry.halves()
     if variant == "rederived":
         return cylinder_pair_force_psd(params, halves, halves.length)
     rc, scalar = _to_1d(params.correlation_length)
@@ -361,17 +382,13 @@ def force_noise_psd(
     """Dispatch to the closed form matching the geometry (two-sided, N^2/Hz).
 
     Returns a float for a scalar correlation length, else one PSD per entry.
+    Raises ValueError unless the geometry takes the arrangement.
     """
+    arrangement.check(geometry)
     if isinstance(geometry, Cylinder):
         return cylinder_pair_force_psd(params, geometry, arrangement.separation, arrangement.arm_count)
     if isinstance(geometry, Cube):
-        if arrangement.arm_count != 1:
-            raise ValueError("cube pairs support a single arm")
         return cube_pair_force_psd(params, geometry, arrangement.separation)
     if isinstance(geometry, HalfCylinderBar):
-        if arrangement.separation != 0.5 * geometry.length:
-            raise ValueError("a bar forces separation = length/2")
-        if arrangement.arm_count != 1:
-            raise ValueError("a bar is a single-arm system")
         return bar_force_psd(params, geometry, bar_variant or DEFAULT_BAR_VARIANT)
     raise TypeError(f"unsupported geometry {type(geometry).__name__}")

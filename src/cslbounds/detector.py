@@ -1,8 +1,10 @@
 """Detector models: geometry, arrangement, response, readout and noise.
 
 A DetectorModel ties together one of the three supported archetypes.
-ARCHETYPES, keyed by geometry type, holds every rule of which response,
-readout, arm count and separation go with which geometry:
+ARCHETYPES, keyed by geometry type, holds every rule of which response
+and readout go with which geometry; the arm count and separation each
+geometry takes are cslnoise.MassArrangement.check's, which the closed
+forms share:
 
   interferometer   cylinder pair(s), free-mass response, strain/force/displacement readout
   accelerometer    cube pair, free-mass response, acceleration readout
@@ -116,9 +118,7 @@ class Archetype:
     response: type
     response_kind: str  # the config spelling of the response
     readouts: Tuple[str, ...]  # the accepted Readout kinds
-    arm_counts: Tuple[int, ...]
     strain_needs_arm_length: bool = False
-    separation_divisor: Optional[int] = None  # forces separation = length / divisor
 
 
 ARCHETYPES = {
@@ -128,49 +128,33 @@ ARCHETYPES = {
         FreeMass,
         "free_mass",
         ("strain", "force", "displacement"),
-        (1, 2),
         strain_needs_arm_length=True,
     ),
-    Cube: Archetype(ACCELEROMETER, "cube-pair accelerometers", FreeMass, "free_mass", ("acceleration",), (1,)),
-    HalfCylinderBar: Archetype(BAR, "bars", ResonantBar, "resonant_bar", ("strain",), (1,), separation_divisor=2),
+    Cube: Archetype(ACCELEROMETER, "cube-pair accelerometers", FreeMass, "free_mass", ("acceleration",)),
+    HalfCylinderBar: Archetype(BAR, "bars", ResonantBar, "resonant_bar", ("strain",)),
 }
-
-
-def _archetype_of(geometry: MassGeometry) -> Archetype:
-    try:
-        return ARCHETYPES[type(geometry)]
-    except KeyError:
-        raise ConfigError(f"geometry: unsupported type {type(geometry).__name__}") from None
-
-
-def forced_separation(geometry: MassGeometry) -> Optional[float]:
-    """The separation the geometry's archetype forces (a bar's length/2), else None."""
-    divisor = _archetype_of(geometry).separation_divisor
-    return None if divisor is None else geometry.length / divisor
 
 
 def detector_archetype(det: DetectorModel) -> str:
     """Classify a detector into one of the supported archetypes.
 
     Raises ConfigError, naming the offending config field, for any
-    pairing the geometry's ARCHETYPES entry does not allow.
+    pairing that ARCHETYPES or MassArrangement.check does not allow.
     """
-    rule = _archetype_of(det.geometry)
+    try:
+        rule = ARCHETYPES[type(det.geometry)]
+    except KeyError:
+        raise ConfigError(f"geometry: unsupported type {type(det.geometry).__name__}") from None
     if not isinstance(det.response, rule.response):
         raise ConfigError(f"response: {rule.members} use the {rule.response_kind} response")
     if det.readout.kind not in rule.readouts:
         raise ConfigError(f"readout: {rule.members} read out {' or '.join(rule.readouts)}")
     if rule.strain_needs_arm_length and det.readout.kind == "strain" and det.readout.arm_length is None:
         raise ConfigError(f"readout.arm_length_m: required for a strain readout of {rule.members}")
-    if det.arrangement.arm_count not in rule.arm_counts:
-        allowed = " or ".join(str(n) for n in rule.arm_counts)
-        raise ConfigError(f"arrangement.arm_count: {rule.members} take arm_count {allowed}")
-    forced = forced_separation(det.geometry)
-    if forced is not None and det.arrangement.separation != forced:
-        raise ConfigError(
-            f"arrangement.separation_m: {rule.members} force separation = "
-            f"length/{rule.separation_divisor} = {forced:g} m"
-        )
+    try:
+        det.arrangement.check(det.geometry)
+    except ValueError as exc:
+        raise ConfigError(f"arrangement.{exc}") from None
     return rule.name
 
 

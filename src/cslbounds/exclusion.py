@@ -153,15 +153,17 @@ def _lambda_max_grid(
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
     twice the two-sided model.  UnboundedParameterError names the first
-    r_c where the model PSD vanishes or lambda_max overflows.
+    r_c where lambda_max is not finite and > 0, and why.
     """
     s_model = model_force_psd(det, CslParams(1.0, grid), bar_variant)
     with np.errstate(divide="ignore", over="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
-    unbounded = np.flatnonzero(~np.isfinite(lam))
+    unbounded = np.flatnonzero(~(np.isfinite(lam) & (lam > 0.0)))
     if unbounded.size:
         i = unbounded[0]
-        cause = "model force PSD vanishes" if s_model[i] == 0.0 else "lambda_max overflows"
+        cause = "model force PSD " + ("vanishes" if s_model[i] == 0.0 else "overflows")
+        if 0.0 < s_model[i] < math.inf:
+            cause = "lambda_max " + ("overflows" if lam[i] else "underflows")
         raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
     return lam
 

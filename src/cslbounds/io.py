@@ -19,8 +19,8 @@ import numpy as np
 
 from ._version import __version__
 from .constants import QUANTITIES
-from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement
-from .detector import DetectorModel, MeasuredNoise, Readout, forced_separation
+from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement, forced_separation
+from .detector import DetectorModel, MeasuredNoise, Readout
 from .errors import ConfigError
 from .exclusion import ExclusionCurve
 from .response import FreeMass, ResonantBar, SpectrumSeries

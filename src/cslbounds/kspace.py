@@ -363,33 +363,29 @@ def force_psd_by_quadrature(
     radial and slab integrals are driven to 1e-2 of REL_TOL, the axial
     cosine modes to 1e-13 of the zero mode.
 
-    Raises QuadratureError if BUDGET integrand evaluations run out before
-    those targets are met, or if the reported relative error exceeds
-    REL_TOL.
+    Raises ValueError for an array of correlation lengths or an
+    arrangement the geometry does not take, and QuadratureError if BUDGET
+    integrand evaluations run out before those targets are met, or if
+    the reported relative error exceeds REL_TOL.
     """
     lam = params.collapse_rate
     rc = params.correlation_length
+    if np.ndim(rc) != 0:
+        raise ValueError(f"the quadrature oracle takes one correlation length, got an array of {np.size(rc)}")
+    arrangement.check(geometry)
     if lam == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    separation, arm_count = arrangement.separation, arrangement.arm_count
-    if isinstance(geometry, HalfCylinderBar):
-        if separation != 0.5 * geometry.length:
-            raise ValueError("a bar forces separation = length/2")
-        if arm_count != 1:
-            raise ValueError("a bar is a single-arm system")
-        # two touching half-cylinders of half mass and half length
-        geometry = Cylinder(geometry.radius, 0.5 * geometry.length, 0.5 * geometry.mass)
+    if isinstance(geometry, HalfCylinderBar):  # the shared model: two touching half-cylinders
+        geometry = geometry.halves()
     if isinstance(geometry, Cylinder):
         ell = geometry.length
     elif isinstance(geometry, Cube):
-        if arm_count != 1:
-            raise ValueError("cube pairs support a single arm")
         ell = geometry.side
     else:
         raise TypeError(f"unsupported geometry {type(geometry).__name__}")
 
     budget = _Budget(BUDGET)
-    axial, axial_err = _axial_mode_sum(separation, ell, rc, budget)
+    axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
     if axial == 0.0:
         return QuadratureResult(0.0, 0.0, budget.used)
     if isinstance(geometry, Cylinder):
@@ -407,7 +403,7 @@ def force_psd_by_quadrature(
     # and q * (q * B) underflows only where S_FF itself does.
     q = HBAR * (geometry.mass / M_NUCLEON) * rc
     axial_full = 2.0 * (2.0 / ell**2) * axial
-    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arm_count))
+    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
     if not math.isfinite(rel_err) or rel_err > REL_TOL:
         raise QuadratureError(
             f"quadrature reached relative error {rel_err:.3e}, above the target {REL_TOL:.3e}",

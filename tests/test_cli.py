@@ -188,6 +188,26 @@ def test_mistyped_config_fields_exit_2(tmp_path, capsys, field, mutate):
     assert err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize(
+    "config, arrangement, message",
+    [
+        ("lisa_pathfinder", {"arm_count": 2}, "arrangement.arm_count: Cube is a single-arm system, got 2"),
+        (
+            "auriga",
+            {"separation_m": 1.0},
+            "arrangement.separation_m: HalfCylinderBar forces separation = length/2 = 1.5 m, got 1.0",
+        ),
+    ],
+    ids=["cube_arm_count", "bar_separation"],
+)
+def test_pairing_errors_exit_2(tmp_path, capsys, config, arrangement, message):
+    # MassArrangement.check's message, prefixed by the config section
+    path = write_config(tmp_path, config, lambda d: d["arrangement"].update(arrangement))
+    code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1e-7")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_spectrum_bound_end_to_end(tmp_path, capsys):
     spectrum = write_v_spectrum(tmp_path)
     out_csv = tmp_path / "curve.csv"
@@ -437,6 +457,15 @@ OVERFLOW_MESSAGES = {
 }
 
 
+# A ligo body 1e-160 m long: axial / L^2 overflows, so the model force PSD is inf at r_c = 1e-170 m.
+TINY_BODY_ARGS = {"bound": ["--rc", "1e-170"], "scan": ["--rc-min", "1e-170", "--rc-max", "1e-160", "--points", "3"]}
+
+
+def tiny_body(doc):
+    doc["geometry"].update(length_m=1e-160, radius_m=1e-10)
+    del doc["geometry"]["density_kg_m3"]
+
+
 @pytest.mark.parametrize("command", list(OVERFLOW_MESSAGES))
 def test_overflowing_inversion_exit_3(tmp_path, command):
     # a finite force PSD of ~1e308 N^2/Hz over a model PSD below 1 overflows
@@ -445,6 +474,13 @@ def test_overflowing_inversion_exit_3(tmp_path, command):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == f"error: {OVERFLOW_MESSAGES[command]}\n"
     assert not (tmp_path / "c.csv").exists()
+    if command in TINY_BODY_ARGS:  # an overflowing model PSD once gave a bound of 0 and exit 0
+        path = write_config(tmp_path, "ligo", tiny_body)
+        out = ["--out", str(tmp_path / "c.csv")] if command == "scan" else []
+        proc = run_process(command, "--config", str(path), *TINY_BODY_ARGS[command], *out)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: model force PSD overflows for 'ligo' at r_c = 1e-170 m; no finite bound exists\n"
+        assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("config, rc_min", [("ligo", "1e-170"), ("auriga", "1e-200")])

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import sys
 import warnings
 
 import mpmath as mp
@@ -136,6 +137,16 @@ def test_pair_correlation_domain_errors():
         pair_correlation_factor(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         pair_correlation_factor(1.0, 1.0, 0.0)
+    # the axial factor and the closed forms built on it once returned nan here
+    params = CslParams(1.0, 1e-3)
+    for call in (
+        lambda: axial_factor(math.nan, 0.2, 1e-3),
+        lambda: axial_factor(0.376, math.nan, 1e-3),
+        lambda: cylinder_pair_force_psd(params, LIGO_GEOM, math.nan),
+        lambda: cube_pair_force_psd(params, LISA_GEOM, math.nan),
+    ):
+        with pytest.raises(ValueError, match="requires separation >= 0, length > 0"):
+            call()
 
 
 @given(exponents, exponents, exponents)
@@ -407,6 +418,33 @@ def test_closed_form_accuracy_contract(name, variant, rc):
     assert got == pytest.approx(float(mp_closed_form(det, rc, variant or "rederived")), rel=4e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["cylinder", "cube", "bar"])
+@given(
+    size=log_uniform(-3.0, 3.0),
+    radius=log_uniform(-3.0, 3.0),
+    separation=log_uniform(-3.0, 4.0),
+    arm_count=st.sampled_from([1, 2]),
+    variant=st.sampled_from(BAR_VARIANTS),
+    rc=log_uniform(-140.0, 4.0),
+)
+def test_drawn_geometries_accuracy_contract(kind, size, radius, separation, arm_count, variant, rc):
+    # the contract above, through force_noise_psd, for bodies other than the
+    # bundled ones; a bar takes its forced separation and one arm, a cube one arm
+    if kind == "cylinder":
+        geometry, arrangement = Cylinder(radius, size, 40.0), MassArrangement(separation, arm_count)
+        ref = mp_cylinder_pair(geometry, separation, arm_count, rc)
+    elif kind == "cube":
+        geometry, arrangement = Cube(size, 1.928), MassArrangement(separation)
+        ref = mp_cube_pair(geometry, separation, rc)
+    else:
+        geometry = HalfCylinderBar(radius, size, 2300.0)
+        arrangement = MassArrangement(forced_separation(geometry))
+        ref = mp_bar(geometry, variant, rc)
+    got = force_noise_psd(CslParams(1.0, rc), geometry, arrangement, variant)
+    if sys.float_info.min <= float(ref) <= sys.float_info.max:  # a subnormal or inf reference states no contract
+        assert got == pytest.approx(float(ref), rel=4e-15, abs=0.0)
+
+
 def read_golden(name):
     """(r_c, lambda_max) rows of a golden scan file."""
     lines = (pathlib.Path(__file__).parent / "golden" / f"{name}_scan.csv").read_text().splitlines()
@@ -540,6 +578,7 @@ def test_csl_params_array_is_a_read_only_copy():
 
 
 def test_bar_arrangement_forced():
+    assert AURIGA_GEOM.halves() == Cylinder(radius=0.3, length=1.5, mass=1150.0)
     assert forced_separation(AURIGA_GEOM) == 1.5
     assert forced_separation(LIGO_GEOM) is None and forced_separation(LISA_GEOM) is None
 

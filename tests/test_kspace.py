@@ -221,7 +221,7 @@ def test_bar_dispatch_equals_explicit_half_cylinders(auriga):
 
 
 def test_diffusion_rate_bar_default_arrangement(auriga):
-    # the bar config leaves separation_m out; the archetype table supplies L/2
+    # the bar config leaves separation_m out; forced_separation supplies L/2
     assert auriga.arrangement == MassArrangement(forced_separation(auriga.geometry), 1)
     params = CslParams(1.0, 0.3)
     eta = force_psd_by_quadrature(params, auriga.geometry, auriga.arrangement).value / HBAR**2
@@ -256,6 +256,13 @@ def test_single_arm_geometries_reject_two_arms(geometry):
         with pytest.raises(ValueError) as closed:
             force_noise_psd(CslParams(1.0, 0.1), geometry, arrangement)
         assert str(oracle.value) == str(closed.value)
+
+
+@pytest.mark.parametrize("rc", [np.array([1e-7, 1e-6]), np.array([1e-7])])
+def test_oracle_rejects_an_array_of_correlation_lengths(rc):
+    # it once ended in numpy's "truth value of an array is ambiguous" or a TypeError
+    with pytest.raises(ValueError, match="takes one correlation length"):
+        force_psd_by_quadrature(CslParams(1.0, rc), LISA_GEOM, LISA_ARR)
 
 
 def test_arm_count_scales_linearly():
