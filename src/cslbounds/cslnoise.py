@@ -27,7 +27,10 @@ here.
 The correlation length r_c may be a float or a 1-d array: every closed
 form and building block then evaluates the whole grid in one pass, with
 boolean masks choosing each element's numerical branch, and a float
-input returns a float from the same kernel.
+input returns a float from the same kernel.  The building blocks
+axial_factor and pair_correlation_factor share one kernel and one
+domain: a finite separation >= 0, a finite length > 0 and every
+r_c >= MIN_CORRELATION_LENGTH.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import HBAR, M_NUCLEON
-from .specfun import FloatOrArray, _from_1d, _ie, _to_1d
+from .specfun import FloatOrArray, _check_positive, _from_1d, _frozen, _ie, _to_1d
 
 # Largest relative mismatch allowed between the declared mass and
 # density * volume when a density is given.
@@ -61,38 +64,31 @@ class CslParams:
     """Collapse-parameter point: rate (1/s) and correlation length (m).
 
     The correlation length may also be a 1-d array, one parameter point
-    per entry; it is then stored as a read-only copy.
+    per entry; it is then stored as a read-only copy, and a scalar
+    (a 0-d array too) as a float.
     """
 
     collapse_rate: float
     correlation_length: FloatOrArray
 
     def __post_init__(self):
-        if not (math.isfinite(self.collapse_rate) and self.collapse_rate >= 0.0):
-            raise ValueError(f"collapse_rate must be finite and >= 0, got {self.collapse_rate!r}")
+        _check_positive("collapse_rate", self.collapse_rate, zero_ok=True)
         rc, scalar = _to_1d(self.correlation_length)
         bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
         if bad.any():
             raise ValueError(
                 f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
             )
-        if not scalar:
-            rc = rc.copy()
-            rc.flags.writeable = False
-            object.__setattr__(self, "correlation_length", rc)
+        object.__setattr__(self, "correlation_length", float(rc[0]) if scalar else _frozen(rc))
 
 
 def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float):
-    for name, value in dims.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    for name, value in (*dims.items(), ("mass", mass)):
+        _check_positive(name, value)
     if not (math.isfinite(volume) and volume > 0.0):
         raise ValueError(f"volume must be finite and > 0, got {volume!r} m^3")
     if density is not None:
-        if not (math.isfinite(density) and density > 0.0):
-            raise ValueError(f"density must be finite and > 0, got {density!r}")
+        _check_positive("density", density)
         mismatch = abs(mass - density * volume) / mass
         if mismatch > DENSITY_CONSISTENCY_TOL:
             raise ValueError(
@@ -175,8 +171,7 @@ class MassArrangement:
     arm_count: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.separation) and self.separation >= 0.0):
-            raise ValueError(f"separation must be finite and >= 0, got {self.separation!r}")
+        _check_positive("separation", self.separation, zero_ok=True)
         if self.arm_count not in (1, 2):
             raise ValueError(f"arm_count must be 1 or 2, got {self.arm_count!r}")
 
@@ -193,25 +188,18 @@ class MassArrangement:
 # building blocks
 
 
-def pair_correlation_factor(separation: float, length: float, r_c: float) -> float:
+def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
     """Cross-correlation term of the axial pair suppression factor.
 
-    Equals (1/2) e^{-(a+L)^2/4rc^2} (1 + e^{aL/rc^2} - 2 e^{L(2a+L)/4rc^2})
-    but is evaluated with every exponent combined first; the combined
-    exponents are all nonpositive, so nothing overflows however small
-    r_c gets.
+    Equals (1/2) e^{-(a+L)^2 u} + (1/2) e^{-(a-L)^2 u} - e^{-a^2 u} with
+    u = 1/4rc^2, and is evaluated as axial_factor + expm1(-L^2 u): the
+    axial kernel's value and domain, with the same float or 1-d r_c.
     """
-    for name, v in (("separation", separation), ("length", length), ("r_c", r_c)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    if separation < 0.0 or length <= 0.0 or r_c <= 0.0:
-        raise ValueError("pair_correlation_factor requires separation >= 0, length > 0, r_c > 0")
-    u = 1.0 / (4.0 * r_c * r_c)
-    return (
-        0.5 * math.exp(-((separation + length) ** 2) * u)
-        + 0.5 * math.exp(-((separation - length) ** 2) * u)
-        - math.exp(-(separation**2) * u)
-    )
+    rc, scalar = _to_1d(r_c)
+    axial = _axial_over(separation, length, rc, 1.0)
+    with np.errstate(over="ignore"):  # L/2rc = inf gives expm1(-inf) = -1, the right limit
+        el = length * (0.5 / rc)
+        return _from_1d(axial + np.expm1(-el * el), scalar)
 
 
 def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
@@ -231,8 +219,9 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
 
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
     # axial_factor / scale^2, each factor of its two products divided by
-    # scale before they meet: axial / L^2 stays normal where axial underflows
-    if not (separation >= 0.0 and length > 0.0 and np.all(rc >= MIN_CORRELATION_LENGTH)):  # NaN fails too
+    # scale before they meet: axial / L^2 stays normal where axial underflows.
+    # An infinite length would meet 0 * inf below; NaN fails every comparison.
+    if not (0.0 <= separation < math.inf and 0.0 < length < math.inf and np.all(rc >= MIN_CORRELATION_LENGTH)):
         raise ValueError(f"axial_factor requires separation >= 0, length > 0, r_c >= {MIN_CORRELATION_LENGTH!r}")
     with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
         a = separation * (0.5 / rc)

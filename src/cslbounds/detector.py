@@ -17,7 +17,6 @@ conversion from each archetype's native figure to a force PSD.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -25,6 +24,7 @@ from .constants import QUANTITIES
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry
 from .errors import ConfigError
 from .response import FreeMass, ResonantBar, ResponseModel
+from .specfun import _check_positive
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class Readout:
             return
         if self.kind != "strain":
             raise ValueError(f"arm_length applies only to a strain readout, not {self.kind}")
-        if not (math.isfinite(self.arm_length) and self.arm_length > 0.0):
-            raise ValueError(f"arm_length must be finite and > 0, got {self.arm_length!r}")
+        _check_positive("arm_length", self.arm_length)
 
 
 INTERFEROMETER = "interferometer"
@@ -74,10 +73,9 @@ class MeasuredNoise:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown noise quantity {self.quantity!r}")
-        if not (math.isfinite(self.psd) and self.psd > 0.0):
-            raise ValueError(f"noise psd must be finite and > 0, got {self.psd!r}")
-        if self.frequency_hz is not None and not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0.0):
-            raise ValueError(f"frequency_hz must be finite and > 0, got {self.frequency_hz!r}")
+        _check_positive("noise psd", self.psd)
+        if self.frequency_hz is not None:
+            _check_positive("frequency_hz", self.frequency_hz)
         if not (0.0 < self.csl_fraction <= 1.0):
             raise ValueError(f"csl_fraction must be in (0, 1], got {self.csl_fraction!r}")
 

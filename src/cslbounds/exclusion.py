@@ -38,6 +38,7 @@ from .response import (
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
 )
+from .specfun import _check_positive, _frozen
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,14 @@ class ExclusionCurve:
     bar_variant: Optional[str] = None
 
     def __post_init__(self):
-        grid = np.asarray(self.r_c_grid, dtype=float)
-        lam = np.asarray(self.lambda_max, dtype=float)
+        grid = _frozen(self.r_c_grid)
+        lam = _frozen(self.lambda_max)
         if grid.ndim != 1 or grid.size == 0 or lam.shape != grid.shape:
             raise ValueError("curve needs matching, nonempty r_c and lambda_max arrays")
         if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
             raise ValueError("r_c grid must be positive and strictly ascending")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise ValueError("lambda_max values must be finite and > 0")
-        grid = grid.copy()
-        lam = lam.copy()
-        grid.flags.writeable = False
-        lam.flags.writeable = False
         object.__setattr__(self, "r_c_grid", grid)
         object.__setattr__(self, "lambda_max", lam)
 
@@ -115,8 +112,7 @@ def force_per_native(
         transfer = force_psd_from_strain_free_mass(1.0, mass, omega, strain_arm_length(det))
     else:
         raise ConfigError(f"{source}: {quantity} input is not supported for {archetype}")
-    if not (math.isfinite(transfer) and transfer > 0.0):
-        raise ConfigError(f"{source}: {quantity}-to-force transfer must be finite and > 0, got {transfer!r}")
+    _check_positive(f"{source}: {quantity}-to-force transfer", transfer, error=ConfigError)
     return transfer
 
 
@@ -132,8 +128,7 @@ def measured_force_psd(det: DetectorModel, noise: MeasuredNoise) -> float:
     source = f"noise entry {noise.name!r}"
     transfer = force_per_native(det, noise.quantity, noise.frequency_hz, source)
     s_ff = noise.csl_fraction * (transfer * noise.psd)
-    if not (math.isfinite(s_ff) and s_ff > 0.0):
-        raise ConfigError(f"{source}: force PSD must be finite and > 0, got {s_ff!r}")
+    _check_positive(f"{source}: force PSD", s_ff, error=ConfigError)
     return s_ff
 
 
@@ -220,8 +215,7 @@ def optimal_frequency(series: SpectrumSeries, det: DetectorModel) -> tuple[float
 
 def ellis_eta(mass: float) -> float:
     """Wormhole-background decoherence rate (c m0)^4 m^2 / (hbar m_Pl)^3."""
-    if not math.isfinite(mass) or mass < 0.0:
-        raise ValueError(f"mass must be finite and >= 0, got {mass!r}")
+    _check_positive("mass", mass, zero_ok=True)
     return (C_LIGHT * M_NUCLEON) ** 4 * mass * mass / (HBAR * M_PLANCK) ** 3
 
 

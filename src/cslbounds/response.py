@@ -22,6 +22,7 @@ import numpy as np
 
 from .constants import QUANTITIES
 from .errors import ConfigError, ConventionError
+from .specfun import _check_positive, _frozen
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,8 @@ class ResonantBar:
     length: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"length must be finite and > 0, got {self.length!r}")
+        _check_positive("omega0", self.omega0)
+        _check_positive("length", self.length)
 
 
 ResponseModel = Union[FreeMass, ResonantBar]
@@ -48,8 +47,7 @@ ResponseModel = Union[FreeMass, ResonantBar]
 
 def force_psd_from_acceleration(s_gg: float, mass: float) -> float:
     """Force PSD of a free-falling pair from its relative acceleration: S_FF = (m^2/4) S_gg."""
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be finite and > 0, got {mass!r}")
+    _check_positive("mass", mass)
     return 0.25 * mass * mass * s_gg
 
 
@@ -59,8 +57,7 @@ def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_lengt
     S_FF = (m omega0^2 L / pi^2)^2 S_hh for the fundamental mode.
     """
     for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _check_positive(name, v)
     factor = mass * omega0 * omega0 * bar_length / math.pi**2
     return factor * factor * s_hh
 
@@ -72,8 +69,7 @@ def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_
     displacement is S_xx = 4 S_FF / (m^2 omega^4), and S_hh = S_xx / a^2.
     """
     for name, v in (("mass", mass), ("omega", omega), ("arm_length", arm_length)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _check_positive(name, v)
     factor = 0.5 * mass * omega * omega * arm_length
     return factor * factor * s_hh
 
@@ -87,8 +83,8 @@ class SpectrumSeries:
     quantity: str
 
     def __post_init__(self):
-        freq = np.asarray(self.frequency_hz, dtype=float)
-        asd = np.asarray(self.asd, dtype=float)
+        freq = _frozen(self.frequency_hz)
+        asd = _frozen(self.asd)
         if self.quantity not in QUANTITIES:
             raise ConventionError(f"unknown spectrum quantity {self.quantity!r}")
         if freq.ndim != 1 or freq.size == 0 or asd.shape != freq.shape:
@@ -99,10 +95,6 @@ class SpectrumSeries:
             raise ConfigError("spectrum frequencies and values must be > 0")
         if np.any(np.diff(freq) <= 0.0):
             raise ConfigError("spectrum frequencies must be strictly ascending")
-        freq = freq.copy()
-        asd = asd.copy()
-        freq.flags.writeable = False
-        asd.flags.writeable = False
         object.__setattr__(self, "frequency_hz", freq)
         object.__setattr__(self, "asd", asd)
 
@@ -119,8 +111,7 @@ def equivalent_force_asd_free_mass(series: SpectrumSeries, mass: float, arm_leng
     if series.quantity != "strain":
         raise ConventionError(f"expected a strain series, got {series.quantity!r}")
     for name, v in (("mass", mass), ("arm_length", arm_length)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        _check_positive(name, v)
     omega_sq = (2.0 * math.pi * series.frequency_hz) ** 2
     force_asd = 0.5 * mass * arm_length * omega_sq * series.asd
     return SpectrumSeries(series.frequency_hz, force_asd, "force")

@@ -56,6 +56,19 @@ def _from_1d(out: np.ndarray, scalar: bool) -> FloatOrArray:
     return float(out[0]) if scalar else out
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only float copy of x, so that no caller's array can change it later."""
+    arr = np.array(x, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_positive(name: str, value: float, zero_ok: bool = False, error: type = ValueError) -> None:
+    """Raise error unless value is finite and > 0 (>= 0 when zero_ok), naming it."""
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise error(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
 def _check_nonneg_finite(x: FloatOrArray, name: str) -> tuple[np.ndarray, bool]:
     x, scalar = _to_1d(x)
     bad = ~(np.isfinite(x) & (x >= 0.0))

@@ -137,11 +137,18 @@ def test_pair_correlation_domain_errors():
         pair_correlation_factor(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         pair_correlation_factor(1.0, 1.0, 0.0)
-    # the axial factor and the closed forms built on it once returned nan here
+    # a subnormal r_c: 1/r_c overflows, as for the axial factor
+    with pytest.raises(ValueError, match="requires separation >= 0, length > 0"):
+        pair_correlation_factor(1.0, 1.0, 1e-310)
+    # these once returned nan: a NaN separation or length, or an infinite length (0 * inf)
     params = CslParams(1.0, 1e-3)
     for call in (
         lambda: axial_factor(math.nan, 0.2, 1e-3),
         lambda: axial_factor(0.376, math.nan, 1e-3),
+        lambda: axial_factor(0.0, math.inf, 1.0),
+        lambda: axial_factor(math.inf, math.inf, 1.0),
+        lambda: pair_correlation_factor(0.0, math.inf, 1.0),
+        lambda: pair_correlation_factor(math.inf, math.inf, 1.0),
         lambda: cylinder_pair_force_psd(params, LIGO_GEOM, math.nan),
         lambda: cube_pair_force_psd(params, LISA_GEOM, math.nan),
     ):
@@ -206,10 +213,11 @@ def test_axial_factor_matches_extended_precision_over_13_decades():
 
 def test_axial_factor_array_matches_scalar_calls():
     grid = np.geomspace(1e-9, 1e4, 301)
-    values = axial_factor(0.376, 0.046, grid)
-    assert isinstance(values, np.ndarray) and values.shape == grid.shape
-    assert type(axial_factor(0.376, 0.046, 1e-3)) is float
-    assert np.array_equal(values, [axial_factor(0.376, 0.046, float(rc)) for rc in grid])
+    for fn in (axial_factor, pair_correlation_factor):
+        values = fn(0.376, 0.046, grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        assert type(fn(0.376, 0.046, 1e-3)) is float
+        assert np.array_equal(values, [fn(0.376, 0.046, float(rc)) for rc in grid]), fn.__name__
 
 
 def test_axial_factor_rejects_nonpositive_rc_in_array():
@@ -575,6 +583,11 @@ def test_csl_params_array_is_a_read_only_copy():
     assert params.correlation_length[0] == 1e-9
     with pytest.raises(ValueError):
         params.correlation_length[0] = 2.0
+    # a 0-d array is a scalar: stored as a float, not as the caller's array
+    rc = np.array(1e-7)
+    params = CslParams(1.0, rc)
+    rc[()] = 5.0
+    assert type(params.correlation_length) is float and params.correlation_length == 1e-7
 
 
 def test_bar_arrangement_forced():
@@ -657,18 +670,18 @@ def test_geometry_dimension_validation():
 
 
 def test_arrangement_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^separation must be finite and >= 0, got -1\.0$"):
         MassArrangement(separation=-1.0)
     with pytest.raises(ValueError):
         MassArrangement(separation=1.0, arm_count=3)
 
 
 def test_csl_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^collapse_rate must be finite and >= 0, got -1\.0$"):
         CslParams(-1.0, 1e-7)
     with pytest.raises(ValueError):
         CslParams(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^collapse_rate must be finite and >= 0, got nan$"):
         CslParams(math.nan, 1e-7)
     for bad in (0.0, -1e-7, math.nan, math.inf, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="correlation_length"):

@@ -294,7 +294,7 @@ def test_ellis_eta_hand_value():
 def test_ellis_eta_quadratic_and_zero():
     assert ellis_eta(2.0) == pytest.approx(4.0 * ellis_eta(1.0), rel=1e-15)
     assert ellis_eta(0.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mass must be finite and >= 0, got -1\.0$"):
         ellis_eta(-1.0)
 
 

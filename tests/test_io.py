@@ -21,9 +21,9 @@ from cslbounds import (
 from cslbounds import io
 
 
-def rewrite(tmp_path, mutate):
-    """Load the LISA bundled config as a dict, mutate it, dump to a temp file."""
-    doc = json.loads(bundled_config_path("lisa_pathfinder").read_text())
+def rewrite(tmp_path, mutate, config="lisa_pathfinder"):
+    """Load a bundled config (LISA by default) as a dict, mutate it, dump to a temp file."""
+    doc = json.loads(bundled_config_path(config).read_text())
     mutate(doc)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -164,6 +164,12 @@ def test_schema_table_rows_give_exact_messages(tmp_path, section, spelling):
     [
         ("geometry", "side_m", None, "geometry.side_m: expected a number, got None"),
         ("geometry", "side_m", -1.0, "geometry: side must be finite and > 0, got -1.0"),
+        ("geometry", "mass_kg", 0.0, "geometry: mass must be finite and > 0, got 0.0"),
+        ("geometry", "density_kg_m3", -1.0, "geometry: density must be finite and > 0, got -1.0"),
+        ("arrangement", "separation_m", -1.0, "arrangement: separation must be finite and >= 0, got -1.0"),
+        ("response", "resonance_hz", 0.0, "response: omega0 must be finite and > 0, got 0.0"),
+        ("response", "bar_length_m", -1.0, "response: length must be finite and > 0, got -1.0"),
+        ("noise", "psd_acceleration_m2_s4_per_hz", 0.0, "noise[0]: noise psd must be finite and > 0, got 0.0"),
         ("noise", "name", 5, "noise[0].name: expected a string, got 5"),
         ("noise", "provenance", None, "noise[0].provenance: expected a string, got None"),
         ("noise", "frequency_hz", "10", "noise[0].frequency_hz: expected a number, got '10'"),
@@ -171,13 +177,14 @@ def test_schema_table_rows_give_exact_messages(tmp_path, section, spelling):
     ],
 )
 def test_field_path_is_not_doubled(tmp_path, section, key, bad, message):
-    # a schema error names its field once; a constructor error names its section
+    # a schema error names its field once; a constructor error names its section.
+    # Only the bar config has a resonant_bar response.
     def mutate(d):
         node = d["noise"][0] if section == "noise" else d[section]
         node[key] = bad
 
     with pytest.raises(ConfigError) as info:
-        load_detector_config(rewrite(tmp_path, mutate))
+        load_detector_config(rewrite(tmp_path, mutate, "auriga" if section == "response" else "lisa_pathfinder"))
     assert str(info.value) == message
 
 

@@ -87,8 +87,8 @@ def test_acceleration_round_trip_identity(lisa):
 
 
 def test_acceleration_psd_rejects_nonpositive_mass():
-    for mass in (0.0, -2.0):
-        with pytest.raises(ValueError):
+    for mass in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^mass must be finite and > 0, got {mass!r}$"):
             force_psd_from_acceleration(1.0, mass)
 
 
@@ -114,10 +114,12 @@ def test_bar_strain_to_force_mass_quadratic():
 
 
 def test_bar_strain_to_force_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mass must be finite and > 0, got -1\.0$"):
         force_psd_from_strain_bar(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^omega0 must be finite and > 0, got 0\.0$"):
         force_psd_from_strain_bar(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^bar_length must be finite and > 0, got inf$"):
+        force_psd_from_strain_bar(1.0, 1.0, 1.0, math.inf)
 
 
 def test_bar_strain_force_round_trip(auriga):

@@ -1,6 +1,7 @@
 """The package's public surface: what `from cslbounds import ...` offers."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cslbounds
@@ -33,3 +34,17 @@ def test_one_readout_type_and_no_inverse_conversions():
     ]
     assert {"Readout", "force_per_native"} <= set(cslbounds.__all__)
     assert [name for name in gone if name in cslbounds.__all__ or hasattr(cslbounds, name)] == []
+
+
+def test_benchmark_probe_targets_resolve():
+    # perfbench/workloads.py times these names layer by layer; it is read, never changed
+    modules = {"cli", "cslnoise", "detector", "exclusion", "io", "kspace", "response", "specfun"}
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "workloads.py").read_text())
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert used, "the benchmark uses no cslbounds module"
+    missing = [f"{m}.{name}" for m, name in sorted(used) if not hasattr(importlib.import_module(f"cslbounds.{m}"), name)]
+    assert missing == []
