@@ -1,8 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input/config error, 3 numerical failure.
-Numeric stdout uses scientific notation with 9 significant digits so
-identical inputs produce byte-identical output.
+Each command loads its detector and archetype through _load_config;
+`bound` is lambda_max, which is exclusion_curve at one point.  A bar's
+bar_length_m must equal its length_m, and only an interferometer's
+strain readout takes arm_length_m (detector.detector_archetype).
+
+Exit codes: 0 success, 2 input/config error, 3 numerical failure
+(QuadratureError, UnboundedParameterError); every failure prints one
+`error:` line.  Numeric stdout uses scientific notation with 9
+significant digits so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,19 +64,18 @@ def _grid(args) -> np.ndarray:
 
 
 def _load_config(args):
-    """The --config detector; a --variant or --frequency-hz its archetype has no use for is an input error."""
+    """The --config detector and its archetype; a --variant or --frequency-hz it has no use for is an input error."""
     det = load_detector_config(args.config)
     archetype = detector_archetype(det)
     if getattr(args, "variant", None) is not None and archetype != BAR:
         raise ConfigError(f"--variant: only bar configs have axial-factor variants, not {det.name!r} ({archetype})")
     if getattr(args, "frequency_hz", None) is not None and archetype != INTERFEROMETER:
         raise ConfigError(f"--frequency-hz: only interferometer configs take a frequency, not {det.name!r} ({archetype})")
-    return det
+    return det, archetype
 
 
-def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
+def _native_noise_lines(det, archetype: str, s_ff_one_sided: float, frequency_hz) -> list[str]:
     """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native)."""
-    archetype = detector_archetype(det)
     if archetype == ACCELEROMETER:
         s_gg = s_ff_one_sided / force_per_native(det, "acceleration")
         return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(s_gg)}"]
@@ -89,7 +94,7 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
 
 
 def cmd_noise(args) -> int:
-    det = _load_config(args)
+    det, archetype = _load_config(args)
     params = CslParams(args.collapse_rate, args.rc)
     s_one_sided = 2.0 * model_force_psd(det, params, args.variant)
     if not math.isfinite(s_one_sided):
@@ -97,7 +102,7 @@ def cmd_noise(args) -> int:
             f"model force PSD overflows for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s;"
             " no finite value exists"
         )
-    native = _native_noise_lines(det, s_one_sided, args.frequency_hz)
+    native = _native_noise_lines(det, archetype, s_one_sided, args.frequency_hz)
     print(f"s_ff_one_sided_n2_per_hz = {_fmt(s_one_sided)}")
     for line in native:
         print(line)
@@ -105,7 +110,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    det = _load_config(args)
+    det, _ = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     value = lambda_max(det, entry, args.rc, args.variant)
     print(f"lambda_max_per_s = {_fmt(value)}")
@@ -122,15 +127,15 @@ def _scan_and_report(det, entry, grid, variant, out_path) -> None:
 
 
 def cmd_scan(args) -> int:
-    det = _load_config(args)
+    det, _ = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     _scan_and_report(det, entry, _grid(args), args.variant, args.out)
     return 0
 
 
 def cmd_spectrum_bound(args) -> int:
-    det = load_detector_config(args.config)
-    if detector_archetype(det) != INTERFEROMETER:
+    det, archetype = _load_config(args)
+    if archetype != INTERFEROMETER:
         raise ConfigError("spectrum-bound needs a free-mass interferometer config")
     series = load_spectrum_csv(args.asd, "strain")
     omega_bar, force_asd = optimal_frequency(series, det)
@@ -148,7 +153,7 @@ def cmd_spectrum_bound(args) -> int:
 
 
 def cmd_ellis(args) -> int:
-    det = load_detector_config(args.config)
+    det, _ = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     report = ellis_ratio(det, entry)
     print(f"eta_ellis_per_m2_s = {_fmt(report.eta_ellis)}")
@@ -160,8 +165,8 @@ def cmd_ellis(args) -> int:
 def cmd_validate(args) -> int:
     from .kspace import force_psd_by_quadrature  # only validate needs the oracle
 
-    det = load_detector_config(args.config)
-    is_bar = detector_archetype(det) == BAR
+    det, archetype = _load_config(args)
+    is_bar = archetype == BAR
     if args.rc_min is None:
         args.rc_min = 1e-3 if is_bar else 1e-8
     if args.rc_max is None:
@@ -267,16 +272,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except QuadratureError as exc:
-        achieved = "" if exc.achieved_rel_error is None else f" (achieved {exc.achieved_rel_error:.3e})"
-        print(f"error: {exc}{achieved}", file=sys.stderr)
-        return 3
-    except UnboundedParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (CslBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (QuadratureError, UnboundedParameterError)) else 2
 
 
 if __name__ == "__main__":

@@ -220,9 +220,12 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
     # axial_factor / scale^2, each factor of its two products divided by
     # scale before they meet: axial / L^2 stays normal where axial underflows.
-    # An infinite length would meet 0 * inf below; NaN fails every comparison.
-    if not (0.0 <= separation < math.inf and 0.0 < length < math.inf and np.all(rc >= MIN_CORRELATION_LENGTH)):
-        raise ValueError(f"axial_factor requires separation >= 0, length > 0, r_c >= {MIN_CORRELATION_LENGTH!r}")
+    # An infinite length would meet 0 * inf below; a NaN r_c fails the comparison.
+    _check_positive("separation", separation, zero_ok=True)
+    _check_positive("length", length)
+    bad = ~(rc >= MIN_CORRELATION_LENGTH)
+    if bad.any():
+        raise ValueError(f"r_c must be >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}")
     with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
         a = separation * (0.5 / rc)
         el = length * (0.5 / rc)

@@ -10,6 +10,10 @@ forms share:
   accelerometer    cube pair, free-mass response, acceleration readout
   bar              half-cylinder bar, resonant-bar response, strain readout
 
+Only an interferometer's strain readout takes an arm length, and a
+bar's response states the bar's length again, which must equal the
+geometry's.
+
 A Readout names its kind by the same words as a noise figure's quantity
 (constants.QUANTITIES); exclusion.force_per_native holds the one
 conversion from each archetype's native figure to a force PSD.
@@ -116,7 +120,7 @@ class Archetype:
     response: type
     response_kind: str  # the config spelling of the response
     readouts: Tuple[str, ...]  # the accepted Readout kinds
-    strain_needs_arm_length: bool = False
+    strain_needs_arm_length: bool = False  # no other archetype's readout takes an arm length
 
 
 ARCHETYPES = {
@@ -137,7 +141,9 @@ def detector_archetype(det: DetectorModel) -> str:
     """Classify a detector into one of the supported archetypes.
 
     Raises ConfigError, naming the offending config field, for any
-    pairing that ARCHETYPES or MassArrangement.check does not allow.
+    pairing that ARCHETYPES or MassArrangement.check does not allow, an
+    arm length on a readout that takes none, and a bar length that
+    differs from the geometry's.
     """
     try:
         rule = ARCHETYPES[type(det.geometry)]
@@ -153,6 +159,13 @@ def detector_archetype(det: DetectorModel) -> str:
         det.arrangement.check(det.geometry)
     except ValueError as exc:
         raise ConfigError(f"arrangement.{exc}") from None
+    if det.readout.arm_length is not None and not rule.strain_needs_arm_length:
+        raise ConfigError(f"readout.arm_length_m: {rule.members} take no arm length, got {det.readout.arm_length!r}")
+    if isinstance(det.response, ResonantBar) and det.response.length != det.geometry.length:
+        raise ConfigError(
+            f"response.bar_length_m: must equal geometry.length_m = {det.geometry.length!r} m,"
+            f" got {det.response.length!r}"
+        )
     return rule.name
 
 

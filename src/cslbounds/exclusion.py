@@ -140,17 +140,36 @@ def model_force_psd(det: DetectorModel, params: CslParams, bar_variant: Optional
     return force_noise_psd(params, det.geometry, det.arrangement, bar_variant)
 
 
-def _lambda_max_grid(
-    det: DetectorModel, noise: MeasuredNoise, grid: np.ndarray, bar_variant: Optional[str]
-) -> np.ndarray:
-    """lambda_max at every r_c of a 1-d array, from one model-PSD evaluation.
+def lambda_max(
+    det: DetectorModel,
+    noise: MeasuredNoise,
+    r_c: float,
+    bar_variant: Optional[str] = None,
+) -> float:
+    """Largest collapse rate consistent with attributing all noise to CSL: exclusion_curve at one point."""
+    return float(exclusion_curve(det, noise, [r_c], bar_variant).lambda_max[0])
+
+
+def exclusion_curve(
+    det: DetectorModel,
+    noise: MeasuredNoise,
+    r_c_grid,
+    bar_variant: Optional[str] = None,
+) -> ExclusionCurve:
+    """lambda_max over an ascending r_c grid, from one model-PSD evaluation.
 
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
     twice the two-sided model.  UnboundedParameterError names the first
     r_c where lambda_max is not finite and > 0, and why.
     """
-    s_model = model_force_psd(det, CslParams(1.0, grid), bar_variant)
+    grid = np.asarray(r_c_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("r_c grid must be a nonempty 1-d array")
+    variant = None
+    if detector_archetype(det) == BAR:
+        variant = bar_variant or DEFAULT_BAR_VARIANT
+    s_model = model_force_psd(det, CslParams(1.0, grid), variant)
     with np.errstate(divide="ignore", over="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
     unbounded = np.flatnonzero(~(np.isfinite(lam) & (lam > 0.0)))
@@ -160,38 +179,9 @@ def _lambda_max_grid(
         if 0.0 < s_model[i] < math.inf:
             cause = "lambda_max " + ("overflows" if lam[i] else "underflows")
         raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
-    return lam
-
-
-def lambda_max(
-    det: DetectorModel,
-    noise: MeasuredNoise,
-    r_c: float,
-    bar_variant: Optional[str] = None,
-) -> float:
-    """Largest collapse rate consistent with attributing all noise to CSL.
-
-    The one-point case of exclusion_curve, through the same kernel.
-    """
-    return float(_lambda_max_grid(det, noise, np.array([r_c], dtype=float), bar_variant)[0])
-
-
-def exclusion_curve(
-    det: DetectorModel,
-    noise: MeasuredNoise,
-    r_c_grid,
-    bar_variant: Optional[str] = None,
-) -> ExclusionCurve:
-    """lambda_max over an ascending r_c grid, evaluated in one pass."""
-    grid = np.asarray(r_c_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("r_c grid must be a nonempty 1-d array")
-    variant = None
-    if detector_archetype(det) == BAR:
-        variant = bar_variant or DEFAULT_BAR_VARIANT
     return ExclusionCurve(
         r_c_grid=grid,
-        lambda_max=_lambda_max_grid(det, noise, grid, variant),
+        lambda_max=lam,
         detector_id=det.name,
         noise_name=noise.name,
         provenance=noise.provenance,

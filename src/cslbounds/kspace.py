@@ -215,7 +215,8 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
         if not budget.charge(panels * _NODES.size):
             achieved = None if err is None or value == 0.0 else err / abs(value)
             raise QuadratureError(
-                f"evaluation budget exhausted while integrating {what}",
+                f"evaluation budget exhausted while integrating {what}"
+                + ("" if achieved is None else f" (achieved {achieved:.3e})"),
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
             )

@@ -208,6 +208,22 @@ def test_pairing_errors_exit_2(tmp_path, capsys, config, arrangement, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "section, field, message",
+    [
+        ("response", {"bar_length_m": 2.0}, "response.bar_length_m: must equal geometry.length_m = 3.0 m, got 2.0"),
+        ("readout", {"arm_length_m": 3.0}, "readout.arm_length_m: bars take no arm length, got 3.0"),
+    ],
+    ids=["bar_length", "arm_length"],
+)
+@pytest.mark.parametrize("command", ["bound", "ellis"])
+def test_bar_config_states_each_input_once_exit_2(tmp_path, capsys, command, section, field, message):
+    # a bar length of 2.0 once printed a bound and an Ellis ratio for a 2 m bar; an arm length went unread
+    path = write_config(tmp_path, "auriga", lambda d: d[section].update(field))
+    code, out, err = run(capsys, command, "--config", str(path), *command_args(command, tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_spectrum_bound_end_to_end(tmp_path, capsys):
     spectrum = write_v_spectrum(tmp_path)
     out_csv = tmp_path / "curve.csv"
@@ -549,6 +565,8 @@ def test_extreme_body_sizes_give_a_finite_bound(tmp_path, capsys, config, dims):
     doc = json.loads(bundled_config_path(config).read_text())
     doc["geometry"].update(dims)
     doc["geometry"].pop("density_kg_m3", None)
+    if "bar_length_m" in doc["response"]:  # a bar states its length twice, and the two must agree
+        doc["response"]["bar_length_m"] = doc["geometry"]["length_m"]
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "bound", "--config", str(path), "--rc", "1")
@@ -604,3 +622,161 @@ def test_help_and_version_exit_0(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["noise", "--config", "lisa_pathfinder"]) == 2  # missing required flags
+
+
+def _drop_frequencies(doc):
+    for entry in doc["noise"]:
+        del entry["frequency_hz"]
+
+
+def _underflowing_bound(doc):
+    # a huge model PSD over a subnormal measured one: lambda_max rounds to 0
+    doc["geometry"]["mass_kg"] = 1e30
+    del doc["geometry"]["density_kg_m3"]
+    doc["noise"][0]["asd_force_n_per_sqrt_hz"] = 1e-160
+
+
+SPECTRUM_HEADER = "frequency_hz,asd_strain_per_sqrt_hz\n"
+SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, config, mutate, argv, spectrum, code, message",
+    [
+        ("scan", "ligo", None, ["--rc-min", "1", "--rc-max", "0.5", "--out", "c.csv"], None, 2,
+         "--rc-min must be positive and below --rc-max"),
+        ("noise", "ligo", _drop_frequencies, ["--rc", "1e-7", "--lambda", "1"], None, 2,
+         "strain equivalent needs --frequency-hz (config has no noise entry with a frequency)"),
+        ("bound", "ligo", _underflowing_bound, ["--rc", "1e-7"], None, 3,
+         "lambda_max underflows for 'ligo' at r_c = 1e-07 m; no finite bound exists"),
+        ("bound", "ligo", lambda d: d["arrangement"].pop("separation_m"), ["--rc", "1e-7"], None, 2,
+         "arrangement.separation_m: required field is missing"),
+        ("bound", "auriga", lambda d: d["noise"][0].update(csl_fraction=0.0), ["--rc", "1e-7"], None, 2,
+         "noise[0]: csl_fraction must be in (0, 1], got 0.0"),
+        ("bound", "ligo", lambda d: d.update(noise={}), ["--rc", "1e-7"], None, 2,
+         "noise: expected a list of noise entries"),
+        ("bound", "ligo", lambda d: d["arrangement"].update(arm_count=2.0), ["--rc", "1e-7"], None, 2,
+         "arrangement.arm_count: expected an integer, got 2.0"),
+        ("ellis", "ligo", lambda d: d.update(noise=[]), [], None, 2,
+         "detector 'ligo' declares no noise entries"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "10.0,1e-22,3\n", 2,
+         "line 2: expected two comma-separated values, got '10.0,1e-22,3'"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "10.0,abc\n", 2,
+         "line 2: could not parse numbers from '10.0,abc'"),
+        ("spectrum-bound", None, None, ["--config", "ligo", "--asd", "missing.csv", "--out", "c.csv"], None, 2,
+         "spectrum file not found: missing.csv"),
+    ],
+    ids=[
+        "rc_range", "no_frequency", "lambda_underflow", "no_separation", "csl_fraction", "noise_not_a_list",
+        "float_arm_count", "no_noise_entries", "three_columns", "unparsable_row", "missing_spectrum",
+    ],
+)
+def test_input_and_numerical_errors_print_one_line(
+    tmp_path, monkeypatch, capsys, command, config, mutate, argv, spectrum, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    if spectrum is not None:
+        (tmp_path / "strain.csv").write_text(spectrum)
+    if config is not None:
+        argv = ["--config", str(write_config(tmp_path, config, mutate) if mutate else config), *argv]
+    got, out, err = run(capsys, command, *argv)
+    assert (got, out, err) == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "c.csv").exists()
+
+
+def _quadrature_failure(config, rc):
+    from cslbounds import CslParams, QuadratureError, force_psd_by_quadrature
+
+    det = load_detector_config(config)
+    with pytest.raises(QuadratureError) as info:
+        force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    return info.value
+
+
+VALIDATE_HEADER = "r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff\n"
+VALIDATE_ARGS = ["validate", "--config", "lisa_pathfinder", "--rc-min", "1e-3", "--rc-max", "1e-2", "--points", "2"]
+
+
+def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatch):
+    from cslbounds import kspace
+
+    # on the first pass no error estimate exists yet
+    monkeypatch.setattr(kspace, "BUDGET", 100)
+    code, out, err = run(capsys, *VALIDATE_ARGS)
+    assert (code, out, err) == (3, VALIDATE_HEADER, "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
+    # a target beyond the first pass makes the slab integral double; one node short of its need it stops
+    monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
+    monkeypatch.setattr(kspace, "BUDGET", 10**8)
+    det = load_detector_config("lisa_pathfinder")
+    need = kspace.force_psd_by_quadrature(cslbounds.CslParams(1.0, 1e-3), det.geometry, det.arrangement).evaluations
+    monkeypatch.setattr(kspace, "BUDGET", need - 1)
+    achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error
+    assert achieved is not None
+    code, out, err = run(capsys, *VALIDATE_ARGS)
+    assert (code, out) == (3, VALIDATE_HEADER)
+    assert err == f"error: evaluation budget exhausted while integrating slab form-factor integral (achieved {achieved:.3e})\n"
+
+
+def test_validate_missed_target_states_the_achieved_error_once(capsys, monkeypatch):
+    from cslbounds import kspace
+
+    monkeypatch.setattr(kspace, "REL_TOL", 1e-20)
+    achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error
+    code, out, err = run(capsys, *VALIDATE_ARGS)
+    assert (code, out) == (3, VALIDATE_HEADER)
+    assert err == f"error: quadrature reached relative error {achieved:.3e}, above the target 1.000e-20\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+TRANSCRIPT_RCS = ["1e-09", "1e-07", "1e-05", "0.001", "0.1", "10"]
+
+
+def transcript_commands():
+    """Every command of the committed transcript; relative paths keep it independent of the directory."""
+    commands = []
+    for config in ("ligo", "lisa_pathfinder", "auriga"):
+        variants = [[], ["--variant", "printed"], ["--variant", "rederived"]] if config == "auriga" else [[]]
+        for rc, variant in itertools.product(TRANSCRIPT_RCS, variants):
+            commands.append(["noise", "--config", config, "--rc", rc, "--lambda", "1", *variant])
+            commands.append(["bound", "--config", config, "--rc", rc, *variant])
+        commands.append(["scan", "--config", config, "--out", f"{config}_scan.csv"])
+        commands.append(["ellis", "--config", config])
+    commands.append(["noise", "--config", "ligo", "--rc", "1e-07", "--lambda", "1", "--frequency-hz", "100"])
+    commands.append(["bound", "--config", "ligo", "--noise-entry", "design", "--rc", "1e-07"])
+    commands.append(["spectrum-bound", "--config", "ligo", "--asd", "strain.csv", "--out", "spectrum.csv"])
+    return commands
+
+
+def cli_transcript(workdir: Path) -> str:
+    """Run transcript_commands in workdir, in process; each command's line, then its stdout."""
+    import contextlib
+    import io
+
+    write_v_spectrum(workdir)
+    chunks = []
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in transcript_commands():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (0, ""), (argv, err.getvalue())
+            chunks.append(f"$ cslbounds {' '.join(argv)}\n{out.getvalue()}")
+    finally:
+        os.chdir(cwd)
+    return "".join(chunks)
+
+
+def test_cli_transcript_is_byte_identical(tmp_path):
+    # regenerate after an intended change: PYTHONPATH=src python tests/test_cli.py > tests/golden/cli_transcript.txt
+    assert cli_transcript(tmp_path) == (GOLDEN / "cli_transcript.txt").read_text(encoding="utf-8")
+    for config in ("ligo", "lisa_pathfinder", "auriga"):
+        assert (tmp_path / f"{config}_scan.csv").read_bytes() == (GOLDEN / f"{config}_scan.csv").read_bytes(), config
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        sys.stdout.write(cli_transcript(Path(workdir)))

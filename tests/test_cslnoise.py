@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 import sys
 import warnings
 
@@ -138,21 +139,21 @@ def test_pair_correlation_domain_errors():
     with pytest.raises(ValueError):
         pair_correlation_factor(1.0, 1.0, 0.0)
     # a subnormal r_c: 1/r_c overflows, as for the axial factor
-    with pytest.raises(ValueError, match="requires separation >= 0, length > 0"):
+    with pytest.raises(ValueError, match=r"^r_c must be >= 2\.2250738585072014e-308 m, got 1e-310$"):
         pair_correlation_factor(1.0, 1.0, 1e-310)
     # these once returned nan: a NaN separation or length, or an infinite length (0 * inf)
     params = CslParams(1.0, 1e-3)
-    for call in (
-        lambda: axial_factor(math.nan, 0.2, 1e-3),
-        lambda: axial_factor(0.376, math.nan, 1e-3),
-        lambda: axial_factor(0.0, math.inf, 1.0),
-        lambda: axial_factor(math.inf, math.inf, 1.0),
-        lambda: pair_correlation_factor(0.0, math.inf, 1.0),
-        lambda: pair_correlation_factor(math.inf, math.inf, 1.0),
-        lambda: cylinder_pair_force_psd(params, LIGO_GEOM, math.nan),
-        lambda: cube_pair_force_psd(params, LISA_GEOM, math.nan),
+    for call, message in (
+        (lambda: axial_factor(math.nan, 0.2, 1e-3), "separation must be finite and >= 0, got nan"),
+        (lambda: axial_factor(0.376, math.nan, 1e-3), "length must be finite and > 0, got nan"),
+        (lambda: axial_factor(0.0, math.inf, 1.0), "length must be finite and > 0, got inf"),
+        (lambda: axial_factor(math.inf, math.inf, 1.0), "separation must be finite and >= 0, got inf"),
+        (lambda: pair_correlation_factor(0.0, math.inf, 1.0), "length must be finite and > 0, got inf"),
+        (lambda: pair_correlation_factor(math.inf, math.inf, 1.0), "separation must be finite and >= 0, got inf"),
+        (lambda: cylinder_pair_force_psd(params, LIGO_GEOM, math.nan), "separation must be finite and >= 0, got nan"),
+        (lambda: cube_pair_force_psd(params, LISA_GEOM, math.nan), "separation must be finite and >= 0, got nan"),
     ):
-        with pytest.raises(ValueError, match="requires separation >= 0, length > 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 

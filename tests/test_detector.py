@@ -34,7 +34,7 @@ READOUTS = {
 }
 ARM_COUNTS = (1, 2)
 
-# Every accepted combination and its archetype; all 51 others are rejected.
+# Every accepted combination and its archetype; all 52 others are rejected.
 ACCEPTED = {
     ("cylinder", "free_mass", "strain_with_arm", 1): "interferometer",
     ("cylinder", "free_mass", "strain_with_arm", 2): "interferometer",
@@ -43,7 +43,6 @@ ACCEPTED = {
     ("cylinder", "free_mass", "displacement", 1): "interferometer",
     ("cylinder", "free_mass", "displacement", 2): "interferometer",
     ("cube", "free_mass", "acceleration", 1): "accelerometer",
-    ("bar", "resonant_bar", "strain_with_arm", 1): "bar",
     ("bar", "resonant_bar", "strain_without_arm", 1): "bar",
 }
 
@@ -67,6 +66,24 @@ def test_archetype_accept_reject_matrix(combo):
         with pytest.raises(ConfigError, match=r"^(response|readout|arrangement)"):
             build()
 
+
+@pytest.mark.parametrize(
+    "response, readout, message",
+    [
+        (
+            ResonantBar(omega0=2.0 * math.pi * 931.0, length=2.0),
+            Readout("strain"),
+            "response.bar_length_m: must equal geometry.length_m = 3.0 m, got 2.0",
+        ),
+        (RESPONSES["resonant_bar"], Readout("strain", arm_length=3.0), "readout.arm_length_m: bars take no arm length, got 3.0"),
+    ],
+    ids=["bar_length", "arm_length"],
+)
+def test_bar_states_each_input_once(response, readout, message):
+    # the bar's strain transfer once took the response's length, and an arm length went unread
+    with pytest.raises(ConfigError) as info:
+        DetectorModel("bar", GEOMETRIES["bar"], MassArrangement(1.5), response, readout)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
