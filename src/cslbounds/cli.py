@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Each command loads its detector and archetype through _load_config;
-`bound` is lambda_max, which is exclusion_curve at one point.  A bar's
-bar_length_m must equal its length_m, and only an interferometer's
-strain readout takes arm_length_m (detector.detector_archetype).
+Each command loads its detector through _load_config, and the detector
+carries its archetype (DetectorModel.archetype, classified once when it
+is built); `bound` is lambda_max, which is exclusion_curve at one
+point.  A bar's bar_length_m must equal its length_m, and only an
+interferometer's strain readout takes arm_length_m
+(detector.detector_archetype).
 
-Exit codes: 0 success, 2 input/config error, 3 numerical failure
-(QuadratureError, UnboundedParameterError); every failure prints one
-`error:` line.  Numeric stdout uses scientific notation with 9
-significant digits so identical inputs produce byte-identical output.
+Exit codes: 0 success, 2 input/config error or a file that cannot be
+read or written (OSError), 3 numerical failure (QuadratureError,
+UnboundedParameterError); every failure prints one `error:` line.
+Numeric stdout uses scientific notation with 9 significant digits so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .cslnoise import BAR_VARIANTS, DEFAULT_BAR_VARIANT, CslParams
-from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise, detector_archetype
+from .detector import ACCELEROMETER, BAR, INTERFEROMETER, MeasuredNoise
 from .errors import ConfigError, CslBoundsError, QuadratureError, UnboundedParameterError
 from .exclusion import (
     ellis_ratio,
@@ -32,6 +35,7 @@ from .exclusion import (
     optimal_frequency,
 )
 from .io import load_detector_config, load_spectrum_csv, write_exclusion_csv
+from .specfun import _check_positive
 
 VALIDATE_THRESHOLD = 1e-3
 # Largest --points accepted: the closed forms hold several float arrays of
@@ -60,28 +64,28 @@ def _grid(args) -> np.ndarray:
         raise ConfigError(f"--points must be between 2 and {MAX_POINTS}, got {args.points}")
     if not (0.0 < args.rc_min < args.rc_max):
         raise ConfigError("--rc-min must be positive and below --rc-max")
+    _check_positive("--rc-max", args.rc_max, error=ConfigError)
     return np.geomspace(args.rc_min, args.rc_max, args.points)
 
 
 def _load_config(args):
-    """The --config detector and its archetype; a --variant or --frequency-hz it has no use for is an input error."""
+    """The --config detector; a --variant or --frequency-hz it has no use for is an input error."""
     det = load_detector_config(args.config)
-    archetype = detector_archetype(det)
-    if getattr(args, "variant", None) is not None and archetype != BAR:
-        raise ConfigError(f"--variant: only bar configs have axial-factor variants, not {det.name!r} ({archetype})")
-    if getattr(args, "frequency_hz", None) is not None and archetype != INTERFEROMETER:
-        raise ConfigError(f"--frequency-hz: only interferometer configs take a frequency, not {det.name!r} ({archetype})")
-    return det, archetype
+    if getattr(args, "variant", None) is not None and det.archetype != BAR:
+        raise ConfigError(f"--variant: only bar configs have axial-factor variants, not {det.name!r} ({det.archetype})")
+    if getattr(args, "frequency_hz", None) is not None and det.archetype != INTERFEROMETER:
+        raise ConfigError(f"--frequency-hz: only interferometer configs take a frequency, not {det.name!r} ({det.archetype})")
+    return det
 
 
-def _native_noise_lines(det, archetype: str, s_ff_one_sided: float, frequency_hz) -> list[str]:
+def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
     """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native)."""
-    if archetype == ACCELEROMETER:
+    if det.archetype == ACCELEROMETER:
         s_gg = s_ff_one_sided / force_per_native(det, "acceleration")
         return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(s_gg)}"]
     lines = []
     source = "readout"
-    if archetype == INTERFEROMETER:  # the free-mass strain transfer depends on frequency
+    if det.archetype == INTERFEROMETER:  # the free-mass strain transfer depends on frequency
         source = "--frequency-hz"
         if frequency_hz is None:
             entry = next((e for e in det.noise if e.frequency_hz is not None), None)
@@ -94,7 +98,7 @@ def _native_noise_lines(det, archetype: str, s_ff_one_sided: float, frequency_hz
 
 
 def cmd_noise(args) -> int:
-    det, archetype = _load_config(args)
+    det = _load_config(args)
     params = CslParams(args.collapse_rate, args.rc)
     s_one_sided = 2.0 * model_force_psd(det, params, args.variant)
     if not math.isfinite(s_one_sided):
@@ -102,7 +106,7 @@ def cmd_noise(args) -> int:
             f"model force PSD overflows for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s;"
             " no finite value exists"
         )
-    native = _native_noise_lines(det, archetype, s_one_sided, args.frequency_hz)
+    native = _native_noise_lines(det, s_one_sided, args.frequency_hz)
     print(f"s_ff_one_sided_n2_per_hz = {_fmt(s_one_sided)}")
     for line in native:
         print(line)
@@ -110,50 +114,53 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    det, _ = _load_config(args)
+    det = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     value = lambda_max(det, entry, args.rc, args.variant)
     print(f"lambda_max_per_s = {_fmt(value)}")
     return 0
 
 
-def _scan_and_report(det, entry, grid, variant, out_path) -> None:
+def _scan_lines(det, entry, grid, variant, out_path) -> list[str]:
+    """Write the exclusion curve to out_path; its report lines, for printing once nothing can fail."""
     curve = exclusion_curve(det, entry, grid, variant)
     write_exclusion_csv(curve, out_path)
     rc_min, lam_min = curve.minimum()
-    print(f"wrote {out_path} ({len(curve)} points)")
-    print(f"minimum_r_c_m = {_fmt(rc_min)}")
-    print(f"minimum_lambda_max_per_s = {_fmt(lam_min)}")
+    return [
+        f"wrote {out_path} ({len(curve)} points)",
+        f"minimum_r_c_m = {_fmt(rc_min)}",
+        f"minimum_lambda_max_per_s = {_fmt(lam_min)}",
+    ]
 
 
 def cmd_scan(args) -> int:
-    det, _ = _load_config(args)
+    det = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
-    _scan_and_report(det, entry, _grid(args), args.variant, args.out)
+    print("\n".join(_scan_lines(det, entry, _grid(args), args.variant, args.out)))
     return 0
 
 
 def cmd_spectrum_bound(args) -> int:
-    det, archetype = _load_config(args)
-    if archetype != INTERFEROMETER:
-        raise ConfigError("spectrum-bound needs a free-mass interferometer config")
+    det = _load_config(args)
     series = load_spectrum_csv(args.asd, "strain")
     omega_bar, force_asd = optimal_frequency(series, det)
-    print(f"optimal_frequency_hz = {_fmt(omega_bar / (2.0 * math.pi))}")
-    print(f"min_force_asd_n_per_sqrt_hz = {_fmt(force_asd)}")
+    frequency_hz = omega_bar / (2.0 * math.pi)
+    psd = force_asd * force_asd
+    _check_positive(f"force PSD of the spectrum minimum at {frequency_hz:g} Hz", psd, error=ConfigError)
     entry = MeasuredNoise(
         name="spectrum_minimum",
         quantity="force",
-        psd=force_asd * force_asd,
-        frequency_hz=omega_bar / (2.0 * math.pi),
+        psd=psd,
+        frequency_hz=frequency_hz,
         provenance=f"equivalent force minimum of {args.asd}",
     )
-    _scan_and_report(det, entry, _grid(args), None, args.out)
+    lines = [f"optimal_frequency_hz = {_fmt(frequency_hz)}", f"min_force_asd_n_per_sqrt_hz = {_fmt(force_asd)}"]
+    print("\n".join(lines + _scan_lines(det, entry, _grid(args), None, args.out)))
     return 0
 
 
 def cmd_ellis(args) -> int:
-    det, _ = _load_config(args)
+    det = _load_config(args)
     entry = det.noise_entry(args.noise_entry)
     report = ellis_ratio(det, entry)
     print(f"eta_ellis_per_m2_s = {_fmt(report.eta_ellis)}")
@@ -165,8 +172,8 @@ def cmd_ellis(args) -> int:
 def cmd_validate(args) -> int:
     from .kspace import force_psd_by_quadrature  # only validate needs the oracle
 
-    det, archetype = _load_config(args)
-    is_bar = archetype == BAR
+    det = _load_config(args)
+    is_bar = det.archetype == BAR
     if args.rc_min is None:
         args.rc_min = 1e-3 if is_bar else 1e-8
     if args.rc_max is None:
@@ -272,7 +279,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (CslBoundsError, ValueError) as exc:
+    except (CslBoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (QuadratureError, UnboundedParameterError)) else 2
 

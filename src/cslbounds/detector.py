@@ -1,6 +1,7 @@
 """Detector models: geometry, arrangement, response, readout and noise.
 
-A DetectorModel ties together one of the three supported archetypes.
+A DetectorModel ties together one of the three supported archetypes,
+and carries its name as .archetype, classified once when it is built.
 ARCHETYPES, keyed by geometry type, holds every rule of which response
 and readout go with which geometry; the arm count and separation each
 geometry takes are cslnoise.MassArrangement.check's, which the closed
@@ -94,9 +95,10 @@ class DetectorModel:
     response: ResponseModel
     readout: Readout
     noise: Tuple[MeasuredNoise, ...] = field(default_factory=tuple)
+    archetype: str = field(init=False, repr=False, compare=False)  # set once, from detector_archetype
 
     def __post_init__(self):
-        detector_archetype(self)  # rejects unsupported combinations
+        object.__setattr__(self, "archetype", detector_archetype(self))  # rejects unsupported combinations
 
     def noise_entry(self, name: Optional[str] = None) -> MeasuredNoise:
         """Select a noise entry by name; default is the first entry."""

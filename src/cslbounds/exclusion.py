@@ -29,7 +29,7 @@ from .cslnoise import (
     MassGeometry,
     force_noise_psd,
 )
-from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, detector_archetype, strain_arm_length
+from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, strain_arm_length
 from .errors import ConfigError, UnboundedParameterError
 from .response import (
     SpectrumSeries,
@@ -95,15 +95,14 @@ def force_per_native(
     ConfigError, prefixed by source, for a quantity the archetype cannot
     convert and for a transfer that is not finite and > 0.
     """
-    archetype = detector_archetype(det)
     mass = det.geometry.mass
     if quantity == "force":
         transfer = 1.0
     elif quantity == "acceleration":
         transfer = force_psd_from_acceleration(1.0, mass)
-    elif quantity == "strain" and archetype == BAR:
+    elif quantity == "strain" and det.archetype == BAR:
         transfer = force_psd_from_strain_bar(1.0, mass, det.response.omega0, det.response.length)
-    elif quantity == "strain" and archetype == INTERFEROMETER:
+    elif quantity == "strain" and det.archetype == INTERFEROMETER:
         if frequency_hz is None:
             raise ConfigError(f"{source}: a strain figure needs frequency_hz in the free-mass limit")
         omega = 2.0 * math.pi * frequency_hz
@@ -111,7 +110,7 @@ def force_per_native(
             raise ConfigError(f"{source}: angular frequency 2 pi f must be finite and > 0, got f = {frequency_hz!r} Hz")
         transfer = force_psd_from_strain_free_mass(1.0, mass, omega, strain_arm_length(det))
     else:
-        raise ConfigError(f"{source}: {quantity} input is not supported for {archetype}")
+        raise ConfigError(f"{source}: {quantity} input is not supported for {det.archetype}")
     _check_positive(f"{source}: {quantity}-to-force transfer", transfer, error=ConfigError)
     return transfer
 
@@ -166,9 +165,7 @@ def exclusion_curve(
     grid = np.asarray(r_c_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_c grid must be a nonempty 1-d array")
-    variant = None
-    if detector_archetype(det) == BAR:
-        variant = bar_variant or DEFAULT_BAR_VARIANT
+    variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
     s_model = model_force_psd(det, CslParams(1.0, grid), variant)
     with np.errstate(divide="ignore", over="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
@@ -195,8 +192,8 @@ def optimal_frequency(series: SpectrumSeries, det: DetectorModel) -> tuple[float
     Returns (omega_bar in rad/s, minimum force ASD in N/sqrt(Hz)).
     Grid-point minimization, ties broken toward the lowest frequency.
     """
-    if detector_archetype(det) != INTERFEROMETER:
-        raise ConfigError("optimal_frequency needs a free-mass interferometer config")
+    if det.archetype != INTERFEROMETER:
+        raise ConfigError(f"a strain spectrum needs a free-mass interferometer config, not {det.name!r} ({det.archetype})")
     force_series = equivalent_force_asd_free_mass(series, det.geometry.mass, strain_arm_length(det))
     i = int(np.argmin(force_series.asd))  # argmin returns the first minimum
     omega_bar = 2.0 * math.pi * float(force_series.frequency_hz[i])

@@ -106,12 +106,16 @@ def equivalent_force_asd_free_mass(series: SpectrumSeries, mass: float, arm_leng
     """Pointwise equivalent force ASD of a strain series in the free-mass limit.
 
     S_F(omega) = (m omega^2 a / 2) S_h(omega), same frequency grid,
-    one-sided amplitude density in N/sqrt(Hz).
+    one-sided amplitude density in N/sqrt(Hz).  Raises ConfigError
+    naming the first frequency whose force ASD is not finite and > 0.
     """
     if series.quantity != "strain":
         raise ConventionError(f"expected a strain series, got {series.quantity!r}")
     for name, v in (("mass", mass), ("arm_length", arm_length)):
         _check_positive(name, v)
-    omega_sq = (2.0 * math.pi * series.frequency_hz) ** 2
-    force_asd = 0.5 * mass * arm_length * omega_sq * series.asd
+    with np.errstate(all="ignore"):
+        force_asd = 0.5 * mass * arm_length * (2.0 * math.pi * series.frequency_hz) ** 2 * series.asd
+    if not np.all(np.isfinite(force_asd) & (force_asd > 0.0)):
+        for f, v in zip(series.frequency_hz.tolist(), force_asd.tolist()):
+            _check_positive(f"equivalent force ASD at {f:g} Hz", v, error=ConfigError)
     return SpectrumSeries(series.frequency_hz, force_asd, "force")

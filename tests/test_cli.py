@@ -665,16 +665,37 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
          "line 2: could not parse numbers from '10.0,abc'"),
         ("spectrum-bound", None, None, ["--config", "ligo", "--asd", "missing.csv", "--out", "c.csv"], None, 2,
          "spectrum file not found: missing.csv"),
+        ("bound", None, None, ["--config", "sub", "--rc", "1e-7"], None, 2, "[Errno 21] Is a directory: 'sub'"),
+        ("spectrum-bound", None, None, ["--config", "ligo", "--asd", "sub", "--out", "c.csv"], None, 2,
+         "[Errno 21] Is a directory: 'sub'"),
+        ("scan", "ligo", None, ["--out", "sub"], None, 2, "[Errno 21] Is a directory: 'sub'"),
+        ("spectrum-bound", None, None, ["--config", "ligo", "--asd", "strain.csv", "--out", "missing/c.csv"],
+         SPECTRUM_HEADER + "10.0,1e-22\n", 2, "[Errno 2] No such file or directory: 'missing/c.csv'"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "10.0,1e300\n", 2,
+         "equivalent force ASD at 10 Hz must be finite and > 0, got inf"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "1e-300,1e-22\n", 2,
+         "equivalent force ASD at 1e-300 Hz must be finite and > 0, got 0.0"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "10.0,1e150\n", 2,
+         "force PSD of the spectrum minimum at 10 Hz must be finite and > 0, got inf"),
+        ("spectrum-bound", None, None, SPECTRUM_ARGS, SPECTRUM_HEADER + "10.0,1e-300\n", 2,
+         "force PSD of the spectrum minimum at 10 Hz must be finite and > 0, got 0.0"),
+        ("spectrum-bound", None, None, ["--config", "auriga", "--asd", "strain.csv", "--out", "c.csv"],
+         SPECTRUM_HEADER + "10.0,1e-22\n", 2, "a strain spectrum needs a free-mass interferometer config, not 'auriga' (bar)"),
+        ("scan", "ligo", None, ["--rc-max", "inf", "--out", "c.csv"], None, 2, "--rc-max must be finite and > 0, got inf"),
     ],
     ids=[
         "rc_range", "no_frequency", "lambda_underflow", "no_separation", "csl_fraction", "noise_not_a_list",
         "float_arm_count", "no_noise_entries", "three_columns", "unparsable_row", "missing_spectrum",
+        "config_is_a_directory", "spectrum_is_a_directory", "out_is_a_directory", "out_in_a_missing_directory",
+        "force_asd_overflow", "force_asd_underflow", "minimum_psd_overflow", "minimum_psd_underflow",
+        "spectrum_on_a_bar", "infinite_rc_max",
     ],
 )
 def test_input_and_numerical_errors_print_one_line(
     tmp_path, monkeypatch, capsys, command, config, mutate, argv, spectrum, code, message
 ):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
     if spectrum is not None:
         (tmp_path / "strain.csv").write_text(spectrum)
     if config is not None:
@@ -682,6 +703,43 @@ def test_input_and_numerical_errors_print_one_line(
     got, out, err = run(capsys, command, *argv)
     assert (got, out, err) == (code, "", f"error: {message}\n")
     assert not (tmp_path / "c.csv").exists()
+
+
+CLASSIFIED_COMMANDS = [
+    *(
+        [command, "--config", config, *args]
+        for config in ("ligo", "lisa_pathfinder", "auriga")
+        for command, args in (
+            ("noise", ["--rc", "1e-7", "--lambda", "1"]),
+            ("bound", ["--rc", "1e-7"]),
+            ("scan", ["--points", "5", "--out", "c.csv"]),
+            ("ellis", []),
+            ("validate", ["--points", "2"]),
+        )
+    ),
+    ["spectrum-bound", "--config", "ligo", "--asd", "strain.csv", "--points", "5", "--out", "c.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", CLASSIFIED_COMMANDS, ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_each_command_classifies_its_detector_once(tmp_path, monkeypatch, capsys, argv):
+    from cslbounds import detector
+
+    classified = []
+    classify = detector.detector_archetype
+
+    def counted(det):
+        classified.append(det.name)
+        return classify(det)
+
+    # every module that imported the classifier by name gets the counter too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cslbounds") and getattr(module, "detector_archetype", None) is classify:
+            monkeypatch.setattr(module, "detector_archetype", counted)
+    monkeypatch.chdir(tmp_path)
+    write_v_spectrum(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert (code, err, classified) == (0, "", [argv[2]])
 
 
 def _quadrature_failure(config, rc):

@@ -62,6 +62,7 @@ def test_archetype_accept_reject_matrix(combo):
 
     if combo in ACCEPTED:
         assert detector_archetype(build()) == ACCEPTED[combo]
+        assert build().archetype == ACCEPTED[combo]
     else:
         with pytest.raises(ConfigError, match=r"^(response|readout|arrangement)"):
             build()
