@@ -36,7 +36,6 @@ from .detector import (
 )
 from .errors import (
     ConfigError,
-    ConventionError,
     CslBoundsError,
     QuadratureError,
     UnboundedParameterError,
@@ -79,7 +78,7 @@ __all__ = [
     "MassArrangement", "MassGeometry", "axial_factor", "bar_force_psd", "cube_pair_force_psd",
     "cylinder_pair_force_psd", "force_noise_psd", "forced_separation", "pair_correlation_factor",
     "DetectorModel", "MeasuredNoise", "Readout", "detector_archetype",
-    "ConfigError", "ConventionError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
+    "ConfigError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
     "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
     "exclusion_curve", "force_per_native", "lambda_max", "measured_force_psd", "model_force_psd",
     "optimal_frequency",

@@ -2,10 +2,7 @@
 
 Each command loads its detector through _load_config, and the detector
 carries its archetype (DetectorModel.archetype, classified once when it
-is built); `bound` is lambda_max, which is exclusion_curve at one
-point.  A bar's bar_length_m must equal its length_m, and only an
-interferometer's strain readout takes arm_length_m
-(detector.detector_archetype).
+is built); `bound` is lambda_max, which is exclusion_curve at one point.
 
 Exit codes: 0 success, 2 input/config error or a file that cannot be
 read or written (OSError), 3 numerical failure (QuadratureError,

@@ -65,7 +65,8 @@ class CslParams:
 
     The correlation length may also be a 1-d array, one parameter point
     per entry; it is then stored as a read-only copy, and a scalar
-    (a 0-d array too) as a float.
+    (a 0-d array too) as a float.  The collapse rate is stored as a
+    float, +0.0 for -0.0, so that no PSD comes out as -0.0.
     """
 
     collapse_rate: float
@@ -73,6 +74,7 @@ class CslParams:
 
     def __post_init__(self):
         _check_positive("collapse_rate", self.collapse_rate, zero_ok=True)
+        object.__setattr__(self, "collapse_rate", float(self.collapse_rate) + 0.0)  # -0.0 + 0.0 is +0.0
         rc, scalar = _to_1d(self.correlation_length)
         bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
         if bad.any():
@@ -98,8 +100,8 @@ def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: f
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    """Solid cylinder test mass; axis along the measurement direction."""
+class _Rod:
+    """The solid cylinder of both rod bodies; each subclass keeps its own repr, equality and dispatch."""
 
     radius: float
     length: float
@@ -112,6 +114,10 @@ class Cylinder:
     @property
     def volume(self) -> float:
         return math.pi * self.radius * self.radius * self.length
+
+
+class Cylinder(_Rod):
+    """Solid cylinder test mass; axis along the measurement direction."""
 
 
 @dataclass(frozen=True)
@@ -130,25 +136,12 @@ class Cube:
         return self.side * self.side * self.side
 
 
-@dataclass(frozen=True)
-class HalfCylinderBar:
+class HalfCylinderBar(_Rod):
     """Resonant bar: one cylinder modeled as two touching half-cylinders.
 
     radius and length describe the full bar; halves() is the half-cylinder
     the noise model uses, and its length is the halves' center separation.
     """
-
-    radius: float
-    length: float
-    mass: float
-    density: Optional[float] = None
-
-    def __post_init__(self):
-        _check_geometry({"radius": self.radius, "length": self.length}, self.mass, self.density, self.volume)
-
-    @property
-    def volume(self) -> float:
-        return math.pi * self.radius * self.radius * self.length
 
     def halves(self) -> Cylinder:
         """Either half of the bar: a cylinder of length/2 and mass/2."""

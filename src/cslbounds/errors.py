@@ -13,10 +13,6 @@ class ConfigError(CslBoundsError, ValueError):
     """
 
 
-class ConventionError(CslBoundsError, ValueError):
-    """Spectral-density convention misuse (sidedness or density kind)."""
-
-
 class UnboundedParameterError(CslBoundsError, ValueError):
     """The model force PSD vanishes, so no finite bound exists."""
 

@@ -155,16 +155,14 @@ def exclusion_curve(
     r_c_grid,
     bar_variant: Optional[str] = None,
 ) -> ExclusionCurve:
-    """lambda_max over an ascending r_c grid, from one model-PSD evaluation.
+    """lambda_max over an ascending r_c grid (a float is one point), from one model-PSD evaluation.
 
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
     twice the two-sided model.  UnboundedParameterError names the first
     r_c where lambda_max is not finite and > 0, and why.
     """
-    grid = np.asarray(r_c_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("r_c grid must be a nonempty 1-d array")
+    grid = np.array(r_c_grid, dtype=float, ndmin=1)
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
     s_model = model_force_psd(det, CslParams(1.0, grid), variant)
     with np.errstate(divide="ignore", over="ignore"):
@@ -211,13 +209,16 @@ def ellis_ratio(det: DetectorModel, noise: MeasuredNoise) -> EllisReport:
 
     eta_exp converts the published one-sided noise figure directly,
     matching how such comparisons are quoted; the ratio is meaningful
-    to order of magnitude only.
+    to order of magnitude only.  UnboundedParameterError names the
+    first of eta_exp, eta_ellis and their ratio that overflows.
     """
     eta_model = ellis_eta(det.geometry.mass)
     eta_exp = measured_force_psd(det, noise) / HBAR**2
-    if not math.isfinite(eta_exp):
-        raise UnboundedParameterError(f"eta_exp overflows for {det.name!r}; no finite comparison exists")
-    return EllisReport(eta_ellis=eta_model, eta_exp=eta_exp, ratio=eta_model / eta_exp)
+    ratio = eta_model / eta_exp
+    for name, value in (("eta_exp", eta_exp), ("eta_ellis", eta_model), ("eta_ratio", ratio)):
+        if not math.isfinite(value):
+            raise UnboundedParameterError(f"{name} overflows for {det.name!r}; no finite comparison exists")
+    return EllisReport(eta_ellis=eta_model, eta_exp=eta_exp, ratio=ratio)
 
 
 def characteristic_dimension(geometry: MassGeometry) -> float:

@@ -1,9 +1,10 @@
 """Reproducibility surface: detector configs, spectra and curve files.
 
-Detector configs are strict JSON (schema-versioned, unknown fields
-rejected, every diagnostic carries the offending field path).  Measured
-spectra and exclusion curves travel as CSV with `#` comment lines.  All
-file units are SI and are spelled out in the key or column names.
+Detector configs are strict JSON (schema-versioned, unknown and
+repeated fields rejected, every diagnostic carries the offending field
+path or key).  Measured spectra and exclusion curves travel as CSV with
+`#` comment lines.  All file units are SI and are spelled out in the key
+or column names.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def _expect_mapping(node, path: str) -> dict:
     return node
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads hook: a repeated key would otherwise keep its last value
+    node = {}
+    for key, value in pairs:
+        if key in node:
+            raise ConfigError(f"repeated field {key!r} (strict schema)")
+        node[key] = value
+    return node
+
+
 def _check_keys(node: dict, path: str, required: tuple, optional: tuple = ()):
     for key in required:
         if key not in node:
@@ -66,7 +77,10 @@ def _number(node: dict, key: str, path: str) -> float:
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}{key}: integer is too large for a double") from None
 
 
 def _optional_number(node: dict, key: str, path: str) -> Optional[float]:
@@ -195,7 +209,7 @@ def load_detector_config(path) -> DetectorModel:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     doc = _expect_mapping(doc, "")

@@ -21,8 +21,8 @@ from typing import Union
 import numpy as np
 
 from .constants import QUANTITIES
-from .errors import ConfigError, ConventionError
-from .specfun import _check_positive, _frozen
+from .errors import ConfigError
+from .specfun import FloatOrArray, _check_positive, _frozen
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_lengt
     return factor * factor * s_hh
 
 
+def _free_mass_amplitude(mass: float, arm_length: float, omega: FloatOrArray) -> FloatOrArray:
+    # m a omega^2 / 2, float or array; a float omega ** 2 would raise OverflowError, not give inf
+    return 0.5 * mass * arm_length * (omega * omega)
+
+
 def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_length: float) -> float:
     """Force PSD of a free-mass pair from its strain: S_FF = (m omega^2 a / 2)^2 S_hh.
 
@@ -70,7 +75,7 @@ def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_
     """
     for name, v in (("mass", mass), ("omega", omega), ("arm_length", arm_length)):
         _check_positive(name, v)
-    factor = 0.5 * mass * omega * omega * arm_length
+    factor = _free_mass_amplitude(mass, arm_length, omega)
     return factor * factor * s_hh
 
 
@@ -86,7 +91,7 @@ class SpectrumSeries:
         freq = _frozen(self.frequency_hz)
         asd = _frozen(self.asd)
         if self.quantity not in QUANTITIES:
-            raise ConventionError(f"unknown spectrum quantity {self.quantity!r}")
+            raise ConfigError(f"unknown spectrum quantity {self.quantity!r}")
         if freq.ndim != 1 or freq.size == 0 or asd.shape != freq.shape:
             raise ConfigError("spectrum needs matching 1-d frequency and asd columns with at least one row")
         if not np.all(np.isfinite(freq)) or not np.all(np.isfinite(asd)):
@@ -110,11 +115,11 @@ def equivalent_force_asd_free_mass(series: SpectrumSeries, mass: float, arm_leng
     naming the first frequency whose force ASD is not finite and > 0.
     """
     if series.quantity != "strain":
-        raise ConventionError(f"expected a strain series, got {series.quantity!r}")
+        raise ConfigError(f"expected a strain series, got {series.quantity!r}")
     for name, v in (("mass", mass), ("arm_length", arm_length)):
         _check_positive(name, v)
     with np.errstate(all="ignore"):
-        force_asd = 0.5 * mass * arm_length * (2.0 * math.pi * series.frequency_hz) ** 2 * series.asd
+        force_asd = _free_mass_amplitude(mass, arm_length, 2.0 * math.pi * series.frequency_hz) * series.asd
     if not np.all(np.isfinite(force_asd) & (force_asd > 0.0)):
         for f, v in zip(series.frequency_hz.tolist(), force_asd.tolist()):
             _check_positive(f"equivalent force ASD at {f:g} Hz", v, error=ConfigError)

@@ -416,10 +416,11 @@ def test_non_strain_interferometer_readout_exit_2(tmp_path, capsys, command, rea
 
 
 def write_config(tmp_path, config, mutate):
+    """The bundled config changed by mutate(doc); a str that mutate returns is written in its place."""
     doc = json.loads(bundled_config_path(config).read_text())
-    mutate(doc)
+    text = mutate(doc)
     path = tmp_path / f"{config}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))
     return path
 
 
@@ -629,6 +630,15 @@ def _drop_frequencies(doc):
         del entry["frequency_hz"]
 
 
+def _overflowing_ellis_rate(doc):
+    doc["geometry"]["mass_kg"] = 1e160
+    del doc["geometry"]["density_kg_m3"]
+
+
+def _repeated_side(doc):
+    return json.dumps(doc).replace('"side_m": 0.046', '"side_m": 0.046, "side_m": 0.05')
+
+
 def _underflowing_bound(doc):
     # a huge model PSD over a subnormal measured one: lambda_max rounds to 0
     doc["geometry"]["mass_kg"] = 1e30
@@ -682,13 +692,22 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
         ("spectrum-bound", None, None, ["--config", "auriga", "--asd", "strain.csv", "--out", "c.csv"],
          SPECTRUM_HEADER + "10.0,1e-22\n", 2, "a strain spectrum needs a free-mass interferometer config, not 'auriga' (bar)"),
         ("scan", "ligo", None, ["--rc-max", "inf", "--out", "c.csv"], None, 2, "--rc-max must be finite and > 0, got inf"),
+        ("bound", "lisa_pathfinder", lambda d: d["geometry"].update(mass_kg=10**400), ["--rc", "1e-7"], None, 2,
+         "geometry.mass_kg: integer is too large for a double"),
+        ("bound", "lisa_pathfinder", _repeated_side, ["--rc", "1e-7"], None, 2, "repeated field 'side_m' (strict schema)"),
+        ("ellis", "ligo", _overflowing_ellis_rate, [], None, 3, "eta_ellis overflows for 'ligo'; no finite comparison exists"),
+        ("ellis", "ligo", lambda d: d["noise"][0].update(asd_force_n_per_sqrt_hz=1e125), [], None, 3,
+         "eta_exp overflows for 'ligo'; no finite comparison exists"),
+        ("noise", "ligo", None, ["--rc", "1e-7", "--lambda", "1e307"], None, 3,
+         "model force PSD overflows for 'ligo' at r_c = 1e-07 m and lambda = 1e+307 /s; no finite value exists"),
     ],
     ids=[
         "rc_range", "no_frequency", "lambda_underflow", "no_separation", "csl_fraction", "noise_not_a_list",
         "float_arm_count", "no_noise_entries", "three_columns", "unparsable_row", "missing_spectrum",
         "config_is_a_directory", "spectrum_is_a_directory", "out_is_a_directory", "out_in_a_missing_directory",
         "force_asd_overflow", "force_asd_underflow", "minimum_psd_overflow", "minimum_psd_underflow",
-        "spectrum_on_a_bar", "infinite_rc_max",
+        "spectrum_on_a_bar", "infinite_rc_max", "integer_beyond_double", "repeated_key", "ellis_rate_overflow",
+        "eta_exp_overflow", "model_psd_overflow",
     ],
 )
 def test_input_and_numerical_errors_print_one_line(
@@ -703,6 +722,13 @@ def test_input_and_numerical_errors_print_one_line(
     got, out, err = run(capsys, command, *argv)
     assert (got, out, err) == (code, "", f"error: {message}\n")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
+def test_noise_at_negative_zero_rate_prints_positive_zero(capsys, config):
+    code, out, err = run(capsys, "noise", "--config", config, "--rc", "1e-7", "--lambda", "-0.0")
+    assert (code, err) == (0, "")
+    assert out.startswith("s_ff_one_sided_n2_per_hz = 0.00000000e+00\n") and "= -" not in out
 
 
 CLASSIFIED_COMMANDS = [

@@ -1,5 +1,6 @@
 """Closed-form force-noise PSDs: frozen values, branch oracles, properties."""
 
+import dataclasses
 import math
 import pathlib
 import re
@@ -23,9 +24,11 @@ from cslbounds import (
     MassArrangement,
     axial_factor,
     bar_force_psd,
+    characteristic_dimension,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
     force_noise_psd,
+    force_psd_by_quadrature,
     forced_separation,
     load_detector_config,
     measured_force_psd,
@@ -595,6 +598,50 @@ def test_bar_arrangement_forced():
     assert AURIGA_GEOM.halves() == Cylinder(radius=0.3, length=1.5, mass=1150.0)
     assert forced_separation(AURIGA_GEOM) == 1.5
     assert forced_separation(LIGO_GEOM) is None and forced_separation(LISA_GEOM) is None
+
+
+def test_rod_bodies_share_one_declaration_and_stay_distinct_types():
+    cylinder, bar = Cylinder(0.3, 3.0, 2300.0), HalfCylinderBar(0.3, 3.0, 2300.0)
+    fields = ["radius", "length", "mass", "density"]
+    for body, kind in ((cylinder, Cylinder), (bar, HalfCylinderBar)):
+        assert not {"__dataclass_fields__", "__init__", "__post_init__", "volume"} & vars(kind).keys()
+        assert [f.name for f in dataclasses.fields(kind)] == fields
+        assert repr(body) == f"{kind.__name__}(radius=0.3, length=3.0, mass=2300.0, density=None)"
+        assert body == kind(radius=0.3, length=3.0, mass=2300.0) and hash(body) == hash(kind(0.3, 3.0, 2300.0))
+        assert body.volume == math.pi * 0.3 * 0.3 * 3.0
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(body, name, 1.0)
+        with pytest.raises(ValueError, match=r"^length must be finite and > 0, got -3\.0$"):
+            kind(0.3, -3.0, 2300.0)
+    assert bar != cylinder and cylinder != bar and not isinstance(bar, Cylinder)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: force_noise_psd(CslParams(1.0, 1e-7), g, MassArrangement(1.0)),
+        characteristic_dimension,
+        lambda g: force_psd_by_quadrature(CslParams(1.0, 1e-7), g, MassArrangement(1.0)),
+    ],
+    ids=["force_noise_psd", "characteristic_dimension", "force_psd_by_quadrature"],
+)
+def test_unsupported_geometry_is_a_type_error(call):
+    with pytest.raises(TypeError, match=r"^unsupported geometry object$"):
+        call(object())
+
+
+def test_cylinder_pair_rejects_a_third_arm():
+    with pytest.raises(ValueError, match=r"^arm_count must be 1 or 2, got 3$"):
+        cylinder_pair_force_psd(CslParams(1.0, 1e-7), LIGO_GEOM, 4000.0, arm_count=3)
+
+
+def test_negative_zero_collapse_rate_is_stored_as_positive_zero():
+    # -0.0 passes the >= 0 check; stored as such it made every PSD -0.0
+    params = CslParams(-0.0, 1e-7)
+    assert type(params.collapse_rate) is float and math.copysign(1.0, params.collapse_rate) == 1.0
+    assert math.copysign(1.0, cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2)) == 1.0
+    assert type(CslParams(1, 1e-7).collapse_rate) is float
 
 
 # --- properties ------------------------------------------------------------------

@@ -104,3 +104,8 @@ def test_readout_rejects_bad_kind_and_arm_length(kind, arm_length, message):
     with pytest.raises(ValueError) as info:
         Readout(kind, arm_length)
     assert str(info.value) == message
+
+
+def test_non_body_geometry_rejected():
+    with pytest.raises(ConfigError, match=r"^geometry: unsupported type object$"):
+        DetectorModel("odd", object(), MassArrangement(1.0), FreeMass(), Readout("force"))

@@ -189,6 +189,22 @@ def test_exclusion_curve_rejects_bad_rc(lisa, bad):
         lambda_max(lisa, lisa.noise_entry(), bad)
 
 
+def test_exclusion_curve_grid_rules(lisa):
+    # a float is a one-point grid; CslParams and ExclusionCurve reject any other grid
+    entry = lisa.noise_entry()
+    assert exclusion_curve(lisa, entry, 1e-7).lambda_max.tolist() == [lambda_max(lisa, entry, 1e-7)]
+    with pytest.raises(ValueError, match=r"^expected a float or a 1-d array, got shape \(1, 2\)$"):
+        exclusion_curve(lisa, entry, [[1e-7, 1e-6]])
+    with pytest.raises(ValueError, match=r"^curve needs matching, nonempty r_c and lambda_max arrays$"):
+        exclusion_curve(lisa, entry, [])
+    with pytest.raises(ValueError, match=r"^r_c grid must be positive and strictly ascending$"):
+        exclusion_curve(lisa, entry, [1e-6, 1e-7])
+    # where the model vanishes, a float r_c is named like any grid point
+    det = make_interferometer(separation=0.0, noise=[force_entry(1e-27)])
+    with pytest.raises(UnboundedParameterError, match=r"^model force PSD vanishes for 'test_ifo' at r_c = 1e-07 m"):
+        exclusion_curve(det, det.noise_entry(), 1e-7)
+
+
 def test_exclusion_curve_doubles_with_noise(lisa):
     grid = np.geomspace(1e-8, 1.0, 10)
     entry = lisa.noise_entry()
@@ -311,6 +327,15 @@ def test_ellis_ratio_halves_with_doubled_noise(lisa):
     base = ellis_ratio(lisa, entry)
     up = ellis_ratio(lisa, doubled)
     assert up.ratio == pytest.approx(base.ratio / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "mass, psd, name", [(40.0, 1e250, "eta_exp"), (1e160, 1e-27, "eta_ellis"), (1e128, 1e-300, "eta_ratio")]
+)
+def test_ellis_ratio_names_what_overflows(mass, psd, name):
+    entry = force_entry(psd)
+    with pytest.raises(UnboundedParameterError, match=f"^{name} overflows for 'test_ifo'; no finite comparison exists$"):
+        ellis_ratio(make_interferometer(mass=mass, noise=[entry]), entry)
 
 
 def test_ellis_ratio_mass_quadratic_at_fixed_force_noise():

@@ -80,6 +80,18 @@ def test_invalid_json_rejected(tmp_path):
         load_detector_config(path)
 
 
+def test_config_root_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match=r"^<root>: expected an object, got list$"):
+        load_detector_config(path)
+
+
+def test_unknown_bundled_config_rejected():
+    with pytest.raises(ConfigError, match=r"^unknown bundled config 'nope' \(available: ligo, lisa_pathfinder, auriga\)$"):
+        bundled_config_path("nope")
+
+
 def test_negative_separation_rejected(tmp_path):
     path = rewrite(tmp_path, lambda d: d["arrangement"].update(separation_m=-1.0))
     with pytest.raises(ConfigError, match="arrangement"):
@@ -275,6 +287,18 @@ def test_load_spectrum_two_rows(tmp_path):
     assert len(series) == 2
     assert series.frequency_hz[1] == 20.0
     assert series.asd[1] == 2e-23
+
+
+def test_load_spectrum_skips_blank_lines(tmp_path):
+    path = write_spectrum(tmp_path, "\nfrequency_hz,asd_strain_per_sqrt_hz\n\n10.0,1e-22\n   \n20.0,2e-23\n\n")
+    series = load_spectrum_csv(path, "strain")
+    assert series.frequency_hz.tolist() == [10.0, 20.0] and series.asd.tolist() == [1e-22, 2e-23]
+
+
+def test_load_spectrum_unknown_quantity(tmp_path):
+    path = write_spectrum(tmp_path, "frequency_hz,asd_strain_per_sqrt_hz\n10.0,1e-22\n")
+    with pytest.raises(ConfigError, match=r"^unknown spectrum quantity 'entropy'$"):
+        load_spectrum_csv(path, "entropy")
 
 
 def test_load_spectrum_descending_rows_name_line(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cslbounds import (
     ConfigError,
-    ConventionError,
     Cube,
     Cylinder,
     DetectorModel,
@@ -154,7 +153,7 @@ def test_series_validation():
         strain_series([1.0, 2.0], [1.0, math.nan])
     with pytest.raises(ConfigError):
         strain_series([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ConventionError):
+    with pytest.raises(ConfigError, match=r"^unknown spectrum quantity 'entropy'$"):
         SpectrumSeries(np.array([1.0]), np.array([1.0]), "entropy")
 
 
@@ -199,7 +198,7 @@ def test_equivalent_force_spot_value():
 
 def test_equivalent_force_requires_strain():
     series = SpectrumSeries(np.array([1.0]), np.array([1.0]), "force")
-    with pytest.raises(ConventionError):
+    with pytest.raises(ConfigError, match=r"^expected a strain series, got 'force'$"):
         equivalent_force_asd_free_mass(series, 1.0, 1.0)
 
 

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import cslbounds
 
 
@@ -48,3 +50,13 @@ def test_benchmark_probe_targets_resolve():
     assert used, "the benchmark uses no cslbounds module"
     missing = [f"{m}.{name}" for m, name in sorted(used) if not hasattr(importlib.import_module(f"cslbounds.{m}"), name)]
     assert missing == []
+
+
+def test_version_is_stated_once():
+    # the build reads the version from the package; pyproject states no literal of its own
+    tomllib = pytest.importorskip("tomllib")
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    meta = tomllib.loads(text)
+    assert "version" not in meta["project"] and meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "cslbounds._version.__version__"}
+    assert cslbounds.__version__ not in text
