@@ -36,7 +36,6 @@ r_c >= MIN_CORRELATION_LENGTH.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -59,8 +58,49 @@ DEFAULT_BAR_VARIANT = "rederived"
 MIN_CORRELATION_LENGTH = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class CslParams:
+class _Record:
+    """Immutable value: its fields are the __slots__ along the MRO, set once through _set.
+
+    ==, hash and repr cover the fields not named in _hidden; assigning
+    any attribute raises AttributeError; pickle and copy go through
+    __setstate__.
+    """
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ()))
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # state is (None, slot values), as object.__reduce_ex__ gives it; an array field stays read-only
+        self._set(**{name: _frozen(v) if isinstance(v, np.ndarray) else v for name, v in state[1].items()})
+
+    def _shown(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in self._fields if name not in self._hidden)
+
+    def __eq__(self, other):
+        return self._shown() == other._shown() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._shown())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
+
+
+class CslParams(_Record):
     """Collapse-parameter point: rate (1/s) and correlation length (m).
 
     The correlation length may also be a 1-d array, one parameter point
@@ -69,19 +109,17 @@ class CslParams:
     float, +0.0 for -0.0, so that no PSD comes out as -0.0.
     """
 
-    collapse_rate: float
-    correlation_length: FloatOrArray
+    __slots__ = ("collapse_rate", "correlation_length")
 
-    def __post_init__(self):
-        _check_positive("collapse_rate", self.collapse_rate, zero_ok=True)
-        object.__setattr__(self, "collapse_rate", float(self.collapse_rate) + 0.0)  # -0.0 + 0.0 is +0.0
-        rc, scalar = _to_1d(self.correlation_length)
+    def __init__(self, collapse_rate: float, correlation_length: FloatOrArray):
+        _check_positive("collapse_rate", collapse_rate, zero_ok=True)
+        rc, scalar = _to_1d(correlation_length)
         bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
         if bad.any():
             raise ValueError(
                 f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
             )
-        object.__setattr__(self, "correlation_length", float(rc[0]) if scalar else _frozen(rc))
+        self._set(collapse_rate=float(collapse_rate) + 0.0, correlation_length=float(rc[0]) if scalar else _frozen(rc))
 
 
 def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float):
@@ -99,17 +137,14 @@ def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: f
             )
 
 
-@dataclass(frozen=True)
-class _Rod:
+class _Rod(_Record):
     """The solid cylinder of both rod bodies; each subclass keeps its own repr, equality and dispatch."""
 
-    radius: float
-    length: float
-    mass: float
-    density: Optional[float] = None
+    __slots__ = ("radius", "length", "mass", "density")
 
-    def __post_init__(self):
-        _check_geometry({"radius": self.radius, "length": self.length}, self.mass, self.density, self.volume)
+    def __init__(self, radius: float, length: float, mass: float, density: Optional[float] = None):
+        self._set(radius=radius, length=length, mass=mass, density=density)
+        _check_geometry({"radius": radius, "length": length}, mass, density, self.volume)
 
     @property
     def volume(self) -> float:
@@ -119,17 +154,17 @@ class _Rod:
 class Cylinder(_Rod):
     """Solid cylinder test mass; axis along the measurement direction."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Cube:
+
+class Cube(_Record):
     """Cubic test mass."""
 
-    side: float
-    mass: float
-    density: Optional[float] = None
+    __slots__ = ("side", "mass", "density")
 
-    def __post_init__(self):
-        _check_geometry({"side": self.side}, self.mass, self.density, self.volume)
+    def __init__(self, side: float, mass: float, density: Optional[float] = None):
+        self._set(side=side, mass=mass, density=density)
+        _check_geometry({"side": side}, mass, density, self.volume)
 
     @property
     def volume(self) -> float:
@@ -142,6 +177,8 @@ class HalfCylinderBar(_Rod):
     radius and length describe the full bar; halves() is the half-cylinder
     the noise model uses, and its length is the halves' center separation.
     """
+
+    __slots__ = ()
 
     def halves(self) -> Cylinder:
         """Either half of the bar: a cylinder of length/2 and mass/2."""
@@ -156,17 +193,16 @@ def forced_separation(geometry: MassGeometry) -> Optional[float]:
     return geometry.halves().length if isinstance(geometry, HalfCylinderBar) else None
 
 
-@dataclass(frozen=True)
-class MassArrangement:
+class MassArrangement(_Record):
     """Center-to-center separation along the readout axis and arm count."""
 
-    separation: float
-    arm_count: int = 1
+    __slots__ = ("separation", "arm_count")
 
-    def __post_init__(self):
-        _check_positive("separation", self.separation, zero_ok=True)
-        if self.arm_count not in (1, 2):
-            raise ValueError(f"arm_count must be 1 or 2, got {self.arm_count!r}")
+    def __init__(self, separation: float, arm_count: int = 1):
+        _check_positive("separation", separation, zero_ok=True)
+        if arm_count not in (1, 2):
+            raise ValueError(f"arm_count must be 1 or 2, got {arm_count!r}")
+        self._set(separation=separation, arm_count=arm_count)
 
     def check(self, geometry: MassGeometry) -> None:
         """Raise ValueError, naming the config field, unless the geometry takes this arrangement."""

@@ -22,35 +22,32 @@ conversion from each archetype's native figure to a force PSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from .constants import QUANTITIES
-from .cslnoise import Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry
+from .cslnoise import Cube, Cylinder, HalfCylinderBar, _Record
 from .errors import ConfigError
-from .response import FreeMass, ResonantBar, ResponseModel
+from .response import FreeMass, ResonantBar
 from .specfun import _check_positive
 
 
-@dataclass(frozen=True)
-class Readout:
+class Readout(_Record):
     """What a detector reads out: one of constants.QUANTITIES.
 
     Only a strain readout takes an arm_length, which converts an
     interferometer's displacement to strain.
     """
 
-    kind: str
-    arm_length: Optional[float] = None
+    __slots__ = ("kind", "arm_length")
 
-    def __post_init__(self):
-        if self.kind not in QUANTITIES:
-            raise ValueError(f"unknown readout kind {self.kind!r}")
-        if self.arm_length is None:
-            return
-        if self.kind != "strain":
-            raise ValueError(f"arm_length applies only to a strain readout, not {self.kind}")
-        _check_positive("arm_length", self.arm_length)
+    def __init__(self, kind: str, arm_length: Optional[float] = None):
+        if kind not in QUANTITIES:
+            raise ValueError(f"unknown readout kind {kind!r}")
+        if arm_length is not None:
+            if kind != "strain":
+                raise ValueError(f"arm_length applies only to a strain readout, not {kind}")
+            _check_positive("arm_length", arm_length)
+        self._set(kind=kind, arm_length=arm_length)
 
 
 INTERFEROMETER = "interferometer"
@@ -58,47 +55,40 @@ ACCELEROMETER = "accelerometer"
 BAR = "bar"
 
 
-@dataclass(frozen=True)
-class MeasuredNoise:
+class MeasuredNoise(_Record):
     """A published one-sided noise figure in the detector's native units.
 
-    psd is a one-sided power density (native units squared per Hz).
+    quantity is one of constants.QUANTITIES, and psd a one-sided power
+    density (native units squared per Hz).
     csl_fraction is the fraction of the measured *power* that cannot be
     accounted for by calibrated known sources and may be attributed to
     collapse noise; 1.0 when no independent calibration exists.
     """
 
-    name: str
-    quantity: str  # one of constants.QUANTITIES
-    psd: float
-    frequency_hz: Optional[float] = None
-    csl_fraction: float = 1.0
-    provenance: str = ""
+    __slots__ = ("name", "quantity", "psd", "frequency_hz", "csl_fraction", "provenance")
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown noise quantity {self.quantity!r}")
-        _check_positive("noise psd", self.psd)
-        if self.frequency_hz is not None:
-            _check_positive("frequency_hz", self.frequency_hz)
-        if not (0.0 < self.csl_fraction <= 1.0):
-            raise ValueError(f"csl_fraction must be in (0, 1], got {self.csl_fraction!r}")
+    def __init__(self, name, quantity, psd, frequency_hz=None, csl_fraction=1.0, provenance=""):
+        if quantity not in QUANTITIES:
+            raise ValueError(f"unknown noise quantity {quantity!r}")
+        _check_positive("noise psd", psd)
+        if frequency_hz is not None:
+            _check_positive("frequency_hz", frequency_hz)
+        if not (0.0 < csl_fraction <= 1.0):
+            raise ValueError(f"csl_fraction must be in (0, 1], got {csl_fraction!r}")
+        self._set(name=name, quantity=quantity, psd=psd, frequency_hz=frequency_hz, csl_fraction=csl_fraction)
+        self._set(provenance=provenance)
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(_Record):
     """One complete detector description (immutable, safe to share)."""
 
-    name: str
-    geometry: MassGeometry
-    arrangement: MassArrangement
-    response: ResponseModel
-    readout: Readout
-    noise: Tuple[MeasuredNoise, ...] = field(default_factory=tuple)
-    archetype: str = field(init=False, repr=False, compare=False)  # set once, from detector_archetype
+    __slots__ = ("name", "geometry", "arrangement", "response", "readout", "noise", "archetype")
+    _hidden = ("archetype",)  # set once, from detector_archetype; not in ==, hash or repr
 
-    def __post_init__(self):
-        object.__setattr__(self, "archetype", detector_archetype(self))  # rejects unsupported combinations
+    def __init__(self, name, geometry, arrangement, response, readout, noise=()):
+        self._set(name=name, geometry=geometry, arrangement=arrangement, response=response, readout=readout)
+        self._set(noise=noise)
+        self._set(archetype=detector_archetype(self))  # rejects unsupported combinations
 
     def noise_entry(self, name: Optional[str] = None) -> MeasuredNoise:
         """Select a noise entry by name; default is the first entry."""
@@ -113,16 +103,18 @@ class DetectorModel:
         raise ConfigError(f"detector {self.name!r} has no noise entry {name!r} (known: {known})")
 
 
-@dataclass(frozen=True)
-class Archetype:
-    """The pairing rules for one geometry type."""
+class Archetype(_Record):
+    """The pairing rules for one geometry type.
 
-    name: str
-    members: str  # plural noun naming the archetype in diagnostics
-    response: type
-    response_kind: str  # the config spelling of the response
-    readouts: Tuple[str, ...]  # the accepted Readout kinds
-    strain_needs_arm_length: bool = False  # no other archetype's readout takes an arm length
+    members names the archetype in diagnostics, response_kind is the config spelling of the response,
+    readouts the accepted Readout kinds; only a strain_needs_arm_length archetype's readout takes an arm length.
+    """
+
+    __slots__ = ("name", "members", "response", "response_kind", "readouts", "strain_needs_arm_length")
+
+    def __init__(self, name, members, response, response_kind, readouts, strain_needs_arm_length=False):
+        self._set(name=name, members=members, response=response, response_kind=response_kind, readouts=readouts)
+        self._set(strain_needs_arm_length=strain_needs_arm_length)
 
 
 ARCHETYPES = {

@@ -13,7 +13,6 @@ nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .cslnoise import (
     FloatOrArray,
     HalfCylinderBar,
     MassGeometry,
+    _Record,
     force_noise_psd,
 )
 from .detector import BAR, INTERFEROMETER, DetectorModel, MeasuredNoise, strain_arm_length
@@ -41,28 +41,22 @@ from .response import (
 from .specfun import _check_positive, _frozen
 
 
-@dataclass(frozen=True)
-class ExclusionCurve:
+class ExclusionCurve(_Record):
     """lambda_max over an ascending r_c grid, with reproducibility metadata."""
 
-    r_c_grid: np.ndarray
-    lambda_max: np.ndarray
-    detector_id: str
-    noise_name: str
-    provenance: str = ""
-    bar_variant: Optional[str] = None
+    __slots__ = ("r_c_grid", "lambda_max", "detector_id", "noise_name", "provenance", "bar_variant")
 
-    def __post_init__(self):
-        grid = _frozen(self.r_c_grid)
-        lam = _frozen(self.lambda_max)
+    def __init__(self, r_c_grid, lambda_max, detector_id, noise_name, provenance="", bar_variant=None):
+        grid = _frozen(r_c_grid)
+        lam = _frozen(lambda_max)
         if grid.ndim != 1 or grid.size == 0 or lam.shape != grid.shape:
             raise ValueError("curve needs matching, nonempty r_c and lambda_max arrays")
         if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
             raise ValueError("r_c grid must be positive and strictly ascending")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise ValueError("lambda_max values must be finite and > 0")
-        object.__setattr__(self, "r_c_grid", grid)
-        object.__setattr__(self, "lambda_max", lam)
+        self._set(r_c_grid=grid, lambda_max=lam, detector_id=detector_id, noise_name=noise_name)
+        self._set(provenance=provenance, bar_variant=bar_variant)
 
     def __len__(self) -> int:
         return int(self.r_c_grid.size)
@@ -73,13 +67,13 @@ class ExclusionCurve:
         return float(self.r_c_grid[i]), float(self.lambda_max[i])
 
 
-@dataclass(frozen=True)
-class EllisReport:
+class EllisReport(_Record):
     """Wormhole-decoherence comparison: model rate, measured rate, ratio."""
 
-    eta_ellis: float
-    eta_exp: float
-    ratio: float
+    __slots__ = ("eta_ellis", "eta_exp", "ratio")
+
+    def __init__(self, eta_ellis: float, eta_exp: float, ratio: float):
+        self._set(eta_ellis=eta_ellis, eta_exp=eta_exp, ratio=ratio)
 
 
 def force_per_native(
@@ -198,10 +192,14 @@ def optimal_frequency(series: SpectrumSeries, det: DetectorModel) -> tuple[float
     return omega_bar, float(force_series.asd[i])
 
 
+# (c m0)^4 / (hbar m_Pl)^3 (kg^-2 s^-1), formed once: (c m0)^4 m^2 alone underflows below m ~ 1e-125 kg
+_ELLIS_K = (C_LIGHT * M_NUCLEON) ** 4 / (HBAR * M_PLANCK) ** 3
+
+
 def ellis_eta(mass: float) -> float:
     """Wormhole-background decoherence rate (c m0)^4 m^2 / (hbar m_Pl)^3."""
     _check_positive("mass", mass, zero_ok=True)
-    return (C_LIGHT * M_NUCLEON) ** 4 * mass * mass / (HBAR * M_PLANCK) ** 3
+    return _ELLIS_K * mass * mass
 
 
 def ellis_ratio(det: DetectorModel, noise: MeasuredNoise) -> EllisReport:

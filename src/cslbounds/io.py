@@ -64,6 +64,14 @@ def _unique_keys(pairs: list) -> dict:
     return node
 
 
+def _parse_int(text: str) -> int:
+    # json.loads hook: past int()'s digit limit, the sign and 310 digits overflow a double as the whole would
+    try:
+        return int(text)
+    except ValueError:
+        return int(text[:311])
+
+
 def _check_keys(node: dict, path: str, required: tuple, optional: tuple = ()):
     for key in required:
         if key not in node:
@@ -209,7 +217,7 @@ def load_detector_config(path) -> DetectorModel:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     doc = _expect_mapping(doc, "")

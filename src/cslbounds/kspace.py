@@ -56,12 +56,11 @@ spend at most BUDGET integrand evaluations; both are fixed constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, M_NUCLEON
-from .cslnoise import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry
+from .cslnoise import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangement, MassGeometry, _Record
 from .errors import QuadratureError
 from .specfun import _j1_array, _sinc2_array
 
@@ -92,13 +91,13 @@ BUDGET = 2**24
 _TABLES = {}
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     """Value with its achieved relative-error estimate and cost."""
 
-    value: float
-    rel_error: float
-    evaluations: int
+    __slots__ = ("value", "rel_error", "evaluations")
+
+    def __init__(self, value: float, rel_error: float, evaluations: int):
+        self._set(value=value, rel_error=rel_error, evaluations=evaluations)
 
 
 class _Budget:

@@ -15,31 +15,31 @@ amplitude densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .constants import QUANTITIES
+from .cslnoise import _Record
 from .errors import ConfigError
 from .specfun import FloatOrArray, _check_positive, _frozen
 
 
-@dataclass(frozen=True)
-class FreeMass:
+class FreeMass(_Record):
     """Suspension resonance far below the band: response is 1/(m omega^2)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ResonantBar:
+
+class ResonantBar(_Record):
     """Fundamental longitudinal mode of a bar of the given length."""
 
-    omega0: float
-    length: float
+    __slots__ = ("omega0", "length")
 
-    def __post_init__(self):
-        _check_positive("omega0", self.omega0)
-        _check_positive("length", self.length)
+    def __init__(self, omega0: float, length: float):
+        _check_positive("omega0", omega0)
+        _check_positive("length", length)
+        self._set(omega0=omega0, length=length)
 
 
 ResponseModel = Union[FreeMass, ResonantBar]
@@ -79,19 +79,16 @@ def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_
     return factor * factor * s_hh
 
 
-@dataclass(frozen=True)
-class SpectrumSeries:
+class SpectrumSeries(_Record):
     """Tabulated one-sided amplitude spectral density vs frequency."""
 
-    frequency_hz: np.ndarray
-    asd: np.ndarray
-    quantity: str
+    __slots__ = ("frequency_hz", "asd", "quantity")
 
-    def __post_init__(self):
-        freq = _frozen(self.frequency_hz)
-        asd = _frozen(self.asd)
-        if self.quantity not in QUANTITIES:
-            raise ConfigError(f"unknown spectrum quantity {self.quantity!r}")
+    def __init__(self, frequency_hz: np.ndarray, asd: np.ndarray, quantity: str):
+        freq = _frozen(frequency_hz)
+        asd = _frozen(asd)
+        if quantity not in QUANTITIES:
+            raise ConfigError(f"unknown spectrum quantity {quantity!r}")
         if freq.ndim != 1 or freq.size == 0 or asd.shape != freq.shape:
             raise ConfigError("spectrum needs matching 1-d frequency and asd columns with at least one row")
         if not np.all(np.isfinite(freq)) or not np.all(np.isfinite(asd)):
@@ -100,8 +97,7 @@ class SpectrumSeries:
             raise ConfigError("spectrum frequencies and values must be > 0")
         if np.any(np.diff(freq) <= 0.0):
             raise ConfigError("spectrum frequencies must be strictly ascending")
-        object.__setattr__(self, "frequency_hz", freq)
-        object.__setattr__(self, "asd", asd)
+        self._set(frequency_hz=freq, asd=asd, quantity=quantity)
 
     def __len__(self) -> int:
         return int(self.frequency_hz.size)

@@ -639,6 +639,11 @@ def _repeated_side(doc):
     return json.dumps(doc).replace('"side_m": 0.046', '"side_m": 0.046, "side_m": 0.05')
 
 
+def _integer_past_str_digits_limit(doc):
+    # json.dumps would refuse the integer itself, so the literal is written as text
+    return json.dumps(doc).replace('"mass_kg": 1.928', '"mass_kg": ' + "9" * 5000)
+
+
 def _underflowing_bound(doc):
     # a huge model PSD over a subnormal measured one: lambda_max rounds to 0
     doc["geometry"]["mass_kg"] = 1e30
@@ -694,6 +699,8 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
         ("scan", "ligo", None, ["--rc-max", "inf", "--out", "c.csv"], None, 2, "--rc-max must be finite and > 0, got inf"),
         ("bound", "lisa_pathfinder", lambda d: d["geometry"].update(mass_kg=10**400), ["--rc", "1e-7"], None, 2,
          "geometry.mass_kg: integer is too large for a double"),
+        ("bound", "lisa_pathfinder", _integer_past_str_digits_limit, ["--rc", "1e-7"], None, 2,
+         "geometry.mass_kg: integer is too large for a double"),
         ("bound", "lisa_pathfinder", _repeated_side, ["--rc", "1e-7"], None, 2, "repeated field 'side_m' (strict schema)"),
         ("ellis", "ligo", _overflowing_ellis_rate, [], None, 3, "eta_ellis overflows for 'ligo'; no finite comparison exists"),
         ("ellis", "ligo", lambda d: d["noise"][0].update(asd_force_n_per_sqrt_hz=1e125), [], None, 3,
@@ -706,7 +713,8 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
         "float_arm_count", "no_noise_entries", "three_columns", "unparsable_row", "missing_spectrum",
         "config_is_a_directory", "spectrum_is_a_directory", "out_is_a_directory", "out_in_a_missing_directory",
         "force_asd_overflow", "force_asd_underflow", "minimum_psd_overflow", "minimum_psd_underflow",
-        "spectrum_on_a_bar", "infinite_rc_max", "integer_beyond_double", "repeated_key", "ellis_rate_overflow",
+        "spectrum_on_a_bar", "infinite_rc_max", "integer_beyond_double",
+        "integer_past_str_digits_limit", "repeated_key", "ellis_rate_overflow",
         "eta_exp_overflow", "model_psd_overflow",
     ],
 )

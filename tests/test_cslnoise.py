@@ -1,8 +1,10 @@
 """Closed-form force-noise PSDs: frozen values, branch oracles, properties."""
 
-import dataclasses
+import ast
+import copy
 import math
 import pathlib
+import pickle
 import re
 import sys
 import warnings
@@ -22,11 +24,14 @@ from cslbounds import (
     Cylinder,
     HalfCylinderBar,
     MassArrangement,
+    SpectrumSeries,
     axial_factor,
     bar_force_psd,
     characteristic_dimension,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
+    ellis_ratio,
+    exclusion_curve,
     force_noise_psd,
     force_psd_by_quadrature,
     forced_separation,
@@ -34,7 +39,9 @@ from cslbounds import (
     measured_force_psd,
     pair_correlation_factor,
 )
-from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket
+from cslbounds import cslnoise
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket, _Record
+from cslbounds.detector import ARCHETYPES
 
 mp.mp.dps = 60
 
@@ -605,16 +612,65 @@ def test_rod_bodies_share_one_declaration_and_stay_distinct_types():
     fields = ["radius", "length", "mass", "density"]
     for body, kind in ((cylinder, Cylinder), (bar, HalfCylinderBar)):
         assert not {"__dataclass_fields__", "__init__", "__post_init__", "volume"} & vars(kind).keys()
-        assert [f.name for f in dataclasses.fields(kind)] == fields
+        assert list(kind._fields) == fields
         assert repr(body) == f"{kind.__name__}(radius=0.3, length=3.0, mass=2300.0, density=None)"
         assert body == kind(radius=0.3, length=3.0, mass=2300.0) and hash(body) == hash(kind(0.3, 3.0, 2300.0))
         assert body.volume == math.pi * 0.3 * 0.3 * 3.0
         for name in fields:
-            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(body, name, 1.0)
+        with pytest.raises(AttributeError):
+            body.foo = 1
         with pytest.raises(ValueError, match=r"^length must be finite and > 0, got -3\.0$"):
             kind(0.3, -3.0, 2300.0)
     assert bar != cylinder and cylinder != bar and not isinstance(bar, Cylinder)
+
+
+def _value_types(base):
+    for kind in base.__subclasses__():
+        if not kind.__name__.startswith("_"):
+            yield kind
+        yield from _value_types(kind)
+
+
+def _each_value_type_once():
+    values = [CslParams(1.0, 1e-7), CslParams(1.0, np.geomspace(1e-9, 1e-6, 4)), LIGO_GEOM, LISA_GEOM, AURIGA_GEOM]
+    values.append(SpectrumSeries([10.0, 20.0], [1e-22, 2e-22], "strain"))
+    values.append(force_psd_by_quadrature(CslParams(1.0, 1e-7), LISA_GEOM, MassArrangement(1.0)))
+    for name in ("ligo", "lisa_pathfinder", "auriga"):
+        det = load_detector_config(name)
+        values += [det, det.arrangement, det.response, det.readout, det.noise[0], ARCHETYPES[type(det.geometry)]]
+        values += [ellis_ratio(det, det.noise[0]), exclusion_curve(det, det.noise[0], [1e-8, 1e-7, 1e-6])]
+    return values
+
+
+def test_value_types_are_slotted_and_survive_pickle_and_copy():
+    values = _each_value_type_once()
+    assert {type(v) for v in values} == set(_value_types(_Record))
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        arrays = [name for name in value._fields if isinstance(getattr(value, name), np.ndarray)]
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(clone) is type(value) and repr(clone) == repr(value)
+            for name in value._fields:  # archetype too, which == leaves out
+                assert np.array_equal(getattr(clone, name), getattr(value, name)), (type(value).__name__, name)
+            if arrays:  # == compares the fields as one tuple, where an array of several entries has no truth value
+                assert not any(getattr(clone, name).flags.writeable for name in arrays)
+            else:
+                assert clone == value
+            for name in (*value._fields[:1], "foo"):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(clone, name, None)
+
+
+def test_no_module_imports_dataclasses():
+    # value types build on cslnoise._Record: creating a dataclass costs about a millisecond at every start
+    package = pathlib.Path(cslnoise.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) else []
+            assert "dataclasses" not in names, path.name
 
 
 @pytest.mark.parametrize(

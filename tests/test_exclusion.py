@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
@@ -300,11 +301,20 @@ def test_optimal_frequency_needs_interferometer(auriga):
 
 
 def test_ellis_eta_hand_value():
-    # direct constant arithmetic at the 1.928 kg test mass
+    # direct constant arithmetic at the 1.928 kg test mass: the constant factor first, then m^2
     m = 1.928
-    hand = (C_LIGHT * M_NUCLEON) ** 4 * m * m / (HBAR * M_PLANCK) ** 3
-    assert ellis_eta(m) == hand
+    hand = (C_LIGHT * M_NUCLEON) ** 4 / (HBAR * M_PLANCK) ** 3 * m * m
+    assert ellis_eta(m) == hand == 1.8881142628721817e52
     assert hand == pytest.approx(1.888e52, rel=1e-3)
+
+
+@given(st.floats(min_value=-170.0, max_value=100.0).map(lambda e: 10.0**e))
+@example(1e-150)  # (c m0)^4 m^2 underflowed to 0 before the division once
+def test_ellis_eta_matches_mpmath_over_every_mass_scale(mass):
+    with mp.workdps(50):
+        ref = mp.mpf(C_LIGHT * M_NUCLEON) ** 4 * mp.mpf(mass) ** 2 / mp.mpf(HBAR * M_PLANCK) ** 3
+        ref = float(ref)
+    assert abs(ellis_eta(mass) - ref) <= 2.0 * math.ulp(ref)
 
 
 def test_ellis_eta_quadratic_and_zero():
