@@ -75,12 +75,11 @@ def _load_config(args):
     return det
 
 
-def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
-    """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native)."""
+def _native_noise(det, s_ff_one_sided: float, frequency_hz) -> list[tuple[str, float]]:
+    """Detector-native equivalent S_FF / T of a one-sided force PSD (T from force_per_native), by name."""
     if det.archetype == ACCELEROMETER:
-        s_gg = s_ff_one_sided / force_per_native(det, "acceleration")
-        return [f"s_gg_one_sided_m2_s4_per_hz = {_fmt(s_gg)}"]
-    lines = []
+        return [("s_gg_one_sided_m2_s4_per_hz", s_ff_one_sided / force_per_native(det, "acceleration"))]
+    quantities = []
     source = "readout"
     if det.archetype == INTERFEROMETER:  # the free-mass strain transfer depends on frequency
         source = "--frequency-hz"
@@ -89,24 +88,25 @@ def _native_noise_lines(det, s_ff_one_sided: float, frequency_hz) -> list[str]:
             if entry is None:
                 raise ConfigError("strain equivalent needs --frequency-hz (config has no noise entry with a frequency)")
             frequency_hz, source = entry.frequency_hz, f"noise entry {entry.name!r}"
-        lines.append(f"frequency_hz = {_fmt(frequency_hz)}")
+        quantities.append(("frequency_hz", frequency_hz))
     s_hh = s_ff_one_sided / force_per_native(det, "strain", frequency_hz, source)
-    return lines + [f"s_hh_one_sided_per_hz = {_fmt(s_hh)}"]
+    return quantities + [("s_hh_one_sided_per_hz", s_hh)]
 
 
 def cmd_noise(args) -> int:
     det = _load_config(args)
     params = CslParams(args.collapse_rate, args.rc)
     s_one_sided = 2.0 * model_force_psd(det, params, args.variant)
+    at = f"for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s"
     if not math.isfinite(s_one_sided):
-        raise UnboundedParameterError(
-            f"model force PSD overflows for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s;"
-            " no finite value exists"
-        )
-    native = _native_noise_lines(det, s_one_sided, args.frequency_hz)
-    print(f"s_ff_one_sided_n2_per_hz = {_fmt(s_one_sided)}")
-    for line in native:
-        print(line)
+        raise UnboundedParameterError(f"model force PSD overflows {at}; no finite value exists")
+    quantities = [("s_ff_one_sided_n2_per_hz", s_one_sided), *_native_noise(det, s_one_sided, args.frequency_hz)]
+    for name, value in quantities:
+        # a zero rate gives exact zeros; any other value out of the normal range has lost its digits
+        if args.collapse_rate and not sys.float_info.min <= value < math.inf:
+            cause = "underflows" if value < 1.0 else "overflows"
+            raise UnboundedParameterError(f"{name} {cause} {at}; no normal value exists")
+    print("\n".join(f"{name} = {_fmt(value)}" for name, value in quantities))
     return 0
 
 
@@ -179,10 +179,10 @@ def cmd_validate(args) -> int:
     # the bar's two axial factors are arbitrated; any other closed form is checked alone
     variants = BAR_VARIANTS if is_bar else (None,)
     closed = [model_force_psd(det, CslParams(1.0, grid), v).tolist() for v in variants]
-    if is_bar:
-        print("r_c_m quadrature_n2_per_hz printed_rel_diff rederived_rel_diff")
-    else:
-        print("r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff")
+    columns = (
+        "quadrature_n2_per_hz printed_rel_diff rederived_rel_diff" if is_bar else "closed_n2_per_hz quadrature_n2_per_hz rel_diff"
+    )
+    lines = [f"r_c_m {columns}"]
     worst = dict.fromkeys(variants, 0.0)
     for i, rc in enumerate(grid.tolist()):
         quad = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement).value
@@ -192,23 +192,20 @@ def cmd_validate(args) -> int:
         for v, diff in zip(variants, diffs):
             worst[v] = max(worst[v], diff)
         shown = [quad] if is_bar else [closed[0][i], quad]
-        print(" ".join(_fmt(x) for x in [rc, *shown, *diffs]))
+        lines.append(" ".join(_fmt(x) for x in [rc, *shown, *diffs]))
     within = [v for v in variants if worst[v] <= VALIDATE_THRESHOLD]
     if not is_bar:
-        print(f"max_rel_diff = {_fmt(worst[None])}")
-        message = f"closed form deviates from quadrature by {worst[None]:.3e}"
-    elif len(within) == 1:
-        (other,) = set(variants) - set(within)
-        print(f"endorsed_variant = {within[0]}")
-        print(f"endorsed_max_rel_diff = {_fmt(worst[within[0]])}")
-        print(f"{other}_max_rel_diff = {_fmt(worst[other])}")
+        if not within:
+            raise QuadratureError(f"closed form deviates from quadrature by {worst[None]:.3e}")
+        lines.append(f"max_rel_diff = {_fmt(worst[None])}")
+    elif len(within) != 1:
+        raise QuadratureError(f"expected exactly one variant within {VALIDATE_THRESHOLD:g}, got {within!r}")
     else:
-        print("endorsed_variant = none")
-        message = f"expected exactly one variant within {VALIDATE_THRESHOLD:g}, got {within!r}"
-    if len(within) == 1:
-        return 0
-    print(f"error: {message}", file=sys.stderr)
-    return 3
+        (other,) = set(variants) - set(within)
+        lines += [f"endorsed_variant = {within[0]}", f"endorsed_max_rel_diff = {_fmt(worst[within[0]])}"]
+        lines.append(f"{other}_max_rel_diff = {_fmt(worst[other])}")
+    print("\n".join(lines))
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

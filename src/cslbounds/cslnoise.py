@@ -19,6 +19,8 @@ Accuracy, checked against mpmath by the test suite: the radial and cube
 brackets hold a relative error of 2e-15 for x in [1e-300, 1e6] and z in
 [1e-150, 1e6], and the closed forms of the bundled detectors hold 4e-15
 for r_c in [1e-140, 1e4] m (the PSD turns subnormal near 7e-151 m).
+The cube bracket calls math.erf only below z = 5.921587195794507, from
+where erf rounds to exactly 1.0, so the cut changes no value.
 
 All results are two-sided PSDs in N^2/Hz.  The one-sided convention used
 by published noise figures is applied at the comparison boundary, never
@@ -61,9 +63,9 @@ MIN_CORRELATION_LENGTH = float(np.finfo(float).tiny)
 class _Record:
     """Immutable value: its fields are the __slots__ along the MRO, set once through _set.
 
-    ==, hash and repr cover the fields not named in _hidden; assigning
-    any attribute raises AttributeError; pickle and copy go through
-    __setstate__.
+    ==, hash and repr cover the fields not named in _hidden, == and hash
+    an array field by its bytes; assigning any attribute raises
+    AttributeError; pickle and copy go through __setstate__.
     """
 
     __slots__ = ()
@@ -90,11 +92,15 @@ class _Record:
     def _shown(self) -> tuple:
         return tuple((name, getattr(self, name)) for name in self._fields if name not in self._hidden)
 
+    def _key(self) -> tuple:
+        # an array field is a read-only 1-d float copy, checked free of nan and -0.0, so its bytes are its values
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for _, v in self._shown())
+
     def __eq__(self, other):
-        return self._shown() == other._shown() if other.__class__ is self.__class__ else NotImplemented
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(self._shown())
+        return hash(self._key())
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
@@ -256,9 +262,10 @@ def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) 
     if bad.any():
         raise ValueError(f"r_c must be >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}")
     with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
-        a = separation * (0.5 / rc)
-        el = length * (0.5 / rc)
-        d = (separation - length) * (0.5 / rc)
+        half = 0.5 / rc
+        a = separation * half
+        el = length * half
+        d = (separation - length) * half
         tilt = np.expm1(-2.0 * a * el) / scale
         return (np.expm1(-el * el) / scale) * (np.expm1(-a * a) / scale) + 0.5 * np.exp(-d * d) * tilt * tilt
 
@@ -274,6 +281,7 @@ for _n in range(24):
     _RADIAL_TAYLOR.append(_num / (_den * (_n + 1)))
     _num, _den = -_num * (2 * _n + 3), _den * (_n + 1) * (_n + 3)
 _CUBE_TAYLOR = [(-1) ** (n + 1) / ((2 * n + 1) * math.factorial(n + 1)) for n in range(20)]
+_ERF_ONE = 5.921587195794507  # the smallest z where math.erf(z) == 1.0
 
 
 def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
@@ -308,7 +316,9 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
         out[small] = _taylor(_CUBE_TAYLOR, z[small] * z[small])
     zl = z[~small]
     if zl.size:
-        erf = np.fromiter(map(math.erf, zl), dtype=float, count=zl.size)
+        erf = np.ones_like(zl)
+        below = zl < _ERF_ONE
+        erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
         with np.errstate(over="ignore"):  # z^2 = inf below rc ~ 1e-154 m gives e^{-z^2} = 0
             out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf
     return _from_1d(out, scalar)

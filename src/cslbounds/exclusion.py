@@ -13,6 +13,7 @@ nowhere else.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -154,28 +155,29 @@ def exclusion_curve(
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
     twice the two-sided model.  UnboundedParameterError names the first
-    r_c where lambda_max is not finite and > 0, and why.
+    r_c where lambda_max is not a normal double > 0, and why.
     """
-    grid = np.array(r_c_grid, dtype=float, ndmin=1)
+    params = CslParams(1.0, np.array(r_c_grid, dtype=float, ndmin=1))
+    grid = params.correlation_length
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
-    s_model = model_force_psd(det, CslParams(1.0, grid), variant)
+    s_model = model_force_psd(det, params, variant)
     with np.errstate(divide="ignore", over="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
-    unbounded = np.flatnonzero(~(np.isfinite(lam) & (lam > 0.0)))
+    unbounded = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))
     if unbounded.size:
         i = unbounded[0]
         cause = "model force PSD " + ("vanishes" if s_model[i] == 0.0 else "overflows")
         if 0.0 < s_model[i] < math.inf:
-            cause = "lambda_max " + ("overflows" if lam[i] else "underflows")
+            cause = "lambda_max " + ("overflows" if lam[i] > 1.0 else "underflows")
         raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
-    return ExclusionCurve(
-        r_c_grid=grid,
-        lambda_max=lam,
-        detector_id=det.name,
-        noise_name=noise.name,
-        provenance=noise.provenance,
-        bar_variant=variant,
-    )
+    fields = dict(detector_id=det.name, noise_name=noise.name, provenance=noise.provenance, bar_variant=variant)
+    if not (grid.size and np.all(grid[1:] > grid[:-1])):
+        return ExclusionCurve(grid, lam, **fields)  # raises the constructor's message
+    # CslParams froze the grid and checked it > 0, and lam is checked above: freeze it in place
+    lam.flags.writeable = False
+    curve = object.__new__(ExclusionCurve)
+    curve._set(r_c_grid=grid, lambda_max=lam, **fields)
+    return curve
 
 
 def optimal_frequency(series: SpectrumSeries, det: DetectorModel) -> tuple[float, float]:
@@ -208,14 +210,16 @@ def ellis_ratio(det: DetectorModel, noise: MeasuredNoise) -> EllisReport:
     eta_exp converts the published one-sided noise figure directly,
     matching how such comparisons are quoted; the ratio is meaningful
     to order of magnitude only.  UnboundedParameterError names the
-    first of eta_exp, eta_ellis and their ratio that overflows.
+    first of eta_exp, eta_ellis and their ratio that is not a normal
+    double > 0, and whether it overflows or underflows.
     """
     eta_model = ellis_eta(det.geometry.mass)
     eta_exp = measured_force_psd(det, noise) / HBAR**2
     ratio = eta_model / eta_exp
     for name, value in (("eta_exp", eta_exp), ("eta_ellis", eta_model), ("eta_ratio", ratio)):
-        if not math.isfinite(value):
-            raise UnboundedParameterError(f"{name} overflows for {det.name!r}; no finite comparison exists")
+        if not sys.float_info.min <= value < math.inf:
+            cause = "underflows" if value < 1.0 else "overflows"
+            raise UnboundedParameterError(f"{name} {cause} for {det.name!r}; no finite comparison exists")
     return EllisReport(eta_ellis=eta_model, eta_exp=eta_exp, ratio=ratio)
 
 

@@ -14,15 +14,22 @@ references):
   _sinc2_array: (sin(x)/x)^2, absolute error <= 2e-14, finite at x = 0
 
 i0e and i1e take a float or a 1-d array and return the same kind, and
-validate their input.  The targets hold for array input element by
-element, and an element's value does not depend on the rest of the
-array: a float gives exactly the value it has inside any array.  The
-two quadrature kernels take arrays and skip domain checks.
+validate their input.  They sum in three groups: the power series for
+x <= 20, the asymptotic series on (20, 1e3] and past 1e3, where its
+terms shrink by (2k-1)^2/8kx < 1e-3 a step.  Each group takes the steps
+its slowest element needs, counted on that element alone: its series
+stops at the first term under 1e-18 of the sum in both rows.  That term
+is under half an ulp of the sum, and so is every later, smaller one, so
+the steps an element takes past its own count leave its value unchanged:
+a float gives exactly the value it has inside any array, and the targets
+hold element by element.  The two quadrature kernels take arrays and
+skip domain checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Union
 
 import numpy as np
@@ -91,62 +98,59 @@ def i1e(x: FloatOrArray) -> FloatOrArray:
 
 # Per-step factors of the two series below, row 0 for I0 and row 1 for I1.
 # Power series: t_k = t_{k-1} q / (k (k + nu)); at x = 20 it converges by
-# k = 36, so the table's 80 steps are never all used.
-_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 81)], dtype=float)
-# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x), cut at k = 39.
+# k = 36, so the table's 40 steps are never all used.
+_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 41)], dtype=float)
+# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x), cut at k = 39;
+# for x > 20 its terms keep shrinking that far (the smallest lies beyond k = 2x).
 _ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 40)])
+
+
+def _steps(op, scale: float, first: list, table: np.ndarray) -> int:
+    """Steps of one element's series, step k multiplying by op(scale, table[k]) as _ie does."""
+    (t0, t1), flat = first, iter(table.ravel().tolist())
+    s0, s1 = t0, t1
+    for k, (f0, f1) in enumerate(zip(flat, flat), 1):
+        t0 *= op(scale, f0)
+        t1 *= op(scale, f1)
+        s0 += t0
+        s1 += t1
+        if abs(t0) <= 1e-18 * abs(s0) and abs(t1) <= 1e-18 * abs(s1):
+            return k
+    return len(table)
 
 
 def _ie(x: np.ndarray) -> np.ndarray:
     """e^-x I0(x) and e^-x I1(x), as rows 0 and 1 (x finite and >= 0)."""
-    out = np.empty((2, x.size))
-    small = x <= 20.0
-    if small.any():
-        out[:, small] = _ie_series(x[small])
-    large = ~small
-    if large.any():
-        out[:, large] = _ie_asymptotic(x[large])
-    return out
-
-
-def _changes_sum(term: np.ndarray, total: np.ndarray, j: int) -> bool:
-    # A term below 1e-18 of its sum is under half an ulp of it, so adding
-    # it, or any later (smaller) term, leaves the sum unchanged.
-    (t0, t1), (s0, s1) = term[:, j].tolist(), total[:, j].tolist()
-    return abs(t0) > 1e-18 * abs(s0) or abs(t1) > 1e-18 * abs(s1)
-
-
-def _ie_series(x: np.ndarray) -> np.ndarray:
-    # power series of I0 and I1; all terms positive, no cancellation.  Late
-    # terms grow with x relative to their sum, so the largest x converges
-    # last: once its terms stop changing its sums, every element's have.
-    term = np.vstack([np.ones_like(x), 0.5 * x])
+    order = np.argsort(x, kind="stable")  # stable sorts are fast on the monotone grids of a scan
+    x = x[order]
+    n = x.size
+    a, b = np.searchsorted(x, (20.0, 1e3), side="right").tolist()  # the groups: [0, a), [a, b), [b, n)
+    q, w = 0.25 * x[:a] * x[:a], 0.125 / x[a:]
+    term = np.ones((2, n))
+    term[1, :a] = 0.5 * x[:a]
+    # a group's slowest element: the largest x of the power series, the smallest of an asymptotic one
+    series = _steps(operator.truediv, float(q[-1]), term[:, a - 1].tolist(), _SERIES_DENOMS) if a else 0
+    mid = _steps(operator.mul, float(w[0]), [1.0, 1.0], _ASYMPTOTIC_FACTORS) if b > a else 0
+    far = _steps(operator.mul, float(w[b - a]), [1.0, 1.0], _ASYMPTOTIC_FACTORS) if n > b else 0
     total = term.copy()
-    q = 0.25 * x * x
-    last = int(np.argmax(x))
-    for denom in _SERIES_DENOMS:
-        if not _changes_sum(term, total, last):
-            break
-        term *= q / denom
-        total += term
-    return np.exp(-x) * total
-
-
-def _ie_asymptotic(x: np.ndarray) -> np.ndarray:
-    # e^-x I_nu(x) ~ (2 pi x)^(-1/2) * sum_k t_k.  For x > 20 the terms
-    # keep shrinking through k = 39 (the smallest term lies beyond k = 2x),
-    # so the sum is cut as in _ie_series; here the smallest x converges last.
-    term = np.ones((2, x.size))
-    total = np.ones((2, x.size))
-    w = 0.125 / x
-    last = int(np.argmin(x))
-    for factor in _ASYMPTOTIC_FACTORS:
-        term *= factor * w
-        total += term
-        if not _changes_sum(term, total, last):
-            break
+    factor = np.empty((2, n))
+    steps = sorted({0, series, mid, far})
+    for start, stop in zip(steps, steps[1:]):
+        # the columns still stepping form one range, as far <= mid
+        lo = 0 if start < series else a
+        hi = n if start < far else b if start < mid else a
+        t, s, f, fa, wa = term[:, lo:hi], total[:, lo:hi], factor[:, lo:hi], factor[:, a:hi], w[: hi - a]
+        for k in range(start, stop):
+            if lo < a:
+                np.divide(q, _SERIES_DENOMS[k], out=factor[:, :a])
+            if hi > a:
+                np.multiply(_ASYMPTOTIC_FACTORS[k], wa, out=fa)
+            t *= f
+            s += t
+    total[:, :a] *= np.exp(-x[:a])
     # sqrt factored to avoid overflow of 2*pi*x for x near the float max
-    return total / (_SQRT_2PI * np.sqrt(x))
+    total[:, a:] /= _SQRT_2PI * np.sqrt(x[a:])
+    return total.take(np.argsort(order, kind="stable"), axis=1)
 
 
 def _j1_array(x: np.ndarray) -> np.ndarray:

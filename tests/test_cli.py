@@ -1,15 +1,20 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cslbounds
 from cslbounds import bundled_config_path, cli, lambda_max, load_detector_config
@@ -299,11 +304,14 @@ def test_validate_auriga_endorses_rederived(capsys):
 
 
 def test_validate_deviation_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", 1e-12)
-    code, out, err = run(capsys, "validate", "--config", "ligo", "--points", "3")
-    assert code == 3 and out.splitlines()[-1].startswith("max_rel_diff = ")
+    code, out, _ = run(capsys, "validate", "--config", "ligo", "--points", "3")
+    assert code == 0 and out.splitlines()[-1].startswith("max_rel_diff = ")
     worst = out.splitlines()[-1].removeprefix("max_rel_diff = ")
     assert float(worst) > 1e-12
+    monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", 1e-12)
+    # a failed check prints none of its rows: stdout stays empty
+    code, out, err = run(capsys, "validate", "--config", "ligo", "--points", "3")
+    assert (code, out) == (3, "")
     assert err == f"error: closed form deviates from quadrature by {float(worst):.3e}\n"
 
 
@@ -312,8 +320,7 @@ def test_validate_auriga_endorses_none_unless_exactly_one_variant_is_within(caps
     # the default grid's printed variant deviates by about 177 at 10 m
     monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", threshold)
     code, out, err = run(capsys, "validate", "--config", "auriga", "--points", "3")
-    assert code == 3
-    assert out.splitlines()[-1] == "endorsed_variant = none"
+    assert (code, out) == (3, "")
     assert err == f"error: expected exactly one variant within {threshold:g}, got {within!r}\n"
 
 
@@ -509,12 +516,18 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
     assert len(err.splitlines()) == 1 and err.startswith("error: quadrature force PSD is 0 at r_c = ")
 
 
+def test_validate_prints_nothing_before_a_quadrature_failure(capsys):
+    # the third point misses the quadrature target; the first two rows once reached stdout
+    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "1", "--rc-max", "100", "--points", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: quadrature reached relative error ") and err.count("\n") == 1
+
+
 def test_validate_at_the_largest_rc_exit_3(capsys):
     # at 1e308 m, s = r_c/R overflows to inf and the resolved range U/s is
     # empty; 1e307 m, the first point, already gives a zero PSD
     code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e307", "--rc-max", "1e308", "--points", "2")
-    assert code == 3
-    assert out == "r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff\n"
+    assert (code, out) == (3, "")
     assert err == "error: quadrature force PSD is 0 at r_c = 1e+307 m; no relative difference exists\n"
 
 
@@ -785,7 +798,6 @@ def _quadrature_failure(config, rc):
     return info.value
 
 
-VALIDATE_HEADER = "r_c_m closed_n2_per_hz quadrature_n2_per_hz rel_diff\n"
 VALIDATE_ARGS = ["validate", "--config", "lisa_pathfinder", "--rc-min", "1e-3", "--rc-max", "1e-2", "--points", "2"]
 
 
@@ -795,7 +807,7 @@ def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatc
     # on the first pass no error estimate exists yet
     monkeypatch.setattr(kspace, "BUDGET", 100)
     code, out, err = run(capsys, *VALIDATE_ARGS)
-    assert (code, out, err) == (3, VALIDATE_HEADER, "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
+    assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
     # a target beyond the first pass makes the slab integral double; one node short of its need it stops
     monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
     monkeypatch.setattr(kspace, "BUDGET", 10**8)
@@ -805,7 +817,7 @@ def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatc
     achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error
     assert achieved is not None
     code, out, err = run(capsys, *VALIDATE_ARGS)
-    assert (code, out) == (3, VALIDATE_HEADER)
+    assert (code, out) == (3, "")
     assert err == f"error: evaluation budget exhausted while integrating slab form-factor integral (achieved {achieved:.3e})\n"
 
 
@@ -815,8 +827,51 @@ def test_validate_missed_target_states_the_achieved_error_once(capsys, monkeypat
     monkeypatch.setattr(kspace, "REL_TOL", 1e-20)
     achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error
     code, out, err = run(capsys, *VALIDATE_ARGS)
-    assert (code, out) == (3, VALIDATE_HEADER)
+    assert (code, out) == (3, "")
     assert err == f"error: quadrature reached relative error {achieved:.3e}, above the target 1.000e-20\n"
+
+
+def run_in_process(*argv):
+    """main(argv) with stdout and stderr captured, for Hypothesis tests (no function-scoped fixture)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_normal_or_named(code, out, err, names):
+    """Exit 0 printing only normal doubles > 0, or exit 3, stdout empty, one error line naming a quantity."""
+    if code == 0:
+        assert err == ""
+        values = [float(line.split(" = ")[1]) for line in out.splitlines()]
+        assert values and all(sys.float_info.min <= v < math.inf for v in values), out
+    else:
+        assert (code, out) == (3, "") and err.count("\n") == 1, (code, out, err)
+        assert err.split()[1] in names and err.split()[2] in ("underflows", "overflows"), err
+
+
+@settings(derandomize=True, max_examples=30)
+@given(st.sampled_from(["ligo", "lisa_pathfinder", "auriga"]), st.floats(min_value=-320.0, max_value=0.0))
+@example("ligo", -300.0)
+def test_noise_prints_a_normal_double_or_exits_3(config, rate_exponent):
+    # lambda = 1e-300 once printed a subnormal s_ff and s_hh = 0 with exit 0
+    code, out, err = run_in_process("noise", "--config", config, "--rc", "1e-7", "--lambda", repr(10.0**rate_exponent))
+    names = ["s_ff_one_sided_n2_per_hz", "frequency_hz", "s_hh_one_sided_per_hz", "s_gg_one_sided_m2_s4_per_hz"]
+    assert_normal_or_named(code, out, err, names)
+
+
+@settings(derandomize=True, max_examples=30)
+@given(st.floats(min_value=-200.0, max_value=3.0))
+@example(-170.0)
+def test_ellis_prints_a_normal_double_or_exits_3(mass_exponent):
+    # a ligo mass of 1e-170 kg once printed eta_ratio = 0 with exit 0
+    def mutate(doc):
+        doc["geometry"]["mass_kg"] = 10.0**mass_exponent
+        del doc["geometry"]["density_kg_m3"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_in_process("ellis", "--config", str(write_config(Path(tmp), "ligo", mutate)))
+    assert_normal_or_named(code, out, err, ["eta_exp", "eta_ellis", "eta_ratio"])
 
 
 GOLDEN = Path(__file__).parent / "golden"

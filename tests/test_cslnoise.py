@@ -12,7 +12,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cslbounds import (
@@ -42,6 +42,7 @@ from cslbounds import (
 from cslbounds import cslnoise
 from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket, _Record
 from cslbounds.detector import ARCHETYPES
+from cslbounds.specfun import i0e, i1e
 
 mp.mp.dps = 60
 
@@ -281,6 +282,39 @@ def test_brackets_as_arrays_straddling_branch_switches():
     zs = straddle(1.0)
     for z, g in zip(zs, _cube_bracket(zs)):
         assert g == pytest.approx(float(mp_cube_bracket(z)), rel=2e-15, abs=0.0), f"z={z}"
+
+
+# the range the closed forms reach, any finite argument >= 0, and the branch switches
+BRANCH_SWITCHES = [0.0, 1.0, 20.0, 1e3, cslnoise._ERF_ONE]
+bracket_args = st.one_of(
+    st.floats(min_value=-6.0, max_value=17.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+    st.sampled_from([*BRANCH_SWITCHES, *(math.nextafter(s, math.inf) for s in BRANCH_SWITCHES[1:])]),
+)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.lists(bracket_args, min_size=1, max_size=40).map(np.array))
+@example(np.array([*BRANCH_SWITCHES, *(math.nextafter(s, 0.0) for s in BRANCH_SWITCHES[1:])]))
+def test_arrays_take_each_elements_float_value_bit_for_bit(x):
+    # each element steps past its own convergence when its group needs more
+    # steps, and the cube bracket calls erf only below the cut
+    for fn in (i0e, i1e, _radial_bracket, _cube_bracket):
+        assert np.array_equal(fn(x), [fn(v) for v in x.tolist()]), fn.__name__
+
+
+def test_erf_rounds_to_one_from_the_cube_bracket_cut_up():
+    cut = cslnoise._ERF_ONE
+    assert math.erf(math.nextafter(cut, 0.0)) < 1.0
+    above = [cut]
+    while len(above) < 2000:
+        above.append(math.nextafter(above[-1], math.inf))
+    above += [*np.geomspace(cut, 1e308, 2000).tolist(), sys.float_info.max, math.inf]
+    assert all(math.erf(z) == 1.0 for z in above)
+    # so the bracket is its formula with math.erf at every z, on both sides of the cut
+    zs = np.concatenate([straddle(cut), [math.nextafter(cut, 0.0)], np.geomspace(1.0, 1e6, 200)])
+    erf = np.fromiter(map(math.erf, zs), dtype=float)
+    assert np.array_equal(_cube_bracket(zs), 1.0 - np.exp(-zs * zs) - math.sqrt(math.pi) * zs * erf)
 
 
 def mp_bracket_at(bracket, t, digits_per_decade):
@@ -654,13 +688,30 @@ def test_value_types_are_slotted_and_survive_pickle_and_copy():
             assert type(clone) is type(value) and repr(clone) == repr(value)
             for name in value._fields:  # archetype too, which == leaves out
                 assert np.array_equal(getattr(clone, name), getattr(value, name)), (type(value).__name__, name)
-            if arrays:  # == compares the fields as one tuple, where an array of several entries has no truth value
-                assert not any(getattr(clone, name).flags.writeable for name in arrays)
-            else:
-                assert clone == value
+            assert not any(getattr(clone, name).flags.writeable for name in arrays)
+            assert clone == value and hash(clone) == hash(value)
             for name in (*value._fields[:1], "foo"):
                 with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                     setattr(clone, name, None)
+
+
+@settings(derandomize=True, max_examples=20)
+@given(st.lists(log_uniform(-9.0, 2.0), min_size=1, max_size=6, unique=True).map(sorted))
+@example([1e-7, 1e-6])
+def test_array_values_compare_and_hash_by_their_values(rcs):
+    # == and hash once met an array of several entries as a truth value (ValueError) or a key (TypeError)
+    ligo = load_detector_config("ligo")
+    curve = exclusion_curve(ligo, ligo.noise[0], rcs)
+    moved = [*rcs[:-1], rcs[-1] * 2.0]
+    pairs = [
+        (curve, exclusion_curve(ligo, ligo.noise[0], np.array(rcs)), exclusion_curve(ligo, ligo.noise[0], moved)),
+        (CslParams(1.0, rcs), CslParams(1.0, np.array(rcs)), CslParams(1.0, moved)),
+        (SpectrumSeries(rcs, rcs, "strain"), SpectrumSeries(np.array(rcs), rcs, "strain"), SpectrumSeries(rcs, moved, "strain")),
+    ]
+    for value, same, other in pairs:
+        assert value == same and hash(value) == hash(same)
+        assert value != other and other != value
+    assert CslParams(1.0, rcs[:1]) != CslParams(1.0, rcs[0])  # a one-point grid is not a scalar
 
 
 def test_no_module_imports_dataclasses():

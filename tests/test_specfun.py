@@ -7,14 +7,15 @@ here in mpmath directly.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cslbounds.specfun import _j1_array, _sinc2_array, i0e, i1e
+from cslbounds.specfun import _SQRT_2PI, _ie, _j1_array, _sinc2_array, i0e, i1e
 
 mp.mp.dps = 50
 
@@ -154,8 +155,10 @@ def straddle(switch):
 
 @pytest.mark.parametrize("order,fn", [(0, i0e), (1, i1e)])
 def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
-    # x = 20 is the series/asymptotic switch; x = 1 the radial bracket's
-    xs = np.concatenate([[0.0], straddle(1.0), straddle(20.0), [1e300]])
+    # x = 20 is the series/asymptotic switch, x = 1e3 splits the asymptotic
+    # series by step count; x = 1 is the radial bracket's switch
+    beside = [math.nextafter(switch, side) for switch in (20.0, 1e3) for side in (0.0, math.inf)]
+    xs = np.concatenate([[0.0], straddle(1.0), straddle(20.0), straddle(1e3), beside, [1e300]])
     got = fn(xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     for x, g in zip(xs, got):
@@ -167,6 +170,59 @@ def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
     singles = [fn(float(x)) for x in xs]
     assert all(type(v) is float for v in singles)
     assert np.array_equal(got, singles)
+
+
+def _changes_sum(term, total, j):
+    (t0, t1), (s0, s1) = term[:, j].tolist(), total[:, j].tolist()
+    return abs(t0) > 1e-18 * abs(s0) or abs(t1) > 1e-18 * abs(s1)
+
+
+def reference_ie(x):
+    """e^-x I0 and e^-x I1 by the loop _ie replaced, kept as its reference.
+
+    Every element of a branch steps as far as that branch's slowest one
+    (the largest x of the power series, the smallest of the asymptotic
+    one), testing that element for convergence after every step.
+    """
+    out = np.empty((2, x.size))
+    small = x <= 20.0
+    xs, xa = x[small], x[~small]
+    term = np.vstack([np.ones_like(xs), 0.5 * xs])
+    total = term.copy()
+    q = 0.25 * xs * xs
+    for k in range(1, 81):
+        if not xs.size or not _changes_sum(term, total, int(np.argmax(xs))):
+            break
+        term *= q / np.array([[k * k], [k * (k + 1)]], dtype=float)
+        total += term
+    out[:, small] = np.exp(-xs) * total
+    term, total, w = np.ones((2, xa.size)), np.ones((2, xa.size)), 0.125 / xa
+    for k in range(1, 40):
+        if not xa.size:
+            break
+        term *= np.array([[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]]) * w
+        total += term
+        if not _changes_sum(term, total, int(np.argmin(xa))):
+            break
+    out[:, ~small] = total / (_SQRT_2PI * np.sqrt(xa))
+    return out
+
+
+SWITCHES = [0.0, 20.0, 1e3, *(math.nextafter(s, d) for s in (20.0, 1e3) for d in (0.0, math.inf))]
+# the range the closed forms reach, any finite x >= 0, and the branch switches
+bessel_args = st.one_of(
+    st.floats(min_value=-6.0, max_value=17.0).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+    st.sampled_from(SWITCHES),
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(bessel_args, min_size=1, max_size=40).map(np.array))
+@example(np.array(SWITCHES))
+@example(np.geomspace(1e16, 1.0, 1462))  # a scan's descending grid, as the survey benchmark meets it
+def test_ie_equals_its_per_step_checked_reference_bit_for_bit(x):
+    assert np.array_equal(_ie(x), reference_ie(x))
 
 
 def test_j1_contract_low_range():
