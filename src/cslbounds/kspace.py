@@ -46,7 +46,10 @@ range (at least 8 over [0, min(U/s, 6000)]; for a mode at least 4 over
 [0, U], more the faster it oscillates), rounded up to whole panels, and
 each doubling the next.  So every pass is a prefix of one table per
 (shape, width) of nodes and shape values, filled on first use and
-shared by every rc.  Only quadrature nodes count as evaluations.
+shared by every rc; the zero mode, free of rc, is integrated once per
+process.  Each result is still charged every node of its passes, and
+only quadrature nodes count as evaluations.  A pass with no negative
+node takes its value as the integral of |f|.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -89,6 +92,8 @@ REL_TOL = 1e-6
 BUDGET = 2**24
 # (shape, panel width) -> read-only Kronrod nodes from 0 and the shape on them, filled by _shape_nodes
 _TABLES = {}
+# (value, error, evaluations) of the zero cosine mode, free of rc and geometry: filled on first use
+_ZERO_MODE = []
 
 
 class QuadratureResult(_Record):
@@ -222,7 +227,7 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
         half, x, values = _shape_nodes(shape, grid, level, panels)
         fx = f(x, values).reshape(panels, _NODES.size)
         value = half * float(fx.sum(axis=0) @ _WEIGHTS)
-        magnitude = half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
+        magnitude = value if fx.min() >= 0.0 else half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
         floor = 100.0 * _EPS * magnitude
         err = max(half * float(np.abs(fx @ _WEIGHTS_DIFF).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
@@ -270,8 +275,13 @@ def _axial_mode_sum(separation, length, rc, budget):
     live = {b: c for b, c in coef.items() if c != 0.0}
     if not live:
         return 0.0, 0.0
-    # the zero mode never cancels away when any mode survives
-    m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
+    # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
+    if not _ZERO_MODE:
+        fill = _Budget(BUDGET)
+        _ZERO_MODE[:] = (*_cos_gauss_moment(0.0, 0.0, fill), fill.used)
+    m0, e0, cost = _ZERO_MODE
+    if not budget.charge(cost):  # integrating it afresh on this budget raises what a cold memo raises
+        m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
     tol_abs = 1e-13 * abs(m0)
     total = live[0.0] * m0
     err = abs(live[0.0]) * e0
@@ -361,7 +371,9 @@ def force_psd_by_quadrature(
     reported relative error includes both quadrature estimates and the
     certified bounds on every dropped oscillatory contribution.  The
     radial and slab integrals are driven to 1e-2 of REL_TOL, the axial
-    cosine modes to 1e-13 of the zero mode.
+    cosine modes to 1e-13 of the zero mode.  The zero mode is integrated
+    once per process, yet every result is charged its nodes; a pass whose
+    integrand has no negative node uses its value as its magnitude.
 
     Raises ValueError for an array of correlation lengths or an
     arrangement the geometry does not take, and QuadratureError if BUDGET
@@ -373,8 +385,6 @@ def force_psd_by_quadrature(
     if np.ndim(rc) != 0:
         raise ValueError(f"the quadrature oracle takes one correlation length, got an array of {np.size(rc)}")
     arrangement.check(geometry)
-    if lam == 0.0:
-        return QuadratureResult(0.0, 0.0, 0)
     if isinstance(geometry, HalfCylinderBar):  # the shared model: two touching half-cylinders
         geometry = geometry.halves()
     if isinstance(geometry, Cylinder):
@@ -383,6 +393,8 @@ def force_psd_by_quadrature(
         ell = geometry.side
     else:
         raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    if lam == 0.0:
+        return QuadratureResult(0.0, 0.0, 0)
 
     budget = _Budget(BUDGET)
     axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)

@@ -804,14 +804,20 @@ VALIDATE_ARGS = ["validate", "--config", "lisa_pathfinder", "--rc-min", "1e-3", 
 def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatch):
     from cslbounds import kspace
 
-    # on the first pass no error estimate exists yet
-    monkeypatch.setattr(kspace, "BUDGET", 100)
-    code, out, err = run(capsys, *VALIDATE_ARGS)
-    assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
+    # on the first pass no error estimate exists yet: so with the zero mode's memo empty, and with it filled
+    monkeypatch.setattr(kspace, "_ZERO_MODE", [])
+    det = load_detector_config("lisa_pathfinder")
+    for warm in (False, True):
+        if warm:
+            kspace.force_psd_by_quadrature(cslbounds.CslParams(1.0, 1e-3), det.geometry, det.arrangement)
+        with monkeypatch.context() as m:
+            m.setattr(kspace, "BUDGET", 100)
+            code, out, err = run(capsys, *VALIDATE_ARGS)
+        assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
+        assert len(kspace._ZERO_MODE) == (3 if warm else 0)
     # a target beyond the first pass makes the slab integral double; one node short of its need it stops
     monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
     monkeypatch.setattr(kspace, "BUDGET", 10**8)
-    det = load_detector_config("lisa_pathfinder")
     need = kspace.force_psd_by_quadrature(cslbounds.CslParams(1.0, 1e-3), det.geometry, det.arrangement).evaluations
     monkeypatch.setattr(kspace, "BUDGET", need - 1)
     achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error

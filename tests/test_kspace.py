@@ -207,6 +207,14 @@ def test_zero_collapse_rate_short_circuits():
     assert result == kspace.QuadratureResult(0.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_unsupported_geometry_is_rejected_at_any_rate(rate):
+    # the geometry is checked before the zero-rate result, as the closed form checks it
+    for psd in (force_psd_by_quadrature, force_noise_psd):
+        with pytest.raises(TypeError, match="^unsupported geometry str$"):
+            psd(CslParams(rate, 1e-7), "not a body", MassArrangement(0.1))
+
+
 def test_zero_separation_is_exactly_zero():
     result = force_psd_by_quadrature(CslParams(1.0, 0.1), LISA_GEOM, MassArrangement(0.0, 1))
     assert result.value == 0.0 and result.rel_error == 0.0
@@ -638,6 +646,84 @@ def test_second_oracle_sweep_evaluates_no_shape(monkeypatch):
     assert calls == [[], [], []]
 
 
+def test_zero_mode_memo_changes_no_result(monkeypatch):
+    # the oracle job's points and one that misses REL_TOL (its axial modes cancel), each with the memo
+    # emptied before it, then all again with the memo filled
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    monkeypatch.setattr(kspace, "_ZERO_MODE", [])
+    lisa = load_detector_config("lisa_pathfinder")
+
+    def outcomes(before_each):
+        results = sweep(ORACLE_POINTS, before_each)
+        before_each()
+        with pytest.raises(QuadratureError) as info:
+            force_psd_by_quadrature(CslParams(1.0, 10.0), lisa.geometry, lisa.arrangement)
+        return results, (str(info.value), info.value.achieved_rel_error, info.value.evaluations)
+
+    cold = outcomes(kspace._ZERO_MODE.clear)
+    budget = kspace._Budget(kspace.BUDGET)
+    assert kspace._ZERO_MODE == [*kspace._cos_gauss_moment(0.0, 0.0, budget), budget.used] and budget.used == 124
+    assert outcomes(lambda: None) == cold
+    assert len(cold[0]) == 27 and cold[1][0].startswith("quadrature reached relative error")
+
+
+def reference_adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
+    """_adaptive as it was when every pass summed |f|, whatever the sign of f, kept as its reference."""
+    err = value = None
+    while True:
+        if not budget.charge(panels * kspace._NODES.size):
+            achieved = None if err is None or value == 0.0 else err / abs(value)
+            raise QuadratureError(
+                f"evaluation budget exhausted while integrating {what}"
+                + ("" if achieved is None else f" (achieved {achieved:.3e})"),
+                achieved_rel_error=achieved,
+                evaluations=budget.used,
+            )
+        half, x, values = kspace._shape_nodes(shape, grid, level, panels)
+        fx = f(x, values).reshape(panels, kspace._NODES.size)
+        value = half * float(fx.sum(axis=0) @ kspace._WEIGHTS)
+        magnitude = half * float(np.abs(fx).sum(axis=0) @ kspace._WEIGHTS)
+        floor = 100.0 * kspace._EPS * magnitude
+        err = max(half * float(np.abs(fx @ kspace._WEIGHTS_DIFF).sum()), floor)
+        if err <= max(tol_abs, tol_rel * magnitude, floor):
+            return value, err
+        level += 1
+        panels *= 2
+
+
+def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    grid = kspace._MODE_GRID
+
+    def passes(adaptive):
+        # (value, error, evaluations), or the error's message, achieved error (repr: NaN is unequal) and evaluations
+        monkeypatch.setattr(kspace, "_adaptive", adaptive)
+        cases = [lambda b, s=s: kspace._disc_radial_integral(1.0, s, b) for s in (1e-9, 1e-4, 1e-2, 0.05)]
+        cases += [lambda b, s=s: kspace._slab_integral(2.0, s, b) for s in (1e-9, 1e-4, 1e-2, 0.05)]
+        cases += [
+            lambda b: kspace._cos_gauss_moment(0.0, 0.0, b),  # the zero mode
+            # started on level 0, the mode at 30 rad per r_c doubles
+            lambda b: adaptive(lambda u, g: np.cos(30.0 * u) * g, kspace._gauss, grid, 0, grid[1], MODE_TOL, 0.0, b, "mode"),
+            lambda b: adaptive(lambda u, g: 0.0 * g, kspace._gauss, grid, 0, grid[1], 0.0, 0.0, b, "zero"),
+            # a NaN at the last node of every pass: it never meets its target, so it ends on a small budget
+            lambda b: adaptive(lambda u, g: np.append(g[:-1], np.nan), kspace._gauss, grid, 0, grid[1], 0.0, 0.0, kspace._Budget(2000), "NaN"),
+        ]
+        out = []
+        for case in cases:
+            budget = kspace._Budget(kspace.BUDGET)
+            try:
+                out.append((*case(budget), budget.used))
+            except QuadratureError as exc:
+                out.append((str(exc), repr(exc.achieved_rel_error), exc.evaluations))
+        return out
+
+    ours = passes(kspace._adaptive)
+    assert ours == passes(reference_adaptive)
+    assert ours[-1] == ("evaluation budget exhausted while integrating NaN (achieved nan)", "nan", 31 * (4 + 8 + 16 + 32))
+    assert all(isinstance(out[0], float) for out in ours[:-1])
+    assert ours[-2][:2] == (0.0, 0.0) and ours[-3][2] > ours[-4][2]
+
+
 @pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-3), ("auriga", 5e-3), ("auriga", 1e-5)])
 def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
     # every pass of every integral reads its nodes through _shape_nodes; the
@@ -651,9 +737,14 @@ def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
         return half, x, values
 
     monkeypatch.setattr(kspace, "_shape_nodes", counting)
+    monkeypatch.setattr(kspace, "_ZERO_MODE", [])
     det = load_detector_config(config)
-    result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
-    assert result.evaluations == sum(nodes) > 0
+    cold = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    assert cold.evaluations == sum(nodes) > 0
+    # warm, the zero mode's one pass of 4 panels is charged without its nodes being read again
+    nodes.clear()
+    warm = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    assert warm == cold and warm.evaluations == sum(nodes) + 124 == sum(nodes) + kspace._ZERO_MODE[2]
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1e2, 1e100, 1e200, 1e300, 1.7e308, math.inf])
@@ -675,7 +766,7 @@ def test_extreme_s_terminates(monkeypatch, s):
 
 def test_import_tabulates_nothing():
     src = str(Path(cslbounds.__file__).parents[1])
-    script = "from cslbounds import kspace\nassert kspace._TABLES == {}\n"
+    script = "from cslbounds import kspace\nassert kspace._TABLES == {} and kspace._ZERO_MODE == []\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
