@@ -7,10 +7,15 @@ propagates it through each detector's response, and inverts measured
 noise figures into exclusion curves over the (collapse rate,
 correlation length) plane, including the Ellis wormhole-decoherence
 comparison.
+
+The package root exports a name only if the command-line interface
+(cslbounds.cli) or the acceptance suite imports it, or if it is a type
+that a public function takes or returns.  Every other public name is
+reached through its module, for example cslbounds.io.bundled_config_path.
 """
 
 from ._version import __version__
-from .constants import C_LIGHT, HBAR, M_NUCLEON, M_PLANCK
+from .constants import HBAR, M_NUCLEON
 from .cslnoise import (
     BAR_VARIANTS,
     DEFAULT_BAR_VARIANT,
@@ -21,30 +26,16 @@ from .cslnoise import (
     MassArrangement,
     MassGeometry,
     axial_factor,
-    bar_force_psd,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
-    force_noise_psd,
-    forced_separation,
     pair_correlation_factor,
 )
-from .detector import (
-    DetectorModel,
-    MeasuredNoise,
-    Readout,
-    detector_archetype,
-)
-from .errors import (
-    ConfigError,
-    CslBoundsError,
-    QuadratureError,
-    UnboundedParameterError,
-)
+from .detector import DetectorModel, MeasuredNoise, Readout
+from .errors import ConfigError, CslBoundsError, QuadratureError, UnboundedParameterError
 from .exclusion import (
     EllisReport,
     ExclusionCurve,
     characteristic_dimension,
-    ellis_eta,
     ellis_ratio,
     exclusion_curve,
     force_per_native,
@@ -53,41 +44,22 @@ from .exclusion import (
     model_force_psd,
     optimal_frequency,
 )
-from .io import (
-    BUNDLED_CONFIGS,
-    bundled_config_path,
-    load_detector_config,
-    load_spectrum_csv,
-    write_exclusion_csv,
-)
-from .response import (
-    FreeMass,
-    ResonantBar,
-    ResponseModel,
-    SpectrumSeries,
-    equivalent_force_asd_free_mass,
-    force_psd_from_acceleration,
-    force_psd_from_strain_bar,
-    force_psd_from_strain_free_mass,
-)
-from . import specfun
+from .io import load_detector_config, load_spectrum_csv, write_exclusion_csv
+from .response import FreeMass, ResonantBar, SpectrumSeries, equivalent_force_asd_free_mass
 
 __all__ = [
-    "C_LIGHT", "HBAR", "M_NUCLEON", "M_PLANCK",
+    "HBAR", "M_NUCLEON",
     "BAR_VARIANTS", "DEFAULT_BAR_VARIANT", "CslParams", "Cube", "Cylinder", "HalfCylinderBar",
-    "MassArrangement", "MassGeometry", "axial_factor", "bar_force_psd", "cube_pair_force_psd",
-    "cylinder_pair_force_psd", "force_noise_psd", "forced_separation", "pair_correlation_factor",
-    "DetectorModel", "MeasuredNoise", "Readout", "detector_archetype",
+    "MassArrangement", "MassGeometry", "axial_factor", "cube_pair_force_psd",
+    "cylinder_pair_force_psd", "pair_correlation_factor",
+    "DetectorModel", "MeasuredNoise", "Readout",
     "ConfigError", "CslBoundsError", "QuadratureError", "UnboundedParameterError",
-    "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_eta", "ellis_ratio",
+    "EllisReport", "ExclusionCurve", "characteristic_dimension", "ellis_ratio",
     "exclusion_curve", "force_per_native", "lambda_max", "measured_force_psd", "model_force_psd",
     "optimal_frequency",
-    "BUNDLED_CONFIGS", "bundled_config_path", "load_detector_config", "load_spectrum_csv",
-    "write_exclusion_csv",
+    "load_detector_config", "load_spectrum_csv", "write_exclusion_csv",
     "QuadratureResult", "force_psd_by_quadrature",
-    "FreeMass", "ResonantBar", "ResponseModel", "SpectrumSeries", "equivalent_force_asd_free_mass",
-    "force_psd_from_acceleration", "force_psd_from_strain_bar", "force_psd_from_strain_free_mass",
-    "specfun",
+    "FreeMass", "ResonantBar", "SpectrumSeries", "equivalent_force_asd_free_mass",
 ]
 
 

@@ -186,8 +186,8 @@ def cmd_validate(args) -> int:
     worst = dict.fromkeys(variants, 0.0)
     for i, rc in enumerate(grid.tolist()):
         quad = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement).value
-        if quad == 0.0:  # the PSD itself underflows at tiny r_c
-            raise QuadratureError(f"quadrature force PSD is 0 at r_c = {rc:g} m; no relative difference exists")
+        if not sys.float_info.min <= quad < math.inf:  # the PSD itself underflows at tiny r_c, or overflows
+            raise QuadratureError(f"quadrature force PSD is {quad:g} at r_c = {rc:g} m; no relative difference exists")
         diffs = [abs(c[i] - quad) / quad for c in closed]
         for v, diff in zip(variants, diffs):
             worst[v] = max(worst[v], diff)

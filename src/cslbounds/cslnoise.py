@@ -329,9 +329,11 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
 
 
 def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    q = HBAR * (mass / M_NUCLEON) * rc
-    with np.errstate(over="ignore"):  # an overflow to inf is the caller's to report
-        return q * (q * (lam * rest))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf is the caller's to report
+        q = HBAR * (mass / M_NUCLEON) * rc
+        psd = q * (q * (lam * rest))
+    # linear in the rate and in rest: a zero either way is an exact 0, even where q or rest overflowed
+    return np.where((rest == 0.0) | (lam == 0.0), 0.0, psd)
 
 
 def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial_l2: np.ndarray, arm_count: int) -> np.ndarray:
@@ -369,7 +371,8 @@ def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) ->
         z = side / (2.0 * rc)
     t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
     w = t / side / side
-    rest = 16.0 * _axial_over(separation, side, rc, side) * w * w
+    with np.errstate(over="ignore"):  # overflows to inf for sides below about 1e-79 m: the caller reports it
+        rest = 16.0 * _axial_over(separation, side, rc, side) * w * w
     return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
 
 

@@ -52,8 +52,8 @@ class ExclusionCurve(_Record):
         lam = _frozen(lambda_max)
         if grid.ndim != 1 or grid.size == 0 or lam.shape != grid.shape:
             raise ValueError("curve needs matching, nonempty r_c and lambda_max arrays")
-        if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("r_c grid must be positive and strictly ascending")
+        if not (np.all(np.isfinite(grid) & (grid > 0.0)) and np.all(np.diff(grid) > 0.0)):
+            raise ValueError("r_c grid must be finite, positive and strictly ascending")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise ValueError("lambda_max values must be finite and > 0")
         self._set(r_c_grid=grid, lambda_max=lam, detector_id=detector_id, noise_name=noise_name)

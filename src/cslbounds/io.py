@@ -307,7 +307,15 @@ def load_spectrum_csv(path, expected_quantity: str) -> SpectrumSeries:
 
 
 def write_exclusion_csv(curve: ExclusionCurve, path) -> None:
-    """Serialize a curve deterministically (shortest round-trip decimals)."""
+    """Serialize a curve deterministically (shortest round-trip decimals).
+
+    A header value holding a line boundary (any str.splitlines splits
+    at) would forge rows: it raises ValueError before path is opened.
+    """
+    for key in ("detector_id", "noise_name", "provenance", "bar_variant"):
+        value = getattr(curve, key)
+        if len(f"{value}.".splitlines()) > 1:
+            raise ValueError(f"curve {key} {value!r} holds a line break; a CSV header value must be one line")
     lines = [
         f"# detector: {curve.detector_id}",
         f"# noise: {curve.noise_name} ({curve.provenance})",

@@ -306,7 +306,7 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, majorant, budget, what)
     hi >= U/s, f <= majorant(z) e^{-(s z)^2} with majorant(z) / z
     nonincreasing, and majorant(hi) e^{-v^2} / 2 s v at v = s hi is charged.
     """
-    zcap = _K_CUTOFF / s
+    zcap = _K_CUTOFF / s if s else math.inf  # s underflows to 0 for an r_c far below the body
     if zcap == 0.0:  # s = inf: the range is empty
         return 0.0, 0.0
     span, grid = min(zcap, _RESOLVED_PHASE), (_RESOLVED_PHASE / _LEVEL0_PANELS, _LEVEL0_PANELS)

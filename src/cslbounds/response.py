@@ -15,7 +15,6 @@ amplitude densities.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 import numpy as np
 
@@ -40,9 +39,6 @@ class ResonantBar(_Record):
         _check_positive("omega0", omega0)
         _check_positive("length", length)
         self._set(omega0=omega0, length=length)
-
-
-ResponseModel = Union[FreeMass, ResonantBar]
 
 
 def force_psd_from_acceleration(s_gg: float, mass: float) -> float:

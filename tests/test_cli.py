@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslbounds
-from cslbounds import bundled_config_path, cli, lambda_max, load_detector_config
+from cslbounds import cli, lambda_max, load_detector_config
 from cslbounds.cli import MAX_POINTS, main
+from cslbounds.io import bundled_config_path
 
 
 def run(capsys, *argv):
@@ -648,6 +649,12 @@ def _overflowing_ellis_rate(doc):
     del doc["geometry"]["density_kg_m3"]
 
 
+def _forged_csv_rows(doc):
+    # each line break, written as is, would forge a bare line and a header row with a data row
+    doc["name"] = "ligo\nx"
+    doc["noise"][0]["provenance"] = "paper\nr_c_m,lambda_max_per_s\n1,2"
+
+
 def _repeated_side(doc):
     return json.dumps(doc).replace('"side_m": 0.046', '"side_m": 0.046, "side_m": 0.05')
 
@@ -720,6 +727,10 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
          "eta_exp overflows for 'ligo'; no finite comparison exists"),
         ("noise", "ligo", None, ["--rc", "1e-7", "--lambda", "1e307"], None, 3,
          "model force PSD overflows for 'ligo' at r_c = 1e-07 m and lambda = 1e+307 /s; no finite value exists"),
+        ("scan", "ligo", _forged_csv_rows, ["--out", "c.csv"], None, 2,
+         "curve detector_id 'ligo\\nx' holds a line break; a CSV header value must be one line"),
+        ("scan", "ligo", lambda d: d["noise"][0].update(provenance="paper\u2028r_c_m"), ["--out", "c.csv"], None, 2,
+         "curve provenance 'paper\\u2028r_c_m' holds a line break; a CSV header value must be one line"),
     ],
     ids=[
         "rc_range", "no_frequency", "lambda_underflow", "no_separation", "csl_fraction", "noise_not_a_list",
@@ -728,7 +739,7 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
         "force_asd_overflow", "force_asd_underflow", "minimum_psd_overflow", "minimum_psd_underflow",
         "spectrum_on_a_bar", "infinite_rc_max", "integer_beyond_double",
         "integer_past_str_digits_limit", "repeated_key", "ellis_rate_overflow",
-        "eta_exp_overflow", "model_psd_overflow",
+        "eta_exp_overflow", "model_psd_overflow", "name_forges_csv_rows", "provenance_holds_a_line_separator",
     ],
 )
 def test_input_and_numerical_errors_print_one_line(
@@ -878,6 +889,131 @@ def test_ellis_prints_a_normal_double_or_exits_3(mass_exponent):
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run_in_process("ellis", "--config", str(write_config(Path(tmp), "ligo", mutate)))
     assert_normal_or_named(code, out, err, ["eta_exp", "eta_ellis", "eta_ratio"])
+
+
+def numeric_fields(doc, prefix=()):
+    """Key paths to every number in a config document but its schema_version."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, (*prefix, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool) and key != "schema_version":
+            yield (*prefix, key)
+
+
+BUNDLED_DOCS = {name: json.loads(bundled_config_path(name).read_text()) for name in ("ligo", "lisa_pathfinder", "auriga")}
+# 0 or +-10^U(-320, 308): subnormal, tiny, huge and negative values alike
+FIELD_VALUES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(min_value=-320.0, max_value=308.0)),
+)
+# mostly physical correlation lengths, sometimes any double's exponent
+RC_EXPONENTS = st.one_of(st.floats(min_value=-12.0, max_value=4.0), st.floats(min_value=-320.0, max_value=308.0))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(bundled config name, ((key path, new value), ...)) with 1-3 numeric fields changed."""
+    config = draw(st.sampled_from(sorted(BUNDLED_DOCS)))
+    paths = draw(st.lists(st.sampled_from(list(numeric_fields(BUNDLED_DOCS[config]))), min_size=1, max_size=3, unique=True))
+    return config, tuple((path, draw(FIELD_VALUES)) for path in paths)
+
+
+@st.composite
+def commands(draw):
+    """argv after --config for a drawn bound, noise, ellis, scan or validate; scan's --out is added later."""
+    command = draw(st.sampled_from(["bound", "noise", "ellis", "scan", "validate"]))
+    rc = repr(10.0 ** draw(RC_EXPONENTS))
+    if command == "bound":
+        return [command, "--rc", rc]
+    if command == "noise":
+        rate = draw(st.one_of(st.just(0.0), st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0**e)))
+        return [command, "--rc", rc, "--lambda", repr(rate)]
+    if command == "ellis":
+        return [command]
+    low = draw(RC_EXPONENTS)
+    high = min(low + draw(st.floats(min_value=0.0, max_value=6.0)), 308.0)
+    points = draw(st.integers(min_value=2, max_value=3 if command == "validate" else 20))
+    return [command, "--rc-min", repr(10.0**low), "--rc-max", repr(10.0**high), "--points", str(points)]
+
+
+def check_printed_quantities(argv, out):
+    """Every number stdout prints is a normal double > 0; a rel_diff may be 0, and so may all but the
+    frequency at a zero collapse rate."""
+    zero_rate = argv[0] == "noise" and float(argv[argv.index("--lambda") + 1]) == 0.0
+    columns = None
+    for line in out.splitlines():
+        if line.startswith("wrote "):
+            continue
+        if " = " in line:
+            name, text = line.split(" = ")
+            if name == "endorsed_variant":
+                assert text in cslbounds.BAR_VARIANTS, line
+                continue
+            pairs = [(name, text)]
+        elif columns is None:
+            columns = line.split()  # validate's table header
+            continue
+        else:
+            pairs = list(zip(columns, line.split(), strict=True))
+        for name, text in pairs:
+            value = float(text)
+            if value == 0.0 and (name.endswith("rel_diff") or (zero_rate and name != "frequency_hz")):
+                continue
+            assert sys.float_info.min <= value < math.inf, (argv, line)
+
+
+LISA_SIDE, LISA_MASS, LISA_SEPARATION = ("geometry", "side_m"), ("geometry", "mass_kg"), ("arrangement", "separation_m")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_configs(), commands())
+@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "1", "--rc-max", "100", "--points", "5"])
+@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "1e-300"])
+@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "0.0"])
+# q = hbar (m / m0) r_c overflows: times a zero rate it gave nan, and its own overflow warned
+@example(("lisa_pathfinder", ((LISA_MASS, 1e282),)), ["noise", "--rc", "1.0", "--lambda", "0.0"])
+@example(("lisa_pathfinder", ((LISA_MASS, 1e8),)), ["bound", "--rc", "1e+308"])
+# the cube kernel overflows below a side of about 1e-79 m: it warned on stderr before the error line
+@example(("lisa_pathfinder", ((LISA_SIDE, 2.4837437548017116e-83),)), ["noise", "--rc", "2.1312103355487525e-122", "--lambda", "0.0"])
+@example(
+    ("lisa_pathfinder", ((LISA_SIDE, 2.5992238871804614e-104), (LISA_SEPARATION, 1.7040011330365456e-214))),
+    ["scan", "--rc-min", "1.7040011330365456e-214", "--rc-max", "1.4033260096407647e-208", "--points", "14"],
+)
+# validate printed a subnormal PSD, and an infinite one with a nan rel_diff and exit 0
+@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "5.6578840278345395e-158", "--rc-max", "6.371934547653664e-157", "--points", "3"])
+@example(
+    ("lisa_pathfinder", ((LISA_SIDE, 1.0), (LISA_MASS, 1.2455384601557503e288), (LISA_SEPARATION, 1.2455384601557503e288))),
+    ["validate", "--rc-min", "1.2521534916962425e-09", "--rc-max", "0.0007393779741563973", "--points", "3"],
+)
+# r_c / side underflows to 0 in the oracle: ZeroDivisionError
+@example(
+    ("lisa_pathfinder", ((LISA_SEPARATION, 2.3118510031630038e-126), (LISA_SIDE, 1.7145338943266905e47))),
+    ["validate", "--rc-min", "3.05484003575819e-290", "--rc-max", "6.730034130394141e-286", "--points", "3"],
+)
+def test_every_command_keeps_the_exit_code_and_stdout_contract(config, argv):
+    # exit 0: stderr empty and every printed quantity a normal double > 0;
+    # exit 2 or 3: stdout empty and one `error: ` line on stderr, and no curve written
+    name, mutations = config
+
+    def mutate(doc):
+        for (*keys, last), value in mutations:
+            target = doc
+            for key in keys:
+                target = target[key]
+            target[last] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_csv = write_config(Path(tmp), name, mutate), Path(tmp) / "c.csv"
+        full = [argv[0], "--config", str(path), *argv[1:], *(["--out", str(out_csv)] if argv[0] == "scan" else [])]
+        code, out, err = run_in_process(*full)
+        if code == 0:
+            assert err == "", (full, err)
+            assert argv[0] != "scan" or out.startswith(f"wrote {out_csv} (") and out_csv.exists(), (full, out)
+            check_printed_quantities(argv, out)
+        else:
+            assert code in (2, 3) and out == "", (full, code, out)
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (full, err)
+            assert not out_csv.exists()
 
 
 GOLDEN = Path(__file__).parent / "golden"

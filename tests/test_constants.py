@@ -3,20 +3,19 @@ import json
 import pytest
 
 from cslbounds import (
-    C_LIGHT,
     HBAR,
     M_NUCLEON,
-    M_PLANCK,
     ConfigError,
     CslParams,
     MeasuredNoise,
-    bundled_config_path,
     force_per_native,
     lambda_max,
     load_detector_config,
     load_spectrum_csv,
     model_force_psd,
 )
+from cslbounds.constants import C_LIGHT, M_PLANCK
+from cslbounds.io import bundled_config_path
 
 
 def write_config(tmp_path, name, mutate):

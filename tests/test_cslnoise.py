@@ -26,21 +26,26 @@ from cslbounds import (
     MassArrangement,
     SpectrumSeries,
     axial_factor,
-    bar_force_psd,
     characteristic_dimension,
     cube_pair_force_psd,
     cylinder_pair_force_psd,
     ellis_ratio,
     exclusion_curve,
-    force_noise_psd,
     force_psd_by_quadrature,
-    forced_separation,
     load_detector_config,
     measured_force_psd,
     pair_correlation_factor,
 )
 from cslbounds import cslnoise
-from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, _cube_bracket, _radial_bracket, _Record
+from cslbounds.cslnoise import (
+    MIN_CORRELATION_LENGTH,
+    _cube_bracket,
+    _radial_bracket,
+    _Record,
+    bar_force_psd,
+    force_noise_psd,
+    forced_separation,
+)
 from cslbounds.detector import ARCHETYPES
 from cslbounds.specfun import i0e, i1e
 

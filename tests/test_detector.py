@@ -15,8 +15,8 @@ from cslbounds import (
     MassArrangement,
     Readout,
     ResonantBar,
-    detector_archetype,
 )
+from cslbounds.detector import detector_archetype
 
 GEOMETRIES = {
     "cylinder": Cylinder(radius=0.17, length=0.2, mass=40.0),

@@ -9,10 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
-    C_LIGHT,
     HBAR,
     M_NUCLEON,
-    M_PLANCK,
     ConfigError,
     CslParams,
     Cube,
@@ -26,7 +24,6 @@ from cslbounds import (
     SpectrumSeries,
     UnboundedParameterError,
     characteristic_dimension,
-    ellis_eta,
     ellis_ratio,
     exclusion_curve,
     force_per_native,
@@ -35,7 +32,9 @@ from cslbounds import (
     measured_force_psd,
     optimal_frequency,
 )
+from cslbounds.constants import C_LIGHT, M_PLANCK
 from cslbounds.cslnoise import HalfCylinderBar
+from cslbounds.exclusion import ellis_eta
 
 
 def force_entry(psd, name="synthetic"):
@@ -198,7 +197,7 @@ def test_exclusion_curve_grid_rules(lisa):
         exclusion_curve(lisa, entry, [[1e-7, 1e-6]])
     with pytest.raises(ValueError, match=r"^curve needs matching, nonempty r_c and lambda_max arrays$"):
         exclusion_curve(lisa, entry, [])
-    with pytest.raises(ValueError, match=r"^r_c grid must be positive and strictly ascending$"):
+    with pytest.raises(ValueError, match=r"^r_c grid must be finite, positive and strictly ascending$"):
         exclusion_curve(lisa, entry, [1e-6, 1e-7])
     # where the model vanishes, a float r_c is named like any grid point
     det = make_interferometer(separation=0.0, noise=[force_entry(1e-27)])
@@ -245,6 +244,10 @@ def test_curve_validation():
         ExclusionCurve(np.array([2.0, 1.0]), np.array([1.0, 1.0]), "d", "n")
     with pytest.raises(ValueError):
         ExclusionCurve(np.array([1.0, 2.0]), np.array([1.0, 0.0]), "d", "n")
+    # a nan or inf r_c, which CslParams rejects too, is no grid point; nan would also break ==
+    for grid, lam in [([1.0, math.nan], [1.0, 2.0]), ([1.0, math.inf], [1.0, 2.0]), ([math.nan], [1.0]), ([-0.0], [1.0])]:
+        with pytest.raises(ValueError, match=r"^r_c grid must be finite, positive and strictly ascending$"):
+            ExclusionCurve(grid, lam, "d", "n")
 
 
 def test_characteristic_dimension():

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from cslbounds import (
-    BUNDLED_CONFIGS,
     ConfigError,
     Cube,
     Cylinder,
     ExclusionCurve,
     HalfCylinderBar,
-    bundled_config_path,
     load_detector_config,
     load_spectrum_csv,
     write_exclusion_csv,
 )
 from cslbounds import io
+from cslbounds.io import BUNDLED_CONFIGS, bundled_config_path
 
 
 def rewrite(tmp_path, mutate, config="lisa_pathfinder"):
@@ -386,6 +385,20 @@ def test_curve_round_trip_full_precision(tmp_path):
     back = np.array(rows)
     assert np.array_equal(back[:, 0], curve.r_c_grid)
     assert np.array_equal(back[:, 1], curve.lambda_max)
+
+
+@pytest.mark.parametrize("field", ["detector_id", "noise_name", "provenance", "bar_variant"])
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_write_curve_rejects_line_breaks_in_the_header(tmp_path, field, brk):
+    # any boundary str.splitlines splits at would forge a row below the comments
+    base = sample_curve()
+    fields = {key: getattr(base, key) for key in ("detector_id", "noise_name", "provenance", "bar_variant")}
+    for value in (f"a{brk}r_c_m,lambda_max_per_s{brk}1,2", f"a{brk}"):
+        curve = ExclusionCurve(base.r_c_grid, base.lambda_max, **{**fields, field: value})
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match=rf"^curve {field} .* holds a line break; a CSV header value must be one line$"):
+            write_exclusion_csv(curve, path)
+        assert not path.exists()
 
 
 def test_empty_curve_unconstructible():

@@ -32,14 +32,12 @@ from cslbounds import (
     MassArrangement,
     QuadratureError,
     cube_pair_force_psd,
-    force_noise_psd,
     force_psd_by_quadrature,
-    forced_separation,
     load_detector_config,
 )
 import cslbounds
 from cslbounds import kspace
-from cslbounds.cslnoise import MIN_CORRELATION_LENGTH
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, force_noise_psd, forced_separation
 from cslbounds.specfun import _j1_array, _sinc2_array
 
 LISA_GEOM = Cube(side=0.046, mass=1.928)

@@ -18,6 +18,8 @@ from cslbounds import (
     SpectrumSeries,
     equivalent_force_asd_free_mass,
     force_per_native,
+)
+from cslbounds.response import (
     force_psd_from_acceleration,
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,

@@ -27,6 +27,55 @@ def test_acceptance_suite_imports_only_exported_names():
     assert sorted(imported - set(cslbounds.__all__)) == []
 
 
+# types that a public function takes or returns: the root exports them though neither user imports them
+RULE_TYPES = {
+    "ExclusionCurve", "EllisReport", "QuadratureResult", "MassArrangement", "HalfCylinderBar",
+    "MassGeometry", "FreeMass", "ResonantBar", "Readout", "DetectorModel",
+}
+
+
+def imported_names(path, wanted):
+    """Names bound by the `from ... import` statements of a file whose node passes wanted."""
+    tree = ast.parse(Path(path).read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and wanted(node)
+        for alias in node.names
+    }
+
+
+def test_root_exports_only_what_the_cli_and_the_acceptance_suite_use():
+    used = imported_names(Path(cslbounds.__file__).with_name("cli.py"), lambda node: node.level == 1)
+    used |= imported_names(
+        Path(__file__).parent / "test_acceptance.py",
+        lambda node: node.level == 0 and (node.module == "cslbounds" or node.module.startswith("cslbounds.")),
+    )
+    assert "force_psd_by_quadrature" in used and "lambda_max" in used
+    assert sorted(set(cslbounds.__all__) - used - RULE_TYPES) == []
+    # the package docstring states the same rule
+    doc = " ".join(cslbounds.__doc__.split())
+    assert "only if the command-line interface (cslbounds.cli) or the acceptance suite imports it" in doc
+    assert "or if it is a type that a public function takes or returns" in doc
+
+
+def test_names_left_off_the_root_stay_module_attributes():
+    removed = {
+        "constants": ["C_LIGHT", "M_PLANCK"],
+        "cslnoise": ["bar_force_psd", "force_noise_psd", "forced_separation"],
+        "detector": ["detector_archetype"],
+        "exclusion": ["ellis_eta"],
+        "io": ["BUNDLED_CONFIGS", "bundled_config_path"],
+        "response": ["force_psd_from_acceleration", "force_psd_from_strain_bar", "force_psd_from_strain_free_mass"],
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert name not in cslbounds.__all__ and not hasattr(cslbounds, name), name
+            assert hasattr(importlib.import_module(f"cslbounds.{module}"), name), name
+    assert "specfun" not in cslbounds.__all__
+    assert not hasattr(cslbounds, "ResponseModel") and not hasattr(importlib.import_module("cslbounds.response"), "ResponseModel")
+
+
 def test_one_readout_type_and_no_inverse_conversions():
     # the readout markers and the force -> native inverses folded into
     # Readout and exclusion.force_per_native
