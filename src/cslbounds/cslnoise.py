@@ -38,6 +38,7 @@ r_c >= MIN_CORRELATION_LENGTH.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Union
 
 import numpy as np
@@ -106,33 +107,45 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
 
 
+def _is_real(x) -> bool:  # a float is tested first: the numbers.Real ABC check is slow
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 class CslParams(_Record):
     """Collapse-parameter point: rate (1/s) and correlation length (m).
 
-    The correlation length may also be a 1-d array, one parameter point
-    per entry; it is then stored as a read-only copy, and a scalar
-    (a 0-d array too) as a float.  The collapse rate is stored as a
-    float, +0.0 for -0.0, so that no PSD comes out as -0.0.
+    Any type but a real number, or for the correlation length a 1-d array
+    of them (one point per entry), raises TypeError.  A scalar correlation
+    length (a 0-d array too) is stored as a float, an array as a read-only
+    1-d copy.  The rate is stored as a float, +0.0 for -0.0, so that no PSD
+    comes out as -0.0.
     """
 
     __slots__ = ("collapse_rate", "correlation_length")
 
     def __init__(self, collapse_rate: float, correlation_length: FloatOrArray):
+        if not _is_real(collapse_rate):
+            raise TypeError(f"collapse_rate must be a real number, got {type(collapse_rate).__name__}")
         _check_positive("collapse_rate", collapse_rate, zero_ok=True)
-        rc, scalar = _to_1d(correlation_length)
-        bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
-        if bad.any():
-            raise ValueError(
-                f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
-            )
-        self._set(collapse_rate=float(collapse_rate) + 0.0, correlation_length=float(rc[0]) if scalar else _frozen(rc))
+        rc = correlation_length
+        if type(rc) is not float or not MIN_CORRELATION_LENGTH <= rc < math.inf:  # a float in range is kept as is
+            if not (_is_real(rc) or np.asarray(rc).dtype.kind in "iuf"):
+                raise TypeError(f"correlation_length must be a real number or a 1-d array of them, got {type(rc).__name__}")
+            rc, scalar = _to_1d(rc)
+            bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
+            if bad.any():
+                raise ValueError(
+                    f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
+                )
+            rc = float(rc[0]) if scalar else _frozen(rc)
+        self._set(collapse_rate=float(collapse_rate) + 0.0, correlation_length=rc)
 
 
-def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float):
+def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float, part: str = ""):
     for name, value in (*dims.items(), ("mass", mass)):
-        _check_positive(name, value)
+        _check_positive(part + name, value)
     if not (math.isfinite(volume) and volume > 0.0):
-        raise ValueError(f"volume must be finite and > 0, got {volume!r} m^3")
+        raise ValueError(f"{part}volume must be finite and > 0, got {volume!r} m^3")
     if density is not None:
         _check_positive("density", density)
         mismatch = abs(mass - density * volume) / mass
@@ -150,7 +163,11 @@ class _Rod(_Record):
 
     def __init__(self, radius: float, length: float, mass: float, density: Optional[float] = None):
         self._set(radius=radius, length=length, mass=mass, density=density)
-        _check_geometry({"radius": radius, "length": length}, mass, density, self.volume)
+        self._check()
+
+    def _check(self, part: str = "") -> None:
+        """Raise ValueError, naming the field (after part), unless the rod is a valid body; a bar checks its halves."""
+        _check_geometry({"radius": self.radius, "length": self.length}, self.mass, self.density, self.volume, part)
 
     @property
     def volume(self) -> float:
@@ -186,9 +203,15 @@ class HalfCylinderBar(_Rod):
 
     __slots__ = ()
 
+    def _check(self, part: str = "") -> None:
+        super()._check(part)
+        self.halves()._check("half-cylinder ")  # else halves() would hand out an invalid body, unchecked
+
     def halves(self) -> Cylinder:
-        """Either half of the bar: a cylinder of length/2 and mass/2."""
-        return Cylinder(self.radius, 0.5 * self.length, 0.5 * self.mass)
+        """Either half of the bar: a cylinder of length/2 and mass/2, checked once, when the bar was built."""
+        half = object.__new__(Cylinder)
+        half._set(radius=self.radius, length=0.5 * self.length, mass=0.5 * self.mass, density=None)
+        return half
 
 
 MassGeometry = Union[Cylinder, Cube, HalfCylinderBar]

@@ -59,6 +59,7 @@ spend at most BUDGET integrand evaluations; both are fixed constants.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -94,6 +95,7 @@ BUDGET = 2**24
 _TABLES = {}
 # (value, error, evaluations) of the zero cosine mode, free of rc and geometry: filled on first use
 _ZERO_MODE = []
+_set_slot = object.__setattr__  # one result per call: three slot writes take half the time of _set's keywords
 
 
 class QuadratureResult(_Record):
@@ -102,7 +104,9 @@ class QuadratureResult(_Record):
     __slots__ = ("value", "rel_error", "evaluations")
 
     def __init__(self, value: float, rel_error: float, evaluations: int):
-        self._set(value=value, rel_error=rel_error, evaluations=evaluations)
+        _set_slot(self, "value", value)
+        _set_slot(self, "rel_error", rel_error)
+        _set_slot(self, "evaluations", evaluations)
 
 
 class _Budget:
@@ -206,20 +210,20 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
     """Composite Gauss-Kronrod quadrature of f(x, shape(x)) on equal panels from 0: (value, error).
 
     One pass evaluates the Kronrod rule on the first `panels` panels of
-    the grid's level, a prefix of the shape's table; each doubling moves
-    down one level.  Each node costs one evaluation of the budget,
-    tabulated or not.  The error estimate of a pass is the sum over
-    panels of |Kronrod - embedded Gauss|, and never less than 100 ulp of
-    the integral of |f|.  The pass is accepted when that estimate is at
-    most the largest of tol_abs, tol_rel times the integral of |f| and
-    that floor; only otherwise does it double.
+    the grid's level, a prefix of the shape's table, and charges the
+    budget every node, tabulated or not; each doubling moves down one
+    level.  The error estimate of a pass is the sum over panels of
+    |Kronrod - embedded Gauss|, and never less than 100 ulp of the
+    integral of |f|.  The pass is accepted when that estimate is at most
+    the largest of tol_abs, tol_rel times the integral of |f| and that
+    floor.  Only an error message reads what: a str, or what() if not.
     """
     err = value = None
     while True:
         if not budget.charge(panels * _NODES.size):
             achieved = None if err is None or value == 0.0 else err / abs(value)
             raise QuadratureError(
-                f"evaluation budget exhausted while integrating {what}"
+                f"evaluation budget exhausted while integrating {what if isinstance(what, str) else what()}"
                 + ("" if achieved is None else f" (achieved {achieved:.3e})"),
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
@@ -251,7 +255,7 @@ def _cos_gauss_moment(ratio, tol_abs, budget):
     def f(u, gauss):
         return np.cos(ratio * u) * gauss
 
-    what = f"cosine mode at {ratio:g} rad per r_c"
+    what = partial("cosine mode at {:g} rad per r_c".format, ratio)  # formatted only for an error message
     value, err = _adaptive(f, _gauss, _MODE_GRID, level, _MODE_GRID[1] << level, tol_abs, 0.0, budget, what)
     return value, err + math.exp(-_K_CUTOFF**2) / (2.0 * _K_CUTOFF)
 
@@ -264,16 +268,11 @@ def _axial_mode_sum(separation, length, rc, budget):
     zero without integrating.
     """
     coef: dict[float, float] = {}
-    for b, c in (
-        (0.0, 1.0),
-        (length, -1.0),
-        (separation, -1.0),
-        (separation + length, 0.5),
-        (abs(separation - length), 0.5),
-    ):
+    modes = ((0.0, 1.0), (length, -1.0), (separation, -1.0), (separation + length, 0.5), (abs(separation - length), 0.5))
+    for b, c in sorted(modes):  # equal frequencies merge; the keys stay ascending, the zero mode's first
         coef[b] = coef.get(b, 0.0) + c
-    live = {b: c for b, c in coef.items() if c != 0.0}
-    if not live:
+    c0 = coef.pop(0.0)
+    if c0 == 0.0:  # separation = 0: then every coefficient cancels
         return 0.0, 0.0
     # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
     if not _ZERO_MODE:
@@ -283,9 +282,11 @@ def _axial_mode_sum(separation, length, rc, budget):
     if not budget.charge(cost):  # integrating it afresh on this budget raises what a cold memo raises
         m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
     tol_abs = 1e-13 * abs(m0)
-    total = live[0.0] * m0
-    err = abs(live[0.0]) * e0
-    for b, c in sorted(live.items())[1:]:  # past the zero mode
+    total = c0 * m0
+    err = abs(c0) * e0
+    for b, c in coef.items():
+        if c == 0.0:
+            continue
         ratio = b / rc
         if ratio >= 2.0 * _K_CUTOFF:  # Gaussian-suppressed mode: |M(b)| = M(0) e^{-(b/2rc)^2} <= M(0) e^{-U^2}
             err += abs(c) * abs(m0) * math.exp(-_K_CUTOFF**2)
@@ -314,7 +315,7 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, majorant, budget, what)
     width = math.ldexp(grid[0], -level)
     panels = min(math.ceil(span / width), _LEVEL0_PANELS << level)
     hi = panels * width
-    value, err = _adaptive(f, shape, grid, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, f"{what} form-factor integral")
+    value, err = _adaptive(f, shape, grid, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, what)
     v = s * hi
     gauss = math.exp(-v * v)
     if zcap > hi:
@@ -342,7 +343,8 @@ def _disc_radial_integral(radius, rc, budget):
     def f(z, jj):
         return jj * np.exp(-((s * z) ** 2)) / z
 
-    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, "radial")
+    what = "radial form-factor integral"
+    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, what)
 
 
 def _slab_integral(side, rc, budget):
@@ -352,7 +354,7 @@ def _slab_integral(side, rc, budget):
     def f(u, sinc2):
         return sinc2 * np.exp(-((s * u) ** 2))
 
-    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, lambda u: 1.0, budget, "slab")
+    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, lambda u: 1.0, budget, "slab form-factor integral")
     return (2.0 / side) * value, (2.0 / side) * err
 
 
@@ -371,9 +373,9 @@ def force_psd_by_quadrature(
     reported relative error includes both quadrature estimates and the
     certified bounds on every dropped oscillatory contribution.  The
     radial and slab integrals are driven to 1e-2 of REL_TOL, the axial
-    cosine modes to 1e-13 of the zero mode.  The zero mode is integrated
-    once per process, yet every result is charged its nodes; a pass whose
-    integrand has no negative node uses its value as its magnitude.
+    cosine modes to 1e-13 of the zero mode (integrated once per process,
+    yet charged to every result).  A result trusts its inputs, validated
+    when they were built: a bar checked its halves once, at construction.
 
     Raises ValueError for an array of correlation lengths or an
     arrangement the geometry does not take, and QuadratureError if BUDGET
@@ -382,8 +384,8 @@ def force_psd_by_quadrature(
     """
     lam = params.collapse_rate
     rc = params.correlation_length
-    if np.ndim(rc) != 0:
-        raise ValueError(f"the quadrature oracle takes one correlation length, got an array of {np.size(rc)}")
+    if isinstance(rc, np.ndarray):  # CslParams stores a scalar as a float
+        raise ValueError(f"the quadrature oracle takes one correlation length, got an array of {rc.size}")
     arrangement.check(geometry)
     if isinstance(geometry, HalfCylinderBar):  # the shared model: two touching half-cylinders
         geometry = geometry.halves()

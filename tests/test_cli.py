@@ -649,6 +649,12 @@ def _overflowing_ellis_rate(doc):
     del doc["geometry"]["density_kg_m3"]
 
 
+def _bar_with_empty_halves(doc):
+    # a valid bar whose halves are not: length/2 rounds to 0
+    doc["geometry"].update(radius_m=1e150, length_m=5e-324, mass_kg=1.0)
+    del doc["geometry"]["density_kg_m3"]
+
+
 def _forged_csv_rows(doc):
     # each line break, written as is, would forge a bare line and a header row with a data row
     doc["name"] = "ligo\nx"
@@ -731,6 +737,8 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
          "curve detector_id 'ligo\\nx' holds a line break; a CSV header value must be one line"),
         ("scan", "ligo", lambda d: d["noise"][0].update(provenance="paper\u2028r_c_m"), ["--out", "c.csv"], None, 2,
          "curve provenance 'paper\\u2028r_c_m' holds a line break; a CSV header value must be one line"),
+        ("bound", "auriga", _bar_with_empty_halves, ["--rc", "1e-7"], None, 2,
+         "geometry: half-cylinder length must be finite and > 0, got 0.0"),
     ],
     ids=[
         "rc_range", "no_frequency", "lambda_underflow", "no_separation", "csl_fraction", "noise_not_a_list",
@@ -740,6 +748,7 @@ SPECTRUM_ARGS = ["--config", "ligo", "--asd", "strain.csv", "--out", "c.csv"]
         "spectrum_on_a_bar", "infinite_rc_max", "integer_beyond_double",
         "integer_past_str_digits_limit", "repeated_key", "ellis_rate_overflow",
         "eta_exp_overflow", "model_psd_overflow", "name_forges_csv_rows", "provenance_holds_a_line_separator",
+        "bar_halves_invalid",
     ],
 )
 def test_input_and_numerical_errors_print_one_line(

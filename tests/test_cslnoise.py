@@ -8,6 +8,7 @@ import pickle
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -846,9 +847,54 @@ def test_csl_params_validation():
     for bad in (0.0, -1e-7, math.nan, math.inf, 1e-310, 5e-324):
         with pytest.raises(ValueError, match="correlation_length"):
             CslParams(1.0, np.array([1e-7, bad]))
+        # a float takes a fast path past the array check: every form of a scalar gets the same message
+        message = f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {bad!r}"
+        for form in (bad, np.float64(bad), np.array([bad]), np.array(bad)):
+            with pytest.raises(ValueError) as info:
+                CslParams(1.0, form)
+            assert str(info.value) == message, form
     # subnormal r_c: 1/r_c overflows, so the smallest normal double is the floor
     with pytest.raises(ValueError, match="got 1e-310"):
         CslParams(1.0, 1e-310)
     assert CslParams(1.0, MIN_CORRELATION_LENGTH).correlation_length == np.finfo(float).tiny
     with pytest.raises(ValueError):
         CslParams(1.0, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "rate, rc, message",
+    [
+        (1.0, "1e-7", "correlation_length must be a real number or a 1-d array of them, got str"),
+        (1.0, b"1e-7", "correlation_length must be a real number or a 1-d array of them, got bytes"),
+        (1.0, None, "correlation_length must be a real number or a 1-d array of them, got NoneType"),
+        (1.0, True, "correlation_length must be a real number or a 1-d array of them, got bool"),
+        (1.0, np.array([True]), "correlation_length must be a real number or a 1-d array of them, got ndarray"),
+        (1.0, ["1e-7"], "correlation_length must be a real number or a 1-d array of them, got list"),
+        (1.0, 1e-7 + 0j, "correlation_length must be a real number or a 1-d array of them, got complex"),
+        (np.array([1.0, 2.0]), 1e-7, "collapse_rate must be a real number, got ndarray"),
+        ("1", 1e-7, "collapse_rate must be a real number, got str"),
+        (None, 1e-7, "collapse_rate must be a real number, got NoneType"),
+        (True, 1e-7, "collapse_rate must be a real number, got bool"),
+    ],
+)
+def test_csl_params_rejects_what_is_not_a_real_number(rate, rc, message):
+    # numpy once parsed "1e-7" into a point at 1e-7 m, and None became nan
+    with pytest.raises(TypeError) as info:
+        CslParams(rate, rc)
+    assert str(info.value) == message
+
+
+def test_csl_params_keeps_every_real_number_type():
+    assert CslParams(np.float64(2.0), np.float64(1e-7)) == CslParams(2.0, 1e-7)
+    assert CslParams(2, np.int64(1)) == CslParams(Fraction(2), 1.0)
+    assert CslParams(1.0, [1e-7, 1e-6]) == CslParams(1.0, np.array([1e-7, 1e-6]))
+    for params in (CslParams(np.float64(2.0), np.float64(1e-7)), CslParams(2, np.array(1))):
+        assert type(params.collapse_rate) is float and type(params.correlation_length) is float
+
+
+def test_bar_halves_are_checked_when_the_bar_is_built():
+    # the bar is valid, its halves are not: length/2 and mass/2 round to 0; no later call names a length it was not given
+    with pytest.raises(ValueError, match=r"^half-cylinder length must be finite and > 0, got 0\.0$"):
+        HalfCylinderBar(1e150, 5e-324, 1.0)
+    with pytest.raises(ValueError, match=r"^half-cylinder mass must be finite and > 0, got 0\.0$"):
+        HalfCylinderBar(0.3, 3.0, 5e-324)
