@@ -62,7 +62,8 @@ def _grid(args) -> np.ndarray:
     if not (0.0 < args.rc_min < args.rc_max):
         raise ConfigError("--rc-min must be positive and below --rc-max")
     _check_positive("--rc-max", args.rc_max, error=ConfigError)
-    return np.geomspace(args.rc_min, args.rc_max, args.points)
+    with np.errstate(all="ignore"):  # a subnormal grid is CslParams' to refuse, whatever np.seterr the caller set
+        return np.geomspace(args.rc_min, args.rc_max, args.points)
 
 
 def _load_config(args):

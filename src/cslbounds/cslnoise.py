@@ -27,24 +27,25 @@ by published noise figures is applied at the comparison boundary, never
 here.
 
 The correlation length r_c may be a float or a 1-d array: every closed
-form and building block then evaluates the whole grid in one pass, with
-boolean masks choosing each element's numerical branch, and a float
-input returns a float from the same kernel.  The building blocks
-axial_factor and pair_correlation_factor share one kernel and one
-domain: a finite separation >= 0, a finite length > 0 and every
-r_c >= MIN_CORRELATION_LENGTH.
+form and building block evaluates it in one pass of private kernels that
+take 1-d arrays, masks choosing each element's numerical branch, and
+returns a float for a float.  Each runs under np.errstate(all="ignore"),
+so no result depends on the caller's np.seterr; the callers that report
+a value (exclusion_curve, noise, validate) check that it is a normal
+double.  The building blocks axial_factor and pair_correlation_factor
+share one kernel and one domain: a finite separation >= 0, a finite
+length > 0 and every r_c >= MIN_CORRELATION_LENGTH.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Optional, Union
 
 import numpy as np
 
 from .constants import HBAR, M_NUCLEON
-from .specfun import FloatOrArray, _check_positive, _from_1d, _frozen, _ie, _to_1d
+from .specfun import FloatOrArray, _check_positive, _check_real, _from_1d, _frozen, _ie, _is_real, _to_1d
 
 # Largest relative mismatch allowed between the declared mass and
 # density * volume when a density is given.
@@ -107,10 +108,6 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(f'{name}={value!r}' for name, value in self._shown())})"
 
 
-def _is_real(x) -> bool:  # a float is tested first: the numbers.Real ABC check is slow
-    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 class CslParams(_Record):
     """Collapse-parameter point: rate (1/s) and correlation length (m).
 
@@ -124,12 +121,11 @@ class CslParams(_Record):
     __slots__ = ("collapse_rate", "correlation_length")
 
     def __init__(self, collapse_rate: float, correlation_length: FloatOrArray):
-        if not _is_real(collapse_rate):
-            raise TypeError(f"collapse_rate must be a real number, got {type(collapse_rate).__name__}")
         _check_positive("collapse_rate", collapse_rate, zero_ok=True)
         rc = correlation_length
         if type(rc) is not float or not MIN_CORRELATION_LENGTH <= rc < math.inf:  # a float in range is kept as is
-            if not (_is_real(rc) or np.asarray(rc).dtype.kind in "iuf"):
+            held = rc if isinstance(rc, (list, tuple)) else ()  # numpy would read a bool in a list as 0 or 1
+            if not (_is_real(rc) or np.asarray(rc).dtype.kind in "iuf") or any(isinstance(v, (bool, np.bool_)) for v in held):
                 raise TypeError(f"correlation_length must be a real number or a 1-d array of them, got {type(rc).__name__}")
             rc, scalar = _to_1d(rc)
             bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
@@ -229,6 +225,7 @@ class MassArrangement(_Record):
 
     def __init__(self, separation: float, arm_count: int = 1):
         _check_positive("separation", separation, zero_ok=True)
+        _check_real("arm_count", arm_count)
         if arm_count not in (1, 2):
             raise ValueError(f"arm_count must be 1 or 2, got {arm_count!r}")
         self._set(separation=separation, arm_count=arm_count)
@@ -254,9 +251,9 @@ def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray)
     axial kernel's value and domain, with the same float or 1-d r_c.
     """
     rc, scalar = _to_1d(r_c)
-    axial = _axial_over(separation, length, rc, 1.0)
-    with np.errstate(over="ignore"):  # L/2rc = inf gives expm1(-inf) = -1, the right limit
-        el = length * (0.5 / rc)
+    with np.errstate(all="ignore"):
+        axial = _axial_over(separation, length, rc, 1.0)
+        el = length * (0.5 / rc)  # L/2rc = inf gives expm1(-inf) = -1, the right limit
         return _from_1d(axial + np.expm1(-el * el), scalar)
 
 
@@ -272,7 +269,8 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
     gives a zero exponent even where u would overflow.
     """
     rc, scalar = _to_1d(r_c)
-    return _from_1d(_axial_over(separation, length, rc, 1.0), scalar)
+    with np.errstate(all="ignore"):
+        return _from_1d(_axial_over(separation, length, rc, 1.0), scalar)
 
 
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
@@ -284,13 +282,12 @@ def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) 
     bad = ~(rc >= MIN_CORRELATION_LENGTH)
     if bad.any():
         raise ValueError(f"r_c must be >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}")
-    with np.errstate(over="ignore"):  # an exponent of -inf is the right limit
-        half = 0.5 / rc
-        a = separation * half
-        el = length * half
-        d = (separation - length) * half
-        tilt = np.expm1(-2.0 * a * el) / scale
-        return (np.expm1(-el * el) / scale) * (np.expm1(-a * a) / scale) + 0.5 * np.exp(-d * d) * tilt * tilt
+    half = 0.5 / rc  # an exponent of -inf is the right limit
+    a = separation * half
+    el = length * half
+    d = (separation - length) * half
+    tilt = np.expm1(-2.0 * a * el) / scale
+    return (np.expm1(-el * el) / scale) * (np.expm1(-a * a) / scale) + 0.5 * np.exp(-d * d) * tilt * tilt
 
 
 # Taylor coefficients of the brackets below the window, where their
@@ -316,9 +313,8 @@ def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
     return acc * t
 
 
-def _radial_bracket(x: FloatOrArray) -> FloatOrArray:
+def _radial_bracket(x: np.ndarray) -> np.ndarray:
     # 1 - e^-x (I0(x) + I1(x)), in [0, 1), at x = R^2 / 2 rc^2
-    x, scalar = _to_1d(x)
     out = np.empty_like(x)
     small = x < _SERIES_WINDOW
     if small.any():
@@ -327,12 +323,11 @@ def _radial_bracket(x: FloatOrArray) -> FloatOrArray:
     if xl.size:
         ie = _ie(xl)
         out[~small] = 1.0 - (ie[0] + ie[1])
-    return _from_1d(out, scalar)
+    return out
 
 
-def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
+def _cube_bracket(z: np.ndarray) -> np.ndarray:
     # 1 - e^{-z^2} - sqrt(pi) z erf(z) at z = L / 2 rc; always <= 0
-    z, scalar = _to_1d(z)
     out = np.empty_like(z)
     small = z < _SERIES_WINDOW
     if small.any():
@@ -342,9 +337,8 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
         erf = np.ones_like(zl)
         below = zl < _ERF_ONE
         erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
-        with np.errstate(over="ignore"):  # z^2 = inf below rc ~ 1e-154 m gives e^{-z^2} = 0
-            out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf
-    return _from_1d(out, scalar)
+        out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf  # z^2 = inf below rc ~ 1e-154 m: e^{-z^2} = 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,51 +346,45 @@ def _cube_bracket(z: FloatOrArray) -> FloatOrArray:
 
 
 def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf is the caller's to report
-        q = HBAR * (mass / M_NUCLEON) * rc
-        psd = q * (q * (lam * rest))
+    q = HBAR * (mass / M_NUCLEON) * rc  # an overflow to inf is the caller's to report
+    psd = q * (q * (lam * rest))
     # linear in the rate and in rest: a zero either way is an exact 0, even where q or rest overflowed
     return np.where((rest == 0.0) | (lam == 0.0), 0.0, psd)
 
 
 def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial_l2: np.ndarray, arm_count: int) -> np.ndarray:
     radius = geometry.radius
-    # x = R^2/2rc^2 overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
-    with np.errstate(over="ignore", divide="ignore"):
-        x = radius * radius / (2.0 * rc * rc)
+    x = radius * radius / (2.0 * rc * rc)  # overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
     rest = 4.0 * arm_count * axial_l2 * (_radial_bracket(x) / radius / radius)
     return _pair_psd(lam, geometry.mass, rc, rest)
 
 
-def cylinder_pair_force_psd(
-    params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1
-) -> FloatOrArray:
+def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> FloatOrArray:
     """Two-sided CSL force PSD for coaxial cylinder pairs (N^2/Hz).
 
     One differential pair per arm; arm_count = 2 doubles the result for
     a two-arm interferometer.  Valid while the center-of-mass spread
     stays well below the correlation length (not checked at runtime).
     """
-    if arm_count not in (1, 2):
-        raise ValueError(f"arm_count must be 1 or 2, got {arm_count!r}")
+    MassArrangement(separation, arm_count)  # raises as the arrangement does for a bad separation or arm count
     rc, scalar = _to_1d(params.correlation_length)
-    axial_l2 = _axial_over(separation, geometry.length, rc, geometry.length)
-    return _from_1d(_cylinder_psd(params.collapse_rate, geometry, rc, axial_l2, arm_count), scalar)
+    with np.errstate(all="ignore"):
+        axial_l2 = _axial_over(separation, geometry.length, rc, geometry.length)
+        return _from_1d(_cylinder_psd(params.collapse_rate, geometry, rc, axial_l2, arm_count), scalar)
 
 
 def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
     """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
     rc, scalar = _to_1d(params.correlation_length)
     side = geometry.side
-    # t -> -sqrt(pi) side/2 as rc -> 0, so it never underflows; past z = 1e300
-    # (where sqrt(pi) z may overflow) it is that limit to 1e-300
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        # t -> -sqrt(pi) side/2 as rc -> 0, so it never underflows; past z = 1e300
+        # (where sqrt(pi) z may overflow) it is that limit to 1e-300
         z = side / (2.0 * rc)
-    t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
-    w = t / side / side
-    with np.errstate(over="ignore"):  # overflows to inf for sides below about 1e-79 m: the caller reports it
-        rest = 16.0 * _axial_over(separation, side, rc, side) * w * w
-    return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
+        t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
+        w = t / side / side
+        rest = 16.0 * _axial_over(separation, side, rc, side) * w * w  # inf for sides below ~1e-79 m: the caller reports it
+        return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
 
 
 def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
@@ -419,15 +407,15 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     if variant not in BAR_VARIANTS:
         raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
     halves = geometry.halves()
-    if variant == "rederived":
-        return cylinder_pair_force_psd(params, halves, halves.length)
     rc, scalar = _to_1d(params.correlation_length)
-    # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
-    with np.errstate(over="ignore", divide="ignore"):
-        v = geometry.length * geometry.length / (16.0 * rc * rc)
-        axial = -0.5 * np.expm1(-4.0 * v) - np.expm1(-v)
-    axial_l2 = axial / halves.length / halves.length
-    return _from_1d(_cylinder_psd(params.collapse_rate, halves, rc, axial_l2, 1), scalar)
+    with np.errstate(all="ignore"):
+        if variant == "rederived":
+            axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)
+        else:
+            # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
+            v = geometry.length * geometry.length / (16.0 * rc * rc)
+            axial_l2 = (-0.5 * np.expm1(-4.0 * v) - np.expm1(-v)) / halves.length / halves.length
+        return _from_1d(_cylinder_psd(params.collapse_rate, halves, rc, axial_l2, 1), scalar)
 
 
 def force_noise_psd(

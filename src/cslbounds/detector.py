@@ -28,7 +28,7 @@ from .constants import QUANTITIES
 from .cslnoise import Cube, Cylinder, HalfCylinderBar, _Record
 from .errors import ConfigError
 from .response import FreeMass, ResonantBar
-from .specfun import _check_positive
+from .specfun import _check_positive, _check_real
 
 
 class Readout(_Record):
@@ -73,6 +73,7 @@ class MeasuredNoise(_Record):
         _check_positive("noise psd", psd)
         if frequency_hz is not None:
             _check_positive("frequency_hz", frequency_hz)
+        _check_real("csl_fraction", csl_fraction)
         if not (0.0 < csl_fraction <= 1.0):
             raise ValueError(f"csl_fraction must be in (0, 1], got {csl_fraction!r}")
         self._set(name=name, quantity=quantity, psd=psd, frequency_hz=frequency_hz, csl_fraction=csl_fraction)

@@ -161,7 +161,7 @@ def exclusion_curve(
     grid = params.correlation_length
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
     s_model = model_force_psd(det, params, variant)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
     unbounded = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))
     if unbounded.size:

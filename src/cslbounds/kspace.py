@@ -364,9 +364,7 @@ def _rel(err, value):
     return abs(err / value)
 
 
-def force_psd_by_quadrature(
-    params: CslParams, geometry: MassGeometry, arrangement: MassArrangement
-) -> QuadratureResult:
+def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangement: MassArrangement) -> QuadratureResult:
     """Two-sided CSL force PSD by direct k-space quadrature (N^2/Hz).
 
     Independent numerical route used to validate the closed forms; the
@@ -376,6 +374,7 @@ def force_psd_by_quadrature(
     cosine modes to 1e-13 of the zero mode (integrated once per process,
     yet charged to every result).  A result trusts its inputs, validated
     when they were built: a bar checked its halves once, at construction.
+    It evaluates under one np.errstate(all="ignore"), whatever np.seterr the caller set.
 
     Raises ValueError for an array of correlation lengths or an
     arrangement the geometry does not take, and QuadratureError if BUDGET
@@ -399,24 +398,25 @@ def force_psd_by_quadrature(
         return QuadratureResult(0.0, 0.0, 0)
 
     budget = _Budget(BUDGET)
-    axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
-    if axial == 0.0:
-        return QuadratureResult(0.0, 0.0, budget.used)
-    if isinstance(geometry, Cylinder):
-        radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
-        perp_full = 2.0 * math.pi * (4.0 / geometry.radius**2) * radial
-        perp_rel_err = _rel(radial_err, radial)
-    else:
-        t_half, t_err = _slab_integral(ell, rc, budget)
-        perp_full = (2.0 * t_half) ** 2
-        perp_rel_err = 2.0 * _rel(t_err, t_half)
+    with np.errstate(all="ignore"):  # every numpy evaluation of the oracle; the rest is float arithmetic
+        axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
+        if axial == 0.0:
+            return QuadratureResult(0.0, 0.0, budget.used)
+        if isinstance(geometry, Cylinder):
+            radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
+            perp_full = 2.0 * math.pi * (4.0 / (geometry.radius * geometry.radius)) * radial
+            perp_rel_err = _rel(radial_err, radial)
+        else:
+            t_half, t_err = _slab_integral(ell, rc, budget)
+            perp_full = (2.0 * t_half) * (2.0 * t_half)
+            perp_rel_err = 2.0 * _rel(t_err, t_half)
     rel_err = _rel(axial_err, axial) + perp_rel_err
 
     # S_FF = q^2 B with q = hbar N rc (N nucleons) and B the rest; axial
     # carries the third power of rc.  q underflows only below rc ~ 1e-300 m,
     # and q * (q * B) underflows only where S_FF itself does.
     q = HBAR * (geometry.mass / M_NUCLEON) * rc
-    axial_full = 2.0 * (2.0 / ell**2) * axial
+    axial_full = 2.0 * (2.0 / (ell * ell)) * axial
     value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
     if not math.isfinite(rel_err) or rel_err > REL_TOL:
         raise QuadratureError(

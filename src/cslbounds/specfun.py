@@ -13,22 +13,23 @@ references):
   _j1_array   : absolute error <= 2e-15 on [0, 1e3], <= 1e-13 on (1e3, 1e6]
   _sinc2_array: (sin(x)/x)^2, absolute error <= 2e-14, finite at x = 0
 
-i0e and i1e take a float or a 1-d array and return the same kind, and
-validate their input.  They sum in three groups: the power series for
-x <= 20, the asymptotic series on (20, 1e3] and past 1e3, where its
-terms shrink by (2k-1)^2/8kx < 1e-3 a step.  Each group takes the steps
-its slowest element needs, counted on that element alone: its series
-stops at the first term under 1e-18 of the sum in both rows.  That term
-is under half an ulp of the sum, and so is every later, smaller one, so
-the steps an element takes past its own count leave its value unchanged:
-a float gives exactly the value it has inside any array, and the targets
-hold element by element.  The two quadrature kernels take arrays and
-skip domain checks.
+i0e and i1e take a float or a 1-d array and return the same kind,
+validate their input and evaluate under np.errstate(all="ignore").  They
+sum in three groups: the power series for x <= 20, the asymptotic series
+on (20, 1e3] and past 1e3, where its terms shrink by (2k-1)^2/8kx < 1e-3
+a step.  Each group takes the steps its slowest element needs, counted
+on that element alone: its series stops at the first term under 1e-18 of
+the sum in both rows.  That term is under half an ulp of the sum, and so
+is every later, smaller one, so the steps an element takes past its own
+count leave its value unchanged: a float gives exactly the value it has
+inside any array, and the targets hold element by element.  The two
+quadrature kernels take arrays and skip domain checks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Union
 
@@ -70,30 +71,39 @@ def _frozen(x) -> np.ndarray:
     return arr
 
 
+def _is_real(x) -> bool:  # a float is tested first: the numbers.Real ABC check is slow
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_real(name: str, value) -> None:  # a bool, which numpy and math take for 0 or 1, is not a real number
+    if not _is_real(value):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def _check_positive(name: str, value: float, zero_ok: bool = False, error: type = ValueError) -> None:
-    """Raise error unless value is finite and > 0 (>= 0 when zero_ok), naming it."""
+    """Raise error unless value is finite and > 0 (>= 0 when zero_ok), naming it; TypeError unless it is a real number."""
+    _check_real(name, value)
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         raise error(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
-def _check_nonneg_finite(x: FloatOrArray, name: str) -> tuple[np.ndarray, bool]:
+def _ie_row(x: FloatOrArray, name: str, row: int) -> FloatOrArray:
     x, scalar = _to_1d(x)
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
         raise ValueError(f"{name} requires a finite x >= 0, got {float(x[bad][0])!r}")
-    return x, scalar
+    with np.errstate(all="ignore"):  # a series term that underflows to 0 is the right limit
+        return _from_1d(_ie(x)[row], scalar)
 
 
 def i0e(x: FloatOrArray) -> FloatOrArray:
     """Exponentially scaled modified Bessel function e^-x I0(x)."""
-    x, scalar = _check_nonneg_finite(x, "i0e")
-    return _from_1d(_ie(x)[0], scalar)
+    return _ie_row(x, "i0e", 0)
 
 
 def i1e(x: FloatOrArray) -> FloatOrArray:
     """Exponentially scaled modified Bessel function e^-x I1(x)."""
-    x, scalar = _check_nonneg_finite(x, "i1e")
-    return _from_1d(_ie(x)[1], scalar)
+    return _ie_row(x, "i1e", 1)
 
 
 # Per-step factors of the two series below, row 0 for I0 and row 1 for I1.

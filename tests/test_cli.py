@@ -1,19 +1,22 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cslbounds
@@ -919,12 +922,20 @@ FIELD_VALUES = st.one_of(
 RC_EXPONENTS = st.one_of(st.floats(min_value=-12.0, max_value=4.0), st.floats(min_value=-320.0, max_value=308.0))
 
 
+# a field's own value times 10^U(-3, 3): mostly a config that still passes its checks
+OWN_SCALES = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
 @st.composite
 def mutated_configs(draw):
     """(bundled config name, ((key path, new value), ...)) with 1-3 numeric fields changed."""
     config = draw(st.sampled_from(sorted(BUNDLED_DOCS)))
     paths = draw(st.lists(st.sampled_from(list(numeric_fields(BUNDLED_DOCS[config]))), min_size=1, max_size=3, unique=True))
-    return config, tuple((path, draw(FIELD_VALUES)) for path in paths)
+    mutations = []
+    for path in paths:
+        own = functools.reduce(operator.getitem, path, BUNDLED_DOCS[config])
+        mutations.append((path, draw(st.one_of(FIELD_VALUES, OWN_SCALES.map(lambda scale: own * scale)))))
+    return config, tuple(mutations)
 
 
 @st.composite
@@ -974,34 +985,52 @@ def check_printed_quantities(argv, out):
 LISA_SIDE, LISA_MASS, LISA_SEPARATION = ("geometry", "side_m"), ("geometry", "mass_kg"), ("arrangement", "separation_m")
 
 
+# the caller's numpy error state around cli.main: numpy's default, or every float error raising or warning
+CALLER_STATES = st.sampled_from([None, "raise", "warn"])
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(mutated_configs(), commands())
-@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "1", "--rc-max", "100", "--points", "5"])
-@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "1e-300"])
-@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "0.0"])
+@given(mutated_configs(), commands(), CALLER_STATES)
+@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "1", "--rc-max", "100", "--points", "5"], None)
+@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "1e-300"], None)
+@example(("ligo", ()), ["noise", "--rc", "1e-7", "--lambda", "0.0"], None)
 # q = hbar (m / m0) r_c overflows: times a zero rate it gave nan, and its own overflow warned
-@example(("lisa_pathfinder", ((LISA_MASS, 1e282),)), ["noise", "--rc", "1.0", "--lambda", "0.0"])
-@example(("lisa_pathfinder", ((LISA_MASS, 1e8),)), ["bound", "--rc", "1e+308"])
+@example(("lisa_pathfinder", ((LISA_MASS, 1e282),)), ["noise", "--rc", "1.0", "--lambda", "0.0"], None)
+@example(("lisa_pathfinder", ((LISA_MASS, 1e8),)), ["bound", "--rc", "1e+308"], None)
 # the cube kernel overflows below a side of about 1e-79 m: it warned on stderr before the error line
-@example(("lisa_pathfinder", ((LISA_SIDE, 2.4837437548017116e-83),)), ["noise", "--rc", "2.1312103355487525e-122", "--lambda", "0.0"])
+@example(("lisa_pathfinder", ((LISA_SIDE, 2.4837437548017116e-83),)), ["noise", "--rc", "2.1312103355487525e-122", "--lambda", "0.0"], None)
 @example(
     ("lisa_pathfinder", ((LISA_SIDE, 2.5992238871804614e-104), (LISA_SEPARATION, 1.7040011330365456e-214))),
     ["scan", "--rc-min", "1.7040011330365456e-214", "--rc-max", "1.4033260096407647e-208", "--points", "14"],
+    None,
 )
 # validate printed a subnormal PSD, and an infinite one with a nan rel_diff and exit 0
-@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "5.6578840278345395e-158", "--rc-max", "6.371934547653664e-157", "--points", "3"])
+@example(("lisa_pathfinder", ()), ["validate", "--rc-min", "5.6578840278345395e-158", "--rc-max", "6.371934547653664e-157", "--points", "3"], None)
 @example(
     ("lisa_pathfinder", ((LISA_SIDE, 1.0), (LISA_MASS, 1.2455384601557503e288), (LISA_SEPARATION, 1.2455384601557503e288))),
     ["validate", "--rc-min", "1.2521534916962425e-09", "--rc-max", "0.0007393779741563973", "--points", "3"],
+    None,
 )
 # r_c / side underflows to 0 in the oracle: ZeroDivisionError
 @example(
     ("lisa_pathfinder", ((LISA_SEPARATION, 2.3118510031630038e-126), (LISA_SIDE, 1.7145338943266905e47))),
     ["validate", "--rc-min", "3.05484003575819e-290", "--rc-max", "6.730034130394141e-286", "--points", "3"],
+    None,
 )
-def test_every_command_keeps_the_exit_code_and_stdout_contract(config, argv):
+# under a caller's np.seterr(all="raise"): the closed forms' exp underflow, and np.geomspace's on a subnormal grid,
+# ended in FloatingPointError
+@example(("lisa_pathfinder", ()), ["bound", "--rc", "1e-7"], "raise")
+@example(("ligo", ()), ["scan", "--rc-min", "1e-315", "--rc-max", "1e-310", "--points", "3"], "raise")
+# a body length of 1e200 m: the oracle's float ell**2 raised OverflowError
+@example(
+    ("ligo", ((("geometry", "length_m"), 1e200), (("geometry", "density_kg_m3"), 4.4056731651735724e-198))),
+    ["validate", "--rc-min", "1e-3", "--rc-max", "1", "--points", "2"],
+    None,
+)
+def test_every_command_keeps_the_exit_code_and_stdout_contract(config, argv, state):
     # exit 0: stderr empty and every printed quantity a normal double > 0;
-    # exit 2 or 3: stdout empty and one `error: ` line on stderr, and no curve written
+    # exit 2 or 3: stdout empty and one `error: ` line on stderr, and no curve written;
+    # whatever numpy error state the caller set, with warnings raised as errors
     name, mutations = config
 
     def mutate(doc):
@@ -1014,7 +1043,10 @@ def test_every_command_keeps_the_exit_code_and_stdout_contract(config, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path, out_csv = write_config(Path(tmp), name, mutate), Path(tmp) / "c.csv"
         full = [argv[0], "--config", str(path), *argv[1:], *(["--out", str(out_csv)] if argv[0] == "scan" else [])]
-        code, out, err = run_in_process(*full)
+        with warnings.catch_warnings(), np.errstate(all=state) if state else contextlib.nullcontext():
+            warnings.simplefilter("error")
+            code, out, err = run_in_process(*full)
+        event(f"exit {code}")
         if code == 0:
             assert err == "", (full, err)
             assert argv[0] != "scan" or out.startswith(f"wrote {out_csv} (") and out_csv.exists(), (full, out)
@@ -1071,6 +1103,22 @@ def test_cli_transcript_is_byte_identical(tmp_path):
     assert cli_transcript(tmp_path) == (GOLDEN / "cli_transcript.txt").read_text(encoding="utf-8")
     for config in ("ligo", "lisa_pathfinder", "auriga"):
         assert (tmp_path / f"{config}_scan.csv").read_bytes() == (GOLDEN / f"{config}_scan.csv").read_bytes(), config
+
+
+@pytest.mark.parametrize("state", ["raise", "warn"])
+def test_no_command_depends_on_the_callers_numpy_error_state(tmp_path, monkeypatch, state):
+    # under np.seterr(all="raise") bound, noise and validate once ended in
+    # `FloatingPointError: underflow encountered in exp`, and "warn" printed RuntimeWarnings
+    write_v_spectrum(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    configs = ("ligo", "lisa_pathfinder", "auriga")
+    runs = [*transcript_commands(), *(["validate", "--config", c] for c in configs)]
+    runs += [["validate", "--config", c, "--rc-min", "1e-300", "--rc-max", "1e-290", "--points", "2"] for c in configs]
+    for argv in runs:
+        expected = run_in_process(*argv)
+        with warnings.catch_warnings(), np.errstate(all=state):
+            warnings.simplefilter("error")
+            assert run_in_process(*argv) == expected, argv
 
 
 if __name__ == "__main__":

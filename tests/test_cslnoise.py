@@ -9,6 +9,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -20,11 +21,15 @@ from cslbounds import (
     BAR_VARIANTS,
     HBAR,
     M_NUCLEON,
+    CslBoundsError,
     CslParams,
     Cube,
     Cylinder,
     HalfCylinderBar,
     MassArrangement,
+    MeasuredNoise,
+    Readout,
+    ResonantBar,
     SpectrumSeries,
     axial_factor,
     characteristic_dimension,
@@ -33,6 +38,7 @@ from cslbounds import (
     ellis_ratio,
     exclusion_curve,
     force_psd_by_quadrature,
+    lambda_max,
     load_detector_config,
     measured_force_psd,
     pair_correlation_factor,
@@ -264,13 +270,13 @@ def test_axial_factor_equals_one_plus_corrections():
 def test_radial_bracket_matches_extended_precision():
     for x in np.geomspace(1e-8, 1e12, 101):
         ref = float(mp_radial_bracket(x))
-        assert _radial_bracket(float(x)) == pytest.approx(ref, rel=2e-15, abs=0.0), f"x={x}"
+        assert _radial_bracket(np.array([x]))[0] == pytest.approx(ref, rel=2e-15, abs=0.0), f"x={x}"
 
 
 def test_cube_bracket_matches_extended_precision():
     for z in np.geomspace(1e-8, 1e4, 101):
         ref = float(mp_cube_bracket(z))
-        assert _cube_bracket(float(z)) == pytest.approx(ref, rel=2e-15, abs=0.0), f"z={z}"
+        assert _cube_bracket(np.array([z]))[0] == pytest.approx(ref, rel=2e-15, abs=0.0), f"z={z}"
 
 
 def straddle(switch):
@@ -305,8 +311,11 @@ bracket_args = st.one_of(
 def test_arrays_take_each_elements_float_value_bit_for_bit(x):
     # each element steps past its own convergence when its group needs more
     # steps, and the cube bracket calls erf only below the cut
-    for fn in (i0e, i1e, _radial_bracket, _cube_bracket):
+    for fn in (i0e, i1e):
         assert np.array_equal(fn(x), [fn(v) for v in x.tolist()]), fn.__name__
+    with np.errstate(all="ignore"):  # the closed forms' policy: z^2 overflows past z ~ 1e154
+        for fn in (_radial_bracket, _cube_bracket):
+            assert np.array_equal(fn(x), [fn(np.array([v]))[0] for v in x.tolist()]), fn.__name__
 
 
 def test_erf_rounds_to_one_from_the_cube_bracket_cut_up():
@@ -336,7 +345,7 @@ def mp_bracket_at(bracket, t, digits_per_decade):
 @example(20.0)
 def test_radial_bracket_accuracy_contract(x):
     # 1 - e^-x (I0 + I1) ~ x/2 keeps about -log10(x) fewer digits than its terms
-    assert _radial_bracket(x) == pytest.approx(mp_bracket_at(mp_radial_bracket, x, 1), rel=2e-15, abs=0.0)
+    assert _radial_bracket(np.array([x]))[0] == pytest.approx(mp_bracket_at(mp_radial_bracket, x, 1), rel=2e-15, abs=0.0)
 
 
 @given(log_uniform(-150.0, 6.0))
@@ -345,20 +354,19 @@ def test_radial_bracket_accuracy_contract(x):
 @example(0.1)
 def test_cube_bracket_accuracy_contract(z):
     # 1 - e^{-z^2} - sqrt(pi) z erf(z) ~ -z^2 keeps about -2 log10(z) fewer digits than its terms
-    assert _cube_bracket(z) == pytest.approx(mp_bracket_at(mp_cube_bracket, z, 2), rel=2e-15, abs=0.0)
+    assert _cube_bracket(np.array([z]))[0] == pytest.approx(mp_bracket_at(mp_cube_bracket, z, 2), rel=2e-15, abs=0.0)
 
 
 def test_brackets_array_matches_scalar_calls():
     xs = np.concatenate([straddle(1.0), straddle(20.0)])
-    assert np.array_equal(_radial_bracket(xs), [_radial_bracket(float(x)) for x in xs])
+    assert np.array_equal(_radial_bracket(xs), [_radial_bracket(np.array([x]))[0] for x in xs])
     zs = straddle(1.0)
-    assert np.array_equal(_cube_bracket(zs), [_cube_bracket(float(z)) for z in zs])
-    assert type(_radial_bracket(1.0)) is float and type(_cube_bracket(1.0)) is float
+    assert np.array_equal(_cube_bracket(zs), [_cube_bracket(np.array([z]))[0] for z in zs])
 
 
 def test_cube_bracket_nonpositive():
     for z in np.geomspace(1e-8, 1e4, 31):
-        assert _cube_bracket(float(z)) <= 0.0
+        assert _cube_bracket(np.array([z]))[0] <= 0.0
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -898,3 +906,60 @@ def test_bar_halves_are_checked_when_the_bar_is_built():
         HalfCylinderBar(1e150, 5e-324, 1.0)
     with pytest.raises(ValueError, match=r"^half-cylinder mass must be finite and > 0, got 0\.0$"):
         HalfCylinderBar(0.3, 3.0, 5e-324)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Cylinder(True, 0.2, 40.0), "radius must be a real number, got bool"),
+        (lambda: Cylinder(0.17, 0.2, np.True_), "mass must be a real number, got bool"),
+        (lambda: Cube(0.046, True), "mass must be a real number, got bool"),
+        (lambda: HalfCylinderBar(0.3, True, 2300.0), "length must be a real number, got bool"),
+        (lambda: MassArrangement(True), "separation must be a real number, got bool"),
+        (lambda: MassArrangement(0.0, arm_count=True), "arm_count must be a real number, got bool"),
+        (lambda: cylinder_pair_force_psd(CslParams(1.0, 1e-7), LIGO_GEOM, 4000.0, True), "arm_count must be a real number, got bool"),
+        (lambda: MeasuredNoise("n", "force", True), "noise psd must be a real number, got bool"),
+        (lambda: MeasuredNoise("n", "force", 1.0, csl_fraction=True), "csl_fraction must be a real number, got bool"),
+        (lambda: MeasuredNoise("n", "force", 1.0, frequency_hz=np.True_), "frequency_hz must be a real number, got bool"),
+        (lambda: ResonantBar(True, 3.0), "omega0 must be a real number, got bool"),
+        (lambda: Readout("strain", True), "arm_length must be a real number, got bool"),
+        (lambda: axial_factor(True, 0.2, 1e-7), "separation must be a real number, got bool"),
+        (lambda: CslParams(1.0, [True, 1e-7]), "correlation_length must be a real number or a 1-d array of them, got list"),
+        (lambda: CslParams(1.0, (1e-7, np.True_)), "correlation_length must be a real number or a 1-d array of them, got tuple"),
+    ],
+)
+def test_a_bool_is_not_a_number_to_any_value_type(build, message):
+    # numpy and math take True for 1: each of these once went through with it
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("state", ["raise", "warn"])
+def test_results_do_not_depend_on_the_callers_numpy_error_state(state):
+    # each public entry sets one float-error policy of its own, so the caller's
+    # np.seterr changes no bit, and raises or warns nothing
+    grid = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 401)
+
+    def outcome(call):
+        try:
+            value = call()
+        except CslBoundsError as exc:
+            return repr(exc)
+        fields = [getattr(value, name) for name in value._fields] if isinstance(value, _Record) else [value]
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in fields]
+
+    calls = []
+    for name, det in DETECTORS.items():
+        noise = det.noise_entry()
+        for variant in BAR_VARIANTS if name == "auriga" else (None,):
+            calls.append(partial(exclusion_curve, det, noise, np.geomspace(1e-9, 1e2, 200), variant))
+            calls += [partial(lambda_max, det, noise, rc, variant) for rc in (1e-300, 1e-150, 1e-7, 1e300)]
+        calls += [partial(force_psd_by_quadrature, CslParams(1.0, rc), det.geometry, det.arrangement) for rc in (1e-300, 1e-7, 1e-3)]
+    for a, L in ((0.0, 0.2), (4000.0, 0.2), (0.376, 0.046), (1.5, 3.0), (1e-90, 1e-90)):
+        calls += [partial(f, a, L, rc) for f in (axial_factor, pair_correlation_factor) for rc in (grid, 1e-7)]
+    calls += [partial(f, x) for f in (i0e, i1e) for x in (1e-300, 1e-160, 0.5, 30.0, 1e300, np.geomspace(1e-300, 1e300, 401))]
+    expected = [outcome(call) for call in calls]
+    with warnings.catch_warnings(), np.errstate(all=state):
+        warnings.simplefilter("error")
+        assert [outcome(call) for call in calls] == expected
