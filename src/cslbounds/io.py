@@ -316,7 +316,7 @@ def write_exclusion_csv(curve: ExclusionCurve, path) -> None:
         value = getattr(curve, key)
         if len(f"{value}.".splitlines()) > 1:
             raise ValueError(f"curve {key} {value!r} holds a line break; a CSV header value must be one line")
-    lines = [
+    header = [
         f"# detector: {curve.detector_id}",
         f"# noise: {curve.noise_name} ({curve.provenance})",
         "# sff_path: closed_form",
@@ -324,7 +324,7 @@ def write_exclusion_csv(curve: ExclusionCurve, path) -> None:
         f"# tool: cslbounds {__version__}",
         "r_c_m,lambda_max_per_s",
     ]
-    for rc, lam in zip(curve.r_c_grid, curve.lambda_max):
-        lines.append(f"{float(rc)!r},{float(lam)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        # rows are written as they are formatted, so no list of them or joined copy is held
+        fh.writelines(f"{rc!r},{lam!r}\n" for rc, lam in zip(curve.r_c_grid.tolist(), curve.lambda_max.tolist()))

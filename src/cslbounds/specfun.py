@@ -15,14 +15,15 @@ references):
 
 i0e and i1e take a float or a 1-d array and return the same kind,
 validate their input and evaluate under np.errstate(all="ignore").  They
-sum in three groups: the power series for x <= 20, the asymptotic series
-on (20, 1e3] and past 1e3, where its terms shrink by (2k-1)^2/8kx < 1e-3
-a step.  Each group takes the steps its slowest element needs, counted
-on that element alone: its series stops at the first term under 1e-18 of
-the sum in both rows.  That term is under half an ulp of the sum, and so
-is every later, smaller one, so the steps an element takes past its own
-count leave its value unchanged: a float gives exactly the value it has
-inside any array, and the targets hold element by element.  The two
+sum in three groups, each a fixed number of steps: the power series for
+x <= 20 (36 steps), and the asymptotic series on (20, 1e3] (34 steps)
+and past 1e3 (6 steps), where its terms shrink by (2k-1)^2/8kx < 1e-3 a
+step.  Each count is the largest any element of its group needs, counted
+on that element alone: its series stops at the first term under 1e-18
+of the sum in both rows.  That term is under half an ulp of the sum, and
+so is every later, smaller one, so the steps an element takes past its
+own count leave its value unchanged: a float gives exactly the value it
+has inside any array, and the targets hold element by element.  The two
 quadrature kernels take arrays and skip domain checks.
 """
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from typing import Union
 
 import numpy as np
@@ -106,61 +106,41 @@ def i1e(x: FloatOrArray) -> FloatOrArray:
     return _ie_row(x, "i1e", 1)
 
 
-# Per-step factors of the two series below, row 0 for I0 and row 1 for I1.
-# Power series: t_k = t_{k-1} q / (k (k + nu)); at x = 20 it converges by
-# k = 36, so the table's 40 steps are never all used.
-_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 41)], dtype=float)
-# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x), cut at k = 39;
-# for x > 20 its terms keep shrinking that far (the smallest lies beyond k = 2x).
-_ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 40)])
-
-
-def _steps(op, scale: float, first: list, table: np.ndarray) -> int:
-    """Steps of one element's series, step k multiplying by op(scale, table[k]) as _ie does."""
-    (t0, t1), flat = first, iter(table.ravel().tolist())
-    s0, s1 = t0, t1
-    for k, (f0, f1) in enumerate(zip(flat, flat), 1):
-        t0 *= op(scale, f0)
-        t1 *= op(scale, f1)
-        s0 += t0
-        s1 += t1
-        if abs(t0) <= 1e-18 * abs(s0) and abs(t1) <= 1e-18 * abs(s1):
-            return k
-    return len(table)
+# Per-step factors of the two series below, row 0 for I0 and row 1 for I1,
+# one row per step the power series and the asymptotic series on (20, 1e3]
+# take; past 1e3 the asymptotic series takes the first _FAR_STEPS of them.
+# Power series: t_k = t_{k-1} q / (k (k + nu)), at q = x^2 / 4.
+_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 37)], dtype=float)
+# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x); for x > 20
+# its terms keep shrinking far past these steps (the smallest lies beyond k = 2x).
+_ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 35)])
+_FAR_STEPS = 6
 
 
 def _ie(x: np.ndarray) -> np.ndarray:
     """e^-x I0(x) and e^-x I1(x), as rows 0 and 1 (x finite and >= 0)."""
-    order = np.argsort(x, kind="stable")  # stable sorts are fast on the monotone grids of a scan
-    x = x[order]
-    n = x.size
-    a, b = np.searchsorted(x, (20.0, 1e3), side="right").tolist()  # the groups: [0, a), [a, b), [b, n)
-    q, w = 0.25 * x[:a] * x[:a], 0.125 / x[a:]
-    term = np.ones((2, n))
-    term[1, :a] = 0.5 * x[:a]
-    # a group's slowest element: the largest x of the power series, the smallest of an asymptotic one
-    series = _steps(operator.truediv, float(q[-1]), term[:, a - 1].tolist(), _SERIES_DENOMS) if a else 0
-    mid = _steps(operator.mul, float(w[0]), [1.0, 1.0], _ASYMPTOTIC_FACTORS) if b > a else 0
-    far = _steps(operator.mul, float(w[b - a]), [1.0, 1.0], _ASYMPTOTIC_FACTORS) if n > b else 0
-    total = term.copy()
-    factor = np.empty((2, n))
-    steps = sorted({0, series, mid, far})
-    for start, stop in zip(steps, steps[1:]):
-        # the columns still stepping form one range, as far <= mid
-        lo = 0 if start < series else a
-        hi = n if start < far else b if start < mid else a
-        t, s, f, fa, wa = term[:, lo:hi], total[:, lo:hi], factor[:, lo:hi], factor[:, a:hi], w[: hi - a]
-        for k in range(start, stop):
-            if lo < a:
-                np.divide(q, _SERIES_DENOMS[k], out=factor[:, :a])
-            if hi > a:
-                np.multiply(_ASYMPTOTIC_FACTORS[k], wa, out=fa)
-            t *= f
-            s += t
-    total[:, :a] *= np.exp(-x[:a])
-    # sqrt factored to avoid overflow of 2*pi*x for x near the float max
-    total[:, a:] /= _SQRT_2PI * np.sqrt(x[a:])
-    return total.take(np.argsort(order, kind="stable"), axis=1)
+    out = np.empty((2, x.size))
+    series, near = x <= 20.0, x <= 1e3
+    xs = x[series]
+    if xs.size:
+        q = 0.25 * xs * xs
+        term = np.stack([np.ones_like(xs), 0.5 * xs])
+        total, factor = term.copy(), np.empty_like(term)
+        for denoms in _SERIES_DENOMS:
+            term *= np.divide(q, denoms, out=factor)
+            total += term
+        out[:, series] = total * np.exp(-xs)
+    for group, factors in ((near & ~series, _ASYMPTOTIC_FACTORS), (~near, _ASYMPTOTIC_FACTORS[:_FAR_STEPS])):
+        xa = x[group]
+        if xa.size:
+            w = 0.125 / xa
+            term, total, factor = np.ones((2, xa.size)), np.ones((2, xa.size)), np.empty((2, xa.size))
+            for f in factors:
+                term *= np.multiply(f, w, out=factor)
+                total += term
+            # sqrt factored to avoid overflow of 2*pi*x for x near the float max
+            out[:, group] = total / (_SQRT_2PI * np.sqrt(xa))
+    return out
 
 
 def _j1_array(x: np.ndarray) -> np.ndarray:

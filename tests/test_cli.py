@@ -924,18 +924,31 @@ RC_EXPONENTS = st.one_of(st.floats(min_value=-12.0, max_value=4.0), st.floats(mi
 
 # a field's own value times 10^U(-3, 3): mostly a config that still passes its checks
 OWN_SCALES = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+# the power of each geometry field in density = mass / volume, for a cylinder or a bar (volume pi R^2 L)
+DENSITY_POWERS = {"mass_kg": 1, "radius_m": -2, "length_m": -1}
+DENSITY = ("geometry", "density_kg_m3")
 
 
 @st.composite
 def mutated_configs(draw):
-    """(bundled config name, ((key path, new value), ...)) with 1-3 numeric fields changed."""
+    """(bundled config name, ((key path, new value), ...)) with 1-3 numeric fields changed.
+
+    A dimension or mass scaled by its own value scales the declared density with it, so that
+    mass = density * volume still holds (up to the density's own change, if it is drawn too).
+    """
     config = draw(st.sampled_from(sorted(BUNDLED_DOCS)))
-    paths = draw(st.lists(st.sampled_from(list(numeric_fields(BUNDLED_DOCS[config]))), min_size=1, max_size=3, unique=True))
-    mutations = []
+    doc = BUNDLED_DOCS[config]
+    paths = draw(st.lists(st.sampled_from(list(numeric_fields(doc))), min_size=1, max_size=3, unique=True))
+    mutations, density_scale = {}, 1.0
     for path in paths:
-        own = functools.reduce(operator.getitem, path, BUNDLED_DOCS[config])
-        mutations.append((path, draw(st.one_of(FIELD_VALUES, OWN_SCALES.map(lambda scale: own * scale)))))
-    return config, tuple(mutations)
+        own = functools.reduce(operator.getitem, path, doc)
+        value, scale = draw(st.one_of(FIELD_VALUES.map(lambda v: (v, None)), OWN_SCALES.map(lambda s: (own * s, s))))
+        mutations[path] = value
+        if scale is not None and path[0] == "geometry" and path[-1] in DENSITY_POWERS:
+            density_scale *= scale ** DENSITY_POWERS[path[-1]]
+    if density_scale != 1.0 and DENSITY[-1] in doc["geometry"]:
+        mutations[DENSITY] = mutations.get(DENSITY, doc["geometry"][DENSITY[-1]]) * density_scale
+    return config, tuple(mutations.items())
 
 
 @st.composite

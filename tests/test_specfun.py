@@ -15,7 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cslbounds.specfun import _SQRT_2PI, _ie, _j1_array, _sinc2_array, i0e, i1e
+from cslbounds.specfun import (
+    _ASYMPTOTIC_FACTORS,
+    _FAR_STEPS,
+    _SERIES_DENOMS,
+    _SQRT_2PI,
+    _ie,
+    _j1_array,
+    _sinc2_array,
+    i0e,
+    i1e,
+)
 
 mp.mp.dps = 50
 
@@ -223,6 +233,39 @@ bessel_args = st.one_of(
 @example(np.geomspace(1e16, 1.0, 1462))  # a scan's descending grid, as the survey benchmark meets it
 def test_ie_equals_its_per_step_checked_reference_bit_for_bit(x):
     assert np.array_equal(_ie(x), reference_ie(x))
+
+
+def own_steps(term, factor, limit=80):
+    """Each column's own step count: the first step after which _changes_sum's rule says its sum is done."""
+    total, steps = term.copy(), np.zeros(term.shape[1], dtype=int)
+    for k in range(1, limit + 1):
+        term = term * factor(k)
+        total = total + term
+        changes = (np.abs(term) > 1e-18 * np.abs(total)).any(axis=0)
+        steps[(steps == 0) & ~changes] = k
+    assert steps.all(), "a series did not settle"
+    return steps
+
+
+def dense(lo, hi):
+    """2e5 evenly spaced and 2e4 log-spaced points over [lo, hi]."""
+    with np.errstate(over="ignore"):  # geomspace's intermediate powers overflow near the float max
+        return np.concatenate([np.linspace(lo, hi, 200_000), np.geomspace(max(lo, 1e-300), hi, 20_000)])
+
+
+def test_each_bessel_group_steps_exactly_its_slowest_elements_count():
+    # recount every element's steps by its own rule: each group's fixed count must be the largest of them,
+    # enough for every element and no step longer than needed
+    xs = dense(0.0, 20.0)
+    q = 0.25 * xs * xs
+    series = own_steps(np.stack([np.ones_like(xs), 0.5 * xs]), lambda k: q / np.array([[k * k], [k * (k + 1)]]))
+    mid, far = dense(math.nextafter(20.0, math.inf), 1e3), dense(math.nextafter(1e3, math.inf), sys.float_info.max)
+    asymptotic = [
+        own_steps(np.ones((2, xa.size)), lambda k: np.array([[(2 * k - 1) ** 2], [(2 * k - 1) ** 2 - 4]]) / (8 * k) / xa)
+        for xa in (mid, far)
+    ]
+    maxima = [series.max(), *(s.max() for s in asymptotic)]
+    assert maxima == [len(_SERIES_DENOMS), len(_ASYMPTOTIC_FACTORS), _FAR_STEPS] == [36, 34, 6]
 
 
 def test_j1_contract_low_range():
