@@ -34,7 +34,7 @@ so no result depends on the caller's np.seterr; the callers that report
 a value (exclusion_curve, noise, validate) check that it is a normal
 double.  The building blocks axial_factor and pair_correlation_factor
 share one kernel and one domain: a finite separation >= 0, a finite
-length > 0 and every r_c >= MIN_CORRELATION_LENGTH.
+length > 0 and CslParams' correlation lengths, checked by CslParams.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import HBAR, M_NUCLEON
-from .specfun import FloatOrArray, _check_positive, _check_real, _from_1d, _frozen, _ie, _is_real, _to_1d
+from .specfun import FloatOrArray, _check_positive, _check_real, _from_1d, _frozen, _ie, _to_1d
 
 # Largest relative mismatch allowed between the declared mass and
 # density * volume when a density is given.
@@ -89,7 +89,7 @@ class _Record:
 
     def __setstate__(self, state):
         # state is (None, slot values), as object.__reduce_ex__ gives it; an array field stays read-only
-        self._set(**{name: _frozen(v) if isinstance(v, np.ndarray) else v for name, v in state[1].items()})
+        self._set(**{name: _frozen(v, name) if isinstance(v, np.ndarray) else v for name, v in state[1].items()})
 
     def _shown(self) -> tuple:
         return tuple((name, getattr(self, name)) for name in self._fields if name not in self._hidden)
@@ -124,16 +124,13 @@ class CslParams(_Record):
         _check_positive("collapse_rate", collapse_rate, zero_ok=True)
         rc = correlation_length
         if type(rc) is not float or not MIN_CORRELATION_LENGTH <= rc < math.inf:  # a float in range is kept as is
-            held = rc if isinstance(rc, (list, tuple)) else ()  # numpy would read a bool in a list as 0 or 1
-            if not (_is_real(rc) or np.asarray(rc).dtype.kind in "iuf") or any(isinstance(v, (bool, np.bool_)) for v in held):
-                raise TypeError(f"correlation_length must be a real number or a 1-d array of them, got {type(rc).__name__}")
-            rc, scalar = _to_1d(rc)
+            rc, scalar = _to_1d(rc, "correlation_length")
             bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
             if bad.any():
                 raise ValueError(
                     f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
                 )
-            rc = float(rc[0]) if scalar else _frozen(rc)
+            rc = float(rc[0]) if scalar else _frozen(rc, "correlation_length")
         self._set(collapse_rate=float(collapse_rate) + 0.0, correlation_length=rc)
 
 
@@ -250,7 +247,7 @@ def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray)
     u = 1/4rc^2, and is evaluated as axial_factor + expm1(-L^2 u): the
     axial kernel's value and domain, with the same float or 1-d r_c.
     """
-    rc, scalar = _to_1d(r_c)
+    rc, scalar = _to_1d(CslParams(1.0, r_c).correlation_length, "correlation_length")  # CslParams' r_c rule
     with np.errstate(all="ignore"):
         axial = _axial_over(separation, length, rc, 1.0)
         el = length * (0.5 / rc)  # L/2rc = inf gives expm1(-inf) = -1, the right limit
@@ -268,7 +265,7 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
     lengths scaled by 1/2rc, never from u itself, so a vanishing length
     gives a zero exponent even where u would overflow.
     """
-    rc, scalar = _to_1d(r_c)
+    rc, scalar = _to_1d(CslParams(1.0, r_c).correlation_length, "correlation_length")  # CslParams' r_c rule
     with np.errstate(all="ignore"):
         return _from_1d(_axial_over(separation, length, rc, 1.0), scalar)
 
@@ -276,12 +273,9 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
     # axial_factor / scale^2, each factor of its two products divided by
     # scale before they meet: axial / L^2 stays normal where axial underflows.
-    # An infinite length would meet 0 * inf below; a NaN r_c fails the comparison.
+    # An infinite length would meet 0 * inf below; r_c was checked where it came in.
     _check_positive("separation", separation, zero_ok=True)
     _check_positive("length", length)
-    bad = ~(rc >= MIN_CORRELATION_LENGTH)
-    if bad.any():
-        raise ValueError(f"r_c must be >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}")
     half = 0.5 / rc  # an exponent of -inf is the right limit
     a = separation * half
     el = length * half
@@ -367,7 +361,7 @@ def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: f
     stays well below the correlation length (not checked at runtime).
     """
     MassArrangement(separation, arm_count)  # raises as the arrangement does for a bad separation or arm count
-    rc, scalar = _to_1d(params.correlation_length)
+    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
     with np.errstate(all="ignore"):
         axial_l2 = _axial_over(separation, geometry.length, rc, geometry.length)
         return _from_1d(_cylinder_psd(params.collapse_rate, geometry, rc, axial_l2, arm_count), scalar)
@@ -375,7 +369,7 @@ def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: f
 
 def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
     """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
-    rc, scalar = _to_1d(params.correlation_length)
+    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
     side = geometry.side
     with np.errstate(all="ignore"):
         # t -> -sqrt(pi) side/2 as rc -> 0, so it never underflows; past z = 1e300
@@ -407,7 +401,7 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
     if variant not in BAR_VARIANTS:
         raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
     halves = geometry.halves()
-    rc, scalar = _to_1d(params.correlation_length)
+    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
     with np.errstate(all="ignore"):
         if variant == "rederived":
             axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)

@@ -5,9 +5,9 @@ all measured noise to collapse noise inverts to a bound
 
     lambda_max(r_c) = S_FF_measured(one-sided) / (2 S_FF_model(lambda=1, r_c))
 
-with the model PSD two-sided.  The single factor 2 reconciling the
-published one-sided figures with the two-sided model lives here and
-nowhere else.
+with the model PSD two-sided.  The factor 2 reconciling the published
+one-sided figures with the two-sided model is applied here, in the
+inversion, and in the CLI's one-sided output (noise); nowhere else.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class ExclusionCurve(_Record):
     __slots__ = ("r_c_grid", "lambda_max", "detector_id", "noise_name", "provenance", "bar_variant")
 
     def __init__(self, r_c_grid, lambda_max, detector_id, noise_name, provenance="", bar_variant=None):
-        grid = _frozen(r_c_grid)
-        lam = _frozen(lambda_max)
+        grid = _frozen(r_c_grid, "r_c_grid")
+        lam = _frozen(lambda_max, "lambda_max")
         if grid.ndim != 1 or grid.size == 0 or lam.shape != grid.shape:
             raise ValueError("curve needs matching, nonempty r_c and lambda_max arrays")
         if not (np.all(np.isfinite(grid) & (grid > 0.0)) and np.all(np.diff(grid) > 0.0)):
@@ -134,21 +134,16 @@ def model_force_psd(det: DetectorModel, params: CslParams, bar_variant: Optional
     return force_noise_psd(params, det.geometry, det.arrangement, bar_variant)
 
 
-def lambda_max(
-    det: DetectorModel,
-    noise: MeasuredNoise,
-    r_c: float,
-    bar_variant: Optional[str] = None,
-) -> float:
-    """Largest collapse rate consistent with attributing all noise to CSL: exclusion_curve at one point."""
-    return float(exclusion_curve(det, noise, [r_c], bar_variant).lambda_max[0])
+def lambda_max(det: DetectorModel, noise: MeasuredNoise, r_c: float, bar_variant: Optional[str] = None) -> float:
+    """Largest collapse rate consistent with attributing all noise to CSL: exclusion_curve at one r_c, not an array."""
+    rc = CslParams(1.0, r_c).correlation_length
+    if isinstance(rc, np.ndarray):  # CslParams stores a scalar as a float
+        raise ValueError(f"lambda_max takes one correlation length, got an array of {rc.size}")
+    return float(exclusion_curve(det, noise, rc, bar_variant).lambda_max[0])
 
 
 def exclusion_curve(
-    det: DetectorModel,
-    noise: MeasuredNoise,
-    r_c_grid,
-    bar_variant: Optional[str] = None,
+    det: DetectorModel, noise: MeasuredNoise, r_c_grid: FloatOrArray, bar_variant: Optional[str] = None
 ) -> ExclusionCurve:
     """lambda_max over an ascending r_c grid (a float is one point), from one model-PSD evaluation.
 
@@ -157,10 +152,10 @@ def exclusion_curve(
     twice the two-sided model.  UnboundedParameterError names the first
     r_c where lambda_max is not a normal double > 0, and why.
     """
-    params = CslParams(1.0, np.array(r_c_grid, dtype=float, ndmin=1))
-    grid = params.correlation_length
+    params = CslParams(1.0, r_c_grid)
+    grid = np.atleast_1d(params.correlation_length)
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
-    s_model = model_force_psd(det, params, variant)
+    s_model = np.atleast_1d(model_force_psd(det, params, variant))
     with np.errstate(all="ignore"):
         lam = measured_force_psd(det, noise) / (2.0 * s_model)
     unbounded = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))
@@ -173,8 +168,8 @@ def exclusion_curve(
     fields = dict(detector_id=det.name, noise_name=noise.name, provenance=noise.provenance, bar_variant=variant)
     if not (grid.size and np.all(grid[1:] > grid[:-1])):
         return ExclusionCurve(grid, lam, **fields)  # raises the constructor's message
-    # CslParams froze the grid and checked it > 0, and lam is checked above: freeze it in place
-    lam.flags.writeable = False
+    # CslParams checked the grid > 0 and froze an array (a float's grid is ours), and lam is checked above
+    grid.flags.writeable = lam.flags.writeable = False
     curve = object.__new__(ExclusionCurve)
     curve._set(r_c_grid=grid, lambda_max=lam, **fields)
     return curve

@@ -400,7 +400,7 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     budget = _Budget(BUDGET)
     with np.errstate(all="ignore"):  # every numpy evaluation of the oracle; the rest is float arithmetic
         axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
-        if axial == 0.0:
+        if axial == axial_err == 0.0:  # the coefficients cancel; a sum that cancels to 0.0 fails REL_TOL below
             return QuadratureResult(0.0, 0.0, budget.used)
         if isinstance(geometry, Cylinder):
             radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)

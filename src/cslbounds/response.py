@@ -81,8 +81,8 @@ class SpectrumSeries(_Record):
     __slots__ = ("frequency_hz", "asd", "quantity")
 
     def __init__(self, frequency_hz: np.ndarray, asd: np.ndarray, quantity: str):
-        freq = _frozen(frequency_hz)
-        asd = _frozen(asd)
+        freq = _frozen(frequency_hz, "frequency_hz")
+        asd = _frozen(asd, "asd")
         if quantity not in QUANTITIES:
             raise ConfigError(f"unknown spectrum quantity {quantity!r}")
         if freq.ndim != 1 or freq.size == 0 or asd.shape != freq.shape:

@@ -13,17 +13,21 @@ references):
   _j1_array   : absolute error <= 2e-15 on [0, 1e3], <= 1e-13 on (1e3, 1e6]
   _sinc2_array: (sin(x)/x)^2, absolute error <= 2e-14, finite at x = 0
 
-i0e and i1e take a float or a 1-d array and return the same kind,
-validate their input and evaluate under np.errstate(all="ignore").  They
-sum in three groups, each a fixed number of steps: the power series for
-x <= 20 (36 steps), and the asymptotic series on (20, 1e3] (34 steps)
-and past 1e3 (6 steps), where its terms shrink by (2k-1)^2/8kx < 1e-3 a
-step.  Each count is the largest any element of its group needs, counted
-on that element alone: its series stops at the first term under 1e-18
-of the sum in both rows.  That term is under half an ulp of the sum, and
-so is every later, smaller one, so the steps an element takes past its
-own count leave its value unchanged: a float gives exactly the value it
-has inside any array, and the targets hold element by element.  The two
+_to_1d is the package's one conversion of a caller's float-or-array
+value, and _frozen's for a record's array field: a real number or a 1-d
+array of them, else TypeError naming the argument (a bool, also in a
+list or tuple, a str, bytes or None is neither).  i0e and i1e take such
+a value, return the same kind, check that x is finite and >= 0 and
+evaluate under np.errstate(all="ignore").  They sum in three groups,
+each a fixed number of steps: the power series for x <= 20 (36 steps),
+and the asymptotic series on (20, 1e3] (34 steps) and past 1e3 (6
+steps), where its terms shrink by (2k-1)^2/8kx < 1e-3 a step.  Each
+count is the largest any element of its group needs, counted on that
+element alone: its series stops at the first term under 1e-18 of the sum
+in both rows.  That term is under half an ulp of the sum, and so is
+every later, smaller one, so the steps an element takes past its own
+count leave its value unchanged: a float gives exactly the value it has
+inside any array, and the targets hold element by element.  The two
 quadrature kernels take arrays and skip domain checks.
 """
 
@@ -51,12 +55,19 @@ _J1_MILLER_ORDER = 72
 FloatOrArray = Union[float, np.ndarray]
 
 
-def _to_1d(x: FloatOrArray) -> tuple[np.ndarray, bool]:
-    """x as a 1-d float array, and whether it was a scalar."""
+def _to_1d(x: FloatOrArray, name: str, keep_shape: bool = False) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array and whether it was a scalar; TypeError, naming name, by the module docstring's rule.
+
+    ValueError past one dimension, unless keep_shape: then x keeps its shape, for its constructor to check.
+    """
+    if not (type(x) is float or type(x) is np.ndarray and x.dtype.kind in "iuf"):  # the common cases pass at once
+        held = x if isinstance(x, (list, tuple)) else ()  # numpy would read a bool in a list as 0 or 1
+        if not (_is_real(x) or np.asarray(x).dtype.kind in "iuf") or any(isinstance(v, (bool, np.bool_)) for v in held):
+            raise TypeError(f"{name} must be a real number or a 1-d array of them, got {type(x).__name__}")
     arr = np.asarray(x, dtype=float)
-    if arr.ndim > 1:
+    if arr.ndim > 1 and not keep_shape:
         raise ValueError(f"expected a float or a 1-d array, got shape {arr.shape}")
-    return arr.reshape(-1), arr.ndim == 0
+    return (arr if keep_shape else arr.reshape(-1)), arr.ndim == 0
 
 
 def _from_1d(out: np.ndarray, scalar: bool) -> FloatOrArray:
@@ -64,9 +75,9 @@ def _from_1d(out: np.ndarray, scalar: bool) -> FloatOrArray:
     return float(out[0]) if scalar else out
 
 
-def _frozen(x) -> np.ndarray:
-    """A read-only float copy of x, so that no caller's array can change it later."""
-    arr = np.array(x, dtype=float)
+def _frozen(x, name: str) -> np.ndarray:
+    """A read-only float copy of x by _to_1d's rule, in x's own shape: no caller's array can change it later."""
+    arr = np.array(_to_1d(x, name, keep_shape=True)[0])
     arr.flags.writeable = False
     return arr
 
@@ -88,7 +99,7 @@ def _check_positive(name: str, value: float, zero_ok: bool = False, error: type 
 
 
 def _ie_row(x: FloatOrArray, name: str, row: int) -> FloatOrArray:
-    x, scalar = _to_1d(x)
+    x, scalar = _to_1d(x, "x")
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
         raise ValueError(f"{name} requires a finite x >= 0, got {float(x[bad][0])!r}")

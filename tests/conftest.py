@@ -1,6 +1,8 @@
-import numpy as np
+import json
+
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "package",
@@ -32,5 +34,17 @@ def auriga():
     return load_detector_config("auriga")
 
 
-def log_grid(lo, hi, n):
-    return np.geomspace(lo, hi, n)
+def write_config(tmp_path, config, mutate):
+    """The bundled config changed by mutate(doc); a str that mutate returns is written in its place."""
+    from cslbounds.io import bundled_config_path
+
+    doc = json.loads(bundled_config_path(config).read_text())
+    text = mutate(doc)
+    path = tmp_path / f"{config}.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))
+    return path
+
+
+def log_uniform(lo, hi):
+    """Floats 10^e for e uniform in [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)

@@ -23,6 +23,7 @@ import cslbounds
 from cslbounds import cli, lambda_max, load_detector_config
 from cslbounds.cli import MAX_POINTS, main
 from cslbounds.io import bundled_config_path
+from conftest import write_config
 
 
 def run(capsys, *argv):
@@ -426,15 +427,6 @@ def test_non_strain_interferometer_readout_exit_2(tmp_path, capsys, command, rea
     assert err.startswith("error: readout.arm_length_m: ")
 
 
-def write_config(tmp_path, config, mutate):
-    """The bundled config changed by mutate(doc); a str that mutate returns is written in its place."""
-    doc = json.loads(bundled_config_path(config).read_text())
-    text = mutate(doc)
-    path = tmp_path / f"{config}.json"
-    path.write_text(text if isinstance(text, str) else json.dumps(doc))
-    return path
-
-
 def command_args(command, tmp_path):
     return {"bound": ["--rc", "1e-7"], "ellis": [], "scan": ["--out", str(tmp_path / "c.csv")]}[command]
 
@@ -529,10 +521,11 @@ def test_validate_prints_nothing_before_a_quadrature_failure(capsys):
 
 def test_validate_at_the_largest_rc_exit_3(capsys):
     # at 1e308 m, s = r_c/R overflows to inf and the resolved range U/s is
-    # empty; 1e307 m, the first point, already gives a zero PSD
+    # empty; at 1e307 m, the first point, every cosine mode rounds to the zero
+    # mode and their sum cancels to 0.0: no digit is left, which is no exact zero
     code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e307", "--rc-max", "1e308", "--points", "2")
     assert (code, out) == (3, "")
-    assert err == "error: quadrature force PSD is 0 at r_c = 1e+307 m; no relative difference exists\n"
+    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):

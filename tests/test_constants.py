@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from cslbounds import (
@@ -15,16 +13,7 @@ from cslbounds import (
     model_force_psd,
 )
 from cslbounds.constants import C_LIGHT, M_PLANCK
-from cslbounds.io import bundled_config_path
-
-
-def write_config(tmp_path, name, mutate):
-    """A bundled config as a dict, mutated and dumped to a temp file."""
-    doc = json.loads(bundled_config_path(name).read_text())
-    mutate(doc)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    return path
+from conftest import write_config
 
 
 def test_constants_fixed_values():

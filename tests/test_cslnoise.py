@@ -25,6 +25,7 @@ from cslbounds import (
     CslParams,
     Cube,
     Cylinder,
+    ExclusionCurve,
     HalfCylinderBar,
     MassArrangement,
     MeasuredNoise,
@@ -55,6 +56,7 @@ from cslbounds.cslnoise import (
 )
 from cslbounds.detector import ARCHETYPES
 from cslbounds.specfun import i0e, i1e
+from conftest import log_uniform
 
 mp.mp.dps = 60
 
@@ -63,11 +65,6 @@ LISA_GEOM = Cube(side=0.046, mass=1.928)
 AURIGA_GEOM = HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)
 
 exponents = st.floats(min_value=-8.0, max_value=2.0)
-
-
-def log_uniform(lo, hi):
-    """Floats 10^e for e uniform in [lo, hi]."""
-    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
 
 
 # --- extended-precision oracles ----------------------------------------------
@@ -162,7 +159,7 @@ def test_pair_correlation_domain_errors():
     with pytest.raises(ValueError):
         pair_correlation_factor(1.0, 1.0, 0.0)
     # a subnormal r_c: 1/r_c overflows, as for the axial factor
-    with pytest.raises(ValueError, match=r"^r_c must be >= 2\.2250738585072014e-308 m, got 1e-310$"):
+    with pytest.raises(ValueError, match=r"^correlation_length must be finite and >= 2\.2250738585072014e-308 m, got 1e-310$"):
         pair_correlation_factor(1.0, 1.0, 1e-310)
     # these once returned nan: a NaN separation or length, or an infinite length (0 * inf)
     params = CslParams(1.0, 1e-3)
@@ -933,6 +930,30 @@ def test_a_bool_is_not_a_number_to_any_value_type(build, message):
     with pytest.raises(TypeError) as info:
         build()
     assert str(info.value) == message
+
+
+FLOAT_OR_ARRAY_ENTRIES = {
+    # entry: (the argument its TypeError names, the call with a bad value in that argument)
+    "CslParams": ("correlation_length", lambda v: CslParams(1.0, v)),
+    "axial_factor": ("correlation_length", lambda v: axial_factor(0.376, 0.046, v)),
+    "pair_correlation_factor": ("correlation_length", lambda v: pair_correlation_factor(0.376, 0.046, v)),
+    "i0e": ("x", i0e),
+    "i1e": ("x", i1e),
+    "exclusion_curve": ("correlation_length", lambda v: exclusion_curve(DETECTORS["ligo"], DETECTORS["ligo"].noise_entry(), v)),
+    "lambda_max": ("correlation_length", lambda v: lambda_max(DETECTORS["ligo"], DETECTORS["ligo"].noise_entry(), v)),
+    "ExclusionCurve": ("r_c_grid", lambda v: ExclusionCurve(v, [1.0, 2.0], "d", "n")),
+    "SpectrumSeries": ("frequency_hz", lambda v: SpectrumSeries(v, [1e-22, 2e-22], "strain")),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1e-7", b"1e-7", [True, 1e-7]], ids=["bool", "str", "bytes", "bool-in-list"])
+@pytest.mark.parametrize("entry", list(FLOAT_OR_ARRAY_ENTRIES))
+def test_every_float_or_array_entry_refuses_what_is_not_a_real_number(entry, bad):
+    # one conversion, specfun._to_1d, reads every such value: numpy once took True for 1.0 and parsed "1e-7"
+    name, call = FLOAT_OR_ARRAY_ENTRIES[entry]
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be a real number or a 1-d array of them, got {type(bad).__name__}"
 
 
 @pytest.mark.parametrize("state", ["raise", "warn"])

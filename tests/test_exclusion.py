@@ -205,6 +205,16 @@ def test_exclusion_curve_grid_rules(lisa):
         exclusion_curve(det, det.noise_entry(), 1e-7)
 
 
+def test_lambda_max_takes_one_correlation_length(lisa):
+    # a list of one was once wrapped in another and refused for a shape (1, 1) it was never given
+    entry = lisa.noise_entry()
+    for rc in ([1e-7], np.array([1e-7, 1e-6]), (1e-7,)):
+        with pytest.raises(ValueError) as info:
+            lambda_max(lisa, entry, rc)
+        assert str(info.value) == f"lambda_max takes one correlation length, got an array of {len(rc)}"
+    assert lambda_max(lisa, entry, np.float64(1e-7)) == lambda_max(lisa, entry, np.array(1e-7)) == lambda_max(lisa, entry, 1e-7)
+
+
 def test_exclusion_curve_doubles_with_noise(lisa):
     grid = np.geomspace(1e-8, 1.0, 10)
     entry = lisa.noise_entry()
