@@ -186,7 +186,10 @@ def cmd_validate(args) -> int:
     lines = [f"r_c_m {columns}"]
     worst = dict.fromkeys(variants, 0.0)
     for i, rc in enumerate(grid.tolist()):
-        quad = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement).value
+        try:
+            quad = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement).value
+        except QuadratureError as exc:
+            raise QuadratureError(f"{exc}, at r_c = {rc:g} m", exc.achieved_rel_error, exc.evaluations) from None
         if not sys.float_info.min <= quad < math.inf:  # the PSD itself underflows at tiny r_c, or overflows
             raise QuadratureError(f"quadrature force PSD is {quad:g} at r_c = {rc:g} m; no relative difference exists")
         diffs = [abs(c[i] - quad) / quad for c in closed]

@@ -19,6 +19,11 @@ Accuracy, checked against mpmath by the test suite: the radial and cube
 brackets hold a relative error of 2e-15 for x in [1e-300, 1e6] and z in
 [1e-150, 1e6], and the closed forms of the bundled detectors hold 4e-15
 for r_c in [1e-140, 1e4] m (the PSD turns subnormal near 7e-151 m).
+The radial bracket 1 - e^-x (I0(x) + I1(x)) calls no Bessel function: up
+to x = 1e3 it is one Clenshaw pass over 14-term Chebyshev expansions on
+nine fixed intervals, with seams at 1, 2, 3.2, 5, 8, 14, 30, 100 and 1e3
+(x p(2x - 1) on [0, 1], p affine in x up to 3.2, 1 - p/sqrt(x) with p
+affine in 1/x beyond), and past 1e3 a 7-term asymptotic series in 1/x.
 The cube bracket calls math.erf only below z = 5.921587195794507, from
 where erf rounds to exactly 1.0, so the cut changes no value.
 
@@ -45,7 +50,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import HBAR, M_NUCLEON
-from .specfun import FloatOrArray, _check_positive, _check_real, _from_1d, _frozen, _ie, _to_1d
+from .specfun import FloatOrArray, _check_positive, _check_real, _from_1d, _frozen, _to_1d
 
 # Largest relative mismatch allowed between the declared mass and
 # density * volume when a density is given.
@@ -284,18 +289,73 @@ def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) 
     return (np.expm1(-el * el) / scale) * (np.expm1(-a * a) / scale) + 0.5 * np.exp(-d * d) * tilt * tilt
 
 
-# Taylor coefficients of the brackets below the window, where their
-# differences would cancel; exact rationals rounded once.  Radial: the
-# derivative e^-x I1(x)/x = M(3/2, 3, -2x)/2 (DLMF 10.39.5) = sum a_n x^n,
-# a_0 = 1/2, a_{n+1} = -2 a_n (n + 3/2)/((n + 1)(n + 3)).  Cube, in q = z^2:
-# b_n = (-1)^{n+1}/((2n + 1)(n + 1)!).  Truncation at 1: 3e-20 and 6e-22 relative.
+# Taylor coefficients of the cube bracket below the window, where its
+# differences would cancel; exact rationals rounded once, in q = z^2:
+# b_n = (-1)^{n+1}/((2n + 1)(n + 1)!).  Truncation at 1: 6e-22 relative.
 _SERIES_WINDOW = 1.0
-_RADIAL_TAYLOR, _num, _den = [], 1, 2
-for _n in range(24):
-    _RADIAL_TAYLOR.append(_num / (_den * (_n + 1)))
-    _num, _den = -_num * (2 * _n + 3), _den * (_n + 1) * (_n + 3)
 _CUBE_TAYLOR = [(-1) ** (n + 1) / ((2 * n + 1) * math.factorial(n + 1)) for n in range(20)]
 _ERF_ONE = 5.921587195794507  # the smallest z where math.erf(z) == 1.0
+
+# The radial bracket B(x) = 1 - e^-x (I0(x) + I1(x)) from fixed Chebyshev
+# expansions (the Cephes i0e/i1e idiom, Moshier 1989), each of 14 terms and
+# summed by Clenshaw's recurrence (1955).  Interval i is (s_{i-1}, s_i]
+# between the seams s, the first [0, 1], and t = (u - mid) * scale maps it
+# onto [-1, 1]:
+#   [0, 1]             B = x p(t),             u = x, t = 2x - 1
+#   (1, 2], (2, 3.2]   B = p(t),               u = x
+#   (3.2, 5] .. 1e3    B = 1 - p(t) / sqrt(x), u = 1/x
+# Past 1e3, B = 1 - sum_k d_k x^-k / sqrt(x) for k < 7, with d_k = (-1)^k
+# (a_k(0) + a_k(1)) / sqrt(2 pi) the summed coefficients of DLMF 10.40.1;
+# the next term is under 1e-20 of the sum.  Row i of the table literal
+# holds interval i's c_0..c_13 of p = sum c_k T_k(t): mpmath values at 40
+# digits rounded once, which tests/test_cslnoise.py re-derives.
+_RADIAL_SEAMS = np.array([1.0, 2.0, 3.2, 5.0, 8.0, 14.0, 30.0, 100.0, 1e3])
+_RADIAL_INVERSE = 3  # the first interval in u = 1/x
+_lo, _hi = np.append(0.0, _RADIAL_SEAMS[:-1]), _RADIAL_SEAMS.copy()
+_lo[_RADIAL_INVERSE:], _hi[_RADIAL_INVERSE:] = 1.0 / _hi[_RADIAL_INVERSE:], 1.0 / _lo[_RADIAL_INVERSE:]
+_RADIAL_MAP = np.array([0.5 * (_lo + _hi), 2.0 / (_hi - _lo)])  # rows mid and scale, one column per interval
+_RADIAL_CHEBYSHEV = np.array(
+    [
+        # [0, 1]
+        [0.4050804416853456, -0.08618207290737474, 0.008038406748850585, -0.0006500526981634368, 4.597856885297764e-05,
+         -2.8776964825360424e-06, 1.61148711830525e-07, -8.1537197359565e-09, 3.7594164589290413e-10, -1.591137348564993e-11,
+         6.221264679218952e-13, -2.2596364360053246e-14, 7.661171281568878e-16, -2.435047375547694e-17],
+        # (1, 2]
+        [0.40743677617862867, 0.07445833923332544, -0.006125274383953362, 0.000485556789004565, -3.518274597910969e-05,
+         2.302237862032081e-06, -1.3606433168635043e-07, 7.294150469712193e-09, -3.5668007535631335e-10, 1.600213227178571e-11,
+         -6.623407069203773e-13, 2.5422432426649774e-14, -9.09103177147254e-16, 3.041620644713677e-17],
+        # (2, 3.2]
+        [0.5279795711636924, 0.048003072748830616, -0.0034730582999476364, 0.00026069993366712536, -1.896259572908305e-05,
+         1.3009606333377685e-06, -8.320240576206783e-08, 4.938579820448797e-09, -2.7190773327813095e-10, 1.3906865611667086e-11,
+         -6.623696259266147e-13, 2.9465100457629424e-14, -1.2279699672081133e-15, 4.8091170852743035e-17],
+        # (3.2, 5]
+        [0.7707353217852676, -0.006388332294441555, -6.226687394673821e-05, -1.3710429396518337e-06, 1.2118984426452506e-07,
+         9.575026012370807e-09, -9.438460496277338e-10, -2.359301244785821e-11, 8.937651580781533e-12, -5.710462887416331e-13,
+         -2.0631822666082442e-14, 7.404431904906944e-15, -6.950572965173071e-16, 1.837047203320666e-17],
+        # (5, 8]
+        [0.7811008245865336, -0.004017396698070652, -2.0069349326320112e-05, -4.739495626127417e-07, -1.6429558170498706e-08,
+         6.427018347170045e-10, 1.5236003439962712e-10, -1.1151331396762915e-12, -1.2724750781781487e-12, 4.8625225038615087e-14,
+         9.568778066535761e-15, -1.1147172853868408e-15, -7.53462250858624e-18, 1.2307477249920605e-17],
+        # (8, 14]
+        [0.7878879012546021, -0.0027808702140922274, -8.321832993550477e-06, -9.758271967909471e-08, -2.5342610251379003e-09,
+         -1.1989876577453506e-10, -6.112404342938017e-12, 1.336162603852495e-13, 8.273616781292225e-14, 5.326988770504193e-15,
+         -7.652247083105261e-16, -8.828913718935283e-17, 1.04483385795578e-17, 1.0421681050765951e-18],
+        # (14, 30]
+        [0.7926034511223651, -0.0019391085145560535, -3.7713823877287594e-06, -2.6080891470008182e-08, -3.3950082925528805e-10,
+         -6.925823323746258e-12, -2.051418519762672e-13, -8.615894433547846e-15, -5.143863346814723e-16, -4.121024958224371e-17,
+         -3.4570405492598592e-18, -1.2948712565008058e-19, 3.979093887825801e-20, 1.0338809891361072e-20],
+        # (30, 100]
+        [0.795713395769252, -0.0011732494966332416, -1.3271113230988065e-06, -5.122812239269821e-09, -3.546277005472045e-11,
+         -3.6264912806736794e-13, -4.98785013151528e-15, -8.735042511762362e-17, -1.8799096591560186e-18, -4.8518342720751354e-20,
+         -1.4755806078363312e-21, -5.221061996670414e-23, -2.1294252357827985e-24, -9.946208157405365e-26],
+        # (100, 1000]
+        [0.7973352562030509, -0.00044974136636217755, -1.9132090894563908e-07, -2.7282317615146005e-10, -6.847044593785921e-13,
+         -2.4887294116273398e-15, -1.191465438175113e-17, -7.103648196434553e-20, -5.083434299031134e-22, -4.2538563419859614e-24,
+         -4.0826147479115365e-26, -4.42716650887871e-28, -5.360224638742036e-30, -7.176510747638379e-32],
+    ]
+).T.copy()
+_RADIAL_FAR = [0.7978845608028654, -0.09973557010035818, -0.018700419393817155, -0.011687762121135724, -0.012783489819992198,
+              -0.02013399646648771, -0.041526367712130904]
 
 
 def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
@@ -307,16 +367,34 @@ def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
     return acc * t
 
 
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # sum_k c[k] T_k(t) by Clenshaw's recurrence, column j of c the coefficients at t[j]
+    t2 = t + t
+    b0, b1, b2 = np.empty_like(t), c[-1].copy(), np.zeros_like(t)
+    for ck in c[-2:0:-1]:
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += ck
+        b0, b1, b2 = b2, b0, b1
+    return c[0] + t * b1 - b2
+
+
 def _radial_bracket(x: np.ndarray) -> np.ndarray:
-    # 1 - e^-x (I0(x) + I1(x)), in [0, 1), at x = R^2 / 2 rc^2
+    # 1 - e^-x (I0(x) + I1(x)), in [0, 1], at x = R^2 / 2 rc^2: one Clenshaw pass up to 1e3, one Horner pass past it
     out = np.empty_like(x)
-    small = x < _SERIES_WINDOW
-    if small.any():
-        out[small] = _taylor(_RADIAL_TAYLOR, x[small])
-    xl = x[~small]
-    if xl.size:
-        ie = _ie(xl)
-        out[~small] = 1.0 - (ie[0] + ie[1])
+    near = x <= _RADIAL_SEAMS[-1]
+    xn = x[near]
+    if xn.size:
+        i = np.searchsorted(_RADIAL_SEAMS, xn)  # xn in (s_{i-1}, s_i]
+        inverse = i >= _RADIAL_INVERSE
+        u = np.divide(1.0, xn, out=xn.copy(), where=inverse)
+        mid, scale = _RADIAL_MAP[:, i]
+        p = _clenshaw(_RADIAL_CHEBYSHEV[:, i], (u - mid) * scale)
+        out[near] = np.where(inverse, 1.0 - p * np.sqrt(u), np.where(i == 0, xn * p, p))
+    xf = x[~near]
+    if xf.size:
+        w = 1.0 / xf  # 0 at x = inf, where the bracket is 1
+        out[~near] = 1.0 - (_RADIAL_FAR[0] + _taylor(_RADIAL_FAR[1:], w)) * np.sqrt(w)
     return out
 
 

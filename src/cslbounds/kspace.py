@@ -364,6 +364,15 @@ def _rel(err, value):
     return abs(err / value)
 
 
+def _check_rel_err(rel_err: float, budget: _Budget) -> None:
+    if not math.isfinite(rel_err) or rel_err > REL_TOL:
+        raise QuadratureError(
+            f"quadrature reached relative error {rel_err:.3e}, above the target {REL_TOL:.3e}",
+            achieved_rel_error=rel_err,
+            evaluations=budget.used,
+        )
+
+
 def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangement: MassArrangement) -> QuadratureResult:
     """Two-sided CSL force PSD by direct k-space quadrature (N^2/Hz).
 
@@ -400,8 +409,10 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     budget = _Budget(BUDGET)
     with np.errstate(all="ignore"):  # every numpy evaluation of the oracle; the rest is float arithmetic
         axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
-        if axial == axial_err == 0.0:  # the coefficients cancel; a sum that cancels to 0.0 fails REL_TOL below
-            return QuadratureResult(0.0, 0.0, budget.used)
+        if axial == 0.0:
+            if axial_err == 0.0:  # the coefficients cancel
+                return QuadratureResult(0.0, 0.0, budget.used)
+            _check_rel_err(math.inf, budget)  # a sum that cancelled to 0.0: no radial or slab factor mends it
         if isinstance(geometry, Cylinder):
             radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
             perp_full = 2.0 * math.pi * (4.0 / (geometry.radius * geometry.radius)) * radial
@@ -418,10 +429,5 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     q = HBAR * (geometry.mass / M_NUCLEON) * rc
     axial_full = 2.0 * (2.0 / (ell * ell)) * axial
     value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
-    if not math.isfinite(rel_err) or rel_err > REL_TOL:
-        raise QuadratureError(
-            f"quadrature reached relative error {rel_err:.3e}, above the target {REL_TOL:.3e}",
-            achieved_rel_error=rel_err,
-            evaluations=budget.used,
-        )
+    _check_rel_err(rel_err, budget)
     return QuadratureResult(value, rel_err, budget.used)

@@ -1,11 +1,12 @@
 """Special functions with explicit accuracy targets.
 
-Only what the noise formulas and the k-space quadrature need: the
-exponentially scaled modified Bessel functions e^-x I0(x) and e^-x I1(x)
-for the closed forms (the unscaled values overflow long before the
-physically interesting regime is reached), and the J1 and sinc^2 array
-kernels of the quadrature oracle.  The erf of the cube bracket is
-math.erf.
+The exponentially scaled modified Bessel functions e^-x I0(x) and
+e^-x I1(x) (the unscaled values overflow long before the physically
+interesting regime is reached), the J1 and sinc^2 array kernels of the
+quadrature oracle, and the package's one float-or-array conversion.  The
+closed forms call neither i0e, i1e nor _ie: cslnoise evaluates its radial
+bracket from its own Chebyshev expansions.  The erf of the cube bracket
+is math.erf.
 
 Accuracy targets (checked by the test suite against extended-precision
 references):

@@ -525,7 +525,14 @@ def test_validate_at_the_largest_rc_exit_3(capsys):
     # mode and their sum cancels to 0.0: no digit is left, which is no exact zero
     code, out, err = run(capsys, "validate", "--config", "ligo", "--rc-min", "1e307", "--rc-max", "1e308", "--points", "2")
     assert (code, out) == (3, "")
-    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06\n"
+    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 1e+307 m\n"
+
+
+def test_validate_names_the_rc_where_the_oracle_fails(capsys):
+    # the axial mode sum cancels to 0.0 at the first point; the message once named no r_c
+    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "674.4394739750234", "--rc-max", "700", "--points", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 674.439 m\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):
@@ -829,7 +836,7 @@ def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatc
         with monkeypatch.context() as m:
             m.setattr(kspace, "BUDGET", 100)
             code, out, err = run(capsys, *VALIDATE_ARGS)
-        assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c\n")
+        assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c, at r_c = 0.001 m\n")
         assert len(kspace._ZERO_MODE) == (3 if warm else 0)
     # a target beyond the first pass makes the slab integral double; one node short of its need it stops
     monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
@@ -840,7 +847,7 @@ def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatc
     assert achieved is not None
     code, out, err = run(capsys, *VALIDATE_ARGS)
     assert (code, out) == (3, "")
-    assert err == f"error: evaluation budget exhausted while integrating slab form-factor integral (achieved {achieved:.3e})\n"
+    assert err == f"error: evaluation budget exhausted while integrating slab form-factor integral (achieved {achieved:.3e}), at r_c = 0.001 m\n"
 
 
 def test_validate_missed_target_states_the_achieved_error_once(capsys, monkeypatch):
@@ -850,7 +857,7 @@ def test_validate_missed_target_states_the_achieved_error_once(capsys, monkeypat
     achieved = _quadrature_failure("lisa_pathfinder", 1e-3).achieved_rel_error
     code, out, err = run(capsys, *VALIDATE_ARGS)
     assert (code, out) == (3, "")
-    assert err == f"error: quadrature reached relative error {achieved:.3e}, above the target 1.000e-20\n"
+    assert err == f"error: quadrature reached relative error {achieved:.3e}, above the target 1.000e-20, at r_c = 0.001 m\n"
 
 
 def run_in_process(*argv):

@@ -276,14 +276,75 @@ def test_cube_bracket_matches_extended_precision():
         assert _cube_bracket(np.array([z]))[0] == pytest.approx(ref, rel=2e-15, abs=0.0), f"z={z}"
 
 
+def radial_bracket_tables():
+    """_radial_bracket's Chebyshev table, one row per interval, and its far coefficients, from mpmath at 40 digits.
+
+    Each interval's p is sampled on the map t = (u - mid) * scale the kernel
+    evaluates, at the 32 Chebyshev nodes, and its coefficients are their
+    discrete cosine transform; d_k sums the DLMF 10.40.1 coefficients of
+    I0 and I1.  Print the source lines with
+    PYTHONPATH=src python tests/test_cslnoise.py
+    """
+    nodes, terms, far = 32, len(cslnoise._RADIAL_CHEBYSHEV), len(cslnoise._RADIAL_FAR)
+    with mp.workdps(40):
+        angles = [mp.pi * (j + mp.mpf(0.5)) / nodes for j in range(nodes)]
+        table = []
+        for i, (mid, scale) in enumerate(cslnoise._RADIAL_MAP.T.tolist()):
+            us = [mid + mp.cos(a) / scale for a in angles]
+            if i == 0:
+                ps = [mp_radial_bracket(u) / u for u in us]
+            elif i < cslnoise._RADIAL_INVERSE:
+                ps = [mp_radial_bracket(u) for u in us]
+            else:
+                ps = [(1 - mp_radial_bracket(1 / u)) / mp.sqrt(u) for u in us]
+            table.append([float((2 - (k == 0)) * mp.fsum(p * mp.cos(k * a) for p, a in zip(ps, angles)) / nodes) for k in range(terms)])
+        # (-1)^k a_k(nu) = prod_{j <= k} ((2j - 1)^2 - 4 nu^2) / (k! 8^k)
+        d = [sum(mp.fprod((2 * j - 1) ** 2 - 4 * nu * nu for j in range(1, k + 1)) for nu in (0, 1)) / (mp.factorial(k) * 8**k) for k in range(far)]
+        return table, [float(v / mp.sqrt(2 * mp.pi)) for v in d]
+
+
+def test_radial_bracket_table_is_its_mpmath_derivation():
+    table, far = radial_bracket_tables()
+    assert np.array(table).T.tobytes() == cslnoise._RADIAL_CHEBYSHEV.tobytes()
+    assert np.array(far).tobytes() == np.array(cslnoise._RADIAL_FAR).tobytes()
+
+
+def mp_radial_bracket_taylor(s, terms):
+    """The radial bracket's Taylor coefficients about x = s, highest first, from mpmath's Bessel values at s.
+
+    y0 = e^-x I0 and y1 = e^-x I1 solve y0' = y1 - y0 and x y1' = x (y0 - y1) - y1
+    (DLMF 10.29.2), which give the coefficients a_n of y0 and b_n of y1 by recurrence.
+    """
+    s = mp.mpf(s)
+    a, b = [mp.exp(-s) * mp.besseli(0, s)], [mp.exp(-s) * mp.besseli(1, s)]
+    for n in range(terms - 1):
+        below = a[n - 1] - b[n - 1] if n else 0
+        a.append((b[n] - a[n]) / (n + 1))
+        b.append((s * (a[n] - b[n]) + below - (n + 1) * b[n]) / (s * (n + 1)))
+    return [-(an + bn) for an, bn in zip(a[:0:-1], b[:0:-1])] + [1 - a[0] - b[0]]
+
+
+@pytest.mark.parametrize("seam", cslnoise._RADIAL_SEAMS.tolist())
+def test_radial_bracket_across_each_seam(seam):
+    # both expansions meeting at a seam, to their ends: 2 000 points within 2% of it, and its neighbouring doubles
+    xs = np.linspace(0.98 * seam, 1.02 * seam, 2000)
+    xs = np.append(xs, [math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)])
+    got = _radial_bracket(xs)
+    with mp.workdps(30):
+        coeffs = mp_radial_bracket_taylor(seam, 16)
+        ref = np.array([float(mp.polyval(coeffs, mp.mpf(x) - seam)) for x in xs.tolist()])
+    assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
 def straddle(switch):
     """Log grid across a branch switch, with the switch value itself."""
     return np.sort(np.append(np.geomspace(switch / 4.0, switch * 4.0, 60), switch))
 
 
 def test_brackets_as_arrays_straddling_branch_switches():
-    # one array per switch (radial series at x = 1, i0e/i1e at x = 20,
-    # cube series at z = 1), so both branches run in the same call
+    # one array per straddle (radial x in [1/4, 4] and [5, 80], across the
+    # seams 1, 2, 3.2 and 8, 14, 30; cube series at z = 1), so the branches
+    # on either side of each run in the same call
     for xs in (straddle(1.0), straddle(20.0)):
         got = _radial_bracket(xs)
         for x, g in zip(xs, got):
@@ -294,7 +355,8 @@ def test_brackets_as_arrays_straddling_branch_switches():
 
 
 # the range the closed forms reach, any finite argument >= 0, and the branch switches
-BRANCH_SWITCHES = [0.0, 1.0, 20.0, 1e3, cslnoise._ERF_ONE]
+# (the radial seams, i0e/i1e's group switches at 20 and 1e3, the cube's erf cut)
+BRANCH_SWITCHES = [0.0, *cslnoise._RADIAL_SEAMS.tolist(), 20.0, cslnoise._ERF_ONE]
 bracket_args = st.one_of(
     st.floats(min_value=-6.0, max_value=17.0).map(lambda e: 10.0**e),
     st.floats(min_value=0.0, max_value=sys.float_info.max),
@@ -449,9 +511,9 @@ def test_bar_large_rc_decay_orders():
 
 
 def test_printed_bar_matches_extended_precision_over_13_decades():
-    # The radial bracket switches from its Taylor series to 1 - (i0e + i1e)
-    # at x = R^2/2rc^2 = 1 (rc = R/sqrt(2) = 0.21 m for AURIGA), where
-    # neither branch cancels; the dense block straddles that switch, and
+    # The radial bracket switches from x p(2x - 1) to its next Chebyshev
+    # interval at x = R^2/2rc^2 = 1 (rc = R/sqrt(2) = 0.21 m for AURIGA), where
+    # neither branch cancels; the dense block straddles that seam, and
     # the grid reaches 1e-150 m, where the PSD is still a normal double.
     rc_switch = AURIGA_GEOM.radius / math.sqrt(2.0)
     grid = np.concatenate(
@@ -467,13 +529,16 @@ DETECTORS = {name: load_detector_config(name) for name in ("ligo", "lisa_pathfin
 
 @pytest.mark.parametrize("name, variant", [("ligo", None), ("lisa_pathfinder", None), *(("auriga", v) for v in BAR_VARIANTS)])
 @given(rc=log_uniform(-140.0, 4.0))
-# where x = R^2/2rc^2 or z = side/2rc meets the series window (x = 1, z = 1)
-# and where the narrower windows were (x = 5e-3, z = 0.1): LIGO, LISA, AURIGA
+# where x = R^2/2rc^2 meets the first and last radial seams (x = 1, 1e3) or z = side/2rc
+# the cube's series window (z = 1), and where the narrower windows were (x = 5e-3, z = 0.1):
+# LIGO, LISA, AURIGA
 @example(rc=0.17 / math.sqrt(2.0))
+@example(rc=0.17 / math.sqrt(2e3))
 @example(rc=1.7)
 @example(rc=0.023)
 @example(rc=0.23)
 @example(rc=0.3 / math.sqrt(2.0))
+@example(rc=0.3 / math.sqrt(2e3))
 @example(rc=3.0)
 def test_closed_form_accuracy_contract(name, variant, rc):
     # below 1e-140 m the PSD nears the subnormal range (about 7e-151 m)
@@ -984,3 +1049,20 @@ def test_results_do_not_depend_on_the_callers_numpy_error_state(state):
     with warnings.catch_warnings(), np.errstate(all=state):
         warnings.simplefilter("error")
         assert [outcome(call) for call in calls] == expected
+
+
+if __name__ == "__main__":
+
+    def rows(values, head, indent):
+        """values as a list literal after head, five to a line."""
+        lines = [", ".join(map(repr, values[k : k + 5])) for k in range(0, len(values), 5)]
+        return [(head + "[" if k == 0 else indent + " ") + line + ("]," if k == len(lines) - 1 else ",") for k, line in enumerate(lines)]
+
+    seams = cslnoise._RADIAL_SEAMS.tolist()
+    intervals = ["[0, 1]", *(f"({lo:g}, {hi:g}]" for lo, hi in zip(seams, seams[1:]))]
+    table, far = radial_bracket_tables()
+    lines = ["_RADIAL_CHEBYSHEV = np.array(", "    ["]
+    for interval, row in zip(intervals, table):
+        lines += [f"        # {interval}", *rows(row, " " * 8, " " * 8)]
+    lines += ["    ]", ").T.copy()", *rows(far, "_RADIAL_FAR = ", " " * 13)]
+    print("\n".join(lines).rstrip(","))

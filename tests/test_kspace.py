@@ -282,6 +282,19 @@ def test_oracle_certifies_an_exact_zero_only_where_the_coefficients_cancel(confi
     assert result.value > 0.0 and result.rel_error > 0.0
 
 
+def test_a_cancelled_mode_sum_stops_the_oracle_at_the_modes_cost():
+    # the radial or slab factor once ran after such a sum anyway: 930 evaluations, of which the modes took 620
+    det = load_detector_config("lisa_pathfinder")
+    rc = 674.4394739750234
+    budget = kspace._Budget(kspace.BUDGET)
+    axial, axial_err = kspace._axial_mode_sum(det.arrangement.separation, det.geometry.side, rc, budget)
+    assert axial == 0.0 < axial_err
+    with pytest.raises(QuadratureError) as info:
+        force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+    assert str(info.value) == "quadrature reached relative error inf, above the target 1.000e-06"
+    assert (info.value.achieved_rel_error, info.value.evaluations) == (math.inf, budget.used) == (math.inf, 620)
+
+
 def test_arm_count_scales_linearly():
     params = CslParams(1.0, 0.01)
     geom = Cylinder(radius=0.17, length=0.2, mass=40.0)
