@@ -67,8 +67,11 @@ DEFAULT_BAR_VARIANT = "rederived"
 MIN_CORRELATION_LENGTH = float(np.finfo(float).tiny)
 
 
+_set_slot = object.__setattr__  # a hot constructor writes its slots directly: _set's keywords take twice the time
+
+
 class _Record:
-    """Immutable value: its fields are the __slots__ along the MRO, set once through _set.
+    """Immutable value: its fields are the __slots__ along the MRO, set once through _set (or _set_slot).
 
     ==, hash and repr cover the fields not named in _hidden, == and hash
     an array field by its bytes; assigning any attribute raises
@@ -136,7 +139,8 @@ class CslParams(_Record):
                     f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
                 )
             rc = float(rc[0]) if scalar else _frozen(rc, "correlation_length")
-        self._set(collapse_rate=float(collapse_rate) + 0.0, correlation_length=rc)
+        _set_slot(self, "collapse_rate", float(collapse_rate) + 0.0)
+        _set_slot(self, "correlation_length", rc)
 
 
 def _check_geometry(dims: dict, mass: float, density: Optional[float], volume: float, part: str = ""):
@@ -208,7 +212,10 @@ class HalfCylinderBar(_Rod):
     def halves(self) -> Cylinder:
         """Either half of the bar: a cylinder of length/2 and mass/2, checked once, when the bar was built."""
         half = object.__new__(Cylinder)
-        half._set(radius=self.radius, length=0.5 * self.length, mass=0.5 * self.mass, density=None)
+        _set_slot(half, "radius", self.radius)
+        _set_slot(half, "length", 0.5 * self.length)
+        _set_slot(half, "mass", 0.5 * self.mass)
+        _set_slot(half, "density", None)
         return half
 
 

@@ -17,14 +17,16 @@ Each factor is integrated on equal panels from 0 by the 31-point
 Gauss-Kronrod rule, in one pass per panel count.  The embedded 15-point
 Gauss rule on the same nodes gives the error estimate (the rule pair of
 QUADPACK, Piessens et al. 1983; the Kronrod nodes are computed at import
-by Laurie's algorithm, Math. Comp. 66, 1997).  The panel count doubles
-only when that estimate misses its target.  The radial and slab
-integrals stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine
-modes stop at 1e-13 of the zero mode, because their sum cancels at
-large rc.  Every estimate is at least 100 ulp of the integral of |f|.
-Each integral stops at U = 7 Gaussian widths (rc k = U, e^-49 ~ 5e-22)
-and is charged a bound on the rest.  Two measures keep the oscillatory
-integrands tractable over the full parameter range:
+by Laurie's algorithm, Math. Comp. 66, 1997).  One product with the two
+weight columns forms each panel's Kronrod sum and Kronrod - Gauss
+difference; a pass's value adds the sums, its estimate the |differences|.
+The panel count doubles only when that estimate misses its target.  The
+radial and slab integrals stop at 1e-2 of the fixed tolerance REL_TOL;
+the axial cosine modes stop at 1e-13 of the zero mode, because their sum
+cancels at large rc.  Every estimate is at least 100 ulp of the integral
+of |f|.  Each integral stops at U = 7 Gaussian widths (rc k = U,
+e^-49 ~ 5e-22) and is charged a bound on the rest.  Two measures keep
+the oscillatory integrands tractable over the full parameter range:
 
 * The axial trig product is expanded into pure cosine modes
   (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k over
@@ -38,7 +40,7 @@ integrands tractable over the full parameter range:
   by integration by parts and charged to the reported error.
 
 Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
-J1(z)^2 for the radial and sinc^2 u for the slab integral) times a
+J1(z)^2 / z for the radial and sinc^2 u for the slab integral) times a
 factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  Its panels have
 a dyadic width w / 2^k, w = 6000/478 (radial, slab) or U/4 (modes).
 The first pass takes the coarsest that lays enough panels over the
@@ -180,6 +182,7 @@ def _gauss_kronrod(n):
 
 
 _NODES, _WEIGHTS, _WEIGHTS_DIFF = _gauss_kronrod(_GAUSS_POINTS)
+_RULES = np.column_stack((_WEIGHTS, _WEIGHTS_DIFF))  # fx @ _RULES: per panel, Kronrod sum and Kronrod - Gauss
 _EPS = float(np.finfo(float).eps)
 
 
@@ -230,10 +233,12 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
             )
         half, x, values = _shape_nodes(shape, grid, level, panels)
         fx = f(x, values).reshape(panels, _NODES.size)
-        value = half * float(fx.sum(axis=0) @ _WEIGHTS)
-        magnitude = value if fx.min() >= 0.0 else half * float(np.abs(fx).sum(axis=0) @ _WEIGHTS)
+        rules = fx @ _RULES
+        value = half * float(rules[:, 0].sum())
+        # |f| through the same product, whose bits are value's where f >= 0; a one-vector product may round otherwise
+        magnitude = value if fx.min() >= 0.0 else half * float((np.abs(fx) @ _RULES)[:, 0].sum())
         floor = 100.0 * _EPS * magnitude
-        err = max(half * float(np.abs(fx @ _WEIGHTS_DIFF).sum()), floor)
+        err = max(half * float(np.abs(rules[:, 1]).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
             return value, err
         level += 1
@@ -328,8 +333,8 @@ def _resolved_with_tail(f, shape, s, divisor, remainder, majorant, budget, what)
     return value, err
 
 
-def _j1_squared(z):
-    return _j1_array(z) ** 2
+def _j1_squared_over_z(z):
+    return _j1_array(z) ** 2 / z
 
 
 def _disc_radial_integral(radius, rc, budget):
@@ -340,11 +345,11 @@ def _disc_radial_integral(radius, rc, budget):
     """
     s = rc / radius
 
-    def f(z, jj):
-        return jj * np.exp(-((s * z) ** 2)) / z
+    def f(z, shape):
+        return shape * np.exp(-((s * z) ** 2))
 
     what = "radial form-factor integral"
-    return _resolved_with_tail(f, _j1_squared, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, what)
+    return _resolved_with_tail(f, _j1_squared_over_z, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, what)
 
 
 def _slab_integral(side, rc, budget):

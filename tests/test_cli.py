@@ -530,9 +530,9 @@ def test_validate_at_the_largest_rc_exit_3(capsys):
 
 def test_validate_names_the_rc_where_the_oracle_fails(capsys):
     # the axial mode sum cancels to 0.0 at the first point; the message once named no r_c
-    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "674.4394739750234", "--rc-max", "700", "--points", "2")
+    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "517.4961689908563", "--rc-max", "700", "--points", "2")
     assert (code, out) == (3, "")
-    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 674.439 m\n"
+    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 517.496 m\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):
