@@ -223,8 +223,8 @@ MassGeometry = Union[Cylinder, Cube, HalfCylinderBar]
 
 
 def forced_separation(geometry: MassGeometry) -> Optional[float]:
-    """The separation the geometry forces (a bar's halves sit length/2 apart), else None."""
-    return geometry.halves().length if isinstance(geometry, HalfCylinderBar) else None
+    """The separation the geometry forces (a bar's halves sit length/2 apart, halves().length), else None."""
+    return 0.5 * geometry.length if isinstance(geometry, HalfCylinderBar) else None
 
 
 class MassArrangement(_Record):

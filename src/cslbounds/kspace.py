@@ -13,20 +13,21 @@ geometry makes the integral separate into one-dimensional factors:
   radial  int k_rho [2 J1(k_rho R)/(k_rho R)]^2 e^{-rc^2 k_rho^2} dk_rho
   slab    int sinc^2(k L/2) e^{-rc^2 k^2} dk          (cube, twice)
 
-Each factor is integrated on equal panels from 0 by the 31-point
-Gauss-Kronrod rule, in one pass per panel count.  The embedded 15-point
-Gauss rule on the same nodes gives the error estimate (the rule pair of
-QUADPACK, Piessens et al. 1983; the Kronrod nodes are computed at import
-by Laurie's algorithm, Math. Comp. 66, 1997).  One product with the two
-weight columns forms each panel's Kronrod sum and Kronrod - Gauss
-difference; a pass's value adds the sums, its estimate the |differences|.
-The panel count doubles only when that estimate misses its target.  The
-radial and slab integrals stop at 1e-2 of the fixed tolerance REL_TOL;
-the axial cosine modes stop at 1e-13 of the zero mode, because their sum
-cancels at large rc.  Every estimate is at least 100 ulp of the integral
-of |f|.  Each integral stops at U = 7 Gaussian widths (rc k = U,
-e^-49 ~ 5e-22) and is charged a bound on the rest.  Two measures keep
-the oscillatory integrands tractable over the full parameter range:
+One routine, _adaptive, integrates every factor on equal panels from 0
+by the 31-point Gauss-Kronrod rule, in one pass per panel count.  The
+embedded 15-point Gauss rule on the same nodes gives the error estimate
+(the rule pair of QUADPACK, Piessens et al. 1983; the Kronrod nodes are
+computed at import by Laurie's algorithm, Math. Comp. 66, 1997).  One
+product with the two weight columns forms each panel's Kronrod sum and
+Kronrod - Gauss difference; a pass's value adds the sums, its estimate
+the |differences|.  The panel count doubles only when that estimate
+misses its target.  The radial and slab integrals stop at 1e-2 of the
+fixed tolerance REL_TOL; the axial cosine modes stop at 1e-13 of the
+zero mode, because their sum cancels at large rc.  Every estimate is at
+least 100 ulp of the integral of |f|.  Each integral stops at U = 7
+Gaussian widths (rc k = U, e^-49 ~ 5e-22) and is charged a bound on the
+rest.  Two measures keep the oscillatory integrands tractable over the
+full parameter range:
 
 * The axial trig product is expanded into pure cosine modes
   (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k over
@@ -41,17 +42,20 @@ the oscillatory integrands tractable over the full parameter range:
 
 Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
 J1(z)^2 / z for the radial and sinc^2 u for the slab integral) times a
-factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  Its panels have
-a dyadic width w / 2^k, w = 6000/478 (radial, slab) or U/4 (modes).
-The first pass takes the coarsest that lays enough panels over the
-range (at least 8 over [0, min(U/s, 6000)]; for a mode at least 4 over
-[0, U], more the faster it oscillates), rounded up to whole panels, and
-each doubling the next.  So every pass is a prefix of one table per
-(shape, width) of nodes and shape values, filled on first use and
-shared by every rc; the zero mode, free of rc, is integrated once per
-process.  Each result is still charged every node of its passes, and
-only quadrature nodes count as evaluations.  A pass with no negative
-node takes its value as the integral of |f|.
+factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  A caller hands
+_adaptive the shape, the factor, a grid, a span and a least panel count;
+the routine lays the panels, of dyadic width w / 2^k, w = 6000/478
+(radial, slab) or U/4 (modes), and multiplies shape by factor on them.
+Its first pass takes the coarsest width that lays the least count over
+[0, span] (at least 8 over [0, min(U/s, 6000)]; for a mode at least 4
+over [0, U], more the faster it oscillates), rounded up to whole panels
+that end at hi, and each doubling the next, over the same [0, hi].  So
+every pass is a prefix of one table per (shape, width) of nodes and
+shape values, filled on first use and shared by every rc; the zero mode,
+free of rc, is integrated once per process.  Each result is still
+charged every node of its passes, and only quadrature nodes count as
+evaluations.  A pass with no negative node takes its value as the
+integral of |f|.
 
 The reported relative error is the sum of the quadrature estimates and
 these tail bounds.  It must stay within REL_TOL, and one result may
@@ -209,18 +213,21 @@ def _shape_nodes(shape, grid, level, panels):
     return 0.5 * width, x[: panels * _NODES.size], values[: panels * _NODES.size]
 
 
-def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
-    """Composite Gauss-Kronrod quadrature of f(x, shape(x)) on equal panels from 0: (value, error).
+def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what):
+    """Composite Gauss-Kronrod quadrature of f = shape(x) factor(x) on whole panels from 0: (value, error, hi).
 
-    One pass evaluates the Kronrod rule on the first `panels` panels of
-    the grid's level, a prefix of the shape's table, and charges the
-    budget every node, tabulated or not; each doubling moves down one
-    level.  The error estimate of a pass is the sum over panels of
-    |Kronrod - embedded Gauss|, and never less than 100 ulp of the
-    integral of |f|.  The pass is accepted when that estimate is at most
-    the largest of tol_abs, tol_rel times the integral of |f| and that
-    floor.  Only an error message reads what: a str, or what() if not.
+    The first pass lays the coarsest level of the grid with `least` panels over [0, span] (_level),
+    rounded up to whole panels that end at hi, at most the level's end; each doubling moves down one
+    level over the same [0, hi].  A pass reads the shape on a prefix of its table, multiplies it by the
+    factor and charges the budget every node, tabulated or not.  Its error estimate, the sum over panels
+    of |Kronrod - embedded Gauss| and never less than 100 ulp of the integral of |f|, passes at most the
+    largest of tol_abs, tol_rel times the integral of |f| and that floor.  Only an error message reads
+    what: a str, or what() if not.
     """
+    level = _level(span, least, grid[0])
+    width = math.ldexp(grid[0], -level)
+    panels = min(math.ceil(span / width), grid[1] << level)
+    hi = panels * width
     err = value = None
     while True:
         if not budget.charge(panels * _NODES.size):
@@ -232,7 +239,7 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
                 evaluations=budget.used,
             )
         half, x, values = _shape_nodes(shape, grid, level, panels)
-        fx = f(x, values).reshape(panels, _NODES.size)
+        fx = (values * factor(x)).reshape(panels, _NODES.size)
         rules = fx @ _RULES
         value = half * float(rules[:, 0].sum())
         # |f| through the same product, whose bits are value's where f >= 0; a one-vector product may round otherwise
@@ -240,7 +247,7 @@ def _adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
         floor = 100.0 * _EPS * magnitude
         err = max(half * float(np.abs(rules[:, 1]).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
-            return value, err
+            return value, err, hi
         level += 1
         panels *= 2
 
@@ -255,13 +262,9 @@ def _cos_gauss_moment(ratio, tol_abs, budget):
     This is rc * int_0^inf cos(b k) e^{-(rc k)^2} dk at ratio = b/rc; the
     part past U = _K_CUTOFF, at most e^{-U^2} / 2U, is charged.
     """
-    level = _level(_K_CUTOFF, max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1), _MODE_GRID[0])
-
-    def f(u, gauss):
-        return np.cos(ratio * u) * gauss
-
+    least = max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
     what = partial("cosine mode at {:g} rad per r_c".format, ratio)  # formatted only for an error message
-    value, err = _adaptive(f, _gauss, _MODE_GRID, level, _MODE_GRID[1] << level, tol_abs, 0.0, budget, what)
+    value, err, _ = _adaptive(_gauss, lambda u: np.cos(ratio * u), _MODE_GRID, _K_CUTOFF, least, tol_abs, 0.0, budget, what)
     return value, err + math.exp(-_K_CUTOFF**2) / (2.0 * _K_CUTOFF)
 
 
@@ -302,25 +305,21 @@ def _axial_mode_sum(separation, length, rc, budget):
     return total, err
 
 
-def _resolved_with_tail(f, shape, s, divisor, remainder, majorant, budget, what):
-    """(value, error) of int_0^inf f(z, shape(z)) ~ (1 - ripple(2z)) e^{-(s z)^2} / (divisor z^2).
+def _resolved_with_tail(shape, s, divisor, remainder, majorant, budget, what):
+    """(value, error) of int_0^inf shape(z) e^{-(s z)^2} dz, shape(z) ~ (1 - ripple(2z)) / (divisor z^2).
 
-    The integrand is resolved on whole panels out to hi >= min(U/s,
-    _RESOLVED_PHASE), U = _K_CUTOFF.  Past hi < U/s the averaged 1/z^2 tail
+    The integrand is resolved on whole panels out to hi, min(U/s, _RESOLVED_PHASE)
+    rounded up to them, U = _K_CUTOFF.  Past hi < U/s the averaged 1/z^2 tail
     is added in closed form; the dropped ripple is bounded by parts, and
     remainder / z^2 bounds the error of the asymptotic form itself.  Past
-    hi >= U/s, f <= majorant(z) e^{-(s z)^2} with majorant(z) / z
-    nonincreasing, and majorant(hi) e^{-v^2} / 2 s v at v = s hi is charged.
+    hi >= U/s, shape <= majorant(z) with majorant(z) / z nonincreasing,
+    and majorant(hi) e^{-v^2} / 2 s v at v = s hi is charged.
     """
     zcap = _K_CUTOFF / s if s else math.inf  # s underflows to 0 for an r_c far below the body
     if zcap == 0.0:  # s = inf: the range is empty
         return 0.0, 0.0
     span, grid = min(zcap, _RESOLVED_PHASE), (_RESOLVED_PHASE / _LEVEL0_PANELS, _LEVEL0_PANELS)
-    level = _level(span, 8, grid[0])
-    width = math.ldexp(grid[0], -level)
-    panels = min(math.ceil(span / width), _LEVEL0_PANELS << level)
-    hi = panels * width
-    value, err = _adaptive(f, shape, grid, level, panels, 0.0, _SUB_TOL * REL_TOL, budget, what)
+    value, err, hi = _adaptive(shape, lambda z: np.exp(-((s * z) ** 2)), grid, span, 8, 0.0, _SUB_TOL * REL_TOL, budget, what)
     v = s * hi
     gauss = math.exp(-v * v)
     if zcap > hi:
@@ -343,23 +342,13 @@ def _disc_radial_integral(radius, rc, budget):
     The full radial factor is (8 pi / radius^2) * Phi.  The tail uses J1(z)^2 <= z^2/4 past the window,
     else J1(z)^2 = (1 - sin 2z)/(pi z) + eps(z), |eps(z)| <= _J1SQ_TAIL_C / z^2.
     """
-    s = rc / radius
-
-    def f(z, shape):
-        return shape * np.exp(-((s * z) ** 2))
-
     what = "radial form-factor integral"
-    return _resolved_with_tail(f, _j1_squared_over_z, s, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, what)
+    return _resolved_with_tail(_j1_squared_over_z, rc / radius, math.pi, 0.5 * _J1SQ_TAIL_C, lambda z: 0.25 * z, budget, what)
 
 
 def _slab_integral(side, rc, budget):
     """T_half = int_0^inf sinc^2(k side/2) e^{-(rc k)^2} dk via u = k side/2; sinc^2 u = (1 - cos 2u) / 2u^2 <= 1."""
-    s = 2.0 * rc / side
-
-    def f(u, sinc2):
-        return sinc2 * np.exp(-((s * u) ** 2))
-
-    value, err = _resolved_with_tail(f, _sinc2_array, s, 2.0, 0.0, lambda u: 1.0, budget, "slab form-factor integral")
+    value, err = _resolved_with_tail(_sinc2_array, 2.0 * rc / side, 2.0, 0.0, lambda u: 1.0, budget, "slab form-factor integral")
     return (2.0 / side) * value, (2.0 / side) * err
 
 

@@ -234,6 +234,31 @@ def test_diffusion_rate_bar_default_arrangement(auriga):
     assert eta == explicit
 
 
+def test_bar_result_builds_its_halves_once(monkeypatch, auriga):
+    # the arrangement check reads length/2 off the bar; only the model itself builds the halves
+    calls = []
+    halves = HalfCylinderBar.halves
+
+    def counting(bar):
+        calls.append(bar)
+        return halves(bar)
+
+    monkeypatch.setattr(HalfCylinderBar, "halves", counting)
+    params = CslParams(1.0, 0.3)
+    force_psd_by_quadrature(params, auriga.geometry, auriga.arrangement)
+    assert len(calls) == 1
+    force_noise_psd(params, auriga.geometry, auriga.arrangement)
+    assert len(calls) == 2
+
+
+@given(log_uniform(-300.0, 300.0))
+@example(3.0)
+@example(float(np.nextafter(3.0, 0.0)))
+def test_forced_separation_is_the_halves_length(length):
+    bar = HalfCylinderBar(radius=0.3, length=length, mass=2300.0)
+    assert forced_separation(bar) == bar.halves().length
+
+
 def test_bar_rejects_wrong_separation():
     bar = HalfCylinderBar(radius=0.3, length=3.0, mass=2300.0)
     with pytest.raises(ValueError, match="separation"):
@@ -441,6 +466,57 @@ def test_mode_first_level_is_the_coarsest_with_enough_panels():
     assert fastest == 8 and kspace._level(kspace._K_CUTOFF, fastest, kspace._MODE_GRID[0]) == 1
 
 
+RESOLVED_GRID = (kspace._RESOLVED_PHASE / kspace._LEVEL0_PANELS, kspace._LEVEL0_PANELS)
+# grid, span and least count of a first pass on the whole of the modes' level 0
+MODE_LEVEL0 = (kspace._MODE_GRID, kspace._K_CUTOFF, kspace._MODE_GRID[1])
+
+
+def ones(x):
+    return np.ones_like(x)
+
+
+def recorded_passes(grid, span, least, doubled):
+    """hi of _adaptive over [0, span] on a fresh table of ones, and the nodes each of its passes saw.
+
+    Every pass meets the infinite target, but a NaN factor on the first
+    pass forces one doubling when doubled is set.
+    """
+    seen = []
+
+    def factor(x):
+        seen.append(np.array(x))
+        return np.full(x.size, math.nan if doubled and len(seen) == 1 else 1.0)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kspace, "_TABLES", {})
+        _, _, hi = kspace._adaptive(ones, factor, grid, span, least, math.inf, 0.0, kspace._Budget(kspace.BUDGET), "ones")
+    return hi, seen
+
+
+@given(st.sampled_from([kspace._MODE_GRID, RESOLVED_GRID]), log_uniform(-300.0, 0.0), st.integers(min_value=2, max_value=200))
+@example(RESOLVED_GRID, float(np.nextafter(9 * RESOLVED_GRID[0], math.inf)) / kspace._RESOLVED_PHASE, 2)
+@example(RESOLVED_GRID, 1.0, 8)
+@example(kspace._MODE_GRID, 1.0, 4)
+def test_first_pass_lays_whole_panels_from_0_to_hi(grid, fraction, least):
+    # span is a fraction of the level's end (U for the modes, 6000 for the rest), which no caller passes
+    end = grid[0] * grid[1]
+    span = fraction * end
+    hi, (first,) = recorded_passes(grid, span, least, doubled=False)
+    panels, rest = divmod(first.size, kspace._NODES.size)
+    level = round(math.log2(grid[0] * panels / hi))
+    width = math.ldexp(grid[0], -level)
+    # at least `least` whole panels of one level's width, laid from 0 up to hi
+    assert rest == 0 and panels >= least and level >= 0 and panels * width == hi
+    assert 0.0 < first.min() < width and hi - width < first.max() < hi
+    # span / width may round down onto a whole count: hi is then one ulp short of span, whose tail starts at hi
+    assert hi >= span or hi == end or span - hi <= math.ulp(span)
+    assert hi - span < width
+    # a forced doubling halves the panels over the same [0, hi]
+    doubled_hi, (again, second) = recorded_passes(grid, span, least, doubled=True)
+    assert doubled_hi == hi and np.array_equal(again, first)
+    assert second.size == 2 * first.size and 0.0 < second.min() < 0.5 * width and hi - 0.5 * width < second.max() < hi
+
+
 def with_examples(values):
     """Hypothesis's @example for each of the values."""
 
@@ -610,8 +686,7 @@ def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
             results.append((kspace._cos_gauss_moment(ratio, tol, budget), budget.used))
         # every mode meets the target on its first level; one at 30 rad per r_c started on level 0 doubles
         budget = kspace._Budget(kspace.BUDGET)
-        grid = kspace._MODE_GRID
-        doubled = kspace._adaptive(lambda u, g: np.cos(30.0 * u) * g, kspace._gauss, grid, 0, grid[1], MODE_TOL, 0.0, budget, "mode")
+        doubled = kspace._adaptive(kspace._gauss, lambda u: np.cos(30.0 * u), *MODE_LEVEL0, MODE_TOL, 0.0, budget, "mode")
         results.append((doubled, budget.used))
         return results
 
@@ -694,8 +769,17 @@ def test_zero_mode_memo_changes_no_result(monkeypatch):
     assert len(cold[0]) == 27 and cold[1][0].startswith("quadrature reached relative error")
 
 
-def reference_adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
+def first_pass(grid, span, least):
+    """The level, panel count and end hi of _adaptive's first pass, laid as it lays them."""
+    level = kspace._level(span, least, grid[0])
+    width = math.ldexp(grid[0], -level)
+    panels = min(math.ceil(span / width), grid[1] << level)
+    return level, panels, panels * width
+
+
+def reference_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what):
     """_adaptive as it was when every pass summed |f|, whatever the sign of f, kept as its reference."""
+    level, panels, hi = first_pass(grid, span, least)
     err = value = None
     while True:
         if not budget.charge(panels * kspace._NODES.size):
@@ -707,21 +791,24 @@ def reference_adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, 
                 evaluations=budget.used,
             )
         half, x, values = kspace._shape_nodes(shape, grid, level, panels)
-        fx = f(x, values).reshape(panels, kspace._NODES.size)
+        fx = (values * factor(x)).reshape(panels, kspace._NODES.size)
         rules = fx @ kspace._RULES
         value = half * float(rules[:, 0].sum())
         magnitude = half * float((np.abs(fx) @ kspace._RULES)[:, 0].sum())
         floor = 100.0 * kspace._EPS * magnitude
         err = max(half * float(np.abs(rules[:, 1]).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
-            return value, err
+            return value, err, hi
         level += 1
         panels *= 2
 
 
+def nan_at_last_node(x):
+    return np.append(np.ones(x.size - 1), np.nan)
+
+
 def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
     monkeypatch.setattr(kspace, "_TABLES", {})
-    grid = kspace._MODE_GRID
 
     def passes(adaptive):
         # (value, error, evaluations), or the error's message, achieved error (repr: NaN is unequal) and evaluations
@@ -730,11 +817,11 @@ def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
         cases += [lambda b, s=s: kspace._slab_integral(2.0, s, b) for s in (1e-9, 1e-4, 1e-2, 0.05)]
         cases += [
             lambda b: kspace._cos_gauss_moment(0.0, 0.0, b),  # the zero mode
-            # started on level 0, the mode at 30 rad per r_c doubles
-            lambda b: adaptive(lambda u, g: np.cos(30.0 * u) * g, kspace._gauss, grid, 0, grid[1], MODE_TOL, 0.0, b, "mode"),
-            lambda b: adaptive(lambda u, g: 0.0 * g, kspace._gauss, grid, 0, grid[1], 0.0, 0.0, b, "zero"),
+            # started on level 0, the mode at 30 rad per r_c doubles; (value, error) without hi, as the integrals return
+            lambda b: adaptive(kspace._gauss, lambda u: np.cos(30.0 * u), *MODE_LEVEL0, MODE_TOL, 0.0, b, "mode")[:2],
+            lambda b: adaptive(kspace._gauss, lambda u: np.zeros(u.size), *MODE_LEVEL0, 0.0, 0.0, b, "zero")[:2],
             # a NaN at the last node of every pass: it never meets its target, so it ends on a small budget
-            lambda b: adaptive(lambda u, g: np.append(g[:-1], np.nan), kspace._gauss, grid, 0, grid[1], 0.0, 0.0, kspace._Budget(2000), "NaN"),
+            lambda b: adaptive(kspace._gauss, nan_at_last_node, *MODE_LEVEL0, 0.0, 0.0, kspace._Budget(2000), "NaN"),
         ]
         out = []
         for case in cases:
@@ -752,28 +839,29 @@ def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
     assert ours[-2][:2] == (0.0, 0.0) and ours[-3][2] > ours[-4][2]
 
 
-def column_sum_adaptive(f, shape, grid, level, panels, tol_abs, tol_rel, budget, what):
+def column_sum_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what):
     """_adaptive as it was before one product formed each panel's rules, kept to bound the move.
 
     A pass summed the panels' columns and then took dot products with the
     Kronrod and the difference weights; the radial integrand was J1(z)^2
     e^{-(s z)^2} / z, with the shape J1(z)^2.
     """
+    level, panels, hi = first_pass(grid, span, least)
     while True:
         if not budget.charge(panels * kspace._NODES.size):
             raise QuadratureError("evaluation budget exhausted", evaluations=budget.used)
         half, x, values = kspace._shape_nodes(shape, grid, level, panels)
-        if shape is kspace._j1_squared_over_z:  # f on a shape of ones is its factor e^{-(s z)^2}
-            fx = _j1_array(x) ** 2 * f(x, np.ones_like(x)) / x
+        if shape is kspace._j1_squared_over_z:
+            fx = _j1_array(x) ** 2 * factor(x) / x
         else:
-            fx = f(x, values)
+            fx = values * factor(x)
         fx = fx.reshape(panels, kspace._NODES.size)
         value = half * float(fx.sum(axis=0) @ kspace._WEIGHTS)
         magnitude = half * float(np.abs(fx).sum(axis=0) @ kspace._WEIGHTS)
         floor = 100.0 * kspace._EPS * magnitude
         err = max(half * float(np.abs(fx @ kspace._WEIGHTS_DIFF).sum()), floor)
         if err <= max(tol_abs, tol_rel * magnitude, floor):
-            return value, err
+            return value, err, hi
         level += 1
         panels *= 2
 
