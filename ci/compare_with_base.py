@@ -1,0 +1,90 @@
+"""Compare the CLI's outputs with those of a base revision: python ci/compare_with_base.py REV
+
+Runs each command on REV, extracted by `git archive` so that no network is needed, and on this working tree,
+uncommitted edits included: under this interpreter, with that tree's src/ on PYTHONPATH, in an empty
+directory. Stdout, stderr, exit code and written files must match byte for byte. Each differing one is
+reported with its count of differing lines, the largest relative change of a number (decimal, float.hex()
+or count) at the same position and its first differing pairs, and the exit status is 1. Lines are paired by
+index: difflib is quadratic, and would stall for hours on a change that moves a few bits of the 1e6-row scan.
+
+validate's rel_diff digits rest on BLAS dot products, so the CLI transcript leaves them out; here both trees
+use one numpy. From r_c = 1 m, validate shows where each oracle first fails. The 200-point scans are the
+golden files; the dense scan crosses every seam of the radial bracket and the cube's series window. bound and
+noise at extreme r_c reach the r_c checks and the vanishing, underflowing and overflowing results. The oracle
+sweep prints the evaluation counts and failures that validate's grids do not.
+"""
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
+SWEEP = """import numpy as np
+from cslbounds import CslParams, QuadratureError, force_psd_by_quadrature, load_detector_config
+for name in ("ligo", "lisa_pathfinder", "auriga"):
+    det = load_detector_config(name)
+    for rc in np.geomspace(1e-12, 1e4, 61).tolist():
+        try:
+            r = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+            print(name, repr(rc), r.value.hex(), r.rel_error.hex(), r.evaluations)
+        except QuadratureError as exc:
+            print(name, repr(rc), exc, exc.evaluations)
+"""
+EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e300")
+CLI = ["-m", "cslbounds.cli"]
+COMMANDS = [
+    *([*CLI, "validate", "--config", c] for c in CONFIGS),
+    *([*CLI, "validate", "--config", c, "--rc-min", "1", "--rc-max", "1e4", "--points", "9"] for c in CONFIGS),
+    *([*CLI, "scan", "--config", c, "--out", "scan.csv"] for c in CONFIGS),
+    *([*CLI, "scan", "--config", c, "--points", "1000000", "--out", "scan.csv"] for c in CONFIGS),
+    *([*CLI, "bound", "--rc", rc, "--config", c] for c in CONFIGS for rc in EXTREME_RC),
+    *([*CLI, "noise", "--rc", rc, "--lambda", "1", "--config", c] for c in CONFIGS for rc in EXTREME_RC),
+    ["-c", SWEEP],
+]
+
+
+def run(src, args):
+    """stdout, stderr, exit code and written files of `python ARGS`, run in an empty directory with SRC on PYTHONPATH."""
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+        files = {str(f.relative_to(cwd)): f.read_bytes() for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
+    return {"stdout": done.stdout, "stderr": done.stderr, "exit code": str(done.returncode).encode(), **files}
+
+
+def largest_change(base, head):
+    """Largest relative change between the numbers (decimal, float.hex() or count) at one position of two lines."""
+    worst = 0.0
+    for a, b in zip(base.replace(",", " ").split(), head.replace(",", " ").split()):
+        try:
+            x, y = (float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
+        except ValueError:
+            continue
+        worst = max(worst, abs(y - x) / (max(abs(x), abs(y)) or 1.0))
+    return worst
+
+
+def main(rev):
+    """Run every command on REV and on the working tree; the exit status is 1 if any output differs."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE, check=True).stdout
+    status = 0
+    with tempfile.TemporaryDirectory() as base:
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        for args in COMMANDS:
+            old, new = run(Path(base, "src"), args), run(ROOT / "src", args)
+            differ = [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
+            print(f"{' '.join(args[2:]) or 'oracle sweep'}:", f"differs in {', '.join(differ)}" if differ else "identical", flush=True)
+            for k in differ:
+                lines = zip_longest(*(out.get(k, b"").decode(errors="replace").splitlines() for out in (old, new)), fillvalue="")
+                pairs = [(a, b) for a, b in lines if a != b]
+                worst = max((largest_change(a, b) for a, b in pairs), default=0.0)
+                print(f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e}")
+                print("".join(f"    - {a}\n    + {b}\n" for a, b in pairs[:3]), end="")
+            status = 1 if differ else status
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

@@ -1,0 +1,105 @@
+"""ci/compare_with_base.py: number comparison, runner, command list, and the CI job that calls it."""
+
+import importlib.util
+import math
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = importlib.util.spec_from_file_location("compare_with_base", ROOT / "ci" / "compare_with_base.py")
+compare = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(compare)
+
+CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
+EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e300")
+
+
+def test_largest_change_reports_one_ulp_of_a_decimal_or_a_hex_value_and_a_changed_count():
+    x = 4.46587164e-24
+    y = math.nextafter(x, math.inf)
+    ulp = (y - x) / y
+    assert compare.largest_change(f"1e-08 4.46587161e-24 {x!r} 5.6e-09", f"1e-08 4.46587161e-24 {y!r} 5.6e-09") == ulp
+    assert compare.largest_change(f"ligo 1e-08 {x.hex()} 0x1.5p-40 930", f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == ulp
+    assert compare.largest_change("ligo 1e-08 0x1p-70 0x1p-40 930", "ligo 1e-08 0x1p-70 0x1p-40 931") == 1 / 931
+    assert compare.largest_change("1e-08,2.5,0.0", "1e-08,2.0,0.0") == 0.5 / 2.5
+
+
+def test_largest_change_is_zero_for_identical_lines_and_skips_tokens_that_are_not_numbers():
+    line = "ligo 1e-08 0x1.2p-70 0x1p-40 930"
+    assert compare.largest_change(line, line) == 0.0
+    assert compare.largest_change("0.0 0x0p+0", "0.0 0x0p+0") == 0.0
+    # words of hex letters are not numbers without their 0x
+    assert compare.largest_change("config ligo dead face", "config auriga beef fade") == 0.0
+    assert compare.largest_change("error: quadrature reached 3", "error: quadrature failed three") == 0.0
+
+
+def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
+    child = (
+        "import os, sys\n"
+        "open('scan.csv', 'w').write('r_c_m,lambda\\n1e-07,2.5\\n')\n"
+        "print(os.environ['PYTHONPATH'])\n"
+        "print('error: r_c out of range', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    # the working directory starts empty, so the written file is the only one
+    assert compare.run(tmp_path, ["-c", child]) == {
+        "stdout": f"{tmp_path}\n".encode(),
+        "stderr": b"error: r_c out of range\n",
+        "exit code": b"3",
+        "scan.csv": b"r_c_m,lambda\n1e-07,2.5\n",
+    }
+
+
+def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
+    cli = ["-m", "cslbounds.cli"]
+    expected = [["-c", compare.SWEEP]]
+    for c in CONFIGS:
+        expected += [
+            [*cli, "validate", "--config", c],
+            [*cli, "validate", "--config", c, "--rc-min", "1", "--rc-max", "1e4", "--points", "9"],
+            [*cli, "scan", "--config", c, "--out", "scan.csv"],
+            [*cli, "scan", "--config", c, "--points", "1000000", "--out", "scan.csv"],
+        ]
+        expected += [[*cli, "bound", "--rc", rc, "--config", c] for rc in EXTREME_RC]
+        expected += [[*cli, "noise", "--rc", rc, "--lambda", "1", "--config", c] for rc in EXTREME_RC]
+    assert sorted(compare.COMMANDS) == sorted(expected)
+    for fragment in (
+        'for name in ("ligo", "lisa_pathfinder", "auriga"):',
+        "for rc in np.geomspace(1e-12, 1e4, 61).tolist():",
+        "force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)",
+        "print(name, repr(rc), r.value.hex(), r.rel_error.hex(), r.evaluations)",
+        "except QuadratureError as exc:",
+        "print(name, repr(rc), exc, exc.evaluations)",
+    ):
+        assert fragment in compare.SWEEP
+    compile(compare.SWEEP, "sweep", "exec")
+
+
+def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monkeypatch, capsys):
+    same = ["-c", "print(0x1p-3)"]
+    monkeypatch.setattr(compare, "COMMANDS", [same])
+    assert compare.main("HEAD") == 0
+    assert capsys.readouterr().out == "oracle sweep: identical\n"
+    # sys.path[1] is the tree's src/ on PYTHONPATH, so it differs between the two trees
+    monkeypatch.setattr(compare, "COMMANDS", [same, ["-c", "import sys; print(sys.path[1])"]])
+    assert compare.main("HEAD") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "oracle sweep: identical",
+        "oracle sweep: differs in stdout",
+        "  stdout: 1 differing lines, largest relative change 0.000e+00",
+    ]
+    assert out[3].startswith("    - ") and out[3].endswith("src")
+    assert out[4] == f"    + {ROOT / 'src'}"
+
+
+def test_the_ci_job_calls_the_script_with_the_base_sha_and_runs_no_command_of_its_own():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    job = re.search(r"^  validate-unchanged:\n((?:    .*\n|\n)*)", workflow, re.M).group(1)
+    assert "if: github.event_name == 'pull_request'" in job
+    assert "fetch-depth: 0" in job
+    assert re.findall(r"run: (.*)", job) == [
+        'python -m pip install "numpy>=1.24"',
+        'python ci/compare_with_base.py "${{ github.event.pull_request.base.sha }}"',
+    ]
+    assert "cslbounds" not in job
