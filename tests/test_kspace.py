@@ -15,6 +15,7 @@ import time
 import tracemalloc
 import typing
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -653,6 +654,11 @@ def shape_afresh(monkeypatch, whole_range):
     monkeypatch.setattr(kspace, "_shape_nodes", afresh)
 
 
+def no_moment_route(monkeypatch):
+    """Send every radial and slab integral down the direct route: each pass evaluates its factor on the nodes."""
+    monkeypatch.setattr(kspace, "_moment_pass", lambda *args: None)
+
+
 @pytest.mark.parametrize("s", [1e-9, 1e-4, 1e-2, 0.05])
 def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
     whole_range = []
@@ -664,14 +670,24 @@ def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
             kspace._slab_integral(2.0, s, kspace._Budget(kspace.BUDGET)),
         )
 
-    monkeypatch.setattr(kspace, "_TABLES", {})
-    cold = integrals()
-    warm = integrals()
-    with monkeypatch.context() as m:
+    def cold_warm_afresh(m):
+        # the moment tables too are built afresh, from the shape on the same nodes
+        m.setattr(kspace, "_TABLES", {})
+        m.setattr(kspace, "_MOMENTS", {})
+        cold = integrals()
+        warm = integrals()
+        m.setattr(kspace, "_MOMENTS", {})
         shape_afresh(m, whole_range)
-        reference = integrals()
-    assert cold == warm == reference
-    # s <= U/6000: the first pass spans the whole of level 0
+        assert cold == warm == integrals()
+
+    with monkeypatch.context() as m:  # s hi <= 1 takes the moment route, whose tables read the whole level 0
+        cold_warm_afresh(m)
+    assert len(whole_range) == (2 if s * kspace._RESOLVED_PHASE <= 1.0 else 0) and all(whole_range)
+    whole_range.clear()
+    with monkeypatch.context() as m:
+        no_moment_route(m)
+        cold_warm_afresh(m)
+    # s <= U/6000: the direct route's first pass spans the whole of level 0
     assert len(whole_range) == (2 if s <= S_FULL else 0) and all(whole_range)
 
 
@@ -777,8 +793,8 @@ def first_pass(grid, span, least):
     return level, panels, panels * width
 
 
-def reference_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what):
-    """_adaptive as it was when every pass summed |f|, whatever the sign of f, kept as its reference."""
+def reference_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, nonnegative=False):
+    """_adaptive as it was when every pass summed |f|, whatever the sign of f or what the caller knows of it, kept as its reference."""
     level, panels, hi = first_pass(grid, span, least)
     err = value = None
     while True:
@@ -839,7 +855,7 @@ def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
     assert ours[-2][:2] == (0.0, 0.0) and ours[-3][2] > ours[-4][2]
 
 
-def column_sum_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what):
+def column_sum_adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, nonnegative=False):
     """_adaptive as it was before one product formed each panel's rules, kept to bound the move.
 
     A pass summed the panels' columns and then took dot products with the
@@ -888,6 +904,7 @@ def test_one_product_per_pass_moves_each_result_by_under_5_percent_of_its_error(
 
     new = outcomes()
     monkeypatch.setattr(kspace, "_adaptive", column_sum_adaptive)
+    no_moment_route(monkeypatch)  # the parent's arithmetic at small r_c too: every pass evaluated on its nodes
     old = outcomes()
     assert len(new) == 27 + 75 + 903
     assert [r is None for r in new] == [r is None for r in old]
@@ -900,27 +917,112 @@ def test_one_product_per_pass_moves_each_result_by_under_5_percent_of_its_error(
     assert max(abs(n.rel_error - o.rel_error) / o.rel_error for n, o in pairs) <= 0.05
 
 
+# the shape and the integral that resolves it at s: radius 1 and side 2 make both integrals' s the argument
+RESOLVED = {
+    "radial": (kspace._j1_squared_over_z, lambda s, budget: kspace._disc_radial_integral(1.0, s, budget)),
+    "slab": (kspace._sinc2_array, lambda s, budget: kspace._slab_integral(2.0, s, budget)),
+}
+REACH = 1.0 / kspace._RESOLVED_PHASE  # the largest s of the moment route: s hi = 1
+
+
+def routed(name, s, limit=None):
+    """The integral at s as routed, (value, error, evaluations) or its QuadratureError's (message, achieved, evaluations),
+    and what each call of the moment pass returned."""
+    moment_pass, returned = kspace._moment_pass, []
+
+    def spy(*args):
+        returned.append(moment_pass(*args))
+        return returned[-1]
+
+    budget = kspace._Budget(kspace.BUDGET if limit is None else limit)
+    with mock.patch.object(kspace, "_moment_pass", spy):
+        try:
+            return (*RESOLVED[name][1](s, budget), budget.used), returned
+        except QuadratureError as exc:
+            return (str(exc), repr(exc.achieved_rel_error), exc.evaluations), returned
+
+
+@given(log_uniform(-300, math.log10(REACH)), st.sampled_from(sorted(RESOLVED)))
+@example(REACH, "radial")
+@example(REACH, "slab")
+@example(float(np.nextafter(REACH, 1.0)), "radial")  # one ulp past the reach: the direct route
+@example(float(np.nextafter(REACH, 1.0)), "slab")
+def test_moment_route_matches_the_direct_route(s, name):
+    # the direct route's first pass, forced through _adaptive, against the moment pass the integral took; the
+    # direct estimate itself lies up to 1.9e-6 from a long-double evaluation of the same rule, and the two routes'
+    # estimates lay up to 5.5e-6 apart over 2 x 20 000 s in [1e-8, 1] / hi (their values up to 1.2e-15)
+    shape = RESOLVED[name][0]
+    budget = kspace._Budget(kspace.BUDGET)
+    span = min(kspace._K_CUTOFF / s, kspace._RESOLVED_PHASE)
+    tol = kspace._SUB_TOL * kspace.REL_TOL
+    direct = kspace._adaptive(shape, lambda z: np.exp(-((s * z) ** 2)), RESOLVED_GRID, span, 8, 0.0, tol, budget, name, True)
+    result, returned = routed(name, s)
+    assert result[2] == budget.used == RESOLVED_GRID[1] * kspace._NODES.size
+    if s * kspace._RESOLVED_PHASE > 1.0:
+        assert returned == []
+        return
+    (value, err, hi), = returned
+    assert hi == direct[2] and abs(value - direct[0]) <= 2e-15 * direct[0] and abs(err - direct[1]) <= 1e-5 * direct[1]
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_moment_route_falls_back_to_the_direct_route(monkeypatch, name):
+    level0 = RESOLVED_GRID[1] * kspace._NODES.size
+    # a budget that cannot pay level 0 charges nothing for the moment pass: the direct route raises what it raised
+    short, returned = routed(name, REACH, level0 - 1)
+    assert returned == [None] and short[1:] == ("None", 0)
+    with monkeypatch.context() as m:
+        no_moment_route(m)
+        assert routed(name, REACH, level0 - 1)[0] == short
+    # at REL_TOL = 1e-12 the level-0 pass misses its target 1e-14: the direct route then integrates from level 0 as
+    # before, whether it converges, runs out after level 0 (with the error achieved there) or cannot pay level 0
+    monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
+    limits = (None, 2 * level0, level0 - 1)
+    for s in (1e-9, 0.5 * REACH, REACH):
+        outcomes = [routed(name, s, limit) for limit in limits]
+        assert all(returned == [None] for _, returned in outcomes)
+        with monkeypatch.context() as m:
+            no_moment_route(m)
+            assert [result for result, _ in outcomes] == [routed(name, s, limit)[0] for limit in limits]
+        converged, after_level0, unpaid = (result for result, _ in outcomes)
+        assert isinstance(converged[0], float) and converged[2] > level0
+        assert after_level0[0].endswith(")") and "(achieved " in after_level0[0] and after_level0[2] == level0
+        assert unpaid[1] == "None" and unpaid[2] == 0
+
+
 @pytest.mark.parametrize("config, rc", [("ligo", 1e-7), ("lisa_pathfinder", 1e-3), ("auriga", 5e-3), ("auriga", 1e-5)])
 def test_evaluations_count_every_quadrature_node(monkeypatch, config, rc):
-    # every pass of every integral reads its nodes through _shape_nodes; the
-    # closed-form tail past 6000 rad of phase (ligo, auriga at 1e-5 m) costs none
-    tabulated = kspace._shape_nodes
-    nodes = []
+    # every pass of every integral reads its nodes through _shape_nodes, or the memo of a pass that did: the
+    # moment route's tables (ligo, auriga at 1e-5 m: s hi <= 1) and the zero mode; the closed-form tail past
+    # 6000 rad of phase costs none
+    tabulated, moment_pass = kspace._shape_nodes, kspace._moment_pass
+    nodes, moments = [], []
 
     def counting(shape, grid, level, panels):
         half, x, values = tabulated(shape, grid, level, panels)
         nodes.append(x.size)
         return half, x, values
 
+    def counting_moments(shape, s, grid, budget):
+        result = moment_pass(shape, s, grid, budget)
+        if result:
+            moments.append(grid[1] * kspace._NODES.size)
+        return result
+
     monkeypatch.setattr(kspace, "_shape_nodes", counting)
+    monkeypatch.setattr(kspace, "_moment_pass", counting_moments)
     monkeypatch.setattr(kspace, "_ZERO_MODE", [])
+    monkeypatch.setattr(kspace, "_MOMENTS", {})
     det = load_detector_config(config)
+    moment_route = rc / body_scale(det.geometry) * kspace._RESOLVED_PHASE <= 1.0
     cold = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
-    assert cold.evaluations == sum(nodes) > 0
-    # warm, the zero mode's one pass of 4 panels is charged without its nodes being read again
+    assert cold.evaluations == sum(nodes) > 0 and len(moments) == moment_route
+    # warm, the zero mode's one pass of 4 panels and a moment pass are charged without their nodes being read again
     nodes.clear()
+    moments.clear()
     warm = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
-    assert warm == cold and warm.evaluations == sum(nodes) + 124 == sum(nodes) + kspace._ZERO_MODE[2]
+    assert warm == cold and len(moments) == moment_route
+    assert warm.evaluations == sum(nodes) + sum(moments) + 124 == sum(nodes) + sum(moments) + kspace._ZERO_MODE[2]
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1e2, 1e100, 1e200, 1e300, 1.7e308, math.inf])
@@ -942,7 +1044,7 @@ def test_extreme_s_terminates(monkeypatch, s):
 
 def test_import_tabulates_nothing():
     src = str(Path(cslbounds.__file__).parents[1])
-    script = "from cslbounds import kspace\nassert kspace._TABLES == {} and kspace._ZERO_MODE == []\n"
+    script = "from cslbounds import kspace\nassert kspace._TABLES == {} and kspace._ZERO_MODE == [] and kspace._MOMENTS == {}\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
