@@ -8,10 +8,11 @@ or count) at the same position and its first differing pairs, and the exit statu
 index: difflib is quadratic, and would stall for hours on a change that moves a few bits of the 1e6-row scan.
 
 validate's rel_diff digits rest on BLAS dot products, so the CLI transcript leaves them out; here both trees
-use one numpy. From r_c = 1 m, validate shows where each oracle first fails. The 200-point scans are the
-golden files; the dense scan crosses every seam of the radial bracket and the cube's series window. bound and
-noise at extreme r_c reach the r_c checks and the vanishing, underflowing and overflowing results. The oracle
-sweep prints the evaluation counts and failures that validate's grids do not.
+use one numpy. From r_c = 1 m to 1e4 m, validate runs the oracle's one-pass axial product, where its cosine
+modes once cancelled. The 200-point scans are the golden files; the dense scan crosses every seam of the
+radial bracket and the cube's series window. bound and noise at extreme r_c reach the r_c checks and the
+vanishing, underflowing and overflowing results. The oracle sweep prints the evaluation counts and failures
+that validate's grids do not.
 """
 import os
 import subprocess

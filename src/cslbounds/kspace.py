@@ -21,18 +21,22 @@ computed at import by Laurie's algorithm, Math. Comp. 66, 1997).  One
 product with the two weight columns forms each panel's Kronrod sum and
 Kronrod - Gauss difference; a pass's value adds the sums, its estimate
 the |differences|.  The panel count doubles only when that estimate
-misses its target.  The radial and slab integrals stop at 1e-2 of the
-fixed tolerance REL_TOL; the axial cosine modes stop at 1e-13 of the
-zero mode, because their sum cancels at large rc.  Every estimate is at
-least 100 ulp of the integral of |f|.  Each integral stops at U = 7
-Gaussian widths (rc k = U, e^-49 ~ 5e-22) and is charged a bound on the
-rest.  Two measures keep the oscillatory integrands tractable over the
-full parameter range:
+misses its target.  The radial and slab integrals and the axial sin^2
+product stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine
+modes stop at 1e-13 of the zero mode, because their sum cancels at
+large rc.  Every estimate is at least 100 ulp of the integral of |f|.
+Each integral stops at U = 7 Gaussian widths (rc k = U, e^-49 ~ 5e-22)
+and is charged a bound on the rest.  Two measures keep the oscillatory
+integrands tractable over the full parameter range:
 
-* The axial trig product is expanded into pure cosine modes
-  (frequencies 0, l, a, a+l, |a-l|), integrated in u = rc k over
-  [0, U], so that the limits stay finite at any rc.  A mode at 2U/rc
-  or faster is dropped and charged e^{-U^2} of the zero mode, its bound.
+* The axial factor is integrated in u = rc k over [0, U], so that the
+  limits stay finite at any rc.  Where its fastest frequency (a+l)/rc is
+  below 2U, it is the nonnegative 4 sin^2(lu/2rc) sin^2(au/2rc) e^{-u^2},
+  one pass, charged past U the bound from min(4, 4 (la/4rc^2)^2 u^4).
+  Elsewhere, or where that product's bulk would underflow (rc from about
+  1e76 m for the bundled bodies), it is expanded into pure cosine modes
+  (frequencies 0, l, a, a+l, |a-l|).  A mode at 2U/rc or faster is
+  dropped and charged e^{-U^2} of the zero mode, its bound.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
   resolved literally out to a fixed phase (6000 rad); the remainder,
@@ -40,19 +44,20 @@ full parameter range:
   integral has a closed form in erfc.  The neglected ripple is bounded
   by integration by parts and charged to the reported error.
 
-Every integrand is an rc-free shape (e^{-u^2} for the cosine modes,
+Every integrand is an rc-free shape (e^{-u^2} for the axial factor,
 J1(z)^2 / z for the radial and sinc^2 u for the slab integral) times a
-factor that carries rc (cos(u b/rc) or e^{-(s z)^2}).  A caller hands
-_adaptive the shape, the factor, a grid, a span and a least panel count;
-the routine lays the panels, of dyadic width w / 2^k, w = 6000/478
-(radial, slab) or U/4 (modes), and multiplies shape by factor on them.
-Its first pass takes the coarsest width that lays the least count over
-[0, span] (at least 8 over [0, min(U/s, 6000)]; for a mode at least 4
-over [0, U], more the faster it oscillates), rounded up to whole panels
-that end at hi, and each doubling the next, over the same [0, hi].  So
-every pass is a prefix of one table per (shape, width) of nodes and
-shape values, filled on first use and shared by every rc; the zero mode,
-free of rc, is integrated once per process.  At s hi <= 1 (hi = 6000),
+factor that carries rc (cos(u b/rc), the sin^2 product or
+e^{-(s z)^2}).  A caller hands _adaptive the shape, the factor, a grid,
+a span and a least panel count; the routine lays the panels, of dyadic
+width w / 2^k, w = 6000/478 (radial, slab) or U/4 (axial), and
+multiplies shape by factor on them.  Its first pass takes the coarsest
+width that lays the least count over [0, span] (at least 8 over
+[0, min(U/s, 6000)]; for the axial factor at least 4 over [0, U], more
+the faster it oscillates), rounded up to whole panels that end at hi,
+and each doubling the next, over the same [0, hi].  So every pass is a
+prefix of one table per (shape, width) of nodes and shape values,
+filled on first use and shared by every rc; the zero mode, free of rc,
+is integrated once per process.  At s hi <= 1 (hi = 6000),
 the radial and slab first pass sums rc-free moment tables instead:
 e^{-(s z)^2} = sum_{k<16} (-(s hi)^2)^k (z/hi)^{2k} / k! (DLMF 4.2.19),
 whose first dropped term is under 1e-18 of the sum; it lies within
@@ -68,6 +73,7 @@ spend at most BUDGET integrand evaluations; both are fixed constants.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -279,7 +285,10 @@ def _axial_mode_sum(separation, length, rc, budget):
 
     M(b) = int_0^inf cos(b k) e^{-(rc k)^2} dk.  Returns (value,
     abs_error); exact zero coefficients (separation = 0) yield an exact
-    zero without integrating.
+    zero without integrating.  Where every mode is resolved, (separation +
+    length)/rc < 2U, one pass of their nonnegative sum 4 sin^2(hl u)
+    sin^2(ha u) e^{-u^2}, hl = length/2rc and ha = separation/2rc, stands
+    in for them: it does not cancel, unless it would underflow.
     """
     coef: dict[float, float] = {}
     modes = ((0.0, 1.0), (length, -1.0), (separation, -1.0), (separation + length, 0.5), (abs(separation - length), 0.5))
@@ -288,6 +297,14 @@ def _axial_mode_sum(separation, length, rc, budget):
     c0 = coef.pop(0.0)
     if c0 == 0.0:  # separation = 0: then every coefficient cancels
         return 0.0, 0.0
+    fastest, hl, ha = (separation + length) / rc, 0.5 * length / rc, 0.5 * separation / rc
+    # the product's bulk, about 4 (min(hl, 1) min(ha, 1))^2, must be a normal double; below that the modes cancel, and raise
+    if fastest < 2.0 * _K_CUTOFF and (min(hl, 1.0) * min(ha, 1.0)) ** 2 >= sys.float_info.min:
+        least = max(4, int(fastest * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)  # the fastest mode's, as _cos_gauss_moment lays it
+        product = lambda u: (2.0 * np.sin(hl * u) * np.sin(ha * u)) ** 2  # 4 sin^2(hl u) sin^2(ha u)
+        value, err, _ = _adaptive(_gauss, product, _MODE_GRID, _K_CUTOFF, least, 0.0, _SUB_TOL * REL_TOL, budget, "axial sin^2 product", True)
+        # past U the factor is at most min(4, 4 (hl ha)^2 u^4), and int_U^inf u^4 e^{-u^2} du <= U^3 e^{-U^2}
+        return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * math.exp(-_K_CUTOFF**2)
     # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
     if not _ZERO_MODE:
         fill = _Budget(BUDGET)
@@ -398,9 +415,9 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     Independent numerical route used to validate the closed forms; the
     reported relative error includes both quadrature estimates and the
     certified bounds on every dropped oscillatory contribution.  The
-    radial and slab integrals are driven to 1e-2 of REL_TOL, the axial
-    cosine modes to 1e-13 of the zero mode (integrated once per process,
-    yet charged to every result).  A result trusts its inputs, validated
+    radial and slab integrals and the axial sin^2 product are driven to 1e-2
+    of REL_TOL, the axial cosine modes to 1e-13 of the zero mode (integrated
+    once per process, yet charged to every result).  A result trusts its inputs, validated
     when they were built: a bar checked its halves once, at construction.
     It evaluates under one np.errstate(all="ignore"), whatever np.seterr the caller set.
 
@@ -444,9 +461,11 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
 
     # S_FF = q^2 B with q = hbar N rc (N nucleons) and B the rest; axial
     # carries the third power of rc.  q underflows only below rc ~ 1e-300 m,
-    # and q * (q * B) underflows only where S_FF itself does.
+    # and q * (q * B) underflows only where S_FF itself does, unless B ~ rc^-6
+    # does first, at large rc; then q goes into the axial and the radial or slab factor.
     q = HBAR * (geometry.mass / M_NUCLEON) * rc
     axial_full = 2.0 * (2.0 / (ell * ell)) * axial
-    value = q * (q * (lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count))
+    rest = lam / (2.0 * math.pi**1.5) * axial_full * perp_full * arrangement.arm_count
+    value = q * (q * rest) if rest >= sys.float_info.min else (q * axial_full) * (q * perp_full) * lam / (2.0 * math.pi**1.5) * arrangement.arm_count
     _check_rel_err(rel_err, budget)
     return QuadratureResult(value, rel_err, budget.used)

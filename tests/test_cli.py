@@ -308,6 +308,14 @@ def test_validate_auriga_endorses_rederived(capsys):
     assert "endorsed_variant = rederived" in out
 
 
+@pytest.mark.parametrize("config", ["ligo", "lisa_pathfinder", "auriga"])
+def test_validate_certifies_rc_from_1_m_to_1e4_m(capsys, config):
+    # the cosine modes once cancelled past the target here: ligo at 1000 m, lisa_pathfinder at 10 m, auriga at 100 m
+    code, out, err = run(capsys, "validate", "--config", config, "--rc-min", "1", "--rc-max", "1e4", "--points", "9")
+    assert code == 0, err
+    assert config != "auriga" or "endorsed_variant = rederived" in out
+
+
 def test_validate_deviation_exit_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "--config", "ligo", "--points", "3")
     assert code == 0 and out.splitlines()[-1].startswith("max_rel_diff = ")
@@ -320,9 +328,9 @@ def test_validate_deviation_exit_3(capsys, monkeypatch):
     assert err == f"error: closed form deviates from quadrature by {float(worst):.3e}\n"
 
 
-@pytest.mark.parametrize("threshold, within", [(1e-12, []), (1e3, ["printed", "rederived"])])
+@pytest.mark.parametrize("threshold, within", [(1e-16, []), (1e3, ["printed", "rederived"])])
 def test_validate_auriga_endorses_none_unless_exactly_one_variant_is_within(capsys, monkeypatch, threshold, within):
-    # the default grid's printed variant deviates by about 177 at 10 m
+    # the default grid's printed variant deviates by about 177 at 10 m, the rederived one by 7.9e-16 there
     monkeypatch.setattr(cli, "VALIDATE_THRESHOLD", threshold)
     code, out, err = run(capsys, "validate", "--config", "auriga", "--points", "3")
     assert (code, out) == (3, "")
@@ -512,9 +520,12 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
     assert len(err.splitlines()) == 1 and err.startswith("error: quadrature force PSD is 0 at r_c = ")
 
 
-def test_validate_prints_nothing_before_a_quadrature_failure(capsys):
-    # the third point misses the quadrature target; the first two rows once reached stdout
-    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "1", "--rc-max", "100", "--points", "5")
+def test_validate_prints_nothing_before_a_quadrature_failure(capsys, tmp_path):
+    # a 1 um cube 10 km from its partner: at the fourth point, 3.2 cm, every cosine mode but the zero and the
+    # length mode is dropped, and their difference, about 2.5e-10 of either, misses the quadrature target; the
+    # first three rows once reached stdout
+    path = write_config(tmp_path, "lisa_pathfinder", lambda d: (d["geometry"].update(side_m=1e-6), d["arrangement"].update(separation_m=1e4)))
+    code, out, err = run(capsys, "validate", "--config", str(path), "--rc-min", "1e-6", "--rc-max", "1", "--points", "5")
     assert (code, out) == (3, "")
     assert err.startswith("error: quadrature reached relative error ") and err.count("\n") == 1
 
@@ -528,11 +539,13 @@ def test_validate_at_the_largest_rc_exit_3(capsys):
     assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 1e+307 m\n"
 
 
-def test_validate_names_the_rc_where_the_oracle_fails(capsys):
-    # the axial mode sum cancels to 0.0 at the first point; the message once named no r_c
-    code, out, err = run(capsys, "validate", "--config", "lisa_pathfinder", "--rc-min", "517.4961689908563", "--rc-max", "700", "--points", "2")
+def test_validate_names_the_rc_where_the_oracle_fails(capsys, tmp_path):
+    # a 1 nm cube 20 m from its partner: at 1.25 m its length mode rounds to the zero mode, the others are
+    # dropped, and the axial mode sum cancels to 0.0 at the first point; the message once named no r_c
+    path = write_config(tmp_path, "lisa_pathfinder", lambda d: (d["geometry"].update(side_m=1e-9), d["arrangement"].update(separation_m=20.0)))
+    code, out, err = run(capsys, "validate", "--config", str(path), "--rc-min", "1.25", "--rc-max", "1.4", "--points", "2")
     assert (code, out) == (3, "")
-    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 517.496 m\n"
+    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 1.25 m\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):

@@ -20,7 +20,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cslbounds import (
@@ -296,34 +296,130 @@ def test_oracle_rejects_an_array_of_correlation_lengths(rc):
         force_psd_by_quadrature(CslParams(1.0, rc), LISA_GEOM, LISA_ARR)
 
 
-# lisa_pathfinder's axial mode sum cancels to exactly 0.0 here: the smallest r_c of np.geomspace(100, 1e4, 100_000)
-# where it does, the first of 7 667 there
+# lisa_pathfinder's cosine-mode sum cancels to exactly 0.0 here: the smallest r_c of np.geomspace(100, 1e4, 100_000)
+# where it does, the first of 7 667 there; all of them now lie in the product route's domain
 CANCELLED_RC = 517.4961689908563
+# a 1 nm cube 20 m from its partner at r_c = 1 m: the length mode rounds to the zero mode, the other three are
+# dropped, and the cosine-mode sum, which the product route does not take over there, cancels to exactly 0.0
+NANO_CUBE, NANO_ARR = Cube(side=1e-9, mass=1.928), MassArrangement(separation=20.0)
 
 
-@given(st.sampled_from(["ligo", "lisa_pathfinder", "auriga"]), log_uniform(0.0, 6.0))
-@example("lisa_pathfinder", CANCELLED_RC)  # the axial mode sum cancels to exactly 0.0, with an error of 7.9e-14
-def test_oracle_certifies_an_exact_zero_only_where_the_coefficients_cancel(config, rc):
-    # every bundled config has a separation > 0: its PSD is positive, or the oracle says it missed REL_TOL
-    det = load_detector_config(config)
+def bundled(name):
+    det = load_detector_config(name)
+    return det.geometry, det.arrangement, True
+
+
+def drawn_body(kind, size, radius, separation, arm_count):
+    """A body pair as the closed-form contract draws them: a bar takes its forced separation and one arm, a cube one arm."""
+    if kind == "cylinder":
+        return Cylinder(radius, size, 40.0), MassArrangement(separation, arm_count), False
+    if kind == "cube":
+        return Cube(size, 1.928), MassArrangement(separation), False
+    bar = HalfCylinderBar(radius, size, 2300.0)
+    return bar, MassArrangement(forced_separation(bar)), False
+
+
+# (geometry, arrangement, bundled): a bundled config, or a drawn body of 1 mm to 1 km
+BODIES = st.one_of(
+    st.sampled_from(["ligo", "lisa_pathfinder", "auriga"]).map(bundled),
+    st.builds(
+        drawn_body,
+        st.sampled_from(["cylinder", "cube", "bar"]),
+        log_uniform(-3.0, 3.0),
+        log_uniform(-3.0, 3.0),
+        log_uniform(-3.0, 4.0),
+        st.sampled_from([1, 2]),
+    ),
+)
+
+
+def axial_span(geometry, arrangement):
+    """separation + length, the fastest cosine mode's frequency; a bar's axial factor is that of its halves."""
+    if isinstance(geometry, HalfCylinderBar):
+        geometry = geometry.halves()
+    return arrangement.separation + (geometry.side if isinstance(geometry, Cube) else geometry.length)
+
+
+@given(BODIES, log_uniform(0.0, 308.0))
+@example(bundled("lisa_pathfinder"), CANCELLED_RC)  # the mode sum cancelled to exactly 0.0 here; the product does not
+@example((NANO_CUBE, NANO_ARR, False), 1.0)  # the mode sum, which still runs here, cancels to exactly 0.0
+@example(bundled("ligo"), 1e78)  # the last decade of ligo's product route: the PSD is a subnormal
+@example(bundled("ligo"), 1e150)  # an unscaled, unbounded product underflowed to 0.0 +- 0.0 here
+@example(bundled("lisa_pathfinder"), 1e78)  # where the product's bulk is subnormal, its estimate never converges
+@example(bundled("auriga"), 1e308)
+@example(bundled("ligo"), sys.float_info.max)
+def test_oracle_certifies_an_exact_zero_only_where_the_coefficients_cancel(body, rc):
+    # every body drawn has a separation > 0: its PSD is positive, or the oracle says it missed REL_TOL; the
+    # bundled bodies' PSD stays above 0.0 up to the largest r_c, a drawn one may underflow from about 1e77 m
+    geometry, arrangement, is_bundled = body
     try:
-        result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+        result = force_psd_by_quadrature(CslParams(1.0, rc), geometry, arrangement)
     except QuadratureError:
         return
-    assert result.value > 0.0 and result.rel_error > 0.0
+    assert result.rel_error > 0.0
+    assert result.value > 0.0 or not is_bundled
 
 
 def test_a_cancelled_mode_sum_stops_the_oracle_at_the_modes_cost():
-    # the radial or slab factor once ran after such a sum anyway, and charged its nodes on top of the modes' 620
-    det = load_detector_config("lisa_pathfinder")
-    rc = CANCELLED_RC
+    # the radial or slab factor once ran after such a sum anyway, and charged its nodes on top of the modes' 248
     budget = kspace._Budget(kspace.BUDGET)
-    axial, axial_err = kspace._axial_mode_sum(det.arrangement.separation, det.geometry.side, rc, budget)
+    axial, axial_err = kspace._axial_mode_sum(NANO_ARR.separation, NANO_CUBE.side, 1.0, budget)
     assert axial == 0.0 < axial_err
     with pytest.raises(QuadratureError) as info:
-        force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+        force_psd_by_quadrature(CslParams(1.0, 1.0), NANO_CUBE, NANO_ARR)
     assert str(info.value) == "quadrature reached relative error inf, above the target 1.000e-06"
-    assert (info.value.achieved_rel_error, info.value.evaluations) == (math.inf, budget.used) == (math.inf, 620)
+    assert (info.value.achieved_rel_error, info.value.evaluations) == (math.inf, budget.used) == (math.inf, 248)
+
+
+@given(BODIES, st.floats(min_value=0.0, max_value=1.0))
+@example(bundled("ligo"), 1.0)
+@example(bundled("lisa_pathfinder"), 0.0)
+@example(bundled("auriga"), 0.0)
+def test_oracle_certifies_every_rc_of_the_product_domain(body, t):
+    # log-uniform r_c from (separation + length)/2U, where the product route starts, to 1e4 m: the cosine modes
+    # once cancelled there from 562 m (ligo), 5.6 m (lisa_pathfinder) and 70 m (auriga); the closed forms
+    # hold 4e-15 against mpmath
+    geometry, arrangement, _ = body
+    lo = axial_span(geometry, arrangement) / EDGE
+    rc = lo * (1e4 / lo) ** t
+    while axial_span(geometry, arrangement) / rc >= EDGE:  # one ulp or two past the seam
+        rc = math.nextafter(rc, math.inf)
+    result = force_psd_by_quadrature(CslParams(1.0, rc), geometry, arrangement)
+    closed = force_noise_psd(CslParams(1.0, rc), geometry, arrangement, "rederived")
+    assert abs(closed - result.value) <= (result.rel_error + 4e-15) * result.value
+
+
+@given(log_uniform(-3.0, math.log10(13.0)))
+@example(0.2)  # the bundled lengths: ligo, lisa_pathfinder, the auriga halves
+@example(0.046)
+@example(1.5)
+def test_the_axial_routes_agree_at_their_seam(length):
+    # at (separation + length)/r_c = nextafter(2U, 0) the product is integrated, at nextafter(2U, inf) the cosine
+    # modes, r_c = 1 m
+    sides = []
+    for edge in (math.nextafter(EDGE, 0.0), math.nextafter(EDGE, math.inf)):
+        separation = edge - length
+        assume(separation + length == edge)  # a tie can round the sum one ulp off
+        budget = kspace._Budget(kspace.BUDGET)
+        with mock.patch.object(kspace, "_cos_gauss_moment", wraps=kspace._cos_gauss_moment) as modes:
+            sides.append((*kspace._axial_mode_sum(separation, length, 1.0, budget), modes.call_count))
+    (below, below_err, below_modes), (above, above_err, above_modes) = sides
+    assert below_modes == 0 < above_modes
+    assert abs(below - above) <= below_err + above_err
+
+
+SWEEP_53 = [(name, np.geomspace(1e-4 if name == "auriga" else 1e-9, 1e4, 53)) for name in ("ligo", "lisa_pathfinder", "auriga")]
+
+
+def test_every_rc_of_the_53_point_sweep_is_certified():
+    # 35 of these 159 points once raised QuadratureError; the bar's closed form is the rederived one
+    closed = []
+    for name, rcs in SWEEP_53:
+        det = load_detector_config(name)
+        closed += force_noise_psd(CslParams(1.0, rcs), det.geometry, det.arrangement, "rederived").tolist()
+    results = sweep(SWEEP_53)
+    assert len(results) == len(closed) == 159
+    assert all(abs(c - r.value) <= (r.rel_error + 4e-15) * r.value for c, r in zip(closed, results))
 
 
 def test_arm_count_scales_linearly():
@@ -769,13 +865,12 @@ def test_zero_mode_memo_changes_no_result(monkeypatch):
     # emptied before it, then all again with the memo filled
     monkeypatch.setattr(kspace, "_TABLES", {})
     monkeypatch.setattr(kspace, "_ZERO_MODE", [])
-    lisa = load_detector_config("lisa_pathfinder")
 
     def outcomes(before_each):
         results = sweep(ORACLE_POINTS, before_each)
         before_each()
         with pytest.raises(QuadratureError) as info:
-            force_psd_by_quadrature(CslParams(1.0, 10.0), lisa.geometry, lisa.arrangement)
+            force_psd_by_quadrature(CslParams(1.0, 1.0), NANO_CUBE, NANO_ARR)
         return results, (str(info.value), info.value.achieved_rel_error, info.value.evaluations)
 
     cold = outcomes(kspace._ZERO_MODE.clear)
