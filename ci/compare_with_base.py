@@ -10,9 +10,10 @@ index: difflib is quadratic, and would stall for hours on a change that moves a 
 validate's rel_diff digits rest on BLAS dot products, so the CLI transcript leaves them out; here both trees
 use one numpy. From r_c = 1 m to 1e4 m, validate runs the oracle's one-pass axial product, where its cosine
 modes once cancelled. The 200-point scans are the golden files; the dense scan crosses every seam of the
-radial bracket and the cube's series window. bound and noise at extreme r_c reach the r_c checks and the
-vanishing, underflowing and overflowing results. The oracle sweep prints the evaluation counts and failures
-that validate's grids do not.
+radial bracket and the cube's series window; the bar's printed variant is scanned on both grids too. bound
+and noise at extreme r_c reach the r_c checks, the large-r_c regime where the closed forms' rest factor is
+no longer a normal double (1e55 m), and the vanishing, underflowing and overflowing results. The oracle
+sweep prints the evaluation counts and failures that validate's grids do not.
 """
 import os
 import subprocess
@@ -34,13 +35,15 @@ for name in ("ligo", "lisa_pathfinder", "auriga"):
         except QuadratureError as exc:
             print(name, repr(rc), exc, exc.evaluations)
 """
-EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e300")
+EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 CLI = ["-m", "cslbounds.cli"]
 COMMANDS = [
     *([*CLI, "validate", "--config", c] for c in CONFIGS),
     *([*CLI, "validate", "--config", c, "--rc-min", "1", "--rc-max", "1e4", "--points", "9"] for c in CONFIGS),
     *([*CLI, "scan", "--config", c, "--out", "scan.csv"] for c in CONFIGS),
     *([*CLI, "scan", "--config", c, "--points", "1000000", "--out", "scan.csv"] for c in CONFIGS),
+    [*CLI, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
+    [*CLI, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
     *([*CLI, "bound", "--rc", rc, "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     *([*CLI, "noise", "--rc", rc, "--lambda", "1", "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     ["-c", SWEEP],

@@ -8,8 +8,11 @@ this module implements those closed forms for coaxial cylinder pairs
 (interferometer arms), cube pairs (drag-free accelerometers) and a
 resonant bar modeled as two touching half-cylinders, evaluated as that
 cylinder pair.  Each is q^2 lam B with q = hbar N r_c for N nucleons,
-formed in one place as q * (q * (lam * B)), the cube's r_c^2 inside B:
-no partial product underflows before the PSD itself does.
+formed in one place, _pair_psd, as q * (q * (lam * B)), the cube's r_c^2
+inside B.  B is an axial times a transverse factor, and where lam B is not
+a normal double (for the bundled detectors past r_c ~ 1e51-1e53 m, as B ~
+r_c^-6 while the PSD ~ r_c^-4) each factor takes one q instead: no partial
+product underflows before the PSD itself does.
 
 The pairing rules live here once, in MassArrangement.check, which the
 closed forms, the k-space oracle and detector_archetype all call: only a
@@ -18,7 +21,9 @@ cylinder pair may have two arms, and a bar's halves sit length/2 apart.
 Accuracy, checked against mpmath by the test suite: the radial and cube
 brackets hold a relative error of 2e-15 for x in [1e-300, 1e6] and z in
 [1e-150, 1e6], and the closed forms of the bundled detectors hold 4e-15
-for r_c in [1e-140, 1e4] m (the PSD turns subnormal near 7e-151 m).
+for r_c in [1e-140, 1e4] m (the PSD turns subnormal near 7e-151 m).  From
+1e4 m up to where the PSD turns subnormal again, near 1e73-1e75 m, they
+hold the k-space oracle's certified error + 4e-15.
 The radial bracket 1 - e^-x (I0(x) + I1(x)) calls no Bessel function: up
 to x = 1e3 it is one Clenshaw pass over 14-term Chebyshev expansions on
 nine fixed intervals, with seams at 1, 2, 3.2, 5, 8, 14, 30, 100 and 1e3
@@ -34,7 +39,9 @@ here.
 The correlation length r_c may be a float or a 1-d array: every closed
 form and building block evaluates it in one pass of private kernels that
 take 1-d arrays, masks choosing each element's numerical branch, and
-returns a float for a float.  Each runs under np.errstate(all="ignore"),
+returns a float for a float.  A kernel writes only into arrays that it
+allocated, or that its caller handed over and does not read again; it
+never writes into r_c.  Each runs under np.errstate(all="ignore"),
 so no result depends on the caller's np.seterr; the callers that report
 a value (exclusion_curve, noise, validate) check that it is a normal
 double.  The building blocks axial_factor and pair_correlation_factor
@@ -45,6 +52,7 @@ length > 0 and CslParams' correlation lengths, checked by CslParams.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Union
 
 import numpy as np
@@ -133,8 +141,8 @@ class CslParams(_Record):
         rc = correlation_length
         if type(rc) is not float or not MIN_CORRELATION_LENGTH <= rc < math.inf:  # a float in range is kept as is
             rc, scalar = _to_1d(rc, "correlation_length")
-            bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
-            if bad.any():
+            if rc.size and not (rc.min() >= MIN_CORRELATION_LENGTH and rc.max() < math.inf):  # a NaN fails both
+                bad = ~(np.isfinite(rc) & (rc >= MIN_CORRELATION_LENGTH))
                 raise ValueError(
                     f"correlation_length must be finite and >= {MIN_CORRELATION_LENGTH!r} m, got {float(rc[bad][0])!r}"
                 )
@@ -262,8 +270,12 @@ def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray)
     rc, scalar = _to_1d(CslParams(1.0, r_c).correlation_length, "correlation_length")  # CslParams' r_c rule
     with np.errstate(all="ignore"):
         axial = _axial_over(separation, length, rc, 1.0)
-        el = length * (0.5 / rc)  # L/2rc = inf gives expm1(-inf) = -1, the right limit
-        return _from_1d(axial + np.expm1(-el * el), scalar)
+        el = np.divide(0.5, rc)
+        el *= length  # L/2rc = inf gives expm1(-inf) = -1, the right limit
+        el *= el
+        np.negative(el, out=el)
+        axial += np.expm1(el, out=el)
+        return _from_1d(axial, scalar)
 
 
 def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
@@ -288,12 +300,28 @@ def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) 
     # An infinite length would meet 0 * inf below; r_c was checked where it came in.
     _check_positive("separation", separation, zero_ok=True)
     _check_positive("length", length)
-    half = 0.5 / rc  # an exponent of -inf is the right limit
-    a = separation * half
-    el = length * half
-    d = (separation - length) * half
-    tilt = np.expm1(-2.0 * a * el) / scale
-    return (np.expm1(-el * el) / scale) * (np.expm1(-a * a) / scale) + 0.5 * np.exp(-d * d) * tilt * tilt
+    half = np.divide(0.5, rc)  # an exponent of -inf is the right limit
+    a = np.multiply(half, separation)
+    el = np.multiply(half, length)
+    d = np.multiply(half, separation - length, out=half)
+    tilt = np.multiply(a, -2.0)
+    tilt *= el
+    np.expm1(tilt, out=tilt)
+    tilt /= scale
+    for f in (el, a):  # expm1(-f * f) / scale, in place
+        f *= f
+        np.negative(f, out=f)
+        np.expm1(f, out=f)
+        f /= scale
+    el *= a
+    d *= d
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d *= 0.5
+    d *= tilt
+    d *= tilt
+    el += d
+    return el
 
 
 # Taylor coefficients of the cube bracket below the window, where its
@@ -320,7 +348,7 @@ _RADIAL_SEAMS = np.array([1.0, 2.0, 3.2, 5.0, 8.0, 14.0, 30.0, 100.0, 1e3])
 _RADIAL_INVERSE = 3  # the first interval in u = 1/x
 _lo, _hi = np.append(0.0, _RADIAL_SEAMS[:-1]), _RADIAL_SEAMS.copy()
 _lo[_RADIAL_INVERSE:], _hi[_RADIAL_INVERSE:] = 1.0 / _hi[_RADIAL_INVERSE:], 1.0 / _lo[_RADIAL_INVERSE:]
-_RADIAL_MAP = np.array([0.5 * (_lo + _hi), 2.0 / (_hi - _lo)])  # rows mid and scale, one column per interval
+_RADIAL_MID, _RADIAL_SCALE = 0.5 * (_lo + _hi), 2.0 / (_hi - _lo)  # one entry per interval
 _RADIAL_CHEBYSHEV = np.array(
     [
         # [0, 1]
@@ -360,48 +388,63 @@ _RADIAL_CHEBYSHEV = np.array(
          -2.4887294116273398e-15, -1.191465438175113e-17, -7.103648196434553e-20, -5.083434299031134e-22, -4.2538563419859614e-24,
          -4.0826147479115365e-26, -4.42716650887871e-28, -5.360224638742036e-30, -7.176510747638379e-32],
     ]
-).T.copy()
+)
 _RADIAL_FAR = [0.7978845608028654, -0.09973557010035818, -0.018700419393817155, -0.011687762121135724, -0.012783489819992198,
               -0.02013399646648771, -0.041526367712130904]
 
 
 def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
-    # t * sum_n coeffs[n] t^n by Horner's rule, in place
-    acc = np.full_like(t, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    # t * sum_n coeffs[n] t^n by Horner's rule, in a new array
+    acc = np.multiply(t, coeffs[-1])
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
         acc *= t
         acc += c
-    return acc * t
+    acc *= t
+    return acc
 
 
 def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sum_k c[k] T_k(t) by Clenshaw's recurrence, column j of c the coefficients at t[j]
+    # sum_k c[j, k] T_k(t[j]) by Clenshaw's recurrence, row j of c the coefficients at t[j]; overwrites t
     t2 = t + t
-    b0, b1, b2 = np.empty_like(t), c[-1].copy(), np.zeros_like(t)
-    for ck in c[-2:0:-1]:
+    b0, b1, b2 = np.empty_like(t), c[:, -1].copy(), np.zeros_like(t)
+    for k in range(c.shape[1] - 2, 0, -1):
         np.multiply(t2, b1, out=b0)
         b0 -= b2
-        b0 += ck
+        b0 += c[:, k]
         b0, b1, b2 = b2, b0, b1
-    return c[0] + t * b1 - b2
+    t *= b1
+    t += c[:, 0]
+    t -= b2
+    return t
 
 
 def _radial_bracket(x: np.ndarray) -> np.ndarray:
     # 1 - e^-x (I0(x) + I1(x)), in [0, 1], at x = R^2 / 2 rc^2: one Clenshaw pass up to 1e3, one Horner pass past it
     out = np.empty_like(x)
     near = x <= _RADIAL_SEAMS[-1]
-    xn = x[near]
-    if xn.size:
-        i = np.searchsorted(_RADIAL_SEAMS, xn)  # xn in (s_{i-1}, s_i]
+    u = x[near]
+    if u.size:
+        i = np.searchsorted(_RADIAL_SEAMS, u)  # u in (s_{i-1}, s_i]
         inverse = i >= _RADIAL_INVERSE
-        u = np.divide(1.0, xn, out=xn.copy(), where=inverse)
-        mid, scale = _RADIAL_MAP[:, i]
-        p = _clenshaw(_RADIAL_CHEBYSHEV[:, i], (u - mid) * scale)
-        out[near] = np.where(inverse, 1.0 - p * np.sqrt(u), np.where(i == 0, xn * p, p))
-    xf = x[~near]
-    if xf.size:
-        w = 1.0 / xf  # 0 at x = inf, where the bracket is 1
-        out[~near] = 1.0 - (_RADIAL_FAR[0] + _taylor(_RADIAL_FAR[1:], w)) * np.sqrt(w)
+        np.divide(1.0, u, out=u, where=inverse)  # elsewhere u stays x
+        t = _RADIAL_MID.take(i)
+        np.subtract(u, t, out=t)
+        t *= _RADIAL_SCALE.take(i)
+        p = _clenshaw(_RADIAL_CHEBYSHEV.take(i, axis=0), t)
+        root = np.sqrt(u)
+        root *= p
+        np.subtract(1.0, root, out=p, where=inverse)
+        np.multiply(u, p, out=p, where=i == 0)
+        out[near] = p
+    far = ~near
+    w = x[far]
+    if w.size:
+        np.divide(1.0, w, out=w)  # 0 at x = inf, where the bracket is 1
+        s = _taylor(_RADIAL_FAR[1:], w)
+        s += _RADIAL_FAR[0]
+        s *= np.sqrt(w, out=w)
+        out[far] = np.subtract(1.0, s, out=s)
     return out
 
 
@@ -409,14 +452,24 @@ def _cube_bracket(z: np.ndarray) -> np.ndarray:
     # 1 - e^{-z^2} - sqrt(pi) z erf(z) at z = L / 2 rc; always <= 0
     out = np.empty_like(z)
     small = z < _SERIES_WINDOW
-    if small.any():
-        out[small] = _taylor(_CUBE_TAYLOR, z[small] * z[small])
-    zl = z[~small]
+    zs = z[small]
+    if zs.size:
+        zs *= zs
+        out[small] = _taylor(_CUBE_TAYLOR, zs)
+    large = ~small
+    zl = z[large]
     if zl.size:
         erf = np.ones_like(zl)
         below = zl < _ERF_ONE
         erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
-        out[~small] = 1.0 - np.exp(-zl * zl) - math.sqrt(math.pi) * zl * erf  # z^2 = inf below rc ~ 1e-154 m: e^{-z^2} = 0
+        g = np.multiply(zl, zl)  # z^2 = inf below rc ~ 1e-154 m: e^{-z^2} = 0
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        np.subtract(1.0, g, out=g)
+        zl *= math.sqrt(math.pi)
+        zl *= erf
+        g -= zl
+        out[large] = g
     return out
 
 
@@ -424,18 +477,43 @@ def _cube_bracket(z: np.ndarray) -> np.ndarray:
 # closed forms
 
 
-def _pair_psd(lam: float, mass: float, rc: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    q = HBAR * (mass / M_NUCLEON) * rc  # an overflow to inf is the caller's to report
-    psd = q * (q * (lam * rest))
-    # linear in the rate and in rest: a zero either way is an exact 0, even where q or rest overflowed
-    return np.where((rest == 0.0) | (lam == 0.0), 0.0, psd)
+def _pair_psd(
+    lam: float, mass: float, rc: np.ndarray, axial: np.ndarray, transverse: np.ndarray, rest: np.ndarray
+) -> np.ndarray:
+    # q^2 lam rest with q = hbar N rc, formed in rest's buffer; rest is axial * transverse
+    if lam == 0.0:
+        rest.fill(0.0)
+        return rest
+    q = np.multiply(rc, HBAR * (mass / M_NUCLEON))  # an overflow to inf is the caller's to report
+    shrink = min(lam, 1.0)  # rest and lam rest are normal doubles where rest * shrink is
+    low = None if rest.min(initial=math.inf) * shrink >= sys.float_info.min else rest * shrink < sys.float_info.min
+    rest *= lam
+    rest *= q
+    rest *= q
+    if low is not None:
+        # rest ~ rc^-6 leaves the normal range near rc ~ 1e53 m, the PSD ~ rc^-4 only near 1e75 m: there each
+        # factor takes one q; a zero factor gives an exact 0, even where q overflowed
+        ql, al, tl = q[low], axial[low], transverse[low]
+        zero = (al == 0.0) | (tl == 0.0)
+        al *= ql
+        tl *= ql
+        al *= tl
+        al *= lam
+        al[zero] = 0.0
+        rest[low] = al
+    return rest
 
 
 def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial_l2: np.ndarray, arm_count: int) -> np.ndarray:
     radius = geometry.radius
-    x = radius * radius / (2.0 * rc * rc)  # overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
-    rest = 4.0 * arm_count * axial_l2 * (_radial_bracket(x) / radius / radius)
-    return _pair_psd(lam, geometry.mass, rc, rest)
+    x = np.multiply(rc, 2.0)
+    x *= rc
+    np.divide(radius * radius, x, out=x)  # overflows below rc ~ 1e-154 m: inf gives the right bracket, 1
+    transverse = _radial_bracket(x)
+    transverse /= radius
+    transverse /= radius
+    axial_l2 *= 4.0 * arm_count
+    return _pair_psd(lam, geometry.mass, rc, axial_l2, transverse, np.multiply(axial_l2, transverse, out=x))
 
 
 def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> FloatOrArray:
@@ -457,13 +535,20 @@ def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) ->
     rc, scalar = _to_1d(params.correlation_length, "correlation_length")
     side = geometry.side
     with np.errstate(all="ignore"):
-        # t -> -sqrt(pi) side/2 as rc -> 0, so it never underflows; past z = 1e300
-        # (where sqrt(pi) z may overflow) it is that limit to 1e-300
-        z = side / (2.0 * rc)
-        t = np.where(z < 1e300, rc * _cube_bracket(z), -0.5 * math.sqrt(math.pi) * side)
-        w = t / side / side
-        rest = 16.0 * _axial_over(separation, side, rc, side) * w * w  # inf for sides below ~1e-79 m: the caller reports it
-        return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, rest), scalar)
+        # w = rc bracket / side^2, where rc bracket -> -sqrt(pi) side/2 as rc -> 0, so it never underflows;
+        # past z = 1e300 (where sqrt(pi) z may overflow) it is that limit to 1e-300
+        z = np.multiply(rc, 2.0)
+        np.divide(side, z, out=z)
+        w = _cube_bracket(z)
+        w *= rc
+        np.copyto(w, -0.5 * math.sqrt(math.pi) * side, where=z >= 1e300)
+        w /= side
+        w /= side
+        axial = _axial_over(separation, side, rc, side)
+        axial *= 16.0
+        rest = np.multiply(axial, w, out=z)
+        rest *= w  # inf for sides below ~1e-79 m: the caller reports it
+        return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, axial, np.multiply(w, w, out=w), rest), scalar)
 
 
 def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
@@ -492,8 +577,16 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
             axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)
         else:
             # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
-            v = geometry.length * geometry.length / (16.0 * rc * rc)
-            axial_l2 = (-0.5 * np.expm1(-4.0 * v) - np.expm1(-v)) / halves.length / halves.length
+            v = np.multiply(rc, 16.0)
+            v *= rc
+            np.divide(geometry.length * geometry.length, v, out=v)
+            axial_l2 = np.multiply(v, -4.0)
+            np.expm1(axial_l2, out=axial_l2)
+            axial_l2 *= -0.5
+            np.negative(v, out=v)
+            axial_l2 -= np.expm1(v, out=v)
+            axial_l2 /= halves.length
+            axial_l2 /= halves.length
         return _from_1d(_cylinder_psd(params.collapse_rate, halves, rc, axial_l2, 1), scalar)
 
 

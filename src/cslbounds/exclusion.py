@@ -157,16 +157,16 @@ def exclusion_curve(
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
     s_model = np.atleast_1d(model_force_psd(det, params, variant))
     with np.errstate(all="ignore"):
-        lam = measured_force_psd(det, noise) / (2.0 * s_model)
-    unbounded = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))
-    if unbounded.size:
-        i = unbounded[0]
+        lam = np.multiply(s_model, 2.0)
+        np.divide(measured_force_psd(det, noise), lam, out=lam)
+    if lam.size and not (lam.min() >= sys.float_info.min and lam.max() < math.inf):  # a NaN fails both
+        i = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))[0]
         cause = "model force PSD " + ("vanishes" if s_model[i] == 0.0 else "overflows")
         if 0.0 < s_model[i] < math.inf:
             cause = "lambda_max " + ("overflows" if lam[i] > 1.0 else "underflows")
         raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
     fields = dict(detector_id=det.name, noise_name=noise.name, provenance=noise.provenance, bar_variant=variant)
-    if not (grid.size and np.all(grid[1:] > grid[:-1])):
+    if not (grid.size and (grid[1:] > grid[:-1]).all()):
         return ExclusionCurve(grid, lam, **fields)  # raises the constructor's message
     # CslParams checked the grid > 0 and froze an array (a float's grid is ours), and lam is checked above
     grid.flags.writeable = lam.flags.writeable = False

@@ -11,7 +11,7 @@ compare = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(compare)
 
 CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
-EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e300")
+EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 
 
 def test_largest_change_reports_one_ulp_of_a_decimal_or_a_hex_value_and_a_changed_count():
@@ -53,6 +53,10 @@ def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
 def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     cli = ["-m", "cslbounds.cli"]
     expected = [["-c", compare.SWEEP]]
+    expected += [
+        [*cli, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
+        [*cli, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
+    ]
     for c in CONFIGS:
         expected += [
             [*cli, "validate", "--config", c],

@@ -54,7 +54,7 @@ from cslbounds.cslnoise import (
     force_noise_psd,
     forced_separation,
 )
-from cslbounds.detector import ARCHETYPES
+from cslbounds.detector import ARCHETYPES, BAR
 from cslbounds.specfun import i0e, i1e
 from conftest import log_uniform
 
@@ -285,11 +285,11 @@ def radial_bracket_tables():
     I0 and I1.  Print the source lines with
     PYTHONPATH=src python tests/test_cslnoise.py
     """
-    nodes, terms, far = 32, len(cslnoise._RADIAL_CHEBYSHEV), len(cslnoise._RADIAL_FAR)
+    nodes, terms, far = 32, cslnoise._RADIAL_CHEBYSHEV.shape[1], len(cslnoise._RADIAL_FAR)
     with mp.workdps(40):
         angles = [mp.pi * (j + mp.mpf(0.5)) / nodes for j in range(nodes)]
         table = []
-        for i, (mid, scale) in enumerate(cslnoise._RADIAL_MAP.T.tolist()):
+        for i, (mid, scale) in enumerate(zip(cslnoise._RADIAL_MID.tolist(), cslnoise._RADIAL_SCALE.tolist())):
             us = [mid + mp.cos(a) / scale for a in angles]
             if i == 0:
                 ps = [mp_radial_bracket(u) / u for u in us]
@@ -305,7 +305,7 @@ def radial_bracket_tables():
 
 def test_radial_bracket_table_is_its_mpmath_derivation():
     table, far = radial_bracket_tables()
-    assert np.array(table).T.tobytes() == cslnoise._RADIAL_CHEBYSHEV.tobytes()
+    assert np.array(table).tobytes() == cslnoise._RADIAL_CHEBYSHEV.tobytes()
     assert np.array(far).tobytes() == np.array(cslnoise._RADIAL_FAR).tobytes()
 
 
@@ -711,6 +711,44 @@ def test_csl_params_array_is_a_read_only_copy():
     assert type(params.correlation_length) is float and params.correlation_length == 1e-7
 
 
+def read_only(values):
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_kernels_never_write_to_their_inputs():
+    # the kernels form their results in place, in arrays they allocated: a read-only r_c, x or z must pass
+    # through every branch, the underflow regime of the PSD's rest factor included, and keep its bytes
+    rc = read_only(np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 2001))
+    spread = read_only([0.0, *np.geomspace(1e-300, 1e300, 2001), math.inf])
+    grid = read_only(np.geomspace(1e-9, 1e60, 400))
+    inputs = [rc, spread, grid]
+    before = [arr.tobytes() for arr in inputs]
+    with np.errstate(all="ignore"):  # the private kernels run under their caller's errstate
+        for separation, length in ((4000.0, 0.2), (0.0, 0.2), (1.5, 1.5)):
+            cslnoise._axial_over(separation, length, rc, length)
+        _radial_bracket(spread)
+        _cube_bracket(spread)
+    for separation, length in ((4000.0, 0.2), (0.376, 0.046)):
+        axial_factor(separation, length, rc)
+        pair_correlation_factor(separation, length, rc)
+    for lam in (1.0, 0.0, 1e-30):
+        params = CslParams(lam, rc)
+        frozen = params.correlation_length.tobytes()
+        cylinder_pair_force_psd(params, LIGO_GEOM, 4000.0, 2)
+        cube_pair_force_psd(params, LISA_GEOM, 0.376)
+        for variant in BAR_VARIANTS:
+            bar_force_psd(params, AURIGA_GEOM, variant)
+        for det in DETECTORS.values():
+            force_noise_psd(params, det.geometry, det.arrangement)
+        assert params.correlation_length.tobytes() == frozen
+    for det in DETECTORS.values():
+        for variant in BAR_VARIANTS if det.archetype == BAR else (None,):
+            exclusion_curve(det, det.noise_entry(), grid, variant)
+    assert [arr.tobytes() for arr in inputs] == before
+
+
 def test_bar_arrangement_forced():
     assert AURIGA_GEOM.halves() == Cylinder(radius=0.3, length=1.5, mass=1150.0)
     assert forced_separation(AURIGA_GEOM) == 1.5
@@ -1064,5 +1102,5 @@ if __name__ == "__main__":
     lines = ["_RADIAL_CHEBYSHEV = np.array(", "    ["]
     for interval, row in zip(intervals, table):
         lines += [f"        # {interval}", *rows(row, " " * 8, " " * 8)]
-    lines += ["    ]", ").T.copy()", *rows(far, "_RADIAL_FAR = ", " " * 13)]
+    lines += ["    ]", ")", *rows(far, "_RADIAL_FAR = ", " " * 13)]
     print("\n".join(lines).rstrip(","))

@@ -422,6 +422,29 @@ def test_every_rc_of_the_53_point_sweep_is_certified():
     assert all(abs(c - r.value) <= (r.rel_error + 4e-15) * r.value for c, r in zip(closed, results))
 
 
+def test_closed_forms_hold_the_oracle_from_1e4_m_to_where_the_psd_turns_subnormal():
+    # rest ~ rc^-6 leaves the normal range near 1e53 m while the PSD ~ rc^-4 stays normal to 1e73-1e75 m: the
+    # closed forms once lost digits from there (ligo -17.7% at 1e55 m, 0.0 from 1e58 m). Past the normal range
+    # the oracle's value is subnormal or uncertified, and the closed form must be subnormal too, so that the
+    # callers report an underflow
+    rcs = np.geomspace(1e4, 1e76, 289)
+    for name in ("ligo", "lisa_pathfinder", "auriga"):
+        det = load_detector_config(name)
+        closed = force_noise_psd(CslParams(1.0, rcs), det.geometry, det.arrangement, "rederived").tolist()
+        normal = []
+        for rc, c in zip(rcs.tolist(), closed):
+            try:
+                result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+            except QuadratureError:
+                result = None
+            if result is not None and result.value >= sys.float_info.min:
+                assert abs(c - result.value) <= (result.rel_error + 4e-15) * result.value, (name, rc)
+                normal.append(rc)
+            else:
+                assert c < sys.float_info.min, (name, rc)
+        assert normal == rcs[: len(normal)].tolist() and normal[-1] >= 1e73, name
+
+
 def test_arm_count_scales_linearly():
     params = CslParams(1.0, 0.01)
     geom = Cylinder(radius=0.17, length=0.2, mass=40.0)
