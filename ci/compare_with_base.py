@@ -13,7 +13,10 @@ modes once cancelled. The 200-point scans are the golden files; the dense scan c
 radial bracket and the cube's series window; the bar's printed variant is scanned on both grids too. bound
 and noise at extreme r_c reach the r_c checks, the large-r_c regime where the closed forms' rest factor is
 no longer a normal double (1e55 m), and the vanishing, underflowing and overflowing results. The oracle
-sweep prints the evaluation counts and failures that validate's grids do not.
+sweep prints the evaluation counts and failures that validate's grids do not. The closed-form sweep prints
+float.hex() of every bundled body's PSD, both bar variants, at rates 1 and 1e-30 and 3001 log-spaced r_c
+over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. A -c
+script's first line, a comment, is its label.
 """
 import os
 import subprocess
@@ -24,7 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
-SWEEP = """import numpy as np
+SWEEP = """# oracle sweep
+import numpy as np
 from cslbounds import CslParams, QuadratureError, force_psd_by_quadrature, load_detector_config
 for name in ("ligo", "lisa_pathfinder", "auriga"):
     det = load_detector_config(name)
@@ -34,6 +38,19 @@ for name in ("ligo", "lisa_pathfinder", "auriga"):
             print(name, repr(rc), r.value.hex(), r.rel_error.hex(), r.evaluations)
         except QuadratureError as exc:
             print(name, repr(rc), exc, exc.evaluations)
+"""
+CLOSED_FORMS = """# closed-form sweep
+import numpy as np
+from cslbounds import BAR_VARIANTS, CslParams, load_detector_config
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, force_noise_psd
+rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)
+for name in ("ligo", "lisa_pathfinder", "auriga"):
+    det = load_detector_config(name)
+    for variant in BAR_VARIANTS if name == "auriga" else [None]:
+        for rate in (1.0, 1e-30):
+            psd = force_noise_psd(CslParams(rate, rcs), det.geometry, det.arrangement, variant)
+            for rc, value in zip(rcs.tolist(), psd.tolist()):
+                print(name, variant, rate, repr(rc), value.hex())
 """
 EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 CLI = ["-m", "cslbounds.cli"]
@@ -47,7 +64,13 @@ COMMANDS = [
     *([*CLI, "bound", "--rc", rc, "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     *([*CLI, "noise", "--rc", rc, "--lambda", "1", "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     ["-c", SWEEP],
+    ["-c", CLOSED_FORMS],
 ]
+
+
+def label(args):
+    """A CLI command's arguments, or the first line of a -c script with its comment sign stripped."""
+    return " ".join(args[2:]) if args[0] == "-m" else args[1].splitlines()[0].lstrip("# ")
 
 
 def run(src, args):
@@ -79,7 +102,7 @@ def main(rev):
         for args in COMMANDS:
             old, new = run(Path(base, "src"), args), run(ROOT / "src", args)
             differ = [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
-            print(f"{' '.join(args[2:]) or 'oracle sweep'}:", f"differs in {', '.join(differ)}" if differ else "identical", flush=True)
+            print(f"{label(args)}:", f"differs in {', '.join(differ)}" if differ else "identical", flush=True)
             for k in differ:
                 lines = zip_longest(*(out.get(k, b"").decode(errors="replace").splitlines() for out in (old, new)), fillvalue="")
                 pairs = [(a, b) for a, b in lines if a != b]

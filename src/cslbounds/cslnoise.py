@@ -30,7 +30,12 @@ nine fixed intervals, with seams at 1, 2, 3.2, 5, 8, 14, 30, 100 and 1e3
 (x p(2x - 1) on [0, 1], p affine in x up to 3.2, 1 - p/sqrt(x) with p
 affine in 1/x beyond), and past 1e3 a 7-term asymptotic series in 1/x.
 The cube bracket calls math.erf only below z = 5.921587195794507, from
-where erf rounds to exactly 1.0, so the cut changes no value.
+where erf rounds to exactly 1.0, so the cut changes no value.  In the same
+way an exponential is evaluated only where its double can be nonzero.
+e^-x rounds to exactly 0.0 once it is below 2^-1075 = e^-745.133, half the
+smallest subnormal, so from x = _EXP_ZERO = 746 on, the axial factor's pair
+term and the cube bracket's e^{-z^2} are 0.0 without a call to np.exp:
+there np.exp takes about 20 times as long as where its result is normal.
 
 All results are two-sided PSDs in N^2/Hz.  The one-sided convention used
 by published noise figures is applied at the comparison boundary, never
@@ -69,6 +74,9 @@ BAR_VARIANTS = ("printed", "rederived")
 # suite): only the rederived axial factor matches the two-half-cylinder
 # mass distribution at large correlation length.
 DEFAULT_BAR_VARIANT = "rederived"
+
+# np.exp(-x) is exactly 0.0 for every x >= _EXP_ZERO (numpy's from x = 745.14), as the module docstring says
+_EXP_ZERO = 746.0
 
 # Smallest correlation length accepted (m), the smallest normal double:
 # below it 1/r_c overflows and the closed forms meet 0 * inf.
@@ -301,26 +309,31 @@ def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) 
     _check_positive("separation", separation, zero_ok=True)
     _check_positive("length", length)
     half = np.divide(0.5, rc)  # an exponent of -inf is the right limit
-    a = np.multiply(half, separation)
     el = np.multiply(half, length)
-    d = np.multiply(half, separation - length, out=half)
+    if separation == length:  # a bar's halves: d = 0, so e^{-d^2} = 1, and the two factors are one
+        a, d, live = el, half, True
+        d.fill(1.0)
+    else:
+        a = np.multiply(half, separation)
+        d = np.multiply(half, separation - length, out=half)
+        d *= d
+        live = d < _EXP_ZERO  # elsewhere e^{-d^2}, so the pair term, is exactly +0 and would leave el as it is
+        np.negative(d, out=d)
+        np.exp(d, out=d, where=live)
     tilt = np.multiply(a, -2.0)
     tilt *= el
-    np.expm1(tilt, out=tilt)
+    np.expm1(tilt, out=tilt, where=live)
     tilt /= scale
-    for f in (el, a):  # expm1(-f * f) / scale, in place
+    for f in (el,) if a is el else (el, a):  # expm1(-f * f) / scale, in place
         f *= f
         np.negative(f, out=f)
         np.expm1(f, out=f)
         f /= scale
     el *= a
-    d *= d
-    np.negative(d, out=d)
-    np.exp(d, out=d)
     d *= 0.5
     d *= tilt
     d *= tilt
-    el += d
+    np.add(el, d, out=el, where=live)  # the dead elements of tilt and d hold values never read
     return el
 
 
@@ -405,16 +418,16 @@ def _taylor(coeffs: list, t: np.ndarray) -> np.ndarray:
 
 
 def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sum_k c[j, k] T_k(t[j]) by Clenshaw's recurrence, row j of c the coefficients at t[j]; overwrites t
+    # sum_k c[k, j] T_k(t[j]) by Clenshaw's recurrence, column j of c the coefficients at t[j]; overwrites t
     t2 = t + t
-    b0, b1, b2 = np.empty_like(t), c[:, -1].copy(), np.zeros_like(t)
-    for k in range(c.shape[1] - 2, 0, -1):
+    b0, b1, b2 = np.empty_like(t), c[-1].copy(), np.zeros_like(t)
+    for k in range(c.shape[0] - 2, 0, -1):
         np.multiply(t2, b1, out=b0)
         b0 -= b2
-        b0 += c[:, k]
+        b0 += c[k]
         b0, b1, b2 = b2, b0, b1
     t *= b1
-    t += c[:, 0]
+    t += c[0]
     t -= b2
     return t
 
@@ -431,7 +444,7 @@ def _radial_bracket(x: np.ndarray) -> np.ndarray:
         t = _RADIAL_MID.take(i)
         np.subtract(u, t, out=t)
         t *= _RADIAL_SCALE.take(i)
-        p = _clenshaw(_RADIAL_CHEBYSHEV.take(i, axis=0), t)
+        p = _clenshaw(_RADIAL_CHEBYSHEV.T.take(i, axis=1), t)  # one contiguous row per term
         root = np.sqrt(u)
         root *= p
         np.subtract(1.0, root, out=p, where=inverse)
@@ -462,9 +475,10 @@ def _cube_bracket(z: np.ndarray) -> np.ndarray:
         erf = np.ones_like(zl)
         below = zl < _ERF_ONE
         erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
-        g = np.multiply(zl, zl)  # z^2 = inf below rc ~ 1e-154 m: e^{-z^2} = 0
+        g = np.multiply(zl, zl)  # z^2 = inf below rc ~ 1e-154 m
+        live = g < _EXP_ZERO
         np.negative(g, out=g)
-        np.exp(g, out=g)
+        g = np.exp(g, out=np.zeros_like(g), where=live)  # e^{-z^2}, exactly 0.0 elsewhere
         np.subtract(1.0, g, out=g)
         zl *= math.sqrt(math.pi)
         zl *= erf

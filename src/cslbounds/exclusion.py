@@ -150,19 +150,23 @@ def exclusion_curve(
     Exact inversion by linearity: the model PSD is evaluated at unit
     collapse rate, and the measured one-sided figure is compared against
     twice the two-sided model.  UnboundedParameterError names the first
-    r_c where lambda_max is not a normal double > 0, and why.
+    r_c where lambda_max, or the model PSD it was divided by, is not a
+    normal double > 0, and why.
     """
     params = CslParams(1.0, r_c_grid)
     grid = np.atleast_1d(params.correlation_length)
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
     s_model = np.atleast_1d(model_force_psd(det, params, variant))
+    tiny = sys.float_info.min
     with np.errstate(all="ignore"):
         lam = np.multiply(s_model, 2.0)
         np.divide(measured_force_psd(det, noise), lam, out=lam)
-    if lam.size and not (lam.min() >= sys.float_info.min and lam.max() < math.inf):  # a NaN fails both
-        i = np.flatnonzero(~((lam >= sys.float_info.min) & (lam < math.inf)))[0]
-        cause = "model force PSD " + ("vanishes" if s_model[i] == 0.0 else "overflows")
-        if 0.0 < s_model[i] < math.inf:
+    # a NaN fails every test; a subnormal PSD has lost digits, and so has the lambda_max it gives
+    if lam.size and not (lam.min() >= tiny and lam.max() < math.inf and s_model.min() >= tiny):
+        i = np.flatnonzero(~((lam >= tiny) & (lam < math.inf) & (s_model >= tiny)))[0]
+        s = s_model[i]
+        cause = "model force PSD " + ("vanishes" if s == 0.0 else "underflows" if s < tiny else "overflows")
+        if tiny <= s < math.inf:
             cause = "lambda_max " + ("overflows" if lam[i] > 1.0 else "underflows")
         raise UnboundedParameterError(f"{cause} for {det.name!r} at r_c = {grid[i]:g} m; no finite bound exists")
     fields = dict(detector_id=det.name, noise_name=noise.name, provenance=noise.provenance, bar_variant=variant)

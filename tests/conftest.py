@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -48,3 +49,9 @@ def write_config(tmp_path, config, mutate):
 def log_uniform(lo, hi):
     """Floats 10^e for e uniform in [lo, hi]."""
     return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+def read_golden(name):
+    """(r_c, lambda_max) rows of a golden scan file."""
+    lines = (pathlib.Path(__file__).parent / "golden" / f"{name}_scan.csv").read_text().splitlines()
+    return [tuple(map(float, line.split(","))) for line in lines if line[:1].isdigit()]

@@ -375,17 +375,34 @@ def run_process(*argv):
 @pytest.mark.parametrize("config", ["ligo", "auriga", "lisa_pathfinder"])
 def test_tiny_rc_prints_only_the_error_line(config):
     # below rc ~ 1e-154 the closed forms' scaled lengths overflow; numpy
-    # must not print a RuntimeWarning, neither with the bound at 7e-155 m,
-    # where the model PSD is a subnormal, nor ahead of the error at 1e-160 m
+    # must not print a RuntimeWarning ahead of the error, neither at 7e-155 m,
+    # where the model PSD is a subnormal (it once gave a bound of lost digits
+    # and exit 0), nor at 1e-160 m
     variants = [["--variant", v] for v in cslbounds.BAR_VARIANTS] if config == "auriga" else [[]]
     for rc, variant in itertools.product(["7e-155", "1e-160"], variants):
         proc = run_process("bound", "--config", config, "--rc", rc, *variant)
-        if rc == "7e-155":
-            assert proc.returncode == 0 and proc.stderr == "", (rc, variant, proc.stderr)
-            assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("lambda_max_per_s = "), (rc, variant)
-            continue
         assert proc.returncode == 3 and proc.stdout == "", (rc, variant)
+        if rc == "7e-155":
+            assert proc.stderr == f"error: model force PSD underflows for {config!r} at r_c = 7e-155 m; no finite bound exists\n"
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), (rc, variant, proc.stderr)
+
+
+@pytest.mark.parametrize("rc", ["1e-155", "1e79"])
+@pytest.mark.parametrize("command", ["bound", "scan", "spectrum-bound"])
+def test_subnormal_model_psd_exit_3(tmp_path, capsys, command, rc):
+    # the ligo PSD is 4.5e-318 N^2/Hz at 1e-155 m and subnormal at 1e79 m: a bound from it, with lost digits,
+    # once exited 0 (1.01044047e+291 and 1.16497470e+294 from bound), where noise at the same r_c exits 3
+    grid = ["--rc-min", rc, "--rc-max", "1e-150"] if float(rc) < 1.0 else ["--rc-min", "1e70", "--rc-max", rc]
+    out = ["--out", str(tmp_path / "c.csv"), *grid, "--points", "3"]
+    argv = {
+        "bound": ["--config", "ligo", "--rc", rc],
+        "scan": ["--config", "ligo", *out],
+        "spectrum-bound": ["--config", "ligo", "--asd", str(write_v_spectrum(tmp_path)), *out],
+    }[command]
+    code, stdout, err = run(capsys, command, *argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"error: model force PSD underflows for 'ligo' at r_c = {float(rc):g} m; no finite bound exists\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("config, rc", [("ligo", "1e-7"), ("auriga", "1e-3"), ("lisa_pathfinder", "1e-7")])

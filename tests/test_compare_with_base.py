@@ -52,7 +52,7 @@ def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
 
 def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     cli = ["-m", "cslbounds.cli"]
-    expected = [["-c", compare.SWEEP]]
+    expected = [["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS]]
     expected += [
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
@@ -76,21 +76,35 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
         "print(name, repr(rc), exc, exc.evaluations)",
     ):
         assert fragment in compare.SWEEP
-    compile(compare.SWEEP, "sweep", "exec")
+    for fragment in (
+        "rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)",
+        'for variant in BAR_VARIANTS if name == "auriga" else [None]:',
+        "for rate in (1.0, 1e-30):",
+        "force_noise_psd(CslParams(rate, rcs), det.geometry, det.arrangement, variant)",
+        "print(name, variant, rate, repr(rc), value.hex())",
+    ):
+        assert fragment in compare.CLOSED_FORMS
+    for script in (compare.SWEEP, compare.CLOSED_FORMS):
+        compile(script, "sweep", "exec")
+    # each command is named by its own line of the report
+    labels = [compare.label(args) for args in compare.COMMANDS]
+    assert len(set(labels)) == len(labels)
+    assert labels[-2:] == ["oracle sweep", "closed-form sweep"]
+    assert compare.label([*cli, "bound", "--rc", "1e55", "--config", "ligo"]) == "bound --rc 1e55 --config ligo"
 
 
 def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monkeypatch, capsys):
-    same = ["-c", "print(0x1p-3)"]
+    same = ["-c", "# same\nprint(0x1p-3)"]
     monkeypatch.setattr(compare, "COMMANDS", [same])
     assert compare.main("HEAD") == 0
-    assert capsys.readouterr().out == "oracle sweep: identical\n"
+    assert capsys.readouterr().out == "same: identical\n"
     # sys.path[1] is the tree's src/ on PYTHONPATH, so it differs between the two trees
-    monkeypatch.setattr(compare, "COMMANDS", [same, ["-c", "import sys; print(sys.path[1])"]])
+    monkeypatch.setattr(compare, "COMMANDS", [same, ["-c", "# path\nimport sys; print(sys.path[1])"]])
     assert compare.main("HEAD") == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:3] == [
-        "oracle sweep: identical",
-        "oracle sweep: differs in stdout",
+        "same: identical",
+        "path: differs in stdout",
         "  stdout: 1 differing lines, largest relative change 0.000e+00",
     ]
     assert out[3].startswith("    - ") and out[3].endswith("src")

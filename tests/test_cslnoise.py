@@ -10,6 +10,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -56,7 +57,7 @@ from cslbounds.cslnoise import (
 )
 from cslbounds.detector import ARCHETYPES, BAR
 from cslbounds.specfun import i0e, i1e
-from conftest import log_uniform
+from conftest import log_uniform, read_golden
 
 mp.mp.dps = 60
 
@@ -574,12 +575,6 @@ def test_drawn_geometries_accuracy_contract(kind, size, radius, separation, arm_
         assert got == pytest.approx(float(ref), rel=4e-15, abs=0.0)
 
 
-def read_golden(name):
-    """(r_c, lambda_max) rows of a golden scan file."""
-    lines = (pathlib.Path(__file__).parent / "golden" / f"{name}_scan.csv").read_text().splitlines()
-    return [tuple(map(float, line.split(","))) for line in lines if line[:1].isdigit()]
-
-
 @pytest.mark.parametrize("name", DETECTORS)
 def test_golden_files_match_extended_precision(name):
     # every golden lambda_max against S_meas / (2 S_model) with the model in mpmath
@@ -747,6 +742,192 @@ def test_kernels_never_write_to_their_inputs():
         for variant in BAR_VARIANTS if det.archetype == BAR else (None,):
             exclusion_curve(det, det.noise_entry(), grid, variant)
     assert [arr.tobytes() for arr in inputs] == before
+
+
+# --- the kernels against reference copies ----------------------------------------
+# The kernels as they were before they skipped the exponentials whose double is exactly 0.0 and before the
+# Clenshaw pass read contiguous rows: every term evaluated, in the same order.
+
+
+def ref_axial_over(separation, length, rc, scale):
+    half = np.divide(0.5, rc)
+    a = np.multiply(half, separation)
+    el = np.multiply(half, length)
+    d = np.multiply(half, separation - length, out=half)
+    tilt = np.multiply(a, -2.0)
+    tilt *= el
+    np.expm1(tilt, out=tilt)
+    tilt /= scale
+    for f in (el, a):
+        f *= f
+        np.negative(f, out=f)
+        np.expm1(f, out=f)
+        f /= scale
+    el *= a
+    d *= d
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d *= 0.5
+    d *= tilt
+    d *= tilt
+    el += d
+    return el
+
+
+def ref_clenshaw(c, t):
+    t2 = t + t
+    b0, b1, b2 = np.empty_like(t), c[:, -1].copy(), np.zeros_like(t)
+    for k in range(c.shape[1] - 2, 0, -1):
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c[:, k]
+        b0, b1, b2 = b2, b0, b1
+    t *= b1
+    t += c[:, 0]
+    t -= b2
+    return t
+
+
+def ref_radial_bracket(x):
+    out = np.empty_like(x)
+    near = x <= cslnoise._RADIAL_SEAMS[-1]
+    u = x[near]
+    if u.size:
+        i = np.searchsorted(cslnoise._RADIAL_SEAMS, u)
+        inverse = i >= cslnoise._RADIAL_INVERSE
+        np.divide(1.0, u, out=u, where=inverse)
+        t = cslnoise._RADIAL_MID.take(i)
+        np.subtract(u, t, out=t)
+        t *= cslnoise._RADIAL_SCALE.take(i)
+        p = ref_clenshaw(cslnoise._RADIAL_CHEBYSHEV.take(i, axis=0), t)
+        root = np.sqrt(u)
+        root *= p
+        np.subtract(1.0, root, out=p, where=inverse)
+        np.multiply(u, p, out=p, where=i == 0)
+        out[near] = p
+    far = ~near
+    w = x[far]
+    if w.size:
+        np.divide(1.0, w, out=w)
+        s = cslnoise._taylor(cslnoise._RADIAL_FAR[1:], w)
+        s += cslnoise._RADIAL_FAR[0]
+        s *= np.sqrt(w, out=w)
+        out[far] = np.subtract(1.0, s, out=s)
+    return out
+
+
+def ref_cube_bracket(z):
+    out = np.empty_like(z)
+    small = z < cslnoise._SERIES_WINDOW
+    zs = z[small]
+    if zs.size:
+        zs *= zs
+        out[small] = cslnoise._taylor(cslnoise._CUBE_TAYLOR, zs)
+    large = ~small
+    zl = z[large]
+    if zl.size:
+        erf = np.ones_like(zl)
+        below = zl < cslnoise._ERF_ONE
+        erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
+        g = np.multiply(zl, zl)
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        np.subtract(1.0, g, out=g)
+        zl *= math.sqrt(math.pi)
+        zl *= erf
+        g -= zl
+        out[large] = g
+    return out
+
+
+def rcs_straddling_the_exp_cut(square):
+    """The two adjacent doubles r_c where square(r_c), a kernel's exponent rounded as the kernel rounds it,
+    crosses cslnoise._EXP_ZERO: (the r_c whose square lies below, the r_c whose square lies at or above)."""
+    live, dead = 1e2, 1e-6  # the square falls as r_c grows
+    while math.nextafter(dead, math.inf) < live:
+        mid = 0.5 * (live + dead)
+        if square(mid) < cslnoise._EXP_ZERO:
+            live = mid
+        else:
+            dead = mid
+    return live, dead
+
+
+def axial_square(rc):
+    d = 0.5 / rc * (0.376 - 0.046)  # d = (a - L)/2rc for lisa_pathfinder's cubes
+    return d * d
+
+
+def cube_square(rc):
+    z = 0.046 / (rc * 2.0)  # z = L/2rc for a lisa_pathfinder cube
+    return z * z
+
+
+AXIAL_SEAM_RCS = rcs_straddling_the_exp_cut(axial_square)
+CUBE_SEAM_RCS = rcs_straddling_the_exp_cut(cube_square)
+
+
+@st.composite
+def bodies(draw):
+    """(separation, length, radius, mass): the separation 0, or below, equal to or above the length."""
+    length = draw(log_uniform(-3.0, 3.0))
+    where = draw(st.sampled_from(["zero", "below", "equal", "above"]))
+    ratio = {"zero": 0.0, "below": draw(log_uniform(-4.0, -1e-3)), "equal": 1.0, "above": draw(log_uniform(1e-3, 4.0))}
+    return ratio[where] * length, length, draw(log_uniform(-3.0, 3.0)), draw(log_uniform(-3.0, 6.0))
+
+
+def assert_same_bits(got, ref, limit=None):
+    # the reference's only NaN is 0 * inf where a zero separation meets an overflowing L/2rc (a length above
+    # ~8 m, r_c near the smallest accepted): given the function's limit there, the kernels must now return it
+    got, ref = np.atleast_1d(got), np.atleast_1d(ref)
+    nan = np.isnan(ref) if limit is not None else np.zeros(ref.shape, dtype=bool)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    assert got[nan].tobytes() == np.full(nan.sum(), limit).tobytes()
+
+
+@settings(max_examples=150)
+@given(
+    body=bodies(),
+    rc=st.lists(log_uniform(math.log10(MIN_CORRELATION_LENGTH), 300.0), min_size=1, max_size=24).map(
+        lambda v: np.maximum(v, MIN_CORRELATION_LENGTH)
+    ),
+    rate=st.sampled_from([1.0, 1e-30]),
+)
+@example(body=(0.376, 0.046, 0.17, 1.928), rc=np.array([*AXIAL_SEAM_RCS, *CUBE_SEAM_RCS, 1e-3, 1.0]), rate=1.0)
+@example(body=(1.5, 1.5, 0.3, 2300.0), rc=np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 9), rate=1.0)
+@example(body=(0.0, 100.0, 0.17, 40.0), rc=np.array([MIN_CORRELATION_LENGTH, 1e-307, 1e-7]), rate=1.0)
+def test_kernels_give_the_bits_of_their_reference_copies(body, rc, rate):
+    separation, length, radius, mass = body
+    zero = separation == 0.0
+    with np.errstate(all="ignore"):  # the private kernels run under their caller's errstate
+        got = cslnoise._axial_over(separation, length, rc, length)
+        assert_same_bits(got, ref_axial_over(separation, length, rc, length), 0.0 if zero else None)
+        x = radius * radius / (2.0 * rc * rc)
+        assert_same_bits(_radial_bracket(x.copy()), ref_radial_bracket(x.copy()))
+        z = length / (rc * 2.0)
+        assert_same_bits(_cube_bracket(z.copy()), ref_cube_bracket(z.copy()))
+    params = CslParams(rate, rc)
+    closed_forms = [
+        (partial(cylinder_pair_force_psd, params, Cylinder(radius, length, mass), separation, 2), 0.0),
+        (partial(cube_pair_force_psd, params, Cube(length, mass), separation), 0.0),
+        *((partial(bar_force_psd, params, HalfCylinderBar(radius, length, mass), v), 0.0) for v in BAR_VARIANTS),
+        (partial(axial_factor, separation, length, rc), 0.0),
+        (partial(pair_correlation_factor, separation, length, rc), -1.0),
+    ]
+    got = [f() for f, _ in closed_forms]
+    kernels = dict(_axial_over=ref_axial_over, _radial_bracket=ref_radial_bracket, _cube_bracket=ref_cube_bracket)
+    with mock.patch.multiple(cslnoise, **kernels):
+        ref = [f() for f, _ in closed_forms]
+    for value, expected, (_, limit) in zip(got, ref, closed_forms):
+        assert_same_bits(value, expected, limit if zero else None)
+
+
+def test_the_seam_examples_straddle_the_exp_cut():
+    # the first example above puts d^2 and z^2 on the two sides of the cut, where e^-x is 0.0 on both
+    for (live, dead), square in ((AXIAL_SEAM_RCS, axial_square), (CUBE_SEAM_RCS, cube_square)):
+        assert math.nextafter(dead, math.inf) == live
+        assert square(live) < cslnoise._EXP_ZERO <= square(dead)
+        assert np.exp(-np.array([square(live), square(dead)])).tolist() == [0.0, 0.0]
 
 
 def test_bar_arrangement_forced():

@@ -1,6 +1,9 @@
 """Bound inversion, exclusion curves and the Ellis comparison."""
 
 import math
+import re
+import sys
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +33,7 @@ from cslbounds import (
     lambda_max,
     load_detector_config,
     measured_force_psd,
+    model_force_psd,
     optimal_frequency,
 )
 from cslbounds.constants import C_LIGHT, M_PLANCK
@@ -203,6 +207,44 @@ def test_exclusion_curve_grid_rules(lisa):
     det = make_interferometer(separation=0.0, noise=[force_entry(1e-27)])
     with pytest.raises(UnboundedParameterError, match=r"^model force PSD vanishes for 'test_ifo' at r_c = 1e-07 m"):
         exclusion_curve(det, det.noise_entry(), 1e-7)
+
+
+@pytest.mark.parametrize("rc", [1e-155, 1e79])
+def test_a_subnormal_model_psd_gives_no_bound(ligo, rc):
+    # the PSD has lost digits there: lambda_max once came out 1.01044047e+291 at 1e-155 m, and 1.16497470e+294
+    # at 1e79 m, 4.0e-4 below the r_c^-4 scaling, where noise at the same r_c exits 3
+    assert 0.0 < model_force_psd(ligo, CslParams(1.0, rc)) < sys.float_info.min
+    message = "^" + re.escape(f"model force PSD underflows for 'ligo' at r_c = {rc:g} m; no finite bound exists") + "$"
+    entry = ligo.noise_entry()
+    with pytest.raises(UnboundedParameterError, match=message):
+        lambda_max(ligo, entry, rc)
+    with pytest.raises(UnboundedParameterError, match=message):
+        exclusion_curve(ligo, entry, np.sort([rc, 1e-7, 1.0]))
+
+
+TINY = sys.float_info.min
+
+
+@given(
+    # half the draws from 5e-324 to 1e-290: the subnormals and the smallest normal doubles
+    s_model=st.floats(min_value=5e-324, max_value=1e-290) | st.floats(min_value=1e-290, max_value=1e300),
+    s_meas=st.floats(min_value=TINY, max_value=1e300),
+)
+@example(s_model=TINY, s_meas=1.0)  # the smallest normal PSD gives a bound, lambda_max = 2.2e307
+@example(s_model=math.nextafter(TINY, 0.0), s_meas=1.0)
+@example(s_model=5e-324, s_meas=TINY)  # lambda_max = 2.2e15 from the smallest PSD and the smallest measured one
+@example(s_model=TINY, s_meas=1e300)  # lambda_max overflows, and so does the bound
+def test_a_bound_needs_a_normal_model_psd(s_model, s_meas):
+    # a bound exactly where the model PSD and the lambda_max it gives are both normal doubles
+    det = make_interferometer(noise=[force_entry(s_meas)])
+    with mock.patch("cslbounds.exclusion.model_force_psd", lambda *args: np.array([s_model])):
+        lam = s_meas / (2.0 * s_model)
+        if s_model < TINY or not TINY <= lam < math.inf:
+            cause = "model force PSD underflows" if s_model < TINY else f"lambda_max {'over' if lam > 1.0 else 'under'}flows"
+            with pytest.raises(UnboundedParameterError, match=f"^{cause} for 'test_ifo' at r_c = 1e-07 m;"):
+                exclusion_curve(det, det.noise_entry(), 1e-7)
+        else:
+            assert exclusion_curve(det, det.noise_entry(), 1e-7).lambda_max.tolist() == [lam]
 
 
 def test_lambda_max_takes_one_correlation_length(lisa):

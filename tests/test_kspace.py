@@ -35,12 +35,13 @@ from cslbounds import (
     cube_pair_force_psd,
     force_psd_by_quadrature,
     load_detector_config,
+    measured_force_psd,
 )
 import cslbounds
 from cslbounds import kspace
 from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, force_noise_psd, forced_separation
 from cslbounds.specfun import _j1_array, _sinc2_array
-from conftest import log_uniform
+from conftest import log_uniform, read_golden
 
 LISA_GEOM = Cube(side=0.046, mass=1.928)
 LISA_ARR = MassArrangement(separation=0.376, arm_count=1)
@@ -443,6 +444,19 @@ def test_closed_forms_hold_the_oracle_from_1e4_m_to_where_the_psd_turns_subnorma
             else:
                 assert c < sys.float_info.min, (name, rc)
         assert normal == rcs[: len(normal)].tolist() and normal[-1] >= 1e73, name
+
+
+@pytest.mark.parametrize("name", ["ligo", "lisa_pathfinder", "auriga"])
+def test_golden_files_hold_the_oracle(name):
+    # the model PSD each golden lambda_max was inverted from, S_meas / (2 lambda), against the independent
+    # quadrature at every row: within its certified relative error + 4e-15, as for the closed forms
+    det = load_detector_config(name)
+    s_meas = measured_force_psd(det, det.noise_entry())
+    rows = read_golden(name)
+    assert len(rows) == 200
+    for rc, lam in rows:
+        result = force_psd_by_quadrature(CslParams(1.0, rc), det.geometry, det.arrangement)
+        assert abs(s_meas / (2.0 * lam) - result.value) <= (result.rel_error + 4e-15) * result.value, (name, rc)
 
 
 def test_arm_count_scales_linearly():
