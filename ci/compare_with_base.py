@@ -13,7 +13,9 @@ modes once cancelled. The 200-point scans are the golden files; the dense scan c
 radial bracket and the cube's series window; the bar's printed variant is scanned on both grids too. bound
 and noise at extreme r_c reach the r_c checks, the large-r_c regime where the closed forms' rest factor is
 no longer a normal double (1e55 m), and the vanishing, underflowing and overflowing results. The oracle
-sweep prints the evaluation counts and failures that validate's grids do not. The closed-form sweep prints
+sweep prints the evaluation counts and failures that validate's grids do not. The merge-edge sweep runs the
+oracle on user-built cubes and cylinders where the cosine modes merge or cancel (separation 0, = length,
+= 2 length, >> length) and on a bar's halves, which no bundled config reaches. The closed-form sweep prints
 float.hex() of every bundled body's PSD, both bar variants, at rates 1 and 1e-30 and 3001 log-spaced r_c
 over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. A -c
 script's first line, a comment, is its label.
@@ -39,6 +41,21 @@ for name in ("ligo", "lisa_pathfinder", "auriga"):
         except QuadratureError as exc:
             print(name, repr(rc), exc, exc.evaluations)
 """
+MERGE_EDGES = """# merge-edge sweep
+import numpy as np
+from cslbounds import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangement, QuadratureError, force_psd_by_quadrature
+cube, rod = Cube(0.046, 1.928), Cylinder(0.25, 0.2, 40.0)
+bodies = [("cube", cube, MassArrangement(a)) for a in (0.0, 0.046, 0.092, 20.0, 1e4)]
+bodies += [("cylinder", rod, MassArrangement(a, 2)) for a in (0.0, 0.2, 0.4, 20.0, 1e4)]
+bodies += [("bar", HalfCylinderBar(0.3, 3.0, 2300.0), MassArrangement(1.5))]
+for name, geometry, arrangement in bodies:
+    for rc in np.geomspace(1e-12, 1e4, 33).tolist():
+        try:
+            r = force_psd_by_quadrature(CslParams(1.0, rc), geometry, arrangement)
+            print(name, arrangement.separation, repr(rc), r.value.hex(), r.rel_error.hex(), r.evaluations)
+        except QuadratureError as exc:
+            print(name, arrangement.separation, repr(rc), exc, exc.evaluations)
+"""
 CLOSED_FORMS = """# closed-form sweep
 import numpy as np
 from cslbounds import BAR_VARIANTS, CslParams, load_detector_config
@@ -63,6 +80,7 @@ COMMANDS = [
     [*CLI, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
     *([*CLI, "bound", "--rc", rc, "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     *([*CLI, "noise", "--rc", rc, "--lambda", "1", "--config", c] for c in CONFIGS for rc in EXTREME_RC),
+    ["-c", MERGE_EDGES],
     ["-c", SWEEP],
     ["-c", CLOSED_FORMS],
 ]

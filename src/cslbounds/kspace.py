@@ -50,14 +50,17 @@ factor that carries rc (cos(u b/rc), the sin^2 product or
 e^{-(s z)^2}).  A caller hands _adaptive the shape, the factor, a grid,
 a span and a least panel count; the routine lays the panels, of dyadic
 width w / 2^k, w = 6000/478 (radial, slab) or U/4 (axial), and
-multiplies shape by factor on them.  Its first pass takes the coarsest
+multiplies the shape into the factor's values in place: a factor returns
+a new array, never a table view (a table is read-only; writing into one
+would raise).  Its first pass takes the coarsest
 width that lays the least count over [0, span] (at least 8 over
 [0, min(U/s, 6000)]; for the axial factor at least 4 over [0, U], more
 the faster it oscillates), rounded up to whole panels that end at hi,
 and each doubling the next, over the same [0, hi].  So every pass is a
 prefix of one table per (shape, width) of nodes and shape values,
 filled on first use and shared by every rc; the zero mode, free of rc,
-is integrated once per process.  At s hi <= 1 (hi = 6000),
+is integrated once per process; a body's cosine modes, free of rc too,
+are merged on its first use and kept for the last 64.  At s hi <= 1 (hi = 6000),
 the radial and slab first pass sums rc-free moment tables instead:
 e^{-(s z)^2} = sum_{k<16} (-(s hi)^2)^k (z/hi)^{2k} / k! (DLMF 4.2.19),
 whose first dropped term is under 1e-18 of the sum; it lies within
@@ -74,7 +77,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,6 +95,7 @@ _MODE_PANEL_PHASE = 4.0 * math.pi
 _PANEL_PHASE = 8.0 * math.pi
 # Window U of every integral in Gaussian widths rc k; what lies past it is bounded and charged.
 _K_CUTOFF = 7.0
+_GAUSS_AT_U = math.exp(-_K_CUTOFF**2)  # e^{-U^2}, about 5e-22
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 _LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
@@ -251,7 +255,9 @@ def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, 
                 evaluations=budget.used,
             )
         half, x, values = _shape_nodes(shape, grid, level, panels)
-        fx = (values * factor(x)).reshape(panels, _NODES.size)
+        fx = factor(x)  # a new array, never a table view: the tables are read-only
+        fx *= values
+        fx = fx.reshape(panels, _NODES.size)
         rules = fx @ _RULES
         value = half * float(rules[:, 0].sum())
         # |f| through the same product, whose bits are value's where f >= 0; a one-vector product may round otherwise
@@ -268,6 +274,25 @@ def _gauss(u):
     return np.exp(-u * u)
 
 
+# The factors: each forms its value in one new array, which _adaptive multiplies by the shape in place.
+def _cutoff(s, z):  # e^{-(s z)^2}
+    out = np.multiply(s, z)
+    return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+
+
+def _cosine(ratio, u):  # cos(ratio u)
+    out = np.multiply(ratio, u)
+    return np.cos(out, out=out)
+
+
+def _sin2_product(hl, ha, u):  # 4 sin^2(hl u) sin^2(ha u) as (2 sin(hl u) sin(ha u))^2, with one scratch array
+    out, scratch = np.multiply(hl, u), np.multiply(ha, u)
+    np.sin(out, out=out)
+    out *= 2.0
+    out *= np.sin(scratch, out=scratch)
+    return np.square(out, out=out)
+
+
 def _cos_gauss_moment(ratio, tol_abs, budget):
     """int_0^inf cos(ratio u) e^{-u^2} du: over [0, U] on at least max(4, ratio U / 4 pi) whole panels.
 
@@ -276,8 +301,19 @@ def _cos_gauss_moment(ratio, tol_abs, budget):
     """
     least = max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
     what = partial("cosine mode at {:g} rad per r_c".format, ratio)  # formatted only for an error message
-    value, err, _ = _adaptive(_gauss, lambda u: np.cos(ratio * u), _MODE_GRID, _K_CUTOFF, least, tol_abs, 0.0, budget, what, ratio == 0.0)
-    return value, err + math.exp(-_K_CUTOFF**2) / (2.0 * _K_CUTOFF)
+    value, err, _ = _adaptive(_gauss, partial(_cosine, ratio), _MODE_GRID, _K_CUTOFF, least, tol_abs, 0.0, budget, what, ratio == 0.0)
+    return value, err + _GAUSS_AT_U / (2.0 * _K_CUTOFF)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: a float body's rounded sums may merge modes its equal int body's keep apart
+def _cosine_modes(separation, length):
+    """Zero mode's coefficient and the other modes (b, c_b) of (1 - cos(length k))(1 - cos(separation k)): free of rc, merged once per body."""
+    coef: dict[float, float] = {}
+    modes = ((0.0, 1.0), (length, -1.0), (separation, -1.0), (separation + length, 0.5), (abs(separation - length), 0.5))
+    for b, c in sorted(modes):  # equal frequencies merge; the keys stay ascending, the zero mode's first
+        coef[b] = coef.get(b, 0.0) + c
+    c0 = coef.pop(0.0)
+    return c0, tuple((b, c) for b, c in coef.items() if c != 0.0)
 
 
 def _axial_mode_sum(separation, length, rc, budget):
@@ -290,21 +326,16 @@ def _axial_mode_sum(separation, length, rc, budget):
     sin^2(ha u) e^{-u^2}, hl = length/2rc and ha = separation/2rc, stands
     in for them: it does not cancel, unless it would underflow.
     """
-    coef: dict[float, float] = {}
-    modes = ((0.0, 1.0), (length, -1.0), (separation, -1.0), (separation + length, 0.5), (abs(separation - length), 0.5))
-    for b, c in sorted(modes):  # equal frequencies merge; the keys stay ascending, the zero mode's first
-        coef[b] = coef.get(b, 0.0) + c
-    c0 = coef.pop(0.0)
+    c0, modes = _cosine_modes(separation, length)
     if c0 == 0.0:  # separation = 0: then every coefficient cancels
         return 0.0, 0.0
     fastest, hl, ha = (separation + length) / rc, 0.5 * length / rc, 0.5 * separation / rc
     # the product's bulk, about 4 (min(hl, 1) min(ha, 1))^2, must be a normal double; below that the modes cancel, and raise
     if fastest < 2.0 * _K_CUTOFF and (min(hl, 1.0) * min(ha, 1.0)) ** 2 >= sys.float_info.min:
         least = max(4, int(fastest * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)  # the fastest mode's, as _cos_gauss_moment lays it
-        product = lambda u: (2.0 * np.sin(hl * u) * np.sin(ha * u)) ** 2  # 4 sin^2(hl u) sin^2(ha u)
-        value, err, _ = _adaptive(_gauss, product, _MODE_GRID, _K_CUTOFF, least, 0.0, _SUB_TOL * REL_TOL, budget, "axial sin^2 product", True)
+        value, err, _ = _adaptive(_gauss, partial(_sin2_product, hl, ha), _MODE_GRID, _K_CUTOFF, least, 0.0, _SUB_TOL * REL_TOL, budget, "axial sin^2 product", True)
         # past U the factor is at most min(4, 4 (hl ha)^2 u^4), and int_U^inf u^4 e^{-u^2} du <= U^3 e^{-U^2}
-        return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * math.exp(-_K_CUTOFF**2)
+        return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * _GAUSS_AT_U
     # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
     if not _ZERO_MODE:
         fill = _Budget(BUDGET)
@@ -315,12 +346,10 @@ def _axial_mode_sum(separation, length, rc, budget):
     tol_abs = 1e-13 * abs(m0)
     total = c0 * m0
     err = abs(c0) * e0
-    for b, c in coef.items():
-        if c == 0.0:
-            continue
+    for b, c in modes:
         ratio = b / rc
         if ratio >= 2.0 * _K_CUTOFF:  # Gaussian-suppressed mode: |M(b)| = M(0) e^{-(b/2rc)^2} <= M(0) e^{-U^2}
-            err += abs(c) * abs(m0) * math.exp(-_K_CUTOFF**2)
+            err += abs(c) * abs(m0) * _GAUSS_AT_U
             continue
         v, e = _cos_gauss_moment(ratio, tol_abs, budget)
         total += c * v
@@ -361,7 +390,7 @@ def _resolved_with_tail(shape, s, divisor, remainder, majorant, budget, what):
         return 0.0, 0.0
     span, grid = min(zcap, _RESOLVED_PHASE), (_RESOLVED_PHASE / _LEVEL0_PANELS, _LEVEL0_PANELS)
     first = _moment_pass(shape, s, grid, budget) if s * span <= 1.0 else None  # there the first pass spans level 0
-    value, err, hi = first or _adaptive(shape, lambda z: np.exp(-((s * z) ** 2)), grid, span, 8, 0.0, _SUB_TOL * REL_TOL, budget, what, True)
+    value, err, hi = first or _adaptive(shape, partial(_cutoff, s), grid, span, 8, 0.0, _SUB_TOL * REL_TOL, budget, what, True)
     v = s * hi
     gauss = math.exp(-v * v)
     if zcap > hi:

@@ -52,7 +52,7 @@ def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
 
 def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     cli = ["-m", "cslbounds.cli"]
-    expected = [["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS]]
+    expected = [["-c", compare.MERGE_EDGES], ["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS]]
     expected += [
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
@@ -77,6 +77,14 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     ):
         assert fragment in compare.SWEEP
     for fragment in (
+        "MassArrangement(a)) for a in (0.0, 0.046, 0.092, 20.0, 1e4)]",
+        "MassArrangement(a, 2)) for a in (0.0, 0.2, 0.4, 20.0, 1e4)]",
+        'bodies += [("bar", HalfCylinderBar(0.3, 3.0, 2300.0), MassArrangement(1.5))]',
+        "print(name, arrangement.separation, repr(rc), r.value.hex(), r.rel_error.hex(), r.evaluations)",
+        "print(name, arrangement.separation, repr(rc), exc, exc.evaluations)",
+    ):
+        assert fragment in compare.MERGE_EDGES
+    for fragment in (
         "rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)",
         'for variant in BAR_VARIANTS if name == "auriga" else [None]:',
         "for rate in (1.0, 1e-30):",
@@ -84,7 +92,7 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
         "print(name, variant, rate, repr(rc), value.hex())",
     ):
         assert fragment in compare.CLOSED_FORMS
-    for script in (compare.SWEEP, compare.CLOSED_FORMS):
+    for script in (compare.MERGE_EDGES, compare.SWEEP, compare.CLOSED_FORMS):
         compile(script, "sweep", "exec")
     # each command is named by its own line of the report
     labels = [compare.label(args) for args in compare.COMMANDS]

@@ -7,6 +7,7 @@ decomposition and tail handling against the raw definition.
 """
 
 import ast
+import functools
 import math
 import os
 import subprocess
@@ -853,6 +854,43 @@ def test_tables_change_no_bit_of_the_cosine_modes(monkeypatch):
     assert cold[-1][1] > cold[0][1]
 
 
+@functools.cache
+def table_nodes(grid, level):
+    """The Kronrod nodes of grid's whole level `level`, laid by _shape_nodes on a table of their own."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kspace, "_TABLES", {})
+        return kspace._shape_nodes(ones, grid, level, grid[1] << level)[1]
+
+
+# each factor as formed in one new array, and the expression it was before, kept as its reference
+FACTORS = {
+    "cutoff": (lambda p, q: functools.partial(kspace._cutoff, p), lambda p, q, x: np.exp(-((p * x) ** 2))),
+    "cosine": (lambda p, q: functools.partial(kspace._cosine, p), lambda p, q, x: np.cos(p * x)),
+    "sin2": (lambda p, q: functools.partial(kspace._sin2_product, p, q), lambda p, q, x: (2.0 * np.sin(p * x) * np.sin(q * x)) ** 2),
+}
+FACTOR_PARAMETER = st.one_of(st.just(0.0), log_uniform(-300.0, 300.0))
+
+
+@given(
+    st.sampled_from(sorted(FACTORS)),
+    st.sampled_from([(kspace._MODE_GRID, level) for level in range(3)] + [(RESOLVED_GRID, level) for level in range(2)]),
+    FACTOR_PARAMETER,
+    FACTOR_PARAMETER,
+)
+@example("cutoff", (RESOLVED_GRID, 0), 0.0, 0.0)
+@example("cutoff", (RESOLVED_GRID, 0), 1e160, 0.0)  # (s z)^2 overflows to inf past z = 1.3e-6
+@example("cosine", (kspace._MODE_GRID, 0), 0.0, 0.0)
+@example("sin2", (kspace._MODE_GRID, 1), 0.5, 0.5)  # a bar's halves: hl = ha
+def test_each_factor_is_its_old_expression_in_a_new_array(name, table, p, q):
+    x = table_nodes(*table)
+    factor, old = FACTORS[name]
+    with np.errstate(all="ignore"):
+        new, reference = factor(p, q)(x), old(p, q, x)
+    # bit for bit, NaN and the sign of zero included; _adaptive writes the shape into the new array
+    assert new.dtype == reference.dtype and new.tobytes() == reference.tobytes()
+    assert new.flags.writeable and not np.shares_memory(new, x)
+
+
 def test_table_cache_is_bounded(monkeypatch):
     tables = {}
     monkeypatch.setattr(kspace, "_TABLES", tables)
@@ -915,6 +953,56 @@ def test_zero_mode_memo_changes_no_result(monkeypatch):
     assert kspace._ZERO_MODE == [*kspace._cos_gauss_moment(0.0, 0.0, budget), budget.used] and budget.used == 124
     assert outcomes(lambda: None) == cold
     assert len(cold[0]) == 27 and cold[1][0].startswith("quadrature reached relative error")
+
+
+# the cosine modes' merge edges: separation 0 (every coefficient cancels), = length (the separation and length
+# modes merge, |a - l| becomes the zero mode), = 2 length (|a - l| merges with the length mode), >> length,
+# and a bar's halves (separation = their length)
+MERGE_EDGES = [
+    *((Cube(0.046, 1.928), MassArrangement(a)) for a in (0.0, 0.046, 0.092, 1e4)),
+    *((Cylinder(0.25, 0.2, 40.0), MassArrangement(a, 2)) for a in (0.0, 0.2, 0.4, 1e4)),
+    (HalfCylinderBar(0.3, 3.0, 2300.0), MassArrangement(1.5)),
+]
+
+
+def oracle_outcomes(bodies, rcs, before_each=lambda: None):
+    """(value, rel_error, evaluations) in hex of the oracle at each body and r_c, or its QuadratureError's message, achieved error and evaluations."""
+    out = []
+    for geometry, arrangement in bodies:
+        for rc in rcs:
+            before_each()
+            try:
+                r = force_psd_by_quadrature(CslParams(1.0, rc), geometry, arrangement)
+                out.append((r.value.hex(), r.rel_error.hex(), r.evaluations))
+            except QuadratureError as exc:
+                out.append((str(exc), repr(exc.achieved_rel_error), exc.evaluations))
+    return out
+
+
+def test_mode_memo_changes_no_result_at_the_merge_edges():
+    # r_c from the mode route through the product route's to where the product underflows, cold then warm
+    rcs = [1e-9, 1e-6, 1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e80]
+    cold = oracle_outcomes(MERGE_EDGES, rcs, kspace._cosine_modes.cache_clear)
+    assert oracle_outcomes(MERGE_EDGES, rcs) == cold
+    # separation 0 is the exact zero; the others are results, or a cancelled mode sum's error
+    assert cold[: len(rcs)] == cold[4 * len(rcs) : 5 * len(rcs)] == [("0x0.0p+0", "0x0.0p+0", 0)] * len(rcs)
+    assert kspace._cosine_modes(0.0, 0.2) == (0.0, ())
+    # the halves' separation and length modes merge, and |a - l| = 0 adds to the zero mode
+    assert kspace._cosine_modes(1.5, 1.5) == (1.5, ((1.5, -2.0), (3.0, 0.5)))
+    assert kspace._cosine_modes(0.4, 0.2) == (1.0, ((0.2, -0.5), (0.4, -1.0), (0.6000000000000001, 0.5)))
+    # an int body's exact sums keep apart modes that its equal float body's rounded sums merge: one memo entry each
+    kspace._cosine_modes.cache_clear()
+    exact = kspace._cosine_modes(2**53, 1)
+    assert kspace._cosine_modes(2.0**53, 1.0) != exact == kspace._cosine_modes(2**53, 1) and len(exact[1]) == 4
+
+
+def test_mode_memo_is_bounded():
+    kspace._cosine_modes.cache_clear()
+    maxsize = kspace._cosine_modes.cache_info().maxsize
+    bodies = [(Cube(0.046 * (1.0 + i / 1000), 1.928), LISA_ARR) for i in range(maxsize + 8)]
+    oracle_outcomes(bodies, [1e-6])
+    info = kspace._cosine_modes.cache_info()
+    assert info.misses == maxsize + 8 and info.currsize == maxsize
 
 
 def first_pass(grid, span, least):
@@ -1176,7 +1264,11 @@ def test_extreme_s_terminates(monkeypatch, s):
 
 def test_import_tabulates_nothing():
     src = str(Path(cslbounds.__file__).parents[1])
-    script = "from cslbounds import kspace\nassert kspace._TABLES == {} and kspace._ZERO_MODE == [] and kspace._MOMENTS == {}\n"
+    script = (
+        "from cslbounds import kspace\n"
+        "assert kspace._TABLES == {} and kspace._ZERO_MODE == [] and kspace._MOMENTS == {}\n"
+        "assert kspace._cosine_modes.cache_info().currsize == 0\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
