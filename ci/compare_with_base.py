@@ -3,9 +3,11 @@
 Runs each command on REV, extracted by `git archive` so that no network is needed, and on this working tree,
 uncommitted edits included: under this interpreter, with that tree's src/ on PYTHONPATH, in an empty
 directory. Stdout, stderr, exit code and written files must match byte for byte. Each differing one is
-reported with its count of differing lines, the largest relative change of a number (decimal, float.hex()
-or count) at the same position and its first differing pairs, and the exit status is 1. Lines are paired by
-index: difflib is quadratic, and would stall for hours on a change that moves a few bits of the 1e6-row scan.
+reported with its count of differing lines, the largest relative change of a float (decimal or float.hex())
+at the same position, the number of counts (integers) changed there, and its first differing pairs, and the
+exit status is 1: so a change that moves oracle values on purpose shows that no evaluation count moved. Lines
+are paired by index: difflib is quadratic, and would stall for hours on a change that moves a few bits of the
+1e6-row scan.
 
 validate's rel_diff digits rest on BLAS dot products, so the CLI transcript leaves them out; here both trees
 use one numpy. From r_c = 1 m to 1e4 m, validate runs the oracle's one-pass axial product, where its cosine
@@ -99,16 +101,37 @@ def run(src, args):
     return {"stdout": done.stdout, "stderr": done.stderr, "exit code": str(done.returncode).encode(), **files}
 
 
+def tokens(base, head):
+    """The tokens at one position of two lines, a comma counted as a space."""
+    return zip(base.replace(",", " ").split(), head.replace(",", " ").split())
+
+
+def count(token):
+    """The integer a token spells, or None."""
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def largest_change(base, head):
-    """Largest relative change between the numbers (decimal, float.hex() or count) at one position of two lines."""
+    """Largest relative change between the floats (decimal or float.hex()) at one position of two lines; counts are skipped."""
     worst = 0.0
-    for a, b in zip(base.replace(",", " ").split(), head.replace(",", " ").split()):
+    for a, b in tokens(base, head):
+        if None not in (count(a), count(b)):
+            continue
         try:
             x, y = (float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
         except ValueError:
             continue
         worst = max(worst, abs(y - x) / (max(abs(x), abs(y)) or 1.0))
     return worst
+
+
+def changed_counts(base, head):
+    """How many integers at one position of two lines differ."""
+    counts = ((count(a), count(b)) for a, b in tokens(base, head))
+    return sum(None not in (x, y) and x != y for x, y in counts)
 
 
 def main(rev):
@@ -125,7 +148,8 @@ def main(rev):
                 lines = zip_longest(*(out.get(k, b"").decode(errors="replace").splitlines() for out in (old, new)), fillvalue="")
                 pairs = [(a, b) for a, b in lines if a != b]
                 worst = max((largest_change(a, b) for a, b in pairs), default=0.0)
-                print(f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e}")
+                counts = sum(changed_counts(a, b) for a, b in pairs)
+                print(f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e}, {counts} changed counts")
                 print("".join(f"    - {a}\n    + {b}\n" for a, b in pairs[:3]), end="")
             status = 1 if differ else status
     return status

@@ -2,17 +2,15 @@
 
 The exponentially scaled modified Bessel functions e^-x I0(x) and
 e^-x I1(x) (the unscaled values overflow long before the physically
-interesting regime is reached), the J1 and sinc^2 array kernels of the
-quadrature oracle, and the package's one float-or-array conversion.  The
-closed forms call neither i0e, i1e nor _ie: cslnoise evaluates its radial
-bracket from its own Chebyshev expansions.  The erf of the cube bracket
-is math.erf.
+interesting regime is reached) and the package's one float-or-array
+conversion.  The closed forms call neither i0e, i1e nor _ie: cslnoise
+evaluates its radial bracket from its own Chebyshev expansions.  The erf
+of the cube bracket is math.erf.  The J1 and sinc^2 kernels of the
+quadrature oracle live in kspace.
 
-Accuracy targets (checked by the test suite against extended-precision
+Accuracy target (checked by the test suite against extended-precision
 references):
   i0e, i1e    : relative error <= 1e-12 on [0, 1e8], no overflow anywhere
-  _j1_array   : absolute error <= 2e-15 on [0, 1e3], <= 1e-13 on (1e3, 1e6]
-  _sinc2_array: (sin(x)/x)^2, absolute error <= 2e-14, finite at x = 0
 
 _to_1d is the package's one conversion of a caller's float-or-array
 value, and _frozen's for a record's array field: a real number or a 1-d
@@ -28,8 +26,7 @@ element alone: its series stops at the first term under 1e-18 of the sum
 in both rows.  That term is under half an ulp of the sum, and so is
 every later, smaller one, so the steps an element takes past its own
 count leave its value unchanged: a float gives exactly the value it has
-inside any array, and the targets hold element by element.  The two
-quadrature kernels take arrays and skip domain checks.
+inside any array, and the target holds element by element.
 """
 
 from __future__ import annotations
@@ -41,15 +38,6 @@ from typing import Union
 import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_THREE_PI_4 = 2.356194490192344929  # 3*pi/4
-
-# Hankel-expansion coefficients A_m for nu=1 (mu=4), used by _j1_array:
-# A_0 = 1, A_m = A_{m-1} * (mu - (2m-1)^2) / (8m)
-_J1_HANKEL = [1.0]
-for _m in range(1, 12):
-    _J1_HANKEL.append(_J1_HANKEL[-1] * (4.0 - (2 * _m - 1) ** 2) / (8.0 * _m))
-# Starting order of _j1_array's backward recurrence: J_72(30) = 3.3e-21.
-_J1_MILLER_ORDER = 72
 
 
 # A float for float input, else one value per entry of a 1-d array.
@@ -152,66 +140,4 @@ def _ie(x: np.ndarray) -> np.ndarray:
                 total += term
             # sqrt factored to avoid overflow of 2*pi*x for x near the float max
             out[:, group] = total / (_SQRT_2PI * np.sqrt(xa))
-    return out
-
-
-def _j1_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized J1 without domain checks (internal quadrature kernel).
-
-    Power series on [0, 4], whose terms there stay below 5; Miller's
-    backward recurrence from order 72, normalised by J0 + 2 sum J_2k = 1,
-    on (4, 30]; the Hankel expansion beyond.  Each branch holds about
-    1e-15 absolute error where it is used.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= 4.0
-    xs = x[small]
-    if xs.size:
-        term = 0.5 * xs
-        total = term.copy()
-        q = 0.25 * xs * xs
-        for k in range(1, 24):
-            term = term * (-q) / (k * (k + 1))
-            total += term
-        out[small] = total
-    mid = ~small & (x <= 30.0)
-    xm = x[mid]
-    if xm.size:
-        two_over_x = 2.0 / xm
-        upper = np.zeros_like(xm)
-        j = np.ones_like(xm)
-        even = np.zeros_like(xm)
-        for n in range(_J1_MILLER_ORDER, 1, -1):
-            # J_{n-1} = (2n/x) J_n - J_{n+1}, up to a common factor
-            j, upper = n * two_over_x * j - upper, j
-            if n % 2 == 1:
-                even += j
-        j0 = two_over_x * j - upper
-        out[mid] = j / (j0 + 2.0 * even)
-    big = x > 30.0
-    xl = x[big]
-    if xl.size:
-        inv2 = 1.0 / (xl * xl)
-        sp = np.zeros_like(xl)
-        sq = np.zeros_like(xl)
-        for k in range(5, -1, -1):
-            sign = 1.0 if k % 2 == 0 else -1.0
-            sp = sp * inv2 + sign * _J1_HANKEL[2 * k]
-            sq = sq * inv2 + sign * _J1_HANKEL[2 * k + 1]
-        sq /= xl
-        w = xl - _THREE_PI_4
-        out[big] = np.sqrt(2.0 / (math.pi * xl)) * (sp * np.cos(w) - sq * np.sin(w))
-    return out
-
-
-def _sinc2_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized (sin(x)/x)^2 (internal quadrature kernel)."""
-    x = np.asarray(x, dtype=float)
-    q = x * x
-    small = q < 1e-6
-    out = np.empty_like(x)
-    out[small] = (1.0 - q[small] / 6.0) ** 2
-    xl = x[~small]
-    out[~small] = (np.sin(xl) / xl) ** 2
     return out

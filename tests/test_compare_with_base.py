@@ -20,8 +20,16 @@ def test_largest_change_reports_one_ulp_of_a_decimal_or_a_hex_value_and_a_change
     ulp = (y - x) / y
     assert compare.largest_change(f"1e-08 4.46587161e-24 {x!r} 5.6e-09", f"1e-08 4.46587161e-24 {y!r} 5.6e-09") == ulp
     assert compare.largest_change(f"ligo 1e-08 {x.hex()} 0x1.5p-40 930", f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == ulp
-    assert compare.largest_change("ligo 1e-08 0x1p-70 0x1p-40 930", "ligo 1e-08 0x1p-70 0x1p-40 931") == 1 / 931
     assert compare.largest_change("1e-08,2.5,0.0", "1e-08,2.0,0.0") == 0.5 / 2.5
+    # a count is not a float: an evaluation count going from 930 to 931 is one changed count, no relative change
+    line = f"ligo 1e-08 {x.hex()} 0x1.5p-40 930"
+    assert compare.largest_change(line, line.replace("930", "931")) == 0.0
+    assert compare.changed_counts(line, line.replace("930", "931")) == 1
+    assert compare.changed_counts(line, f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == 0
+    assert compare.changed_counts("validate 3 930 0", "validate 4 931 0") == 2
+    # a count that turns into a float is a float change
+    assert compare.largest_change("ligo 930", "ligo 0x1p-1") == (930 - 0.5) / 930
+    assert compare.changed_counts("ligo 930", "ligo 0x1p-1") == 0
 
 
 def test_largest_change_is_zero_for_identical_lines_and_skips_tokens_that_are_not_numbers():
@@ -31,6 +39,8 @@ def test_largest_change_is_zero_for_identical_lines_and_skips_tokens_that_are_no
     # words of hex letters are not numbers without their 0x
     assert compare.largest_change("config ligo dead face", "config auriga beef fade") == 0.0
     assert compare.largest_change("error: quadrature reached 3", "error: quadrature failed three") == 0.0
+    assert compare.changed_counts(line, line) == 0
+    assert compare.changed_counts("error: quadrature reached 3", "error: quadrature failed three") == 0
 
 
 def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
@@ -113,7 +123,7 @@ def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monke
     assert out[:3] == [
         "same: identical",
         "path: differs in stdout",
-        "  stdout: 1 differing lines, largest relative change 0.000e+00",
+        "  stdout: 1 differing lines, largest relative change 0.000e+00, 0 changed counts",
     ]
     assert out[3].startswith("    - ") and out[3].endswith("src")
     assert out[4] == f"    + {ROOT / 'src'}"

@@ -1076,6 +1076,27 @@ def test_mass_square_scaling_exact(mass, rc_exp):
     assert doubled == 4.0 * base
 
 
+# The survey grid of the scans: 1991 log-spaced r_c from 1e-9 to 1e2 m.  Past about 1e48 m both laws below
+# fail by an ulp or so: there _pair_psd forms some points as ((q axial)(q transverse)) lam instead of
+# ((rest lam) q) q, and which product a point takes depends on lam and on the arm factor.
+SURVEY_GRID = np.geomspace(1e-9, 1e2, 1991)
+
+
+def test_two_arms_double_the_cylinder_psd_bit_for_bit():
+    det = load_detector_config("ligo")
+    psd = [cylinder_pair_force_psd(CslParams(1.0, SURVEY_GRID), det.geometry, det.arrangement.separation, arms) for arms in (1, 2)]
+    assert np.array_equal(psd[1], 2.0 * psd[0])
+
+
+@pytest.mark.parametrize("config, variant", [("ligo", None), ("lisa_pathfinder", None), *(("auriga", v) for v in BAR_VARIANTS)])
+def test_power_of_two_rates_scale_every_closed_form_bit_for_bit(config, variant):
+    det = load_detector_config(config)
+    base = force_noise_psd(CslParams(1.0, SURVEY_GRID), det.geometry, det.arrangement, variant)
+    for j in (-60, -3, 5, 40):
+        rate = math.ldexp(1.0, j)
+        assert np.array_equal(force_noise_psd(CslParams(rate, SURVEY_GRID), det.geometry, det.arrangement, variant), rate * base), j
+
+
 @given(st.floats(min_value=-7.0, max_value=1.0))
 def test_outputs_nonnegative(rc_exp):
     params = CslParams(1.0, 10.0**rc_exp)

@@ -21,15 +21,14 @@ from cslbounds.specfun import (
     _SERIES_DENOMS,
     _SQRT_2PI,
     _ie,
-    _j1_array,
-    _sinc2_array,
     i0e,
     i1e,
 )
+from cslbounds.kspace import _j1_array, _sinc2_array
 
 mp.mp.dps = 50
 
-# Accuracy targets of the specfun module docstring.
+# Accuracy targets of the specfun module docstring (i0e, i1e) and of the kspace one (the oracle's kernels).
 IE_REL_TOL = 1e-12  # i0e, i1e: relative, on [0, 1e8]
 J1_ABS_TOL_LOW = 2e-15  # _j1_array: absolute, on [0, 1e3]
 J1_ABS_TOL_HIGH = 1e-13  # _j1_array: absolute, on (1e3, 1e6]
