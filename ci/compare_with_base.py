@@ -19,8 +19,12 @@ sweep prints the evaluation counts and failures that validate's grids do not. Th
 oracle on user-built cubes and cylinders where the cosine modes merge or cancel (separation 0, = length,
 = 2 length, >> length) and on a bar's halves, which no bundled config reaches. The closed-form sweep prints
 float.hex() of every bundled body's PSD, both bar variants, at rates 1 and 1e-30 and 3001 log-spaced r_c
-over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. A -c
-script's first line, a comment, is its label.
+over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. The
+curve sweep prints lambda_max at the same 3001 r_c, for every bundled detector and both bar variants, in
+float.hex(), or the UnboundedParameterError it raises: exclusion_curve calls the closed forms' dispatch
+directly, not force_noise_psd, so the closed-form sweep does not reach its path. A -c script's first line, a
+comment, is its label. A float pair with one side 0.0 (a validate rel_diff of about 1e-16 that turns 0.0) is
+left out of the largest relative change, which would read 1 there, and reported by its absolute difference.
 """
 import os
 import subprocess
@@ -71,6 +75,21 @@ for name in ("ligo", "lisa_pathfinder", "auriga"):
             for rc, value in zip(rcs.tolist(), psd.tolist()):
                 print(name, variant, rate, repr(rc), value.hex())
 """
+CURVES = """# curve sweep
+import numpy as np
+from cslbounds import BAR_VARIANTS, UnboundedParameterError, lambda_max, load_detector_config
+from cslbounds.cslnoise import MIN_CORRELATION_LENGTH
+rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)
+for name in ("ligo", "lisa_pathfinder", "auriga"):
+    det = load_detector_config(name)
+    entry = det.noise_entry()
+    for variant in BAR_VARIANTS if name == "auriga" else [None]:
+        for rc in rcs.tolist():
+            try:
+                print(name, variant, repr(rc), lambda_max(det, entry, rc, variant).hex())
+            except UnboundedParameterError as exc:
+                print(name, variant, repr(rc), exc)
+"""
 EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 CLI = ["-m", "cslbounds.cli"]
 COMMANDS = [
@@ -85,6 +104,7 @@ COMMANDS = [
     ["-c", MERGE_EDGES],
     ["-c", SWEEP],
     ["-c", CLOSED_FORMS],
+    ["-c", CURVES],
 ]
 
 
@@ -114,18 +134,29 @@ def count(token):
         return None
 
 
-def largest_change(base, head):
-    """Largest relative change between the floats (decimal or float.hex()) at one position of two lines; counts are skipped."""
-    worst = 0.0
+def floats(base, head):
+    """The pairs of floats (decimal or float.hex()) at one position of two lines; counts are skipped."""
     for a, b in tokens(base, head):
         if None not in (count(a), count(b)):
             continue
         try:
-            x, y = (float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
+            yield tuple(float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
         except ValueError:
             continue
-        worst = max(worst, abs(y - x) / (max(abs(x), abs(y)) or 1.0))
+
+
+def largest_change(base, head):
+    """Largest relative change between the floats at one position of two lines, leaving out a pair with one side 0.0."""
+    worst = 0.0
+    for x, y in floats(base, head):
+        if x and y:  # from or to 0.0 the relative change is always 1: zero_change measures it
+            worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
     return worst
+
+
+def zero_change(base, head):
+    """Largest absolute change of a float pair at one position of two lines with exactly one side 0.0."""
+    return max((abs(y - x) for x, y in floats(base, head) if (x == 0.0) != (y == 0.0)), default=0.0)
 
 
 def changed_counts(base, head):
@@ -148,8 +179,12 @@ def main(rev):
                 lines = zip_longest(*(out.get(k, b"").decode(errors="replace").splitlines() for out in (old, new)), fillvalue="")
                 pairs = [(a, b) for a, b in lines if a != b]
                 worst = max((largest_change(a, b) for a, b in pairs), default=0.0)
+                at_zero = max((zero_change(a, b) for a, b in pairs), default=0.0)
                 counts = sum(changed_counts(a, b) for a, b in pairs)
-                print(f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e}, {counts} changed counts")
+                print(
+                    f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e},"
+                    f" largest change from or to 0.0 {at_zero:.3e}, {counts} changed counts"
+                )
                 print("".join(f"    - {a}\n    + {b}\n" for a, b in pairs[:3]), end="")
             status = 1 if differ else status
     return status

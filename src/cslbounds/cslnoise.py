@@ -46,12 +46,15 @@ form and building block evaluates it in one pass of private kernels that
 take 1-d arrays, masks choosing each element's numerical branch, and
 returns a float for a float.  A kernel writes only into arrays that it
 allocated, or that its caller handed over and does not read again; it
-never writes into r_c.  Each runs under np.errstate(all="ignore"),
-so no result depends on the caller's np.seterr; the callers that report
-a value (exclusion_curve, noise, validate) check that it is a normal
-double.  The building blocks axial_factor and pair_correlation_factor
-share one kernel and one domain: a finite separation >= 0, a finite
-length > 0 and CslParams' correlation lengths, checked by CslParams.
+never writes into r_c.  Each public entry checks its raw arguments and
+enters the one frame, _framed: a 1-d r_c, np.errstate(all="ignore") (no
+result depends on np.seterr), a float back for a float.  Below it the one
+dispatch by geometry type, _closed_form, and the kernels trust checked
+records and a 1-d r_c; exclusion_curve calls _closed_form under its own
+errstate.  The callers that report a value (exclusion_curve, noise,
+validate) check that it is a normal double.  axial_factor and
+pair_correlation_factor share one kernel and one domain: a finite
+separation >= 0, a finite length > 0 and CslParams' r_c rule.
 """
 
 from __future__ import annotations
@@ -268,6 +271,21 @@ class MassArrangement(_Record):
 # building blocks
 
 
+def _framed(r_c: FloatOrArray, kernel) -> FloatOrArray:
+    # the one entry frame of the five public entries (module docstring): kernel(rc) at a 1-d rc, under errstate
+    rc, scalar = _to_1d(r_c, "correlation_length")
+    with np.errstate(all="ignore"):
+        return _from_1d(kernel(rc), scalar)
+
+
+def _block_rc(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
+    # the building blocks' domain, in this order: CslParams' r_c rule, then the separation and the length
+    rc = CslParams(1.0, r_c).correlation_length
+    _check_positive("separation", separation, zero_ok=True)
+    _check_positive("length", length)  # an infinite length would meet 0 * inf in _axial_over
+    return rc
+
+
 def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
     """Cross-correlation term of the axial pair suppression factor.
 
@@ -275,15 +293,8 @@ def pair_correlation_factor(separation: float, length: float, r_c: FloatOrArray)
     u = 1/4rc^2, and is evaluated as axial_factor + expm1(-L^2 u): the
     axial kernel's value and domain, with the same float or 1-d r_c.
     """
-    rc, scalar = _to_1d(CslParams(1.0, r_c).correlation_length, "correlation_length")  # CslParams' r_c rule
-    with np.errstate(all="ignore"):
-        axial = _axial_over(separation, length, rc, 1.0)
-        el = np.divide(0.5, rc)
-        el *= length  # L/2rc = inf gives expm1(-inf) = -1, the right limit
-        el *= el
-        np.negative(el, out=el)
-        axial += np.expm1(el, out=el)
-        return _from_1d(axial, scalar)
+    r_c = _block_rc(separation, length, r_c)  # L/2rc = inf below gives expm1(-inf) = -1, the right limit
+    return _framed(r_c, lambda rc: _axial_over(separation, length, rc, 1.0) + np.expm1(-np.square(np.divide(0.5, rc) * length)))
 
 
 def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOrArray:
@@ -297,17 +308,13 @@ def axial_factor(separation: float, length: float, r_c: FloatOrArray) -> FloatOr
     lengths scaled by 1/2rc, never from u itself, so a vanishing length
     gives a zero exponent even where u would overflow.
     """
-    rc, scalar = _to_1d(CslParams(1.0, r_c).correlation_length, "correlation_length")  # CslParams' r_c rule
-    with np.errstate(all="ignore"):
-        return _from_1d(_axial_over(separation, length, rc, 1.0), scalar)
+    return _framed(_block_rc(separation, length, r_c), lambda rc: _axial_over(separation, length, rc, 1.0))
 
 
 def _axial_over(separation: float, length: float, rc: np.ndarray, scale: float) -> np.ndarray:
     # axial_factor / scale^2, each factor of its two products divided by
     # scale before they meet: axial / L^2 stays normal where axial underflows.
-    # An infinite length would meet 0 * inf below; r_c was checked where it came in.
-    _check_positive("separation", separation, zero_ok=True)
-    _check_positive("length", length)
+    # Its caller checked the separation (finite, >= 0), the length (finite, > 0) and r_c.
     half = np.divide(0.5, rc)  # an exponent of -inf is the right limit
     el = np.multiply(half, length)
     if separation == length:  # a bar's halves: d = 0, so e^{-d^2} = 1, and the two factors are one
@@ -530,27 +537,16 @@ def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial_l2: np.n
     return _pair_psd(lam, geometry.mass, rc, axial_l2, transverse, np.multiply(axial_l2, transverse, out=x))
 
 
-def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> FloatOrArray:
-    """Two-sided CSL force PSD for coaxial cylinder pairs (N^2/Hz).
-
-    One differential pair per arm; arm_count = 2 doubles the result for
-    a two-arm interferometer.  Valid while the center-of-mass spread
-    stays well below the correlation length (not checked at runtime).
-    """
-    MassArrangement(separation, arm_count)  # raises as the arrangement does for a bad separation or arm count
-    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
-    with np.errstate(all="ignore"):
-        axial_l2 = _axial_over(separation, geometry.length, rc, geometry.length)
-        return _from_1d(_cylinder_psd(params.collapse_rate, geometry, rc, axial_l2, arm_count), scalar)
-
-
-def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
-    """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
-    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
-    side = geometry.side
-    with np.errstate(all="ignore"):
+def _closed_form(rc: np.ndarray, lam: float, geometry: MassGeometry, arrangement, variant: Optional[str]) -> np.ndarray:
+    # the one dispatch by geometry type: the PSD of a checked geometry and arrangement at a 1-d rc, under
+    # its caller's np.errstate; a bar's arrangement is forced, so the bar reads none (bar_force_psd passes None)
+    if isinstance(geometry, Cylinder):
+        axial_l2 = _axial_over(arrangement.separation, geometry.length, rc, geometry.length)
+        return _cylinder_psd(lam, geometry, rc, axial_l2, arrangement.arm_count)
+    if isinstance(geometry, Cube):
         # w = rc bracket / side^2, where rc bracket -> -sqrt(pi) side/2 as rc -> 0, so it never underflows;
         # past z = 1e300 (where sqrt(pi) z may overflow) it is that limit to 1e-300
+        side = geometry.side
         z = np.multiply(rc, 2.0)
         np.divide(side, z, out=z)
         w = _cube_bracket(z)
@@ -558,11 +554,48 @@ def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) ->
         np.copyto(w, -0.5 * math.sqrt(math.pi) * side, where=z >= 1e300)
         w /= side
         w /= side
-        axial = _axial_over(separation, side, rc, side)
+        axial = _axial_over(arrangement.separation, side, rc, side)
         axial *= 16.0
         rest = np.multiply(axial, w, out=z)
         rest *= w  # inf for sides below ~1e-79 m: the caller reports it
-        return _from_1d(_pair_psd(params.collapse_rate, geometry.mass, rc, axial, np.multiply(w, w, out=w), rest), scalar)
+        return _pair_psd(lam, geometry.mass, rc, axial, np.multiply(w, w, out=w), rest)
+    if isinstance(geometry, HalfCylinderBar):
+        if variant not in BAR_VARIANTS:
+            raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
+        halves = geometry.halves()
+        if variant == "rederived":
+            axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)
+        else:
+            # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
+            v = np.multiply(rc, 16.0)
+            v *= rc
+            np.divide(geometry.length * geometry.length, v, out=v)
+            axial_l2 = np.multiply(v, -4.0)
+            np.expm1(axial_l2, out=axial_l2)
+            axial_l2 *= -0.5
+            np.negative(v, out=v)
+            axial_l2 -= np.expm1(v, out=v)
+            axial_l2 /= halves.length
+            axial_l2 /= halves.length
+        return _cylinder_psd(lam, halves, rc, axial_l2, 1)
+    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+
+
+def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> FloatOrArray:
+    """Two-sided CSL force PSD for coaxial cylinder pairs (N^2/Hz).
+
+    One differential pair per arm; arm_count = 2 doubles the result for
+    a two-arm interferometer.  Valid while the center-of-mass spread
+    stays well below the correlation length (not checked at runtime).
+    """
+    arrangement = MassArrangement(separation, arm_count)  # raises as the arrangement does for a bad separation or arm count
+    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, arrangement, None))
+
+
+def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
+    """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
+    arrangement = MassArrangement(separation)  # raises as the arrangement does for a bad separation
+    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, arrangement, None))
 
 
 def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
@@ -582,26 +615,7 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
         exclusion curves have circulated.  The variants agree for
         r_c << L and differ in decay order for r_c >> L.
     """
-    if variant not in BAR_VARIANTS:
-        raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
-    halves = geometry.halves()
-    rc, scalar = _to_1d(params.correlation_length, "correlation_length")
-    with np.errstate(all="ignore"):
-        if variant == "rederived":
-            axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)
-        else:
-            # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
-            v = np.multiply(rc, 16.0)
-            v *= rc
-            np.divide(geometry.length * geometry.length, v, out=v)
-            axial_l2 = np.multiply(v, -4.0)
-            np.expm1(axial_l2, out=axial_l2)
-            axial_l2 *= -0.5
-            np.negative(v, out=v)
-            axial_l2 -= np.expm1(v, out=v)
-            axial_l2 /= halves.length
-            axial_l2 /= halves.length
-        return _from_1d(_cylinder_psd(params.collapse_rate, halves, rc, axial_l2, 1), scalar)
+    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, None, variant))
 
 
 def force_noise_psd(
@@ -616,10 +630,5 @@ def force_noise_psd(
     Raises ValueError unless the geometry takes the arrangement.
     """
     arrangement.check(geometry)
-    if isinstance(geometry, Cylinder):
-        return cylinder_pair_force_psd(params, geometry, arrangement.separation, arrangement.arm_count)
-    if isinstance(geometry, Cube):
-        return cube_pair_force_psd(params, geometry, arrangement.separation)
-    if isinstance(geometry, HalfCylinderBar):
-        return bar_force_psd(params, geometry, bar_variant or DEFAULT_BAR_VARIANT)
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    variant = bar_variant or DEFAULT_BAR_VARIANT
+    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, arrangement, variant))

@@ -27,6 +27,7 @@ from .cslnoise import (
     FloatOrArray,
     HalfCylinderBar,
     MassGeometry,
+    _closed_form,
     _Record,
     force_noise_psd,
 )
@@ -156,9 +157,9 @@ def exclusion_curve(
     params = CslParams(1.0, r_c_grid)
     grid = np.atleast_1d(params.correlation_length)
     variant = (bar_variant or DEFAULT_BAR_VARIANT) if det.archetype == BAR else None
-    s_model = np.atleast_1d(model_force_psd(det, params, variant))
     tiny = sys.float_info.min
     with np.errstate(all="ignore"):
+        s_model = _closed_form(grid, 1.0, det.geometry, det.arrangement, variant)  # DetectorModel checked the arrangement
         lam = np.multiply(s_model, 2.0)
         np.divide(measured_force_psd(det, noise), lam, out=lam)
     # a NaN fails every test; a subnormal PSD has lost digits, and so has the lambda_max it gives

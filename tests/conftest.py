@@ -1,6 +1,8 @@
 import json
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -55,3 +57,18 @@ def read_golden(name):
     """(r_c, lambda_max) rows of a golden scan file."""
     lines = (pathlib.Path(__file__).parent / "golden" / f"{name}_scan.csv").read_text().splitlines()
     return [tuple(map(float, line.split(","))) for line in lines if line[:1].isdigit()]
+
+
+# The survey grid of the scans, 1991 log-spaced r_c from 1e-9 to 1e2 m, and the closed forms' whole domain:
+# 3001 log-spaced r_c from MIN_CORRELATION_LENGTH, the smallest normal double, to 1e300 m.
+SURVEY_GRID = np.geomspace(1e-9, 1e2, 1991)
+DOMAIN_GRID = np.geomspace(sys.float_info.min, 1e300, 3001)
+
+
+def assert_same_bits(got, ref, limit=None):
+    # the reference's only NaN is 0 * inf where a zero separation meets an overflowing L/2rc (a length above
+    # ~8 m, r_c near the smallest accepted): given the function's limit there, the kernels must now return it
+    got, ref = np.atleast_1d(got), np.atleast_1d(ref)
+    nan = np.isnan(ref) if limit is not None else np.zeros(ref.shape, dtype=bool)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    assert got[nan].tobytes() == np.full(nan.sum(), limit).tobytes()

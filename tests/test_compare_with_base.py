@@ -32,6 +32,21 @@ def test_largest_change_reports_one_ulp_of_a_decimal_or_a_hex_value_and_a_change
     assert compare.changed_counts("ligo 930", "ligo 0x1p-1") == 0
 
 
+def test_a_float_from_or_to_zero_is_measured_by_its_absolute_change():
+    # a validate rel_diff of about 1e-16 that turns 0.0 once read as a relative change of 1.000e+00
+    line = "1.0 4.46587164e-24 4.4658716e-24 1.1102230246251565e-16"
+    turned = line.replace("1.1102230246251565e-16", "0.0")
+    assert compare.largest_change(line, turned) == compare.largest_change(turned, line) == 0.0
+    assert compare.zero_change(line, turned) == compare.zero_change(turned, line) == 1.1102230246251565e-16
+    assert compare.zero_change("0x1p-60 0x0p+0", "0x0p+0 0x1p-70") == 2.0**-60
+    # a pair of nonzero floats, or of zeros (-0.0 too), is no change across 0.0
+    assert compare.zero_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.0
+    assert compare.largest_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.5 / 2.5
+    # a count that turns into 0 is a changed count, not a float change
+    assert compare.zero_change("ligo 930", "ligo 0") == 0.0
+    assert compare.changed_counts("ligo 930", "ligo 0") == 1
+
+
 def test_largest_change_is_zero_for_identical_lines_and_skips_tokens_that_are_not_numbers():
     line = "ligo 1e-08 0x1.2p-70 0x1p-40 930"
     assert compare.largest_change(line, line) == 0.0
@@ -62,7 +77,7 @@ def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
 
 def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     cli = ["-m", "cslbounds.cli"]
-    expected = [["-c", compare.MERGE_EDGES], ["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS]]
+    expected = [["-c", compare.MERGE_EDGES], ["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS], ["-c", compare.CURVES]]
     expected += [
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
@@ -102,12 +117,20 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
         "print(name, variant, rate, repr(rc), value.hex())",
     ):
         assert fragment in compare.CLOSED_FORMS
-    for script in (compare.MERGE_EDGES, compare.SWEEP, compare.CLOSED_FORMS):
+    for fragment in (
+        "rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)",
+        'for variant in BAR_VARIANTS if name == "auriga" else [None]:',
+        "print(name, variant, repr(rc), lambda_max(det, entry, rc, variant).hex())",
+        "except UnboundedParameterError as exc:",
+        "print(name, variant, repr(rc), exc)",
+    ):
+        assert fragment in compare.CURVES
+    for script in (compare.MERGE_EDGES, compare.SWEEP, compare.CLOSED_FORMS, compare.CURVES):
         compile(script, "sweep", "exec")
     # each command is named by its own line of the report
     labels = [compare.label(args) for args in compare.COMMANDS]
     assert len(set(labels)) == len(labels)
-    assert labels[-2:] == ["oracle sweep", "closed-form sweep"]
+    assert labels[-3:] == ["oracle sweep", "closed-form sweep", "curve sweep"]
     assert compare.label([*cli, "bound", "--rc", "1e55", "--config", "ligo"]) == "bound --rc 1e55 --config ligo"
 
 
@@ -123,7 +146,8 @@ def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monke
     assert out[:3] == [
         "same: identical",
         "path: differs in stdout",
-        "  stdout: 1 differing lines, largest relative change 0.000e+00, 0 changed counts",
+        "  stdout: 1 differing lines, largest relative change 0.000e+00, largest change from or to 0.0 0.000e+00,"
+        " 0 changed counts",
     ]
     assert out[3].startswith("    - ") and out[3].endswith("src")
     assert out[4] == f"    + {ROOT / 'src'}"

@@ -57,7 +57,7 @@ from cslbounds.cslnoise import (
 )
 from cslbounds.detector import ARCHETYPES, BAR
 from cslbounds.specfun import i0e, i1e
-from conftest import log_uniform, read_golden
+from conftest import DOMAIN_GRID, SURVEY_GRID, assert_same_bits, log_uniform, read_golden
 
 mp.mp.dps = 60
 
@@ -668,17 +668,23 @@ def test_bar_rejects_unknown_variant():
         bar_force_psd(CslParams(1.0, 1.0), AURIGA_GEOM, "guessed")
 
 
-def test_force_noise_psd_dispatch(ligo, lisa, auriga):
-    params = CslParams(1.0, 1e-7)
-    assert force_noise_psd(params, ligo.geometry, ligo.arrangement) == cylinder_pair_force_psd(
-        params, ligo.geometry, 4000.0, 2
-    )
-    assert force_noise_psd(params, lisa.geometry, lisa.arrangement) == cube_pair_force_psd(
-        params, lisa.geometry, 0.376
-    )
-    assert force_noise_psd(params, auriga.geometry, auriga.arrangement) == bar_force_psd(
-        params, auriga.geometry, "rederived"
-    )
+@pytest.mark.parametrize("rate", [1.0, 1e-30, 3.0])
+def test_force_noise_psd_dispatch(ligo, lisa, auriga, rate):
+    # force_noise_psd gives each public closed form's bits, at a float r_c, on the survey grid and over the domain
+    for rc in (1e-7, SURVEY_GRID, DOMAIN_GRID):
+        params = CslParams(rate, rc)
+        pairs = [
+            (force_noise_psd(params, ligo.geometry, ligo.arrangement), cylinder_pair_force_psd(params, ligo.geometry, 4000.0, 2)),
+            (force_noise_psd(params, lisa.geometry, lisa.arrangement), cube_pair_force_psd(params, lisa.geometry, 0.376)),
+            (force_noise_psd(params, auriga.geometry, auriga.arrangement), bar_force_psd(params, auriga.geometry, "rederived")),
+        ]
+        pairs += [
+            (force_noise_psd(params, auriga.geometry, auriga.arrangement, v), bar_force_psd(params, auriga.geometry, v))
+            for v in BAR_VARIANTS
+        ]
+        for got, expected in pairs:
+            assert type(got) is type(expected) is (float if isinstance(rc, float) else np.ndarray)
+            assert_same_bits(got, expected)
 
 
 @pytest.mark.parametrize("variant", ["printed", "rederived"])
@@ -876,15 +882,6 @@ def bodies(draw):
     return ratio[where] * length, length, draw(log_uniform(-3.0, 3.0)), draw(log_uniform(-3.0, 6.0))
 
 
-def assert_same_bits(got, ref, limit=None):
-    # the reference's only NaN is 0 * inf where a zero separation meets an overflowing L/2rc (a length above
-    # ~8 m, r_c near the smallest accepted): given the function's limit there, the kernels must now return it
-    got, ref = np.atleast_1d(got), np.atleast_1d(ref)
-    nan = np.isnan(ref) if limit is not None else np.zeros(ref.shape, dtype=bool)
-    assert got[~nan].tobytes() == ref[~nan].tobytes()
-    assert got[nan].tobytes() == np.full(nan.sum(), limit).tobytes()
-
-
 @settings(max_examples=150)
 @given(
     body=bodies(),
@@ -1076,10 +1073,9 @@ def test_mass_square_scaling_exact(mass, rc_exp):
     assert doubled == 4.0 * base
 
 
-# The survey grid of the scans: 1991 log-spaced r_c from 1e-9 to 1e2 m.  Past about 1e48 m both laws below
-# fail by an ulp or so: there _pair_psd forms some points as ((q axial)(q transverse)) lam instead of
-# ((rest lam) q) q, and which product a point takes depends on lam and on the arm factor.
-SURVEY_GRID = np.geomspace(1e-9, 1e2, 1991)
+# Both laws below run on the survey grid: past about 1e48 m they fail by an ulp or so, as there _pair_psd
+# forms some points as ((q axial)(q transverse)) lam instead of ((rest lam) q) q, and which product a point
+# takes depends on lam and on the arm factor.
 
 
 def test_two_arms_double_the_cylinder_psd_bit_for_bit():

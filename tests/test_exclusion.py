@@ -37,8 +37,9 @@ from cslbounds import (
     optimal_frequency,
 )
 from cslbounds.constants import C_LIGHT, M_PLANCK
-from cslbounds.cslnoise import HalfCylinderBar
+from cslbounds.cslnoise import BAR_VARIANTS, HalfCylinderBar, bar_force_psd, force_noise_psd
 from cslbounds.exclusion import ellis_eta
+from conftest import DOMAIN_GRID, SURVEY_GRID, assert_same_bits
 
 
 def force_entry(psd, name="synthetic"):
@@ -237,7 +238,7 @@ TINY = sys.float_info.min
 def test_a_bound_needs_a_normal_model_psd(s_model, s_meas):
     # a bound exactly where the model PSD and the lambda_max it gives are both normal doubles
     det = make_interferometer(noise=[force_entry(s_meas)])
-    with mock.patch("cslbounds.exclusion.model_force_psd", lambda *args: np.array([s_model])):
+    with mock.patch("cslbounds.exclusion._closed_form", lambda *args: np.array([s_model])):
         lam = s_meas / (2.0 * s_model)
         if s_model < TINY or not TINY <= lam < math.inf:
             cause = "model force PSD underflows" if s_model < TINY else f"lambda_max {'over' if lam > 1.0 else 'under'}flows"
@@ -245,6 +246,38 @@ def test_a_bound_needs_a_normal_model_psd(s_model, s_meas):
                 exclusion_curve(det, det.noise_entry(), 1e-7)
         else:
             assert exclusion_curve(det, det.noise_entry(), 1e-7).lambda_max.tolist() == [lam]
+
+
+@pytest.mark.parametrize("config, variant", [("ligo", None), ("lisa_pathfinder", None), *(("auriga", v) for v in BAR_VARIANTS)])
+def test_a_curve_divides_the_measured_psd_by_twice_force_noise_psd_bit_for_bit(config, variant):
+    # exclusion_curve calls the closed forms' dispatch below their entry frame: the bits of the public path,
+    # on the survey grid and on each chunk of the domain grid where the model and every bound are normal doubles
+    det = load_detector_config(config)
+    entry = det.noise_entry()
+    normal = 0
+    for grid in (SURVEY_GRID, *np.array_split(DOMAIN_GRID, 100)):
+        psd = force_noise_psd(CslParams(1.0, grid), det.geometry, det.arrangement, variant)
+        with np.errstate(all="ignore"):
+            expected = measured_force_psd(det, entry) / (2.0 * psd)
+        if psd.min() >= TINY and TINY <= expected.min() and expected.max() < math.inf:
+            assert_same_bits(exclusion_curve(det, entry, grid, variant).lambda_max, expected)
+            normal += 1
+        else:
+            with pytest.raises(UnboundedParameterError):
+                exclusion_curve(det, entry, grid, variant)
+    assert normal >= 30
+
+
+def test_an_unknown_bar_variant_is_refused_as_the_closed_form_refuses_it(auriga):
+    message = "^" + re.escape("variant must be one of ('printed', 'rederived'), got 'guessed'") + "$"
+    entry = auriga.noise_entry()
+    for call in (
+        lambda: bar_force_psd(CslParams(1.0, 1e-7), auriga.geometry, "guessed"),
+        lambda: exclusion_curve(auriga, entry, SURVEY_GRID, "guessed"),
+        lambda: lambda_max(auriga, entry, 1e-7, "guessed"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_lambda_max_takes_one_correlation_length(lisa):
