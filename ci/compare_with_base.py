@@ -24,8 +24,10 @@ curve sweep prints lambda_max at the same 3001 r_c, for every bundled detector a
 float.hex(), or the UnboundedParameterError it raises: exclusion_curve calls the closed forms' dispatch
 directly, not force_noise_psd, so the closed-form sweep does not reach its path. A -c script's first line, a
 comment, is its label. A float pair with one side 0.0 (a validate rel_diff of about 1e-16 that turns 0.0) is
-left out of the largest relative change, which would read 1 there, and reported by its absolute difference.
+left out of the largest relative change, which would read 1 there, and reported by its absolute difference. A
+float that turns inf or nan (float.hex() spells them so), or turns finite from one, is an infinite change.
 """
+import math
 import os
 import subprocess
 import sys
@@ -121,48 +123,34 @@ def run(src, args):
     return {"stdout": done.stdout, "stderr": done.stderr, "exit code": str(done.returncode).encode(), **files}
 
 
-def tokens(base, head):
-    """The tokens at one position of two lines, a comma counted as a space."""
-    return zip(base.replace(",", " ").split(), head.replace(",", " ").split())
+def changes(base, head):
+    """(largest relative change, largest change from or to 0.0, changed counts) of the numbers at one position of two lines.
 
-
-def count(token):
-    """The integer a token spells, or None."""
-    try:
-        return int(token)
-    except ValueError:
-        return None
-
-
-def floats(base, head):
-    """The pairs of floats (decimal or float.hex()) at one position of two lines; counts are skipped."""
-    for a, b in tokens(base, head):
-        if None not in (count(a), count(b)):
-            continue
+    A comma counts as a space.  A pair of integers is a count, changed or not; any other pair of numbers (decimal or
+    float.hex()) is a float pair: from or to 0.0 it is measured by its absolute change, from or to inf or nan it is an
+    infinite change, and otherwise by its relative change.  A token that is no number is skipped.
+    """
+    worst = at_zero = 0.0
+    counts = 0
+    for a, b in zip(base.replace(",", " ").split(), head.replace(",", " ").split()):
         try:
-            yield tuple(float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
+            counts += int(a) != int(b)
+            continue
+        except ValueError:
+            pass
+        try:
+            x, y = (float.fromhex(t) if "0x" in t else float(t) for t in (a, b))
         except ValueError:
             continue
-
-
-def largest_change(base, head):
-    """Largest relative change between the floats at one position of two lines, leaving out a pair with one side 0.0."""
-    worst = 0.0
-    for x, y in floats(base, head):
-        if x and y:  # from or to 0.0 the relative change is always 1: zero_change measures it
+        if x == y or x != x and y != y:  # nan to nan is no change
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):  # its relative change would be nan, which max drops
+            worst = math.inf
+        elif x and y:
             worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
-    return worst
-
-
-def zero_change(base, head):
-    """Largest absolute change of a float pair at one position of two lines with exactly one side 0.0."""
-    return max((abs(y - x) for x, y in floats(base, head) if (x == 0.0) != (y == 0.0)), default=0.0)
-
-
-def changed_counts(base, head):
-    """How many integers at one position of two lines differ."""
-    counts = ((count(a), count(b)) for a, b in tokens(base, head))
-    return sum(None not in (x, y) and x != y for x, y in counts)
+        else:  # from or to 0.0 the relative change is always 1
+            at_zero = max(at_zero, abs(y - x))
+    return worst, at_zero, counts
 
 
 def main(rev):
@@ -178,9 +166,9 @@ def main(rev):
             for k in differ:
                 lines = zip_longest(*(out.get(k, b"").decode(errors="replace").splitlines() for out in (old, new)), fillvalue="")
                 pairs = [(a, b) for a, b in lines if a != b]
-                worst = max((largest_change(a, b) for a, b in pairs), default=0.0)
-                at_zero = max((zero_change(a, b) for a, b in pairs), default=0.0)
-                counts = sum(changed_counts(a, b) for a, b in pairs)
+                worst, at_zero, counts = 0.0, 0.0, 0
+                for w, z, c in (changes(a, b) for a, b in pairs):
+                    worst, at_zero, counts = max(worst, w), max(at_zero, z), counts + c
                 print(
                     f"  {k}: {len(pairs)} differing lines, largest relative change {worst:.3e},"
                     f" largest change from or to 0.0 {at_zero:.3e}, {counts} changed counts"

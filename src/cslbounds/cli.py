@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Each command loads its detector through _load_config, and the detector
-carries its archetype (DetectorModel.archetype, classified once when it
-is built); `bound` is lambda_max, which is exclusion_curve at one point.
+main loads the --config detector once, through _load_config, and hands
+it to the command.  The detector carries its archetype
+(DetectorModel.archetype, classified once when it is built); `bound` is
+lambda_max, which is exclusion_curve at one point.
 
 Exit codes: 0 success, 2 input/config error or a file that cannot be
 read or written (OSError), 3 numerical failure (QuadratureError,
@@ -94,8 +95,7 @@ def _native_noise(det, s_ff_one_sided: float, frequency_hz) -> list[tuple[str, f
     return quantities + [("s_hh_one_sided_per_hz", s_hh)]
 
 
-def cmd_noise(args) -> int:
-    det = _load_config(args)
+def cmd_noise(args, det) -> int:
     params = CslParams(args.collapse_rate, args.rc)
     s_one_sided = 2.0 * model_force_psd(det, params, args.variant)
     at = f"for {det.name!r} at r_c = {args.rc:g} m and lambda = {args.collapse_rate:g} /s"
@@ -111,8 +111,7 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
-    det = _load_config(args)
+def cmd_bound(args, det) -> int:
     entry = det.noise_entry(args.noise_entry)
     value = lambda_max(det, entry, args.rc, args.variant)
     print(f"lambda_max_per_s = {_fmt(value)}")
@@ -131,15 +130,13 @@ def _scan_lines(det, entry, grid, variant, out_path) -> list[str]:
     ]
 
 
-def cmd_scan(args) -> int:
-    det = _load_config(args)
+def cmd_scan(args, det) -> int:
     entry = det.noise_entry(args.noise_entry)
     print("\n".join(_scan_lines(det, entry, _grid(args), args.variant, args.out)))
     return 0
 
 
-def cmd_spectrum_bound(args) -> int:
-    det = _load_config(args)
+def cmd_spectrum_bound(args, det) -> int:
     series = load_spectrum_csv(args.asd, "strain")
     omega_bar, force_asd = optimal_frequency(series, det)
     frequency_hz = omega_bar / (2.0 * math.pi)
@@ -157,8 +154,7 @@ def cmd_spectrum_bound(args) -> int:
     return 0
 
 
-def cmd_ellis(args) -> int:
-    det = _load_config(args)
+def cmd_ellis(args, det) -> int:
     entry = det.noise_entry(args.noise_entry)
     report = ellis_ratio(det, entry)
     print(f"eta_ellis_per_m2_s = {_fmt(report.eta_ellis)}")
@@ -167,10 +163,9 @@ def cmd_ellis(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, det) -> int:
     from .kspace import force_psd_by_quadrature  # only validate needs the oracle
 
-    det = _load_config(args)
     is_bar = det.archetype == BAR
     if args.rc_min is None:
         args.rc_min = 1e-3 if is_bar else 1e-8
@@ -276,7 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except (CslBoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (QuadratureError, UnboundedParameterError)) else 2

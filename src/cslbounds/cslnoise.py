@@ -30,12 +30,12 @@ nine fixed intervals, with seams at 1, 2, 3.2, 5, 8, 14, 30, 100 and 1e3
 (x p(2x - 1) on [0, 1], p affine in x up to 3.2, 1 - p/sqrt(x) with p
 affine in 1/x beyond), and past 1e3 a 7-term asymptotic series in 1/x.
 The cube bracket calls math.erf only below z = 5.921587195794507, from
-where erf rounds to exactly 1.0, so the cut changes no value.  In the same
-way an exponential is evaluated only where its double can be nonzero.
+where erf rounds to exactly 1.0, so the cut changes no value.  The axial
+factor's pair term is evaluated only where its double can be nonzero.
 e^-x rounds to exactly 0.0 once it is below 2^-1075 = e^-745.133, half the
-smallest subnormal, so from x = _EXP_ZERO = 746 on, the axial factor's pair
-term and the cube bracket's e^{-z^2} are 0.0 without a call to np.exp:
-there np.exp takes about 20 times as long as where its result is normal.
+smallest subnormal, so from x = _EXP_ZERO = 746 on that term is 0.0
+without a call to np.exp, which takes about 20 times as long there as
+where its result is normal.
 
 All results are two-sided PSDs in N^2/Hz.  The one-sided convention used
 by published noise figures is applied at the comparison boundary, never
@@ -483,9 +483,8 @@ def _cube_bracket(z: np.ndarray) -> np.ndarray:
         below = zl < _ERF_ONE
         erf[below] = np.fromiter(map(math.erf, zl[below]), dtype=float)
         g = np.multiply(zl, zl)  # z^2 = inf below rc ~ 1e-154 m
-        live = g < _EXP_ZERO
         np.negative(g, out=g)
-        g = np.exp(g, out=np.zeros_like(g), where=live)  # e^{-z^2}, exactly 0.0 elsewhere
+        np.exp(g, out=g)  # e^{-z^2}
         np.subtract(1.0, g, out=g)
         zl *= math.sqrt(math.pi)
         zl *= erf

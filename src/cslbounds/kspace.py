@@ -61,8 +61,8 @@ the faster it oscillates), rounded up to whole panels that end at hi,
 and each doubling the next, over the same [0, hi].  So every pass is a
 prefix of one table per (shape, width) of nodes and shape values,
 filled on first use and shared by every rc; the zero mode, free of rc,
-is integrated once per process; a body's cosine modes, free of rc too,
-are merged on its first use and kept for the last 64.  At s hi <= 1 (hi = 6000),
+is integrated once per process, on the first result's budget; a body's
+cosine modes, free of rc too, are merged on its first use and kept for the last 64.  At s hi <= 1 (hi = 6000),
 the radial and slab first pass sums rc-free moment tables instead:
 e^{-(s z)^2} = sum_{k<16} (-(s hi)^2)^k (z/hi)^{2k} / k! (DLMF 4.2.19),
 whose first dropped term is under 1e-18 of the sum; it lies within
@@ -213,7 +213,7 @@ def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, 
     factor and charges the budget every node, tabulated or not.  Its error estimate, the sum over panels
     of |Kronrod - embedded Gauss| and never less than 100 ulp of the integral of |f|, passes at most the
     largest of tol_abs, tol_rel times the integral of |f| and that floor; a caller that knows f >= 0 says
-    so, and the value is that integral.  Only an error message reads what: a str, or what() if not.
+    so, and the value is that integral.  what names the integral in an error message.
     """
     level = _level(span, least, grid[0])
     width = math.ldexp(grid[0], -level)
@@ -224,7 +224,7 @@ def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, 
         if not budget.charge(panels * _NODES.size):
             achieved = None if err is None or value == 0.0 else err / abs(value)
             raise QuadratureError(
-                f"evaluation budget exhausted while integrating {what if isinstance(what, str) else what()}"
+                f"evaluation budget exhausted while integrating {what}"
                 + ("" if achieved is None else f" (achieved {achieved:.3e})"),
                 achieved_rel_error=achieved,
                 evaluations=budget.used,
@@ -275,7 +275,7 @@ def _cos_gauss_moment(ratio, tol_abs, budget):
     part past U = _K_CUTOFF, at most e^{-U^2} / 2U, is charged.
     """
     least = max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
-    what = partial("cosine mode at {:g} rad per r_c".format, ratio)  # formatted only for an error message
+    what = f"cosine mode at {ratio:g} rad per r_c"
     value, err, _ = _adaptive(_gauss, partial(_cosine, ratio), _MODE_GRID, _K_CUTOFF, least, tol_abs, 0.0, budget, what, ratio == 0.0)
     return value, err + _GAUSS_AT_U / (2.0 * _K_CUTOFF)
 
@@ -312,12 +312,12 @@ def _axial_mode_sum(separation, length, rc, budget):
         # past U the factor is at most min(4, 4 (hl ha)^2 u^4), and int_U^inf u^4 e^{-u^2} du <= U^3 e^{-U^2}
         return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * _GAUSS_AT_U
     # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
-    if not _ZERO_MODE:
-        fill = _Budget(BUDGET)
-        _ZERO_MODE[:] = (*_cos_gauss_moment(0.0, 0.0, fill), fill.used)
-    m0, e0, cost = _ZERO_MODE
-    if not budget.charge(cost):  # integrating it afresh on this budget raises what a cold memo raises
+    if _ZERO_MODE and budget.charge(_ZERO_MODE[2]):
+        m0, e0, _ = _ZERO_MODE
+    else:  # a cold memo, or a budget short of the mode's nodes, which then raises what a cold memo raises
+        used = budget.used
         m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
+        _ZERO_MODE[:] = m0, e0, budget.used - used
     tol_abs = 1e-13 * abs(m0)
     total = c0 * m0
     err = abs(c0) * e0

@@ -17,16 +17,15 @@ value, and _frozen's for a record's array field: a real number or a 1-d
 array of them, else TypeError naming the argument (a bool, also in a
 list or tuple, a str, bytes or None is neither).  i0e and i1e take such
 a value, return the same kind, check that x is finite and >= 0 and
-evaluate under np.errstate(all="ignore").  They sum in three groups,
-each a fixed number of steps: the power series for x <= 20 (36 steps),
-and the asymptotic series on (20, 1e3] (34 steps) and past 1e3 (6
-steps), where its terms shrink by (2k-1)^2/8kx < 1e-3 a step.  Each
-count is the largest any element of its group needs, counted on that
-element alone: its series stops at the first term under 1e-18 of the sum
-in both rows.  That term is under half an ulp of the sum, and so is
-every later, smaller one, so the steps an element takes past its own
-count leave its value unchanged: a float gives exactly the value it has
-inside any array, and the target holds element by element.
+evaluate under np.errstate(all="ignore").  They sum in two groups,
+each a fixed number of steps: the power series for x <= 20 (36 steps)
+and the asymptotic series past 20 (34 steps).  Each count is the
+largest any element of its group needs, counted on that element alone:
+its series stops at the first term under 1e-18 of the sum in both rows.
+That term is under half an ulp of the sum, and so is every later,
+smaller one, so the steps an element takes past its own count leave its
+value unchanged: a float gives exactly the value it has inside any
+array, and the target holds element by element.
 """
 
 from __future__ import annotations
@@ -107,20 +106,18 @@ def i1e(x: FloatOrArray) -> FloatOrArray:
 
 
 # Per-step factors of the two series below, row 0 for I0 and row 1 for I1,
-# one row per step the power series and the asymptotic series on (20, 1e3]
-# take; past 1e3 the asymptotic series takes the first _FAR_STEPS of them.
+# one row per step the power series and the asymptotic series take.
 # Power series: t_k = t_{k-1} q / (k (k + nu)), at q = x^2 / 4.
 _SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 37)], dtype=float)
 # Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x); for x > 20
 # its terms keep shrinking far past these steps (the smallest lies beyond k = 2x).
 _ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 35)])
-_FAR_STEPS = 6
 
 
 def _ie(x: np.ndarray) -> np.ndarray:
     """e^-x I0(x) and e^-x I1(x), as rows 0 and 1 (x finite and >= 0)."""
     out = np.empty((2, x.size))
-    series, near = x <= 20.0, x <= 1e3
+    series = x <= 20.0
     xs = x[series]
     if xs.size:
         q = 0.25 * xs * xs
@@ -130,14 +127,14 @@ def _ie(x: np.ndarray) -> np.ndarray:
             term *= np.divide(q, denoms, out=factor)
             total += term
         out[:, series] = total * np.exp(-xs)
-    for group, factors in ((near & ~series, _ASYMPTOTIC_FACTORS), (~near, _ASYMPTOTIC_FACTORS[:_FAR_STEPS])):
-        xa = x[group]
-        if xa.size:
-            w = 0.125 / xa
-            term, total, factor = np.ones((2, xa.size)), np.ones((2, xa.size)), np.empty((2, xa.size))
-            for f in factors:
-                term *= np.multiply(f, w, out=factor)
-                total += term
-            # sqrt factored to avoid overflow of 2*pi*x for x near the float max
-            out[:, group] = total / (_SQRT_2PI * np.sqrt(xa))
+    far = ~series
+    xa = x[far]
+    if xa.size:
+        w = 0.125 / xa
+        term, total, factor = np.ones((2, xa.size)), np.ones((2, xa.size)), np.empty((2, xa.size))
+        for f in _ASYMPTOTIC_FACTORS:
+            term *= np.multiply(f, w, out=factor)
+            total += term
+        # sqrt factored to avoid overflow of 2*pi*x for x near the float max
+        out[:, far] = total / (_SQRT_2PI * np.sqrt(xa))
     return out

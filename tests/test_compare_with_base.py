@@ -14,48 +14,69 @@ CONFIGS = ("ligo", "lisa_pathfinder", "auriga")
 EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 
 
+def largest_change(base, head):
+    return compare.changes(base, head)[0]
+
+
+def zero_change(base, head):
+    return compare.changes(base, head)[1]
+
+
+def changed_counts(base, head):
+    return compare.changes(base, head)[2]
+
+
 def test_largest_change_reports_one_ulp_of_a_decimal_or_a_hex_value_and_a_changed_count():
     x = 4.46587164e-24
     y = math.nextafter(x, math.inf)
     ulp = (y - x) / y
-    assert compare.largest_change(f"1e-08 4.46587161e-24 {x!r} 5.6e-09", f"1e-08 4.46587161e-24 {y!r} 5.6e-09") == ulp
-    assert compare.largest_change(f"ligo 1e-08 {x.hex()} 0x1.5p-40 930", f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == ulp
-    assert compare.largest_change("1e-08,2.5,0.0", "1e-08,2.0,0.0") == 0.5 / 2.5
+    assert largest_change(f"1e-08 4.46587161e-24 {x!r} 5.6e-09", f"1e-08 4.46587161e-24 {y!r} 5.6e-09") == ulp
+    assert largest_change(f"ligo 1e-08 {x.hex()} 0x1.5p-40 930", f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == ulp
+    assert largest_change("1e-08,2.5,0.0", "1e-08,2.0,0.0") == 0.5 / 2.5
     # a count is not a float: an evaluation count going from 930 to 931 is one changed count, no relative change
     line = f"ligo 1e-08 {x.hex()} 0x1.5p-40 930"
-    assert compare.largest_change(line, line.replace("930", "931")) == 0.0
-    assert compare.changed_counts(line, line.replace("930", "931")) == 1
-    assert compare.changed_counts(line, f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == 0
-    assert compare.changed_counts("validate 3 930 0", "validate 4 931 0") == 2
+    assert largest_change(line, line.replace("930", "931")) == 0.0
+    assert changed_counts(line, line.replace("930", "931")) == 1
+    assert changed_counts(line, f"ligo 1e-08 {y.hex()} 0x1.5p-40 930") == 0
+    assert changed_counts("validate 3 930 0", "validate 4 931 0") == 2
     # a count that turns into a float is a float change
-    assert compare.largest_change("ligo 930", "ligo 0x1p-1") == (930 - 0.5) / 930
-    assert compare.changed_counts("ligo 930", "ligo 0x1p-1") == 0
+    assert largest_change("ligo 930", "ligo 0x1p-1") == (930 - 0.5) / 930
+    assert changed_counts("ligo 930", "ligo 0x1p-1") == 0
 
 
 def test_a_float_from_or_to_zero_is_measured_by_its_absolute_change():
     # a validate rel_diff of about 1e-16 that turns 0.0 once read as a relative change of 1.000e+00
     line = "1.0 4.46587164e-24 4.4658716e-24 1.1102230246251565e-16"
     turned = line.replace("1.1102230246251565e-16", "0.0")
-    assert compare.largest_change(line, turned) == compare.largest_change(turned, line) == 0.0
-    assert compare.zero_change(line, turned) == compare.zero_change(turned, line) == 1.1102230246251565e-16
-    assert compare.zero_change("0x1p-60 0x0p+0", "0x0p+0 0x1p-70") == 2.0**-60
+    assert largest_change(line, turned) == largest_change(turned, line) == 0.0
+    assert zero_change(line, turned) == zero_change(turned, line) == 1.1102230246251565e-16
+    assert zero_change("0x1p-60 0x0p+0", "0x0p+0 0x1p-70") == 2.0**-60
     # a pair of nonzero floats, or of zeros (-0.0 too), is no change across 0.0
-    assert compare.zero_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.0
-    assert compare.largest_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.5 / 2.5
+    assert zero_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.0
+    assert largest_change("1e-08,2.5,0.0", "1e-08,2.0,-0.0") == 0.5 / 2.5
     # a count that turns into 0 is a changed count, not a float change
-    assert compare.zero_change("ligo 930", "ligo 0") == 0.0
-    assert compare.changed_counts("ligo 930", "ligo 0") == 1
+    assert zero_change("ligo 930", "ligo 0") == 0.0
+    assert changed_counts("ligo 930", "ligo 0") == 1
+
+
+def test_a_float_that_turns_inf_or_nan_is_an_infinite_change():
+    # float.hex() spells such a value inf or nan; inf / inf is nan, which max would drop as no change
+    for turned in ("inf", "-inf", "nan"):
+        assert compare.changes("ligo 1.0", f"ligo {turned}") == compare.changes(f"ligo {turned}", "ligo 1.0") == (math.inf, 0.0, 0)
+        assert compare.changes("ligo 0x0p+0", f"ligo {turned}") == (math.inf, 0.0, 0)
+        assert compare.changes(f"ligo {turned} 930", f"ligo {turned} 931") == (0.0, 0.0, 1)
+    assert compare.changes("ligo inf", "ligo -inf") == compare.changes("ligo inf", "ligo nan") == (math.inf, 0.0, 0)
 
 
 def test_largest_change_is_zero_for_identical_lines_and_skips_tokens_that_are_not_numbers():
     line = "ligo 1e-08 0x1.2p-70 0x1p-40 930"
-    assert compare.largest_change(line, line) == 0.0
-    assert compare.largest_change("0.0 0x0p+0", "0.0 0x0p+0") == 0.0
+    assert largest_change(line, line) == 0.0
+    assert largest_change("0.0 0x0p+0", "0.0 0x0p+0") == 0.0
     # words of hex letters are not numbers without their 0x
-    assert compare.largest_change("config ligo dead face", "config auriga beef fade") == 0.0
-    assert compare.largest_change("error: quadrature reached 3", "error: quadrature failed three") == 0.0
-    assert compare.changed_counts(line, line) == 0
-    assert compare.changed_counts("error: quadrature reached 3", "error: quadrature failed three") == 0
+    assert largest_change("config ligo dead face", "config auriga beef fade") == 0.0
+    assert largest_change("error: quadrature reached 3", "error: quadrature failed three") == 0.0
+    assert changed_counts(line, line) == 0
+    assert changed_counts("error: quadrature reached 3", "error: quadrature failed three") == 0
 
 
 def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):

@@ -864,13 +864,7 @@ def axial_square(rc):
     return d * d
 
 
-def cube_square(rc):
-    z = 0.046 / (rc * 2.0)  # z = L/2rc for a lisa_pathfinder cube
-    return z * z
-
-
 AXIAL_SEAM_RCS = rcs_straddling_the_exp_cut(axial_square)
-CUBE_SEAM_RCS = rcs_straddling_the_exp_cut(cube_square)
 
 
 @st.composite
@@ -890,7 +884,7 @@ def bodies(draw):
     ),
     rate=st.sampled_from([1.0, 1e-30]),
 )
-@example(body=(0.376, 0.046, 0.17, 1.928), rc=np.array([*AXIAL_SEAM_RCS, *CUBE_SEAM_RCS, 1e-3, 1.0]), rate=1.0)
+@example(body=(0.376, 0.046, 0.17, 1.928), rc=np.array([*AXIAL_SEAM_RCS, 1e-3, 1.0]), rate=1.0)
 @example(body=(1.5, 1.5, 0.3, 2300.0), rc=np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 9), rate=1.0)
 @example(body=(0.0, 100.0, 0.17, 40.0), rc=np.array([MIN_CORRELATION_LENGTH, 1e-307, 1e-7]), rate=1.0)
 def test_kernels_give_the_bits_of_their_reference_copies(body, rc, rate):
@@ -920,11 +914,11 @@ def test_kernels_give_the_bits_of_their_reference_copies(body, rc, rate):
 
 
 def test_the_seam_examples_straddle_the_exp_cut():
-    # the first example above puts d^2 and z^2 on the two sides of the cut, where e^-x is 0.0 on both
-    for (live, dead), square in ((AXIAL_SEAM_RCS, axial_square), (CUBE_SEAM_RCS, cube_square)):
-        assert math.nextafter(dead, math.inf) == live
-        assert square(live) < cslnoise._EXP_ZERO <= square(dead)
-        assert np.exp(-np.array([square(live), square(dead)])).tolist() == [0.0, 0.0]
+    # the first example above puts d^2 on the two sides of the cut, where e^-x is 0.0 on both
+    live, dead = AXIAL_SEAM_RCS
+    assert math.nextafter(dead, math.inf) == live
+    assert axial_square(live) < cslnoise._EXP_ZERO <= axial_square(dead)
+    assert np.exp(-np.array([axial_square(live), axial_square(dead)])).tolist() == [0.0, 0.0]
 
 
 def test_bar_arrangement_forced():
@@ -985,6 +979,8 @@ def test_value_types_are_slotted_and_survive_pickle_and_copy():
             for name in (*value._fields[:1], "foo"):
                 with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                     setattr(clone, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(clone, name)
 
 
 @settings(derandomize=True, max_examples=20)
