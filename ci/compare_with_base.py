@@ -16,8 +16,10 @@ radial bracket and the cube's series window; the bar's printed variant is scanne
 and noise at extreme r_c reach the r_c checks, the large-r_c regime where the closed forms' rest factor is
 no longer a normal double (1e55 m), and the vanishing, underflowing and overflowing results. The oracle
 sweep prints the evaluation counts and failures that validate's grids do not. The merge-edge sweep runs the
-oracle on user-built cubes and cylinders where the cosine modes merge or cancel (separation 0, = length,
-= 2 length, >> length) and on a bar's halves, which no bundled config reaches. The closed-form sweep prints
+oracle on user-built cubes and cylinders at the edges of its axial routes: separation 0 (an exact zero), = length
+(the difference mode d = |a - l| vanishes), = 2 length (d equals the length mode) and >> length (one factor
+averages to 1), a 1 um cube and a 1 um-long rod 10 km apart (a small 2 sin^2 remainder, once lost to a cancelling
+cosine-mode sum), and a bar's halves (a constant 3/2), which no bundled config reaches. The closed-form sweep prints
 float.hex() of every bundled body's PSD, both bar variants, at rates 1 and 1e-30 and 3001 log-spaced r_c
 over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. The
 curve sweep prints lambda_max at the same 3001 r_c, for every bundled detector and both bar variants, in
@@ -55,6 +57,7 @@ from cslbounds import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangemen
 cube, rod = Cube(0.046, 1.928), Cylinder(0.25, 0.2, 40.0)
 bodies = [("cube", cube, MassArrangement(a)) for a in (0.0, 0.046, 0.092, 20.0, 1e4)]
 bodies += [("cylinder", rod, MassArrangement(a, 2)) for a in (0.0, 0.2, 0.4, 20.0, 1e4)]
+bodies += [("cube_1um", Cube(1e-6, 1.928), MassArrangement(1e4)), ("rod_1um", Cylinder(0.25, 1e-6, 40.0), MassArrangement(1e4, 2))]
 bodies += [("bar", HalfCylinderBar(0.3, 3.0, 2300.0), MassArrangement(1.5))]
 for name, geometry, arrangement in bodies:
     for rc in np.geomspace(1e-12, 1e4, 33).tolist():

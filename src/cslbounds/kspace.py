@@ -23,22 +23,23 @@ mpmath, within 1e-16 of exact through degree 46, the Gauss rule's within
 5e-17 through degree 29).  One product with the two weight columns forms
 each panel's Kronrod sum and Kronrod - Gauss difference; a pass's value
 adds the sums, its estimate the |differences|.  The panel count doubles only when that estimate
-misses its target.  The radial and slab integrals and the axial sin^2
-product stop at 1e-2 of the fixed tolerance REL_TOL; the axial cosine
-modes stop at 1e-13 of the zero mode, because their sum cancels at
-large rc.  Every estimate is at least 100 ulp of the integral of |f|.
-Each integral stops at U = 7 Gaussian widths (rc k = U, e^-49 ~ 5e-22)
-and is charged a bound on the rest.  Two measures keep the oscillatory
-integrands tractable over the full parameter range:
+misses its target.  Every integrand is nonnegative, and every integral
+stops at 1e-2 of the fixed tolerance REL_TOL, its estimate never below
+100 ulp of its value.  Each integral stops at U = 7 Gaussian widths
+(rc k = U, e^-49 ~ 5e-22) and is charged a bound on the rest.  Two
+measures keep the oscillatory integrands tractable over the full
+parameter range:
 
 * The axial factor is integrated in u = rc k over [0, U], so that the
-  limits stay finite at any rc.  Where its fastest frequency (a+l)/rc is
-  below 2U, it is the nonnegative 4 sin^2(lu/2rc) sin^2(au/2rc) e^{-u^2},
-  one pass, charged past U the bound from min(4, 4 (la/4rc^2)^2 u^4).
-  Elsewhere, or where that product's bulk would underflow (rc from about
-  1e76 m for the bundled bodies), it is expanded into pure cosine modes
-  (frequencies 0, l, a, a+l, |a-l|).  A mode at 2U/rc or faster is
-  dropped and charged e^{-U^2} of the zero mode, its bound.
+  limits stay finite at any rc.  Its integrand 4 sin^2(lu/2rc)
+  sin^2(au/2rc) e^{-u^2} holds cosine modes l, a, a+l and d = |a-l|.  A
+  factor 1 - cos(bu/rc) is replaced by its mean 1 where b and d, or both
+  factors' modes, lie at 2U or faster; each mode that leaves is charged
+  sqrt(pi)/2 e^{-U^2} per unit coefficient, its bound.  What is left (the
+  product, 2 sin^2 of the other factor, or 1 + cos(du/rc)/2) is still
+  nonnegative: one pass, charged a bound past U, or for a constant c,
+  exactly c sqrt(pi)/2.  Where its bulk would underflow (rc from about
+  1e76 m for the bundled bodies), no digit is certified.
 * The radial and slab integrands decay only as 1/k^2 before the
   Gaussian cuts off, with bounded oscillation on top.  They are
   resolved literally out to a fixed phase (6000 rad); the remainder,
@@ -48,7 +49,7 @@ integrands tractable over the full parameter range:
 
 Every integrand is an rc-free shape (e^{-u^2} for the axial factor,
 J1(z)^2 / z for the radial and sinc^2 u for the slab integral) times a
-factor that carries rc (cos(u b/rc), the sin^2 product or
+factor that carries rc (sin^2 terms, 1 + cos(u d/rc)/2 or
 e^{-(s z)^2}).  A caller hands _adaptive the shape, the factor, a grid,
 a span and a least panel count; the routine lays the panels, of dyadic
 width w / 2^k, w = 6000/478 (radial, slab) or U/4 (axial), and
@@ -60,9 +61,7 @@ width that lays the least count over [0, span] (at least 8 over
 the faster it oscillates), rounded up to whole panels that end at hi,
 and each doubling the next, over the same [0, hi].  So every pass is a
 prefix of one table per (shape, width) of nodes and shape values,
-filled on first use and shared by every rc; the zero mode, free of rc,
-is integrated once per process, on the first result's budget; a body's
-cosine modes, free of rc too, are merged on its first use and kept for the last 64.  At s hi <= 1 (hi = 6000),
+filled on first use and shared by every rc.  At s hi <= 1 (hi = 6000),
 the radial and slab first pass sums rc-free moment tables instead:
 e^{-(s z)^2} = sum_{k<16} (-(s hi)^2)^k (z/hi)^{2k} / k! (DLMF 4.2.19),
 whose first dropped term is under 1e-18 of the sum; it lies within
@@ -85,7 +84,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -94,17 +93,18 @@ from .cslnoise import CslParams, Cube, Cylinder, HalfCylinderBar, MassArrangemen
 from .errors import QuadratureError
 
 # Oscillation phase one first-pass panel spans: about the widest at which
-# the embedded 15-point Gauss rule meets its target in one pass.  The
-# cosine modes' target is the tighter, so their panels span less.
+# the embedded 15-point Gauss rule meets its target in one pass; an axial
+# pass's panels span half as much of its fastest mode.
 _MODE_PANEL_PHASE = 4.0 * math.pi
 _PANEL_PHASE = 8.0 * math.pi
 # Window U of every integral in Gaussian widths rc k; what lies past it is bounded and charged.
 _K_CUTOFF = 7.0
 _GAUSS_AT_U = math.exp(-_K_CUTOFF**2)  # e^{-U^2}, about 5e-22
+_HALF_ROOT_PI = 0.5 * math.sqrt(math.pi)  # int_0^inf e^{-u^2} du, within 2 ulp
 # Phase out to which oscillatory 1/k^2 integrands are resolved literally.
 _RESOLVED_PHASE = 6000.0
 _LEVEL0_PANELS = int(2.0 * _RESOLVED_PHASE / _PANEL_PHASE) + 1  # first-pass panels there
-# Level-0 width and panels of the cosine modes on [0, U]; level 1 lays 8, all the fastest retained mode needs
+# Level-0 width and panels of the axial passes on [0, U]; level 1 lays 8, all a mode below 2U needs
 _MODE_GRID = (_K_CUTOFF / 4, 4)
 _THREE_PI_4 = 2.356194490192344929  # 3*pi/4, the phase lag of J1's Hankel expansion
 # Hankel-expansion coefficients A_m for nu=1 (mu=4), used by _j1_array:
@@ -116,7 +116,7 @@ for _m in range(1, 12):
 _J1_MILLER_ORDER = 72
 # |J1(z)^2 - (1 - sin 2z)/(pi z)| <= _J1SQ_TAIL_C / z^2 for z >= 1000.
 _J1SQ_TAIL_C = 1.0
-# The radial and slab integrals stop at this fraction of REL_TOL.
+# Every integral stops at this fraction of REL_TOL.
 _SUB_TOL = 1e-2
 # k < 16 in e^{-(s z)^2} = sum_k (-(s hi)^2)^k (z/hi)^{2k} / k!: at s hi <= 1 the first dropped term is under 1e-18 of the sum
 _MOMENT_POWERS = np.arange(16.0)
@@ -127,8 +127,6 @@ REL_TOL = 1e-6
 BUDGET = 2**24
 # (shape, panel width) -> read-only Kronrod nodes from 0 and the shape on them, filled by _shape_nodes
 _TABLES = {}
-# (value, error, evaluations) of the zero cosine mode, free of rc and geometry: filled on first use
-_ZERO_MODE = []
 _MOMENTS = {}  # (shape, level-0 width) -> Kronrod sums (16,) and per-panel Kronrod - Gauss (panels, 16) of shape (z/hi)^{2k} / k!
 _set_slot = object.__setattr__  # one result per call: three slot writes take half the time of _set's keywords
 
@@ -204,16 +202,15 @@ def _shape_nodes(shape, grid, level, panels):
     return 0.5 * width, x[: panels * _NODES.size], values[: panels * _NODES.size]
 
 
-def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, nonnegative=False):
-    """Composite Gauss-Kronrod quadrature of f = shape(x) factor(x) on whole panels from 0: (value, error, hi).
+def _adaptive(shape, factor, grid, span, least, budget, what):
+    """Composite Gauss-Kronrod quadrature of f = shape(x) factor(x) >= 0 on whole panels from 0: (value, error, hi).
 
     The first pass lays the coarsest level of the grid with `least` panels over [0, span] (_level),
     rounded up to whole panels that end at hi, at most the level's end; each doubling moves down one
     level over the same [0, hi].  A pass reads the shape on a prefix of its table, multiplies it by the
     factor and charges the budget every node, tabulated or not.  Its error estimate, the sum over panels
-    of |Kronrod - embedded Gauss| and never less than 100 ulp of the integral of |f|, passes at most the
-    largest of tol_abs, tol_rel times the integral of |f| and that floor; a caller that knows f >= 0 says
-    so, and the value is that integral.  what names the integral in an error message.
+    of |Kronrod - embedded Gauss| and never less than 100 ulp of the value, passes at most the larger of
+    _SUB_TOL * REL_TOL times the value and that floor.  what names the integral in an error message.
     """
     level = _level(span, least, grid[0])
     width = math.ldexp(grid[0], -level)
@@ -235,11 +232,9 @@ def _adaptive(shape, factor, grid, span, least, tol_abs, tol_rel, budget, what, 
         fx = fx.reshape(panels, _NODES.size)
         rules = fx @ _RULES
         value = half * float(rules[:, 0].sum())
-        # |f| through the same product, whose bits are value's where f >= 0; a one-vector product may round otherwise
-        magnitude = value if nonnegative else half * float((np.abs(fx) @ _RULES)[:, 0].sum())
-        floor = 100.0 * _EPS * magnitude
+        floor = 100.0 * _EPS * value
         err = max(half * float(np.abs(rules[:, 1]).sum()), floor)
-        if err <= max(tol_abs, tol_rel * magnitude, floor):
+        if err <= max(_SUB_TOL * REL_TOL * value, floor):
             return value, err, hi
         level += 1
         panels *= 2
@@ -255,9 +250,19 @@ def _cutoff(s, z):  # e^{-(s z)^2}
     return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
 
 
-def _cosine(ratio, u):  # cos(ratio u)
-    out = np.multiply(ratio, u)
-    return np.cos(out, out=out)
+def _sin2(h, u):  # 2 sin^2(h u)
+    out = np.multiply(h, u)
+    np.square(np.sin(out, out=out), out=out)
+    out *= 2.0
+    return out
+
+
+def _cosine_mean(d, u):  # 1 + cos(d u)/2
+    out = np.multiply(d, u)
+    np.cos(out, out=out)
+    out *= 0.5
+    out += 1.0
+    return out
 
 
 def _sin2_product(hl, ha, u):  # 4 sin^2(hl u) sin^2(ha u) as (2 sin(hl u) sin(ha u))^2, with one scratch array
@@ -268,68 +273,43 @@ def _sin2_product(hl, ha, u):  # 4 sin^2(hl u) sin^2(ha u) as (2 sin(hl u) sin(h
     return np.square(out, out=out)
 
 
-def _cos_gauss_moment(ratio, tol_abs, budget):
-    """int_0^inf cos(ratio u) e^{-u^2} du: over [0, U] on at least max(4, ratio U / 4 pi) whole panels.
-
-    This is rc * int_0^inf cos(b k) e^{-(rc k)^2} dk at ratio = b/rc; the
-    part past U = _K_CUTOFF, at most e^{-U^2} / 2U, is charged.
-    """
-    least = max(4, int(ratio * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
-    what = f"cosine mode at {ratio:g} rad per r_c"
-    value, err, _ = _adaptive(_gauss, partial(_cosine, ratio), _MODE_GRID, _K_CUTOFF, least, tol_abs, 0.0, budget, what, ratio == 0.0)
-    return value, err + _GAUSS_AT_U / (2.0 * _K_CUTOFF)
-
-
-@lru_cache(maxsize=64, typed=True)  # typed: a float body's rounded sums may merge modes its equal int body's keep apart
-def _cosine_modes(separation, length):
-    """Zero mode's coefficient and the other modes (b, c_b) of (1 - cos(length k))(1 - cos(separation k)): free of rc, merged once per body."""
-    coef: dict[float, float] = {}
-    modes = ((0.0, 1.0), (length, -1.0), (separation, -1.0), (separation + length, 0.5), (abs(separation - length), 0.5))
-    for b, c in sorted(modes):  # equal frequencies merge; the keys stay ascending, the zero mode's first
-        coef[b] = coef.get(b, 0.0) + c
-    c0 = coef.pop(0.0)
-    return c0, tuple((b, c) for b, c in coef.items() if c != 0.0)
+def _axial_pass(factor, fastest, budget, what):
+    """(value, error) of int_0^U factor(u) e^{-u^2} du, on at least max(4, fastest U / 4 pi) whole panels."""
+    least = max(4, int(fastest * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)
+    return _adaptive(_gauss, factor, _MODE_GRID, _K_CUTOFF, least, budget, what)[:2]
 
 
 def _axial_mode_sum(separation, length, rc, budget):
-    """rc * sum_b c_b M(b) for (1 - cos(length k))(1 - cos(separation k)).
+    """rc * int_0^inf (1 - cos(length k))(1 - cos(separation k)) e^{-(rc k)^2} dk: (value, abs_error).
 
-    M(b) = int_0^inf cos(b k) e^{-(rc k)^2} dk.  Returns (value,
-    abs_error); exact zero coefficients (separation = 0) yield an exact
-    zero without integrating.  Where every mode is resolved, (separation +
-    length)/rc < 2U, one pass of their nonnegative sum 4 sin^2(hl u)
-    sin^2(ha u) e^{-u^2}, hl = length/2rc and ha = separation/2rc, stands
-    in for them: it does not cancel, unless it would underflow.
+    In u = rc k, with hl = length/2rc, ha = separation/2rc and d = |separation - length|/rc, a factor
+    1 - cos(2h u) is replaced by its mean 1 where 2h and d, or both 2hl and 2ha, are at 2U or faster; each mode
+    c cos(b u) that so leaves, b >= 2U, is charged its bound |c| sqrt(pi)/2 e^{-U^2}.  What is left never cancels:
+    a constant c is c sqrt(pi)/2, the rest one _axial_pass, charged a bound past U.  Separation 0 gives an exact
+    zero; a bulk that would underflow gives 0.0, charged inf.
     """
-    c0, modes = _cosine_modes(separation, length)
-    if c0 == 0.0:  # separation = 0: then every coefficient cancels
+    if separation == 0.0:
         return 0.0, 0.0
-    fastest, hl, ha = (separation + length) / rc, 0.5 * length / rc, 0.5 * separation / rc
-    # the product's bulk, about 4 (min(hl, 1) min(ha, 1))^2, must be a normal double; below that the modes cancel, and raise
-    if fastest < 2.0 * _K_CUTOFF and (min(hl, 1.0) * min(ha, 1.0)) ** 2 >= sys.float_info.min:
-        least = max(4, int(fastest * _K_CUTOFF / _MODE_PANEL_PHASE) + 1)  # the fastest mode's, as _cos_gauss_moment lays it
-        value, err, _ = _adaptive(_gauss, partial(_sin2_product, hl, ha), _MODE_GRID, _K_CUTOFF, least, 0.0, _SUB_TOL * REL_TOL, budget, "axial sin^2 product", True)
-        # past U the factor is at most min(4, 4 (hl ha)^2 u^4), and int_U^inf u^4 e^{-u^2} du <= U^3 e^{-U^2}
-        return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * _GAUSS_AT_U
-    # the zero mode never cancels away when any mode survives; budget is charged its nodes all the same
-    if _ZERO_MODE and budget.charge(_ZERO_MODE[2]):
-        m0, e0, _ = _ZERO_MODE
-    else:  # a cold memo, or a budget short of the mode's nodes, which then raises what a cold memo raises
-        used = budget.used
-        m0, e0 = _cos_gauss_moment(0.0, 0.0, budget)
-        _ZERO_MODE[:] = m0, e0, budget.used - used
-    tol_abs = 1e-13 * abs(m0)
-    total = c0 * m0
-    err = abs(c0) * e0
-    for b, c in modes:
-        ratio = b / rc
-        if ratio >= 2.0 * _K_CUTOFF:  # Gaussian-suppressed mode: |M(b)| = M(0) e^{-(b/2rc)^2} <= M(0) e^{-U^2}
-            err += abs(c) * abs(m0) * _GAUSS_AT_U
-            continue
-        v, e = _cos_gauss_moment(ratio, tol_abs, budget)
-        total += c * v
-        err += abs(c) * e
-    return total, err
+    hl, ha, d = 0.5 * length / rc, 0.5 * separation / rc, abs(separation - length) / rc
+    # the bulk, about 4 (min(hl, 1) min(ha, 1))^2, must be a normal double; below that no digit is certified
+    if (min(hl, 1.0) * min(ha, 1.0)) ** 2 < sys.float_info.min:
+        return 0.0, math.inf
+    dropped = _HALF_ROOT_PI * _GAUSS_AT_U  # |int_0^inf cos(b u) e^{-u^2} du| at b >= 2U
+    if min(hl, ha) >= _K_CUTOFF:  # both factors: modes 2 hl, 2 ha (|c| = 1) and 2 (hl + ha) (1/2) leave
+        if d >= 2.0 * _K_CUTOFF or d == 0.0:  # d (1/2) leaves too, or a bar's halves leave 1 + cos(0)/2: a constant
+            value = _HALF_ROOT_PI if d else 1.5 * _HALF_ROOT_PI
+            return value, 2.0 * _EPS * value + (3.0 if d else 2.5) * dropped
+        value, err = _axial_pass(partial(_cosine_mean, d), d, budget, "axial 1 + cos(d u)/2")
+        # past U the factor is at most 3/2, and int_U^inf e^{-u^2} du <= e^{-U^2} / 2U
+        return value, err + 0.75 / _K_CUTOFF * _GAUSS_AT_U + 2.5 * dropped
+    if max(hl, ha) >= _K_CUTOFF and d >= 2.0 * _K_CUTOFF:  # one factor: its mode (1), 2 (hl + ha) and d (1/2 each) leave
+        h = min(hl, ha)
+        value, err = _axial_pass(partial(_sin2, h), 2.0 * h, budget, "axial sin^2 factor")
+        # past U the factor is at most min(2, 2 h^2 u^2), and int_U^inf u^2 e^{-u^2} du <= U e^{-U^2}
+        return value, err + 2.0 * min(0.5 / _K_CUTOFF, h * h * _K_CUTOFF) * _GAUSS_AT_U + 2.0 * dropped
+    value, err = _axial_pass(partial(_sin2_product, hl, ha), (separation + length) / rc, budget, "axial sin^2 product")
+    # past U the factor is at most min(4, 4 (hl ha)^2 u^4), and int_U^inf u^4 e^{-u^2} du <= U^3 e^{-U^2}
+    return value, err + 4.0 * min(0.5 / _K_CUTOFF, (hl * ha) ** 2 * _K_CUTOFF**3) * _GAUSS_AT_U
 
 
 def _moment_pass(shape, s, grid, budget):
@@ -365,7 +345,7 @@ def _resolved_with_tail(shape, s, divisor, remainder, majorant, budget, what):
         return 0.0, 0.0
     span, grid = min(zcap, _RESOLVED_PHASE), (_RESOLVED_PHASE / _LEVEL0_PANELS, _LEVEL0_PANELS)
     first = _moment_pass(shape, s, grid, budget) if s * span <= 1.0 else None  # there the first pass spans level 0
-    value, err, hi = first or _adaptive(shape, partial(_cutoff, s), grid, span, 8, 0.0, _SUB_TOL * REL_TOL, budget, what, True)
+    value, err, hi = first or _adaptive(shape, partial(_cutoff, s), grid, span, 8, budget, what)
     v = s * hi
     gauss = math.exp(-v * v)
     if zcap > hi:
@@ -480,10 +460,8 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
 
     Independent numerical route used to validate the closed forms; the
     reported relative error includes both quadrature estimates and the
-    certified bounds on every dropped oscillatory contribution.  The
-    radial and slab integrals and the axial sin^2 product are driven to 1e-2
-    of REL_TOL, the axial cosine modes to 1e-13 of the zero mode (integrated
-    once per process, yet charged to every result).  A result trusts its inputs, validated
+    certified bounds on every dropped oscillatory contribution.  Every
+    integral is driven to 1e-2 of REL_TOL.  A result trusts its inputs, validated
     when they were built: a bar checked its halves once, at construction.
     It evaluates under one np.errstate(all="ignore"), whatever np.seterr the caller set.
 
@@ -512,9 +490,9 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     with np.errstate(all="ignore"):  # every numpy evaluation of the oracle; the rest is float arithmetic
         axial, axial_err = _axial_mode_sum(arrangement.separation, ell, rc, budget)
         if axial == 0.0:
-            if axial_err == 0.0:  # the coefficients cancel
+            if axial_err == 0.0:  # separation 0
                 return QuadratureResult(0.0, 0.0, budget.used)
-            _check_rel_err(math.inf, budget)  # a sum that cancelled to 0.0: no radial or slab factor mends it
+            _check_rel_err(math.inf, budget)  # an underflowing axial factor: no radial or slab factor mends it
         if isinstance(geometry, Cylinder):
             radial, radial_err = _disc_radial_integral(geometry.radius, rc, budget)
             perp_full = 2.0 * math.pi * (4.0 / (geometry.radius * geometry.radius)) * radial

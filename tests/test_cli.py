@@ -538,13 +538,21 @@ def test_validate_zero_quadrature_exit_3(capsys, config, rc_min):
 
 
 def test_validate_prints_nothing_before_a_quadrature_failure(capsys, tmp_path):
-    # a 1 um cube 10 km from its partner: at the fourth point, 3.2 cm, every cosine mode but the zero and the
-    # length mode is dropped, and their difference, about 2.5e-10 of either, misses the quadrature target; the
-    # first three rows once reached stdout
+    # a 1 um cube 10 km from its partner: at the ninth point, 100 m, l/r_c = 1e-8 and the e^{-U^2} charge of the
+    # dropped modes misses the quadrature target against the small 2 sin^2 remainder; the first rows once reached stdout
+    path = write_config(tmp_path, "lisa_pathfinder", lambda d: (d["geometry"].update(side_m=1e-6), d["arrangement"].update(separation_m=1e4)))
+    code, out, err = run(capsys, "validate", "--config", str(path), "--rc-min", "1e-6", "--rc-max", "1e3", "--points", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: quadrature reached relative error ") and err.endswith(", at r_c = 100 m\n") and err.count("\n") == 1
+
+
+def test_validate_certifies_a_far_pair_of_small_bodies(capsys, tmp_path):
+    # the same cube from 1 um to 1 m: (a - l)/r_c >= 2U at every point, where a cosine-mode sum once cancelled
+    # past the target (exit 3 at 3.16 cm); the kept 2 sin^2(l u/2r_c) factor does not cancel
     path = write_config(tmp_path, "lisa_pathfinder", lambda d: (d["geometry"].update(side_m=1e-6), d["arrangement"].update(separation_m=1e4)))
     code, out, err = run(capsys, "validate", "--config", str(path), "--rc-min", "1e-6", "--rc-max", "1", "--points", "5")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: quadrature reached relative error ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 7 and float(out.splitlines()[-1].removeprefix("max_rel_diff = ")) <= 4e-15
 
 
 def test_validate_at_the_largest_rc_exit_3(capsys):
@@ -557,12 +565,12 @@ def test_validate_at_the_largest_rc_exit_3(capsys):
 
 
 def test_validate_names_the_rc_where_the_oracle_fails(capsys, tmp_path):
-    # a 1 nm cube 20 m from its partner: at 1.25 m its length mode rounds to the zero mode, the others are
-    # dropped, and the axial mode sum cancels to 0.0 at the first point; the message once named no r_c
+    # a 1 nm cube 20 m from its partner: at 1.25 m, l/r_c = 8e-10, the e^{-U^2} charge of the dropped modes is
+    # 6.6e-3 of the 2 sin^2 remainder at the first point; the message once named no r_c
     path = write_config(tmp_path, "lisa_pathfinder", lambda d: (d["geometry"].update(side_m=1e-9), d["arrangement"].update(separation_m=20.0)))
     code, out, err = run(capsys, "validate", "--config", str(path), "--rc-min", "1.25", "--rc-max", "1.4", "--points", "2")
     assert (code, out) == (3, "")
-    assert err == "error: quadrature reached relative error inf, above the target 1.000e-06, at r_c = 1.25 m\n"
+    assert err == "error: quadrature reached relative error 6.554e-03, above the target 1.000e-06, at r_c = 1.25 m\n"
 
 
 def test_validate_compares_below_the_old_prefactor_underflow(capsys):
@@ -857,17 +865,12 @@ VALIDATE_ARGS = ["validate", "--config", "lisa_pathfinder", "--rc-min", "1e-3", 
 def test_validate_budget_exhaustion_states_the_achieved_error(capsys, monkeypatch):
     from cslbounds import kspace
 
-    # on the first pass no error estimate exists yet: so with the zero mode's memo empty, and with it filled
-    monkeypatch.setattr(kspace, "_ZERO_MODE", [])
+    # on the first pass no error estimate exists yet; the axial factor, a constant at 1 mm, costs no node
     det = load_detector_config("lisa_pathfinder")
-    for warm in (False, True):
-        if warm:
-            kspace.force_psd_by_quadrature(cslbounds.CslParams(1.0, 1e-3), det.geometry, det.arrangement)
-        with monkeypatch.context() as m:
-            m.setattr(kspace, "BUDGET", 100)
-            code, out, err = run(capsys, *VALIDATE_ARGS)
-        assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating cosine mode at 0 rad per r_c, at r_c = 0.001 m\n")
-        assert len(kspace._ZERO_MODE) == (3 if warm else 0)
+    with monkeypatch.context() as m:
+        m.setattr(kspace, "BUDGET", 100)
+        code, out, err = run(capsys, *VALIDATE_ARGS)
+    assert (code, out, err) == (3, "", "error: evaluation budget exhausted while integrating slab form-factor integral, at r_c = 0.001 m\n")
     # a target beyond the first pass makes the slab integral double; one node short of its need it stops
     monkeypatch.setattr(kspace, "REL_TOL", 1e-12)
     monkeypatch.setattr(kspace, "BUDGET", 10**8)
