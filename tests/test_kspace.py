@@ -127,6 +127,66 @@ def test_axial_mode_sum_error_is_certified(separation, length, rc):
     assert abs(value - float(axial_reference(separation, length, rc))) <= err
 
 
+def axial_pass(name, p, q=0.0):
+    """The factor, the fastest mode in rad per u and the cosine modes (b, c) of an axial pass's integrand, at mpmath's precision.
+
+    "sin2 factor" is 2 sin^2(p u) = 1 - cos(2p u), "mean" 1 + cos(p u)/2 and "product" 4 sin^2(p u) sin^2(q u).
+    """
+    p_, q_ = mp.mpf(p), mp.mpf(q)
+    if name == "sin2 factor":
+        return functools.partial(kspace._sin2, p), 2.0 * p, [(0, 1), (2 * p_, -1)]
+    if name == "mean":
+        return functools.partial(kspace._cosine_mean, p), p, [(0, 1), (p_, 0.5)]
+    modes = [(0, 1), (2 * p_, -1), (2 * q_, -1), (2 * abs(p_ - q_), 0.5), (2 * (p_ + q_), 0.5)]
+    return functools.partial(kspace._sin2_product, p, q), 2.0 * (p + q), modes
+
+
+def factor_mp(name, p, q, u):
+    """An axial pass's factor at u in mpmath."""
+    if name == "sin2 factor":
+        return 2 * mp.sin(p * u) ** 2
+    if name == "mean":
+        return 1 + mp.cos(p * u) / 2
+    return 4 * (mp.sin(p * u) * mp.sin(q * u)) ** 2
+
+
+@pytest.mark.parametrize("name, p, q", [("sin2 factor", 0.5, 0.0), ("mean", 10.0, 0.0), ("product", 0.5, 2.0)])
+def test_axial_passes_against_analytic_and_mpmath(name, p, q):
+    # each integrand well alive; int_0^inf cos(b u) e^{-u^2} du = (sqrt(pi)/2) e^{-b^2/4}, and what lies past U is
+    # below 4 e^{-U^2} / 2U, 1e-22 of each value
+    with mp.workdps(30):
+        factor, fastest, modes = axial_pass(name, p, q)
+        analytic = float(mp.sqrt(mp.pi) / 2 * mp.fsum(c * mp.exp(-b * b / 4) for b, c in modes))
+        quad = float(mp.quad(lambda u: factor_mp(name, p, q, u) * mp.exp(-u * u), mp.linspace(0, kspace._K_CUTOFF, 29)))
+    value, err = kspace._axial_pass(factor, fastest, kspace._Budget(kspace.BUDGET), name)
+    assert value == pytest.approx(analytic, rel=1e-12, abs=0.0)
+    assert value == pytest.approx(quad, rel=1e-12, abs=0.0)
+    assert err < 1e-8 * value
+
+
+@given(
+    st.sampled_from(["sin2 factor", "mean", "product"]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example("sin2 factor", 0.0, 0.0)  # 1e-8 rad per u: the far pair of a 1 um body at r_c = 50 m
+@example("mean", float(np.nextafter(1.0, 0.0)), 0.0)  # d one ulp below 2U, the fastest mean pass
+@example("product", 0.0, 0.0)  # both factors at 1e-6: the bulk 4 (hl ha)^2 is 4e-24
+@example("product", float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 0.0)))  # hl = ha below U, a bar's halves
+def test_axial_pass_error_is_certified(name, s, t):
+    # each pass on its route's domain: 2 sin^2(h u) and the product's hl, ha below U, the mean's d below 2U, drawn
+    # log-uniform from 1e-8 (1e-6 for the product, whose modes cancel to 4 (hl ha)^2 in the reference) against the
+    # windowed moments int_0^U cos(b u) e^{-u^2} du = (sqrt(pi)/2) e^{-b^2/4} Re erf(U + i b/2) at 60 digits
+    lo, top = (-6.0 if name == "product" else -8.0), math.log10(EDGE if name == "mean" else kspace._K_CUTOFF)
+    p, q = (10.0 ** (lo + (top - lo) * x) for x in (s, t))
+    with mp.workdps(60):
+        factor, fastest, modes = axial_pass(name, p, q)
+        u = mp.mpf(kspace._K_CUTOFF)
+        reference = mp.sqrt(mp.pi) / 2 * mp.fsum(c * mp.exp(-b * b / 4) * mp.re(mp.erf(u + 0.5j * b)) for b, c in modes)
+    value, err = kspace._axial_pass(factor, fastest, kspace._Budget(kspace.BUDGET), name)
+    assert abs(value - float(reference)) <= err
+
+
 def test_oracle_imports_only_types_from_the_closed_forms():
     # the oracle stays independent of cslnoise: it may share its types, never
     # a function; its J1 and sinc^2 kernels are its own, so it imports nothing from specfun
@@ -844,6 +904,36 @@ def test_tables_change_no_bit_of_the_radial_and_slab_integrals(monkeypatch, s):
     assert len(whole_range) == (2 if s <= S_FULL else 0) and all(whole_range)
 
 
+def test_tables_change_no_bit_of_the_axial_passes(monkeypatch):
+    # a 2 sin^2 factor and a product on the whole of level 0, a mean of 1 + cos(10 u)/2 on level 1, and one
+    # 2 sin^2(15 u) started on level 0, which doubles
+    cases = [("sin2 factor", 0.5, 0.0), ("mean", 10.0, 0.0), ("product", 0.5, 2.0)]
+
+    def passes():
+        results = []
+        for name, p, q in cases:
+            factor, fastest, _ = axial_pass(name, p, q)
+            budget = kspace._Budget(kspace.BUDGET)
+            results.append((kspace._axial_pass(factor, fastest, budget, name), budget.used))
+        budget = kspace._Budget(kspace.BUDGET)
+        doubled = kspace._adaptive(kspace._gauss, functools.partial(kspace._sin2, 15.0), *MODE_LEVEL0, budget, "doubled")
+        results.append((doubled, budget.used))
+        return results
+
+    whole_range = []
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    cold = passes()
+    warm = passes()
+    with monkeypatch.context() as m:
+        shape_afresh(m, whole_range)
+        reference = passes()
+    assert cold == warm == reference
+    # the 2 sin^2 factor, the product and the doubled pass's first lie on the whole level 0
+    assert whole_range == [True, True, True]
+    # one pass each, but the doubled one: 4 panels on level 0, 8 on level 1, then 4 + 8 from level 0
+    assert [used for _, used in cold] == [31 * 4, 31 * 8, 31 * 4, 31 * (4 + 8)]
+
+
 @functools.cache
 def table_nodes(grid, level):
     """The Kronrod nodes of grid's whole level `level`, laid by _shape_nodes on a table of their own."""
@@ -928,6 +1018,52 @@ def test_second_oracle_sweep_evaluates_no_shape(monkeypatch):
     assert calls == [[], [], []]
 
 
+# the axial routes' merge edges: separation 0 (every coefficient cancels), = length (d = 0), = 2 length (d = l),
+# >> length, and a bar's halves (separation = their length), from r_c where both factors average to a constant,
+# through the 1 + cos(d u)/2, 2 sin^2 and product routes, to where the product underflows
+MERGE_EDGES = [
+    *((Cube(0.046, 1.928), MassArrangement(a)) for a in (0.0, 0.046, 0.092, 1e4)),
+    *((Cylinder(0.25, 0.2, 40.0), MassArrangement(a, 2)) for a in (0.0, 0.2, 0.4, 1e4)),
+    (HalfCylinderBar(0.3, 3.0, 2300.0), MassArrangement(1.5)),
+]
+MERGE_RCS = [1e-9, 1e-6, 1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e80]
+
+
+def oracle_outcomes(bodies, rcs, before_each=lambda: None):
+    """(value, rel_error, evaluations) in hex of the oracle at each body and r_c, or its QuadratureError's message, achieved error and evaluations."""
+    out = []
+    for geometry, arrangement in bodies:
+        for rc in rcs:
+            before_each()
+            try:
+                r = force_psd_by_quadrature(CslParams(1.0, rc), geometry, arrangement)
+                out.append((r.value.hex(), r.rel_error.hex(), r.evaluations))
+            except QuadratureError as exc:
+                out.append((str(exc), repr(exc.achieved_rel_error), exc.evaluations))
+    return out
+
+
+def test_tables_change_no_result_at_the_merge_edges(monkeypatch):
+    monkeypatch.setattr(kspace, "_TABLES", {})
+    monkeypatch.setattr(kspace, "_MOMENTS", {})
+
+    def empty_tables():
+        kspace._TABLES.clear()
+        kspace._MOMENTS.clear()
+
+    cold = oracle_outcomes(MERGE_EDGES, MERGE_RCS, empty_tables)
+    assert oracle_outcomes(MERGE_EDGES, MERGE_RCS) == cold
+    n = len(MERGE_RCS)
+    rows = [cold[i : i + n] for i in range(0, len(cold), n)]
+    # separation 0 is the exact zero at no cost; every other body certifies to 1e4 m and stops at 1e80 m, where
+    # the product's bulk underflows, at no cost either
+    assert rows[0] == rows[4] == [("0x0.0p+0", "0x0.0p+0", 0)] * n
+    underflow = ("quadrature reached relative error inf, above the target 1.000e-06", "inf", 0)
+    for row in rows[1:4] + rows[5:]:
+        assert row[-1] == underflow
+        assert all(value.startswith("0x") and evaluations > 0 for value, _, evaluations in row[:-1])
+
+
 def first_pass(grid, span, least):
     """The level, panel count and end hi of _adaptive's first pass, laid as it lays them."""
     level = kspace._level(span, least, grid[0])
@@ -938,6 +1074,70 @@ def first_pass(grid, span, least):
 
 def nan_at_last_node(x):
     return np.append(np.ones(x.size - 1), np.nan)
+
+
+def reference_adaptive(shape, factor, grid, span, least, budget, what):
+    """_adaptive as it was when every pass summed |f| and met max(tol_abs, tol_rel |f|), at the targets every caller gave, kept as its reference."""
+    tol_abs, tol_rel = 0.0, kspace._SUB_TOL * kspace.REL_TOL
+    level, panels, hi = first_pass(grid, span, least)
+    err = value = None
+    while True:
+        if not budget.charge(panels * kspace._NODES.size):
+            achieved = None if err is None or value == 0.0 else err / abs(value)
+            raise QuadratureError(
+                f"evaluation budget exhausted while integrating {what}"
+                + ("" if achieved is None else f" (achieved {achieved:.3e})"),
+                achieved_rel_error=achieved,
+                evaluations=budget.used,
+            )
+        half, x, values = kspace._shape_nodes(shape, grid, level, panels)
+        fx = (values * factor(x)).reshape(panels, kspace._NODES.size)
+        rules = fx @ kspace._RULES
+        value = half * float(rules[:, 0].sum())
+        magnitude = half * float((np.abs(fx) @ kspace._RULES)[:, 0].sum())
+        floor = 100.0 * kspace._EPS * magnitude
+        err = max(half * float(np.abs(rules[:, 1]).sum()), floor)
+        if err <= max(tol_abs, tol_rel * magnitude, floor):
+            return value, err, hi
+        level += 1
+        panels *= 2
+
+
+def test_adaptive_matches_the_one_that_always_sums_the_magnitude(monkeypatch):
+    # every integrand is nonnegative, so its value is its magnitude, bit for bit
+    monkeypatch.setattr(kspace, "_TABLES", {})
+
+    def passes(adaptive):
+        # (value, error, evaluations), or the error's message, achieved error (repr: NaN is unequal) and evaluations
+        monkeypatch.setattr(kspace, "_adaptive", adaptive)
+        cases = [lambda b, s=s: kspace._disc_radial_integral(1.0, s, b) for s in (1e-9, 1e-4, 1e-2, 0.05)]
+        cases += [lambda b, s=s: kspace._slab_integral(2.0, s, b) for s in (1e-9, 1e-4, 1e-2, 0.05)]
+        for name, p, q in [("sin2 factor", 0.5, 0.0), ("mean", 10.0, 0.0), ("product", 0.5, 2.0), ("product", 1e-6, 1e-6)]:
+            factor, fastest, _ = axial_pass(name, p, q)
+            cases.append(lambda b, factor=factor, fastest=fastest, name=name: kspace._axial_pass(factor, fastest, b, name))
+        cases += [
+            # started on level 0, 2 sin^2(15 u) doubles, and 2 sin^2(7.5 u) misses the target there by a factor of 6;
+            # (value, error) without hi, as the integrals return
+            lambda b: adaptive(kspace._gauss, functools.partial(kspace._sin2, 15.0), *MODE_LEVEL0, b, "doubled")[:2],
+            lambda b: adaptive(kspace._gauss, functools.partial(kspace._sin2, 7.5), *MODE_LEVEL0, b, "near the target")[:2],
+            lambda b: adaptive(kspace._gauss, lambda u: np.zeros(u.size), *MODE_LEVEL0, b, "zero")[:2],
+            # a NaN at the last node of every pass: it never meets its target, so it ends on a small budget
+            lambda b: adaptive(kspace._gauss, nan_at_last_node, *MODE_LEVEL0, kspace._Budget(2000), "NaN"),
+        ]
+        out = []
+        for case in cases:
+            budget = kspace._Budget(kspace.BUDGET)
+            try:
+                out.append((*case(budget), budget.used))
+            except QuadratureError as exc:
+                out.append((str(exc), repr(exc.achieved_rel_error), exc.evaluations))
+        return out, sweep(ORACLE_POINTS)
+
+    ours, oracle = passes(kspace._adaptive)
+    assert (ours, oracle) == passes(reference_adaptive)
+    assert ours[-1] == ("evaluation budget exhausted while integrating NaN (achieved nan)", "nan", 31 * (4 + 8 + 16 + 32))
+    assert all(isinstance(out[0], float) for out in ours[:-1])
+    assert ours[-2][:2] == (0.0, 0.0) and ours[-3][2] == 31 * (4 + 8) and ours[-4][2] > ours[-5][2] and len(oracle) == 27
 
 
 def column_sum_adaptive(shape, factor, grid, span, least, budget, what):
