@@ -21,7 +21,9 @@ oracle on user-built cubes and cylinders at the edges of its axial routes: separ
 averages to 1), a 1 um cube and a 1 um-long rod 10 km apart (a small 2 sin^2 remainder, once lost to a cancelling
 cosine-mode sum), and a bar's halves (a constant 3/2), which no bundled config reaches. The closed-form sweep prints
 float.hex() of every bundled body's PSD, both bar variants, at rates 1 and 1e-30 and 3001 log-spaced r_c
-over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. The
+over the whole accepted domain, MIN_CORRELATION_LENGTH to 1e300 m: the scans cover only 1e-9..1e2 m. It prints
+each body again through its own entry (cylinder_pair_force_psd for ligo, cube_pair_force_psd for
+lisa_pathfinder, bar_force_psd for both auriga variants), so a change to either route shows. The
 curve sweep prints lambda_max at the same 3001 r_c, for every bundled detector and both bar variants, in
 float.hex(), or the UnboundedParameterError it raises: exclusion_curve calls the closed forms' dispatch
 directly, not force_noise_psd, so the closed-form sweep does not reach its path. A -c script's first line, a
@@ -71,14 +73,23 @@ CLOSED_FORMS = """# closed-form sweep
 import numpy as np
 from cslbounds import BAR_VARIANTS, CslParams, load_detector_config
 from cslbounds.cslnoise import MIN_CORRELATION_LENGTH, force_noise_psd
+from cslbounds.cslnoise import bar_force_psd, cube_pair_force_psd, cylinder_pair_force_psd
 rcs = np.geomspace(MIN_CORRELATION_LENGTH, 1e300, 3001)
 for name in ("ligo", "lisa_pathfinder", "auriga"):
     det = load_detector_config(name)
+    g, a = det.geometry, det.arrangement
+    own = {
+        "ligo": lambda params, variant: cylinder_pair_force_psd(params, g, a.separation, a.arm_count),
+        "lisa_pathfinder": lambda params, variant: cube_pair_force_psd(params, g, a.separation),
+        "auriga": lambda params, variant: bar_force_psd(params, g, variant),
+    }[name]
     for variant in BAR_VARIANTS if name == "auriga" else [None]:
         for rate in (1.0, 1e-30):
             psd = force_noise_psd(CslParams(rate, rcs), det.geometry, det.arrangement, variant)
             for rc, value in zip(rcs.tolist(), psd.tolist()):
                 print(name, variant, rate, repr(rc), value.hex())
+            for rc, value in zip(rcs.tolist(), own(CslParams(rate, rcs), variant).tolist()):
+                print(name, "own entry", variant, rate, repr(rc), value.hex())
 """
 CURVES = """# curve sweep
 import numpy as np

@@ -15,8 +15,9 @@ r_c^-6 while the PSD ~ r_c^-4) each factor takes one q instead: no partial
 product underflows before the PSD itself does.
 
 The pairing rules live here once, in MassArrangement.check, which the
-closed forms, the k-space oracle and detector_archetype all call: only a
-cylinder pair may have two arms, and a bar's halves sit length/2 apart.
+closed forms, the k-space oracle and detector_archetype all call: a body is
+a Cylinder, Cube or HalfCylinderBar, only a cylinder pair may have two
+arms, and a bar's halves sit length/2 apart.
 
 Accuracy, checked against mpmath by the test suite: the radial and cube
 brackets hold a relative error of 2e-15 for x in [1e-300, 1e6] and z in
@@ -46,15 +47,17 @@ form and building block evaluates it in one pass of private kernels that
 take 1-d arrays, masks choosing each element's numerical branch, and
 returns a float for a float.  A kernel writes only into arrays that it
 allocated, or that its caller handed over and does not read again; it
-never writes into r_c.  Each public entry checks its raw arguments and
-enters the one frame, _framed: a 1-d r_c, np.errstate(all="ignore") (no
-result depends on np.seterr), a float back for a float.  Below it the one
-dispatch by geometry type, _closed_form, and the kernels trust checked
-records and a 1-d r_c; exclusion_curve calls _closed_form under its own
-errstate.  The callers that report a value (exclusion_curve, noise,
-validate) check that it is a normal double.  axial_factor and
-pair_correlation_factor share one kernel and one domain: a finite
-separation >= 0, a finite length > 0 and CslParams' r_c rule.
+never writes into r_c.  force_noise_psd is the one checked entry: it runs
+MassArrangement.check and enters the one frame, _framed: a 1-d r_c,
+np.errstate(all="ignore") (no result depends on np.seterr), a float back
+for a float; the per-geometry entries build their arrangement and forward
+to it.  Below it the one dispatch by geometry type, _closed_form, and the
+kernels trust checked records and a 1-d r_c; exclusion_curve calls
+_closed_form on its detector's checked arrangement, under its own errstate.
+The callers that report a value (exclusion_curve, noise, validate) check
+that it is a normal double.  axial_factor and pair_correlation_factor share
+one kernel, frame and domain: a finite separation >= 0, a finite length > 0
+and CslParams' r_c rule.
 """
 
 from __future__ import annotations
@@ -259,8 +262,10 @@ class MassArrangement(_Record):
         self._set(separation=separation, arm_count=arm_count)
 
     def check(self, geometry: MassGeometry) -> None:
-        """Raise ValueError, naming the config field, unless the geometry takes this arrangement."""
+        """Raise ValueError, naming the config field, unless the geometry takes this arrangement; TypeError for an unknown body."""
         kind, forced = type(geometry).__name__, forced_separation(geometry)
+        if not isinstance(geometry, (Cylinder, Cube, HalfCylinderBar)):
+            raise TypeError(f"unsupported geometry {kind}")
         if self.arm_count != 1 and not isinstance(geometry, Cylinder):
             raise ValueError(f"arm_count: {kind} is a single-arm system, got {self.arm_count}")
         if forced is not None and self.separation != forced:
@@ -272,7 +277,7 @@ class MassArrangement(_Record):
 
 
 def _framed(r_c: FloatOrArray, kernel) -> FloatOrArray:
-    # the one entry frame of the five public entries (module docstring): kernel(rc) at a 1-d rc, under errstate
+    # the one entry frame of force_noise_psd and the building blocks (module docstring): kernel(rc) at a 1-d rc, under errstate
     rc, scalar = _to_1d(r_c, "correlation_length")
     with np.errstate(all="ignore"):
         return _from_1d(kernel(rc), scalar)
@@ -537,34 +542,12 @@ def _cylinder_psd(lam: float, geometry: Cylinder, rc: np.ndarray, axial_l2: np.n
 
 
 def _closed_form(rc: np.ndarray, lam: float, geometry: MassGeometry, arrangement, variant: Optional[str]) -> np.ndarray:
-    # the one dispatch by geometry type: the PSD of a checked geometry and arrangement at a 1-d rc, under
-    # its caller's np.errstate; a bar's arrangement is forced, so the bar reads none (bar_force_psd passes None)
-    if isinstance(geometry, Cylinder):
-        axial_l2 = _axial_over(arrangement.separation, geometry.length, rc, geometry.length)
-        return _cylinder_psd(lam, geometry, rc, axial_l2, arrangement.arm_count)
-    if isinstance(geometry, Cube):
-        # w = rc bracket / side^2, where rc bracket -> -sqrt(pi) side/2 as rc -> 0, so it never underflows;
-        # past z = 1e300 (where sqrt(pi) z may overflow) it is that limit to 1e-300
-        side = geometry.side
-        z = np.multiply(rc, 2.0)
-        np.divide(side, z, out=z)
-        w = _cube_bracket(z)
-        w *= rc
-        np.copyto(w, -0.5 * math.sqrt(math.pi) * side, where=z >= 1e300)
-        w /= side
-        w /= side
-        axial = _axial_over(arrangement.separation, side, rc, side)
-        axial *= 16.0
-        rest = np.multiply(axial, w, out=z)
-        rest *= w  # inf for sides below ~1e-79 m: the caller reports it
-        return _pair_psd(lam, geometry.mass, rc, axial, np.multiply(w, w, out=w), rest)
+    # the one dispatch by geometry type, at a 1-d rc under its caller's np.errstate; MassArrangement.check passed its input
     if isinstance(geometry, HalfCylinderBar):
         if variant not in BAR_VARIANTS:
             raise ValueError(f"variant must be one of {BAR_VARIANTS}, got {variant!r}")
         halves = geometry.halves()
-        if variant == "rederived":
-            axial_l2 = _axial_over(halves.length, halves.length, rc, halves.length)
-        else:
+        if variant == "printed":
             # v, and 4v below rc ~ 1.1e-154 m, overflow to inf: the right limit
             v = np.multiply(rc, 16.0)
             v *= rc
@@ -576,8 +559,26 @@ def _closed_form(rc: np.ndarray, lam: float, geometry: MassGeometry, arrangement
             axial_l2 -= np.expm1(v, out=v)
             axial_l2 /= halves.length
             axial_l2 /= halves.length
-        return _cylinder_psd(lam, halves, rc, axial_l2, 1)
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+            return _cylinder_psd(lam, halves, rc, axial_l2, 1)
+        geometry = halves  # rederived: the cylinder pair of its halves, at the forced separation halves.length
+    if isinstance(geometry, Cylinder):
+        axial_l2 = _axial_over(arrangement.separation, geometry.length, rc, geometry.length)
+        return _cylinder_psd(lam, geometry, rc, axial_l2, arrangement.arm_count)
+    # a cube: w = rc bracket / side^2, where rc bracket -> -sqrt(pi) side/2 as rc -> 0, so it never underflows;
+    # past z = 1e300 (where sqrt(pi) z may overflow) it is that limit to 1e-300
+    side = geometry.side
+    z = np.multiply(rc, 2.0)
+    np.divide(side, z, out=z)
+    w = _cube_bracket(z)
+    w *= rc
+    np.copyto(w, -0.5 * math.sqrt(math.pi) * side, where=z >= 1e300)
+    w /= side
+    w /= side
+    axial = _axial_over(arrangement.separation, side, rc, side)
+    axial *= 16.0
+    rest = np.multiply(axial, w, out=z)
+    rest *= w  # inf for sides below ~1e-79 m: the caller reports it
+    return _pair_psd(lam, geometry.mass, rc, axial, np.multiply(w, w, out=w), rest)
 
 
 def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: float, arm_count: int = 1) -> FloatOrArray:
@@ -587,21 +588,20 @@ def cylinder_pair_force_psd(params: CslParams, geometry: Cylinder, separation: f
     a two-arm interferometer.  Valid while the center-of-mass spread
     stays well below the correlation length (not checked at runtime).
     """
-    arrangement = MassArrangement(separation, arm_count)  # raises as the arrangement does for a bad separation or arm count
-    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, arrangement, None))
+    return force_noise_psd(params, geometry, MassArrangement(separation, arm_count))
 
 
 def cube_pair_force_psd(params: CslParams, geometry: Cube, separation: float) -> FloatOrArray:
     """Two-sided CSL force PSD for a cube pair read out differentially (N^2/Hz)."""
-    arrangement = MassArrangement(separation)  # raises as the arrangement does for a bad separation
-    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, arrangement, None))
+    return force_noise_psd(params, geometry, MassArrangement(separation))
 
 
-def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = DEFAULT_BAR_VARIANT) -> FloatOrArray:
+def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: Optional[str] = DEFAULT_BAR_VARIANT) -> FloatOrArray:
     """Two-sided CSL force PSD driving a bar's fundamental mode (N^2/Hz).
 
-    The bar is modeled as two half-cylinders (length/2, mass/2) touching
-    end to end.  Two published axial factors exist for this model:
+    The bar (any other geometry raises TypeError) is modeled as two
+    half-cylinders (length/2, mass/2) touching end to end.  Two published
+    axial factors exist for this model; variant=None is the default:
 
     ``rederived``
         the cylinder-pair axial factor evaluated for the actual
@@ -614,19 +614,18 @@ def bar_force_psd(params: CslParams, geometry: HalfCylinderBar, variant: str = D
         exclusion curves have circulated.  The variants agree for
         r_c << L and differ in decay order for r_c >> L.
     """
-    return _framed(params.correlation_length, lambda rc: _closed_form(rc, params.collapse_rate, geometry, None, variant))
+    if not isinstance(geometry, HalfCylinderBar):  # else the arrangement's TypeError would name the separation, None
+        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    return force_noise_psd(params, geometry, MassArrangement(forced_separation(geometry)), variant)
 
 
 def force_noise_psd(
-    params: CslParams,
-    geometry: MassGeometry,
-    arrangement: MassArrangement,
-    bar_variant: Optional[str] = None,
+    params: CslParams, geometry: MassGeometry, arrangement: MassArrangement, bar_variant: Optional[str] = None
 ) -> FloatOrArray:
     """Dispatch to the closed form matching the geometry (two-sided, N^2/Hz).
 
     Returns a float for a scalar correlation length, else one PSD per entry.
-    Raises ValueError unless the geometry takes the arrangement.
+    Raises as MassArrangement.check does; bar_variant=None is the default.
     """
     arrangement.check(geometry)
     variant = bar_variant or DEFAULT_BAR_VARIANT

@@ -40,7 +40,7 @@ from .response import (
     force_psd_from_strain_bar,
     force_psd_from_strain_free_mass,
 )
-from .specfun import _check_positive, _frozen
+from .specfun import _check_positive, _check_real, _frozen
 
 
 class ExclusionCurve(_Record):
@@ -101,6 +101,7 @@ def force_per_native(
     elif quantity == "strain" and det.archetype == INTERFEROMETER:
         if frequency_hz is None:
             raise ConfigError(f"{source}: a strain figure needs frequency_hz in the free-mass limit")
+        _check_real("frequency_hz", frequency_hz)
         omega = 2.0 * math.pi * frequency_hz
         if not (math.isfinite(omega) and omega > 0.0):
             raise ConfigError(f"{source}: angular frequency 2 pi f must be finite and > 0, got f = {frequency_hz!r} Hz")

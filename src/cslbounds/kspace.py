@@ -465,8 +465,8 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     when they were built: a bar checked its halves once, at construction.
     It evaluates under one np.errstate(all="ignore"), whatever np.seterr the caller set.
 
-    Raises ValueError for an array of correlation lengths or an
-    arrangement the geometry does not take, and QuadratureError if BUDGET
+    Raises as MassArrangement.check does, ValueError for an array of
+    correlation lengths, and QuadratureError if BUDGET
     integrand evaluations run out before those targets are met, or if
     the reported relative error exceeds REL_TOL.
     """
@@ -477,12 +477,7 @@ def force_psd_by_quadrature(params: CslParams, geometry: MassGeometry, arrangeme
     arrangement.check(geometry)
     if isinstance(geometry, HalfCylinderBar):  # the shared model: two touching half-cylinders
         geometry = geometry.halves()
-    if isinstance(geometry, Cylinder):
-        ell = geometry.length
-    elif isinstance(geometry, Cube):
-        ell = geometry.side
-    else:
-        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    ell = geometry.side if isinstance(geometry, Cube) else geometry.length
     if lam == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
 

@@ -43,6 +43,7 @@ class ResonantBar(_Record):
 
 def force_psd_from_acceleration(s_gg: float, mass: float) -> float:
     """Force PSD of a free-falling pair from its relative acceleration: S_FF = (m^2/4) S_gg."""
+    _check_positive("s_gg", s_gg, zero_ok=True)
     _check_positive("mass", mass)
     return 0.25 * mass * mass * s_gg
 
@@ -52,6 +53,7 @@ def force_psd_from_strain_bar(s_hh: float, mass: float, omega0: float, bar_lengt
 
     S_FF = (m omega0^2 L / pi^2)^2 S_hh for the fundamental mode.
     """
+    _check_positive("s_hh", s_hh, zero_ok=True)
     for name, v in (("mass", mass), ("omega0", omega0), ("bar_length", bar_length)):
         _check_positive(name, v)
     factor = mass * omega0 * omega0 * bar_length / math.pi**2
@@ -69,6 +71,7 @@ def force_psd_from_strain_free_mass(s_hh: float, mass: float, omega: float, arm_
     Each mass of the pair responds as 1/(m omega^2), so the relative
     displacement is S_xx = 4 S_FF / (m^2 omega^4), and S_hh = S_xx / a^2.
     """
+    _check_positive("s_hh", s_hh, zero_ok=True)
     for name, v in (("mass", mass), ("omega", omega), ("arm_length", arm_length)):
         _check_positive(name, v)
     factor = _free_mass_amplitude(mass, arm_length, omega)

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,6 +137,11 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
         "for rate in (1.0, 1e-30):",
         "force_noise_psd(CslParams(rate, rcs), det.geometry, det.arrangement, variant)",
         "print(name, variant, rate, repr(rc), value.hex())",
+        '"ligo": lambda params, variant: cylinder_pair_force_psd(params, g, a.separation, a.arm_count),',
+        '"lisa_pathfinder": lambda params, variant: cube_pair_force_psd(params, g, a.separation),',
+        '"auriga": lambda params, variant: bar_force_psd(params, g, variant),',
+        "for rc, value in zip(rcs.tolist(), own(CslParams(rate, rcs), variant).tolist()):",
+        'print(name, "own entry", variant, rate, repr(rc), value.hex())',
     ):
         assert fragment in compare.CLOSED_FORMS
     for fragment in (
@@ -155,7 +161,15 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     assert compare.label([*cli, "bound", "--rc", "1e55", "--config", "ligo"]) == "bound --rc 1e55 --config ligo"
 
 
-def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monkeypatch, capsys):
+def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monkeypatch, capsys, tmp_path):
+    # main archives a throwaway repository, so this test needs no git checkout of its own
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "README").write_text("the tree's src/\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=compare test", "-c", "user.email=compare@example.invalid"]
+    for args in (["init", "-q"], ["add", "src"], ["-c", "commit.gpgsign=false", "commit", "-q", "-m", "src"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    monkeypatch.setattr(compare, "ROOT", repo)
     same = ["-c", "# same\nprint(0x1p-3)"]
     monkeypatch.setattr(compare, "COMMANDS", [same])
     assert compare.main("HEAD") == 0
@@ -171,7 +185,7 @@ def test_main_prints_one_line_per_command_and_exits_1_only_on_a_difference(monke
         " 0 changed counts",
     ]
     assert out[3].startswith("    - ") and out[3].endswith("src")
-    assert out[4] == f"    + {ROOT / 'src'}"
+    assert out[4] == f"    + {repo / 'src'}"
 
 
 def test_the_ci_job_calls_the_script_with_the_base_sha_and_runs_no_command_of_its_own():

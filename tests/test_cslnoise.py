@@ -39,13 +39,14 @@ from cslbounds import (
     cylinder_pair_force_psd,
     ellis_ratio,
     exclusion_curve,
+    force_per_native,
     force_psd_by_quadrature,
     lambda_max,
     load_detector_config,
     measured_force_psd,
     pair_correlation_factor,
 )
-from cslbounds import cslnoise
+from cslbounds import cslnoise, response
 from cslbounds.cslnoise import (
     MIN_CORRELATION_LENGTH,
     _cube_bracket,
@@ -1018,12 +1019,34 @@ def test_no_module_imports_dataclasses():
         lambda g: force_noise_psd(CslParams(1.0, 1e-7), g, MassArrangement(1.0)),
         characteristic_dimension,
         lambda g: force_psd_by_quadrature(CslParams(1.0, 1e-7), g, MassArrangement(1.0)),
+        lambda g: cylinder_pair_force_psd(CslParams(1.0, 1e-7), g, 1.0),
+        lambda g: cube_pair_force_psd(CslParams(1.0, 1e-7), g, 1.0),
+        lambda g: bar_force_psd(CslParams(1.0, 1e-7), g),
     ],
-    ids=["force_noise_psd", "characteristic_dimension", "force_psd_by_quadrature"],
+    ids=[
+        "force_noise_psd",
+        "characteristic_dimension",
+        "force_psd_by_quadrature",
+        "cylinder_pair_force_psd",
+        "cube_pair_force_psd",
+        "bar_force_psd",
+    ],
 )
 def test_unsupported_geometry_is_a_type_error(call):
     with pytest.raises(TypeError, match=r"^unsupported geometry object$"):
         call(object())
+
+
+def test_cylinder_pair_entry_checks_the_body_against_its_arrangement():
+    # it once returned the single-arm cube PSD, half of what two arms would give
+    with pytest.raises(ValueError, match=r"^arm_count: Cube is a single-arm system, got 2$"):
+        cylinder_pair_force_psd(CslParams(1.0, 1e-7), Cube(0.046, 1.928), 0.376, 2)
+
+
+def test_bar_entry_rejects_a_body_that_is_not_a_bar():
+    # it once ended in AttributeError: 'NoneType' object has no attribute 'separation'
+    with pytest.raises(TypeError, match=r"^unsupported geometry Cylinder$"):
+        bar_force_psd(CslParams(1.0, 1e-7), Cylinder(0.17, 0.2, 40.0))
 
 
 def test_cylinder_pair_rejects_a_third_arm():
@@ -1218,6 +1241,10 @@ def test_bar_halves_are_checked_when_the_bar_is_built():
         (lambda: ResonantBar(True, 3.0), "omega0 must be a real number, got bool"),
         (lambda: Readout("strain", True), "arm_length must be a real number, got bool"),
         (lambda: axial_factor(True, 0.2, 1e-7), "separation must be a real number, got bool"),
+        (lambda: response.force_psd_from_acceleration(True, 2.0), "s_gg must be a real number, got bool"),
+        (lambda: response.force_psd_from_strain_bar(np.True_, 2300.0, 100.0, 3.0), "s_hh must be a real number, got bool"),
+        (lambda: response.force_psd_from_strain_free_mass(True, 40.0, 200.0, 4000.0), "s_hh must be a real number, got bool"),
+        (lambda: force_per_native(DETECTORS["ligo"], "strain", True), "frequency_hz must be a real number, got bool"),
         (lambda: CslParams(1.0, [True, 1e-7]), "correlation_length must be a real number or a 1-d array of them, got list"),
         (lambda: CslParams(1.0, (1e-7, np.True_)), "correlation_length must be a real number or a 1-d array of them, got tuple"),
     ],

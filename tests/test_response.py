@@ -93,6 +93,23 @@ def test_acceleration_psd_rejects_nonpositive_mass():
             force_psd_from_acceleration(1.0, mass)
 
 
+@pytest.mark.parametrize(
+    "convert, name",
+    [
+        (lambda psd: force_psd_from_acceleration(psd, 2.0), "s_gg"),
+        (lambda psd: force_psd_from_strain_bar(psd, 2300.0, 100.0, 3.0), "s_hh"),
+        (lambda psd: force_psd_from_strain_free_mass(psd, 40.0, 200.0, 4000.0), "s_hh"),
+    ],
+    ids=["acceleration", "strain_bar", "strain_free_mass"],
+)
+def test_each_conversion_rejects_a_psd_that_is_negative_or_not_finite(convert, name):
+    # force_psd_from_acceleration(-1.0, 2.0) once returned -1.0, and a nan PSD gave nan
+    for psd in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {psd!r}$"):
+            convert(psd)
+    assert convert(0.0) == 0.0
+
+
 def test_bar_strain_to_force_transfer():
     # (m w0^2 L / pi^2)^2 s_hh evaluated from first principles
     m, f0, L = 2300.0, 931.0, 3.0
