@@ -27,8 +27,11 @@ lisa_pathfinder, bar_force_psd for both auriga variants), so a change to either 
 curve sweep prints lambda_max at the same 3001 r_c, for every bundled detector and both bar variants, in
 float.hex(), or the UnboundedParameterError it raises: exclusion_curve calls the closed forms' dispatch
 directly, not force_noise_psd, so the closed-form sweep does not reach its path. A -c script's first line, a
-comment, is its label. A float pair with one side 0.0 (a validate rel_diff of about 1e-16 that turns 0.0) is
-left out of the largest relative change, which would read 1 there, and reported by its absolute difference. A
+comment, is its label. The Bessel sweep prints float.hex() of i0e and i1e at about 4000 points, 0 and 20 with
+their float neighbours, a log grid from 1e-300 to 1e300 and a linear one on [0, 40], each from one array call and
+from a float call: no closed form calls them, so no other command reaches them, and a float must equal its array
+entry. A float pair with one side 0.0 (a validate rel_diff of about 1e-16 that turns 0.0) is left out of the
+largest relative change, which would read 1 there, and reported by its absolute difference. A
 float that turns inf or nan (float.hex() spells them so), or turns finite from one, is an infinite change.
 """
 import math
@@ -106,6 +109,16 @@ for name in ("ligo", "lisa_pathfinder", "auriga"):
             except UnboundedParameterError as exc:
                 print(name, variant, repr(rc), exc)
 """
+BESSEL = """# bessel sweep
+import math
+import numpy as np
+from cslbounds.specfun import i0e, i1e
+xs = [0.0, math.nextafter(0.0, 1.0), 20.0, math.nextafter(20.0, 0.0), math.nextafter(20.0, math.inf)]
+xs = np.array([*xs, *np.geomspace(1e-300, 1e300, 2001).tolist(), *np.linspace(0.0, 40.0, 2001).tolist()])
+for f in (i0e, i1e):
+    for x, value in zip(xs.tolist(), f(xs).tolist()):
+        print(f.__name__, repr(x), value.hex(), f(x).hex())
+"""
 EXTREME_RC = ("2.2250738585072014e-308", "1e-300", "1e-150", "1e55", "1e300")
 CLI = ["-m", "cslbounds.cli"]
 COMMANDS = [
@@ -117,6 +130,7 @@ COMMANDS = [
     [*CLI, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
     *([*CLI, "bound", "--rc", rc, "--config", c] for c in CONFIGS for rc in EXTREME_RC),
     *([*CLI, "noise", "--rc", rc, "--lambda", "1", "--config", c] for c in CONFIGS for rc in EXTREME_RC),
+    ["-c", BESSEL],
     ["-c", MERGE_EDGES],
     ["-c", SWEEP],
     ["-c", CLOSED_FORMS],

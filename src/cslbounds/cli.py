@@ -2,7 +2,7 @@
 
 main loads the --config detector once, through _load_config, and hands
 it to the command.  The detector carries its archetype
-(DetectorModel.archetype, classified once when it is built); `bound` is
+(DetectorModel.archetype, checked once when it is built); `bound` is
 lambda_max, which is exclusion_curve at one point.
 
 Exit codes: 0 success, 2 input/config error or a file that cannot be

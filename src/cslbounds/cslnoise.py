@@ -95,13 +95,12 @@ _set_slot = object.__setattr__  # a hot constructor writes its slots directly: _
 class _Record:
     """Immutable value: its fields are the __slots__ along the MRO, set once through _set (or _set_slot).
 
-    ==, hash and repr cover the fields not named in _hidden, == and hash
-    an array field by its bytes; assigning any attribute raises
-    AttributeError; pickle and copy go through __setstate__.
+    ==, hash and repr cover the fields, == and hash an array field by its
+    bytes; assigning any attribute raises AttributeError; pickle and copy
+    go through __setstate__.
     """
 
     __slots__ = ()
-    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -122,7 +121,7 @@ class _Record:
         self._set(**{name: _frozen(v, name) if isinstance(v, np.ndarray) else v for name, v in state[1].items()})
 
     def _shown(self) -> tuple:
-        return tuple((name, getattr(self, name)) for name in self._fields if name not in self._hidden)
+        return tuple((name, getattr(self, name)) for name in self._fields)
 
     def _key(self) -> tuple:
         # an array field is a read-only 1-d float copy, checked free of nan and -0.0, so its bytes are its values

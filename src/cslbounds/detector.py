@@ -1,7 +1,7 @@
 """Detector models: geometry, arrangement, response, readout and noise.
 
 A DetectorModel ties together one of the three supported archetypes,
-and carries its name as .archetype, classified once when it is built.
+checked once when it is built, and names it as .archetype.
 ARCHETYPES, keyed by geometry type, holds every rule of which response
 and readout go with which geometry; the arm count and separation each
 geometry takes are cslnoise.MassArrangement.check's, which the closed
@@ -83,13 +83,17 @@ class MeasuredNoise(_Record):
 class DetectorModel(_Record):
     """One complete detector description (immutable, safe to share)."""
 
-    __slots__ = ("name", "geometry", "arrangement", "response", "readout", "noise", "archetype")
-    _hidden = ("archetype",)  # set once, from detector_archetype; not in ==, hash or repr
+    __slots__ = ("name", "geometry", "arrangement", "response", "readout", "noise")
 
     def __init__(self, name, geometry, arrangement, response, readout, noise=()):
         self._set(name=name, geometry=geometry, arrangement=arrangement, response=response, readout=readout)
         self._set(noise=noise)
-        self._set(archetype=detector_archetype(self))  # rejects unsupported combinations
+        detector_archetype(self)  # rejects unsupported combinations
+
+    @property
+    def archetype(self) -> str:
+        """The name of the archetype, which __init__ checked."""
+        return ARCHETYPES[type(self.geometry)].name
 
     def noise_entry(self, name: Optional[str] = None) -> MeasuredNoise:
         """Select a noise entry by name; default is the first entry."""

@@ -3,7 +3,7 @@
 The exponentially scaled modified Bessel functions e^-x I0(x) and
 e^-x I1(x) (the unscaled values overflow long before the physically
 interesting regime is reached) and the package's one float-or-array
-conversion.  The closed forms call neither i0e, i1e nor _ie: cslnoise
+conversion.  The closed forms call neither i0e nor i1e: cslnoise
 evaluates its radial bracket from its own Chebyshev expansions.  The erf
 of the cube bracket is math.erf.  The J1 and sinc^2 kernels of the
 quadrature oracle live in kspace.
@@ -17,15 +17,13 @@ value, and _frozen's for a record's array field: a real number or a 1-d
 array of them, else TypeError naming the argument (a bool, also in a
 list or tuple, a str, bytes or None is neither).  i0e and i1e take such
 a value, return the same kind, check that x is finite and >= 0 and
-evaluate under np.errstate(all="ignore").  They sum in two groups,
-each a fixed number of steps: the power series for x <= 20 (36 steps)
-and the asymptotic series past 20 (34 steps).  Each count is the
-largest any element of its group needs, counted on that element alone:
-its series stops at the first term under 1e-18 of the sum in both rows.
-That term is under half an ulp of the sum, and so is every later,
-smaller one, so the steps an element takes past its own count leave its
-value unchanged: a float gives exactly the value it has inside any
-array, and the target holds element by element.
+evaluate under np.errstate(all="ignore"), an array element by element:
+each x sums its own power series for x <= 20 (DLMF 10.25.2) or its
+asymptotic series past 20 (DLMF 10.40.1) until a term is at most 1e-18
+of the sum.  That term is under half an ulp of the sum, and so is every
+later, smaller one, so no further step would change the value.  One
+np.exp or np.sqrt pass then scales all the sums, so a float gives exactly
+the value it has inside any array, and the target holds element by element.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)  # apart from sqrt(x): 2 pi x overflows near the float max
 
 
 # A float for float input, else one value per entry of a 1-d array.
@@ -86,13 +84,14 @@ def _check_positive(name: str, value: float, zero_ok: bool = False, error: type 
         raise error(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
-def _ie_row(x: FloatOrArray, name: str, row: int) -> FloatOrArray:
+def _ie_row(x: FloatOrArray, name: str, nu: int) -> FloatOrArray:
     x, scalar = _to_1d(x, "x")
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
         raise ValueError(f"{name} requires a finite x >= 0, got {float(x[bad][0])!r}")
-    with np.errstate(all="ignore"):  # a series term that underflows to 0 is the right limit
-        return _from_1d(_ie(x)[row], scalar)
+    sums = np.array([_series_sum(v, nu) for v in x.tolist()])
+    with np.errstate(all="ignore"):  # e^-x underflows to 0, the right limit; np.where drops the far scale at x = 0
+        return _from_1d(np.where(x <= 20.0, sums * np.exp(-x), sums / (_SQRT_2PI * np.sqrt(x))), scalar)
 
 
 def i0e(x: FloatOrArray) -> FloatOrArray:
@@ -105,36 +104,22 @@ def i1e(x: FloatOrArray) -> FloatOrArray:
     return _ie_row(x, "i1e", 1)
 
 
-# Per-step factors of the two series below, row 0 for I0 and row 1 for I1,
-# one row per step the power series and the asymptotic series take.
-# Power series: t_k = t_{k-1} q / (k (k + nu)), at q = x^2 / 4.
-_SERIES_DENOMS = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 37)], dtype=float)
-# Asymptotic series: t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x); for x > 20
-# its terms keep shrinking far past these steps (the smallest lies beyond k = 2x).
-_ASYMPTOTIC_FACTORS = np.array([[[(2 * k - 1) ** 2 / k], [((2 * k - 1) ** 2 - 4) / k]] for k in range(1, 35)])
-
-
-def _ie(x: np.ndarray) -> np.ndarray:
-    """e^-x I0(x) and e^-x I1(x), as rows 0 and 1 (x finite and >= 0)."""
-    out = np.empty((2, x.size))
-    series = x <= 20.0
-    xs = x[series]
-    if xs.size:
-        q = 0.25 * xs * xs
-        term = np.stack([np.ones_like(xs), 0.5 * xs])
-        total, factor = term.copy(), np.empty_like(term)
-        for denoms in _SERIES_DENOMS:
-            term *= np.divide(q, denoms, out=factor)
+def _series_sum(x: float, nu: int) -> float:
+    """I_nu(x) e^-x before its scale: times e^-x for x <= 20, over sqrt(2 pi x) past 20 (x finite and >= 0)."""
+    if x <= 20.0:  # t_k = t_{k-1} q / (k (k + nu)), at q = x^2 / 4
+        q = 0.25 * x * x
+        term = total = 0.5 * x if nu else 1.0
+        for k in range(1, 81):  # every x <= 20 stops within 36 steps
+            if term <= 1e-18 * total:
+                break
+            term *= q / (k * (k + nu))
             total += term
-        out[:, series] = total * np.exp(-xs)
-    far = ~series
-    xa = x[far]
-    if xa.size:
-        w = 0.125 / xa
-        term, total, factor = np.ones((2, xa.size)), np.ones((2, xa.size)), np.empty((2, xa.size))
-        for f in _ASYMPTOTIC_FACTORS:
-            term *= np.multiply(f, w, out=factor)
-            total += term
-        # sqrt factored to avoid overflow of 2*pi*x for x near the float max
-        out[:, far] = total / (_SQRT_2PI * np.sqrt(xa))
-    return out
+        return total
+    w = 0.125 / x  # t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x); its terms shrink up to k ~ 2x > 40
+    term = total = 1.0
+    for k in range(1, 41):  # every x > 20 stops within 34 steps
+        term *= ((2 * k - 1) ** 2 - 4 * nu * nu) / k * w
+        total += term
+        if abs(term) <= 1e-18 * total:
+            break
+    return total

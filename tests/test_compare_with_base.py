@@ -99,7 +99,8 @@ def test_run_captures_stdout_stderr_exit_code_and_written_files(tmp_path):
 
 def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
     cli = ["-m", "cslbounds.cli"]
-    expected = [["-c", compare.MERGE_EDGES], ["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS], ["-c", compare.CURVES]]
+    expected = [["-c", compare.BESSEL], ["-c", compare.MERGE_EDGES], ["-c", compare.SWEEP], ["-c", compare.CLOSED_FORMS]]
+    expected += [["-c", compare.CURVES]]
     expected += [
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--out", "scan.csv"],
         [*cli, "scan", "--config", "auriga", "--variant", "printed", "--points", "1000000", "--out", "scan.csv"],
@@ -152,7 +153,14 @@ def test_the_command_list_holds_every_base_comparison_and_the_golden_grid():
         "print(name, variant, repr(rc), exc)",
     ):
         assert fragment in compare.CURVES
-    for script in (compare.MERGE_EDGES, compare.SWEEP, compare.CLOSED_FORMS, compare.CURVES):
+    for fragment in (
+        "xs = [0.0, math.nextafter(0.0, 1.0), 20.0, math.nextafter(20.0, 0.0), math.nextafter(20.0, math.inf)]",
+        "np.geomspace(1e-300, 1e300, 2001).tolist(), *np.linspace(0.0, 40.0, 2001).tolist()",
+        "for x, value in zip(xs.tolist(), f(xs).tolist()):",
+        "print(f.__name__, repr(x), value.hex(), f(x).hex())",
+    ):
+        assert fragment in compare.BESSEL
+    for script in (compare.BESSEL, compare.MERGE_EDGES, compare.SWEEP, compare.CLOSED_FORMS, compare.CURVES):
         compile(script, "sweep", "exec")
     # each command is named by its own line of the report
     labels = [compare.label(args) for args in compare.COMMANDS]

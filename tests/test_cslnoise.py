@@ -357,7 +357,7 @@ def test_brackets_as_arrays_straddling_branch_switches():
 
 
 # the range the closed forms reach, any finite argument >= 0, and the branch switches
-# (the radial seams, i0e/i1e's group switches at 20 and 1e3, the cube's erf cut)
+# (the radial seams, i0e/i1e's series switch at 20, the cube's erf cut)
 BRANCH_SWITCHES = [0.0, *cslnoise._RADIAL_SEAMS.tolist(), 20.0, cslnoise._ERF_ONE]
 bracket_args = st.one_of(
     st.floats(min_value=-6.0, max_value=17.0).map(lambda e: 10.0**e),
@@ -370,8 +370,8 @@ bracket_args = st.one_of(
 @given(st.lists(bracket_args, min_size=1, max_size=40).map(np.array))
 @example(np.array([*BRANCH_SWITCHES, *(math.nextafter(s, 0.0) for s in BRANCH_SWITCHES[1:])]))
 def test_arrays_take_each_elements_float_value_bit_for_bit(x):
-    # each element steps past its own convergence when its group needs more
-    # steps, and the cube bracket calls erf only below the cut
+    # i0e/i1e sum each element on its own before one scaling pass, and the
+    # cube bracket calls erf only below the cut
     for fn in (i0e, i1e):
         assert np.array_equal(fn(x), [fn(v) for v in x.tolist()]), fn.__name__
     with np.errstate(all="ignore"):  # the closed forms' policy: z^2 overflows past z ~ 1e154
@@ -973,7 +973,7 @@ def test_value_types_are_slotted_and_survive_pickle_and_copy():
         arrays = [name for name in value._fields if isinstance(getattr(value, name), np.ndarray)]
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
             assert type(clone) is type(value) and repr(clone) == repr(value)
-            for name in value._fields:  # archetype too, which == leaves out
+            for name in value._fields:
                 assert np.array_equal(getattr(clone, name), getattr(value, name)), (type(value).__name__, name)
             assert not any(getattr(clone, name).flags.writeable for name in arrays)
             assert clone == value and hash(clone) == hash(value)

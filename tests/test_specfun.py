@@ -15,14 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cslbounds.specfun import (
-    _ASYMPTOTIC_FACTORS,
-    _SERIES_DENOMS,
-    _SQRT_2PI,
-    _ie,
-    i0e,
-    i1e,
-)
+from cslbounds.specfun import _SQRT_2PI, i0e, i1e
 from cslbounds.kspace import _j1_array, _sinc2_array
 
 mp.mp.dps = 50
@@ -163,8 +156,8 @@ def straddle(switch):
 
 @pytest.mark.parametrize("order,fn", [(0, i0e), (1, i1e)])
 def test_scaled_bessels_as_arrays_straddling_branch_switches(order, fn):
-    # x = 20 is the series/asymptotic switch, x = 1e3 splits the asymptotic
-    # series by step count; x = 1 is the radial bracket's switch
+    # x = 20 is the series/asymptotic switch; x = 1 and 1e3 are the radial
+    # bracket's first and last seams
     beside = [math.nextafter(switch, side) for switch in (20.0, 1e3) for side in (0.0, math.inf)]
     xs = np.concatenate([[0.0], straddle(1.0), straddle(20.0), straddle(1e3), beside, [1e300]])
     got = fn(xs)
@@ -186,7 +179,7 @@ def _changes_sum(term, total, j):
 
 
 def reference_ie(x):
-    """e^-x I0 and e^-x I1 by the loop _ie replaced, kept as its reference.
+    """e^-x I0 and e^-x I1, as rows 0 and 1, by a loop that steps whole branches.
 
     Every element of a branch steps as far as that branch's slowest one
     (the largest x of the power series, the smallest of the asymptotic
@@ -228,39 +221,13 @@ bessel_args = st.one_of(
 @settings(derandomize=True, max_examples=200)
 @given(st.lists(bessel_args, min_size=1, max_size=40).map(np.array))
 @example(np.array(SWITCHES))
-@example(np.geomspace(1e16, 1.0, 1462))  # a scan's descending grid, as the survey benchmark meets it
-def test_ie_equals_its_per_step_checked_reference_bit_for_bit(x):
-    assert np.array_equal(_ie(x), reference_ie(x))
-
-
-def own_steps(term, factor, limit=80):
-    """Each column's own step count: the first step after which _changes_sum's rule says its sum is done."""
-    total, steps = term.copy(), np.zeros(term.shape[1], dtype=int)
-    for k in range(1, limit + 1):
-        term = term * factor(k)
-        total = total + term
-        changes = (np.abs(term) > 1e-18 * np.abs(total)).any(axis=0)
-        steps[(steps == 0) & ~changes] = k
-    assert steps.all(), "a series did not settle"
-    return steps
-
-
-def dense(lo, hi):
-    """2e5 evenly spaced and 2e4 log-spaced points over [lo, hi]."""
-    with np.errstate(over="ignore"):  # geomspace's intermediate powers overflow near the float max
-        return np.concatenate([np.linspace(lo, hi, 200_000), np.geomspace(max(lo, 1e-300), hi, 20_000)])
-
-
-def test_each_bessel_group_steps_exactly_its_slowest_elements_count():
-    # recount every element's steps by its own rule: each group's fixed count must be the largest of them,
-    # enough for every element and no step longer than needed
-    xs = dense(0.0, 20.0)
-    q = 0.25 * xs * xs
-    series = own_steps(np.stack([np.ones_like(xs), 0.5 * xs]), lambda k: q / np.array([[k * k], [k * (k + 1)]]))
-    # the asymptotic group's dense points, both sides of 1e3 included
-    xa = np.concatenate([dense(math.nextafter(20.0, math.inf), 1e3), dense(math.nextafter(1e3, math.inf), sys.float_info.max)])
-    asymptotic = own_steps(np.ones((2, xa.size)), lambda k: np.array([[(2 * k - 1) ** 2], [(2 * k - 1) ** 2 - 4]]) / (8 * k) / xa)
-    assert [series.max(), asymptotic.max()] == [len(_SERIES_DENOMS), len(_ASYMPTOTIC_FACTORS)] == [36, 34]
+@example(np.geomspace(1e16, 1.0, 1462))  # a scan's descending grid
+def test_ie_as_array_and_as_float_equals_the_branch_stepped_reference_bit_for_bit(x):
+    # the reference steps every element of a branch as far as its slowest one: steps past an element's own
+    # convergence change no bit of it
+    ref = reference_ie(x)
+    assert np.array_equal(np.vstack([i0e(x), i1e(x)]), ref)
+    assert np.array_equal([[i0e(v) for v in x.tolist()], [i1e(v) for v in x.tolist()]], ref)
 
 
 def test_j1_contract_low_range():
