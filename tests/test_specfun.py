@@ -230,6 +230,36 @@ def test_ie_as_array_and_as_float_equals_the_branch_stepped_reference_bit_for_bi
     assert np.array_equal([[i0e(v) for v in x.tolist()], [i1e(v) for v in x.tolist()]], ref)
 
 
+def own_steps(term, factor, limit):
+    """Each entry's own step count: the first step after which its term is at most 1e-18 of its sum."""
+    total, steps = term.copy(), np.zeros(term.shape, dtype=int)
+    for k in range(1, limit + 1):
+        term = term * factor(k)
+        total = total + term
+        steps[(steps == 0) & (np.abs(term) <= 1e-18 * np.abs(total))] = k
+    assert steps.all(), "a series did not settle within its cap"
+    return steps
+
+
+def dense(lo, hi):
+    """2e5 evenly spaced and 2e4 log-spaced points over [lo, hi]."""
+    with np.errstate(over="ignore"):  # geomspace's intermediate powers overflow near the float max
+        return np.concatenate([np.linspace(lo, hi, 200_000), np.geomspace(max(lo, 1e-300), hi, 20_000)])
+
+
+def test_each_bessel_series_settles_within_its_stated_steps_well_before_its_cap():
+    # recount every x's steps, row 0 for I0 and row 1 for I1, by the stopping rule of specfun._series_sum:
+    # the power series (capped at 80 steps) settles within 36, the asymptotic one (capped at 40) within 34,
+    # so no value is ever cut off by a cap
+    xs = dense(0.0, 20.0)
+    q = 0.25 * xs * xs
+    series = own_steps(np.stack([np.ones_like(xs), 0.5 * xs]), lambda k: q / np.array([[k * k], [k * (k + 1)]]), 80)
+    xa = dense(math.nextafter(20.0, math.inf), sys.float_info.max)
+    asymptotic = own_steps(np.ones((2, xa.size)), lambda k: np.array([[(2 * k - 1) ** 2], [(2 * k - 1) ** 2 - 4]]) / (8 * k) / xa, 40)
+    assert series.max(axis=1).tolist() == [36, 35]
+    assert asymptotic.max(axis=1).tolist() == [34, 34]
+
+
 def test_j1_contract_low_range():
     # dense across the branch switches at x = 4 and x = 30
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 1100), np.linspace(3.0, 40.0, 371)])
